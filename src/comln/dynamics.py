@@ -163,11 +163,14 @@ def rhs_full(
     idx = np.arange(m)
 
     # dB[i,j] = 1(i=j) A_i - lam B[i,j] - A_i sum_k G[i,k] B[k,j]
+    # The products are negated in place and the spent products GB and
+    # inner hold lam B and lam z, so no further state-sized array is made.
     GB = np.tensordot(gram.G, B, axes=(1, 0))
-    dB = -np.matmul(A[:, None, :, :], GB)
+    dB = np.matmul(A[:, None, :, :], GB)
+    np.negative(dB, out=dB)
     dB[idx, idx] += A
     if cfg.lam != 0.0:
-        dB -= cfg.lam * B
+        dB -= np.multiply(B, cfg.lam, out=GB)
 
     # dz[i,j,m] = -A_i (1(i=j) s_m + 1(i=m) s_j + sum_k G[i,k] z[k,j,m])
     #             - lam z[i,j,m]
@@ -175,23 +178,14 @@ def rhs_full(
     inner[idx, idx] += s
     inner[idx, :, idx] += s
     n = s.shape[1]
-    dz = -np.matmul(inner.reshape(m, m * m, n), A.transpose(0, 2, 1)).reshape(
+    dz = np.matmul(inner.reshape(m, m * m, n), A.transpose(0, 2, 1)).reshape(
         m, m, m, n
     )
+    np.negative(dz, out=dz)
     if cfg.lam != 0.0:
-        dz -= cfg.lam * z
+        dz -= np.multiply(z, cfg.lam, out=inner)
 
     return AugmentedState(ds, dB, dz, True)
-
-
-def _flat_layout(m: int, n: int, track: bool):
-    if track:
-        return (
-            ("s", (m, n)),
-            ("B", (m, m, n, n)),
-            ("z", (m, m, m, n)),
-        )
-    return (("s", (m, n)),)
 
 
 def state_to_flat(state: AugmentedState) -> FlatState:
@@ -247,21 +241,30 @@ def adapt(
 
     gram = GramMatrix.of(data.features)
     y0 = state_to_flat(AugmentedState.zero(m, n, track))
+    layout = y0.layout
+    # Segment bounds of s, B and z in the flat vector, in state_to_flat order.
+    s_end = m * n
+    B_end = s_end + m * m * n * n
 
     if track:
 
         def rhs(flat: FlatState) -> FlatState:
+            v = flat.values
             state = AugmentedState(
-                flat.view("s"), flat.view("B"), flat.view("z"), True
+                v[:s_end].reshape(m, n),
+                v[s_end:B_end].reshape(m, m, n, n),
+                v[B_end:].reshape(m, m, m, n),
+                True,
             )
             d = rhs_full(W0, data, cfg, state, gram)
-            return FlatState.pack([("s", d.s), ("B", d.B), ("z", d.z)])
+            values = np.concatenate((d.s.ravel(), d.B.ravel(), d.z.ravel()))
+            return FlatState.wrap(values, layout)
 
     else:
 
         def rhs(flat: FlatState) -> FlatState:
-            ds = rhs_adapt(W0, data, cfg, flat.view("s"))
-            return FlatState.pack([("s", ds)])
+            ds = rhs_adapt(W0, data, cfg, flat.values.reshape(m, n))
+            return FlatState.wrap(ds.ravel(), layout)
 
     end, stats = integrate(rhs, y0, 0.0, T, solver)
     state_T = flat_to_state(end, track)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import comln.dynamics
+from comln.dynamics import Horizon, adapt
+from comln.loss import LossConfig
 from comln.solver import (
     BudgetExceededError,
     FlatState,
@@ -11,6 +14,7 @@ from comln.solver import (
     StepStats,
     integrate,
 )
+from comln.tasks import TaskGenConfig, sample_episode
 
 
 def _state(values):
@@ -81,7 +85,8 @@ class TestIntegrate:
         cfg = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-10)
         y, stats = integrate(_decay, _state([1.0]), 0.0, 1.0, cfg)
         np.testing.assert_allclose(y.values[0], 0.36787944117144233, atol=1e-6)
-        assert stats.rhs_evals == 7 * (stats.accepted_steps + stats.rejected_steps)
+        # First-same-as-last: one initial evaluation, then six per step.
+        assert stats.rhs_evals == 1 + 6 * (stats.accepted_steps + stats.rejected_steps)
 
     def test_decay_euler_matches_exact_recurrence(self):
         # Ten explicit steps of 0.01 reproduce (0.99)^10 bit-for-bit up to
@@ -107,6 +112,12 @@ class TestIntegrate:
         assert y.values[0] == 2.0
         assert stats.rhs_evals == 0
         assert y.values is not y0.values
+
+    def test_empty_state_reaches_t1(self):
+        y, stats = integrate(lambda y: y, FlatState.pack([]), 0.0, 1.0, SolverConfig())
+        assert y.values.size == 0
+        assert stats.rejected_steps == 0
+        assert stats.accepted_steps == 4
 
     def test_budget_exceeded(self):
         cfg = SolverConfig(method="rk4", fixed_step=0.1, max_evals=3)
@@ -188,3 +199,180 @@ class TestIntegrate:
         _, stats = integrate(_decay, _state([1.0]), 0.0, 1.0, cfg)
         assert stats.accepted_steps == 100
         assert stats.rhs_evals == 400
+
+    def test_rhs_may_return_a_view_of_its_input(self):
+        # dy/dt = y with the derivative handed back as the input's own
+        # vector, which the solver reuses for the next stage input.
+        y0 = _state([1.0, -2.0])
+        cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-12)
+        y, _ = integrate(lambda y: y, y0, 0.0, 1.0, cfg)
+        np.testing.assert_allclose(y.values, np.e * np.array([1.0, -2.0]), rtol=1e-8)
+        np.testing.assert_array_equal(y0.values, [1.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "cfg, where",
+        [
+            (SolverConfig(method="rk4", fixed_step=0.1, max_evals=10), "t=0.2 after 2"),
+            (SolverConfig(method="dopri5", max_evals=20), "t=0.31 after 3"),
+        ],
+    )
+    def test_budget_error_says_where(self, cfg, where):
+        grow = lambda y: y.with_values(np.ones_like(y.values))
+        with pytest.raises(BudgetExceededError) as info:
+            integrate(grow, _state([0.0]), 0.0, 1.0, cfg)
+        assert str(info.value) == (
+            f"rhs evaluation budget of {cfg.max_evals} exhausted "
+            f"at {where} accepted and 0 rejected steps"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (
+                SolverConfig(method="euler", fixed_step=0.1),
+                "state became non-finite at step 6 at t=0.5 after 5",
+            ),
+            (
+                SolverConfig(method="dopri5"),
+                "state became non-finite during a trial step at t=0.31 after 3",
+            ),
+        ],
+    )
+    def test_non_finite_error_says_where(self, cfg, message):
+        # The field is finite below y = 0.45 and NaN from there on.
+        cliff = lambda y: y.with_values(np.where(y.values < 0.45, 1.0, np.nan))
+        with pytest.raises(NonFiniteStateError) as info:
+            integrate(cliff, _state([0.0]), 0.0, 1.0, cfg)
+        assert str(info.value) == f"{message} accepted and 0 rejected steps"
+
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            (
+                SolverConfig(method="euler", fixed_step=0.013),
+                (
+                    "0x1.ccf5b249c9d8dp-1",
+                    "-0x1.6c794ae3d9ba5p+0",
+                    "0x1.d2182c507d8c9p-1",
+                ),
+            ),
+            (
+                SolverConfig(method="rk4", fixed_step=0.07),
+                (
+                    "0x1.ccb284b01f916p-1",
+                    "-0x1.6c4da7d98e51cp+0",
+                    "0x1.d25da367c4d7ep-1",
+                ),
+            ),
+        ],
+    )
+    def test_fixed_step_outputs_are_pinned(self, cfg, expected):
+        # Bit-exact values of a nonlinear field; any change to the fixed-step
+        # arithmetic shows up here.
+        rhs = lambda y: y.with_values(np.sin(3.0 * y.values) - 0.5 * y.values**2)
+        y, _ = integrate(rhs, _state([0.3, -1.2, 2.0]), 0.0, 1.5, cfg)
+        assert tuple(v.hex() for v in y.values) == expected
+
+
+class TestAgainstReference:
+    """The solver against a plain Dormand-Prince loop kept here as reference.
+
+    The reference evaluates all seven stages of every step and sums the
+    stages term by term.  The solver reuses the last stage and forms the
+    sums as matrix products, which rounds differently, so states agree to a
+    relative 1e-12 and step decisions agree exactly.
+    """
+
+    A = (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+    B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+    B4 = (
+        5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
+    )
+
+    @classmethod
+    def reference_dopri5(cls, rhs, y0, span, cfg):
+        """Returns (y(span), accepted steps, rejected steps)."""
+        f = lambda v: rhs(FlatState(v, y0.layout)).values
+        y = y0.values.copy()
+        t, h = 0.0, min(max(span / 100.0, 1e-8), span)
+        accepted = rejected = 0
+        while t < span:
+            clipped = h >= span - t
+            if clipped:
+                h = span - t
+            k = [f(y)]
+            for a in cls.A[1:]:
+                k.append(f(y + h * sum(a_j * k_j for a_j, k_j in zip(a, k))))
+            y_new = y + h * sum(b * k_j for b, k_j in zip(cls.B5, k))
+            err = h * sum((b5 - b4) * k_j for b5, b4, k_j in zip(cls.B5, cls.B4, k))
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.sqrt(np.mean(np.square(err / scale))))
+            if err_norm <= 1.0:
+                accepted += 1
+                y = y_new
+                t = span if clipped else t + h
+            else:
+                rejected += 1
+            if err_norm == 0.0:
+                h = h * 5.0
+            else:
+                h = h * min(max(0.9 * err_norm**-0.2, 0.2), 5.0)
+        return y, accepted, rejected
+
+    def check_against_reference(self, rhs, y0, span, cfg):
+        y_ref, accepted, rejected = self.reference_dopri5(rhs, y0, span, cfg)
+        y, stats = integrate(rhs, y0, 0.0, span, cfg)
+        assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
+        assert stats.rhs_evals == 1 + 6 * (accepted + rejected)
+        rel = np.max(np.abs(y.values - y_ref)) / np.max(np.abs(y_ref))
+        assert rel <= 1e-12
+        return stats
+
+    def test_stiff_linear_system(self):
+        # Eigenvalues from -1 to -1000 over the transient of the stiffest
+        # mode, where the controller rejects steps but every error norm
+        # stays at least 0.1 away from the acceptance threshold.  Later the
+        # step sits at the stability limit, the error estimate is made of
+        # rounding noise, and any change in summation order changes the
+        # step sequence, so that regime cannot be compared step by step.
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        a = q @ np.diag(-np.logspace(0.0, 3.0, 6)) @ q.T
+        rhs = lambda y: y.with_values(a @ y.values)
+        stats = self.check_against_reference(
+            rhs, _state(rng.normal(size=6)), 0.05, SolverConfig(rtol=1e-6, atol=1e-8)
+        )
+        assert (stats.accepted_steps, stats.rejected_steps) == (51, 2)
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_adapt_5w1s(self, monkeypatch, track):
+        episode = sample_episode(TaskGenConfig(way=5, shot=1, seed=11), 0)
+        W0 = np.random.default_rng(11).normal(size=(5, 16)) * 0.1
+        captured = {}
+
+        def capture(rhs, y0, t0, t1, config):
+            captured.update(rhs=rhs, y0=y0, span=t1 - t0)
+            return integrate(rhs, y0, t0, t1, config)
+
+        monkeypatch.setattr(comln.dynamics, "integrate", capture)
+        cfg = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8)
+        adapt(
+            W0,
+            episode.train.features,
+            episode.train.labels,
+            LossConfig(lam=0.5),
+            Horizon.from_T(20.0),
+            cfg,
+            track=track,
+        )
+        self.check_against_reference(
+            captured["rhs"], captured["y0"], captured["span"], cfg
+        )
