@@ -17,9 +17,21 @@ matrix of the embeddings,
                    - lam z[i,j,m]
 
 with B(0) = 0 (M, M blocks of N x N) and z(0) = 0 (M^3 vectors of length
-N).  The flat augmented state therefore has M N + M^2 N^2 + M^3 N entries
-regardless of the horizon T, and one right-hand-side evaluation costs
-O(M^3 N^2 + M^4 N) after the Gram matrix is cached.
+N).
+
+Every column of every B[i,j] and every z[i,j,m] obeys the same linear
+operator X -> -A_i sum_k G[i,k] X[k] - lam X; only the forcing differs.
+The operator and the forcing are both symmetric in (j, m), so
+z[i,j,m] = z[i,m,j] exactly.  The integrated state is therefore s followed
+by one tangent block X of shape (M, K, N) with K = M N + M (M + 1) / 2:
+row X[i, j N + b] is column b of B[i,j], and the rows after the first M N
+hold z[i,j,m] for the pairs j <= m in row-major order.  The flat state has
+M N + M^2 N^2 + M^2 (M + 1) N / 2 entries regardless of the horizon T.
+One right-hand-side evaluation is one (M x M)(M x K N) Gram product, the
+forcing added in place, and one batched product with the A_i:
+O(M^3 N^2 + M^4 N / 2 + M^2 N^3) multiply-adds after the Gram matrix is
+cached.  B and the full z are expanded only when the final state is
+handed out as an AugmentedState.
 
 The proximal weight lam enters both sensitivity equations as a plain
 linear decay term outside the curvature product: the lam I block of the
@@ -29,6 +41,7 @@ B equation.  All equations reduce to the unregularized ones at lam = 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -81,9 +94,30 @@ class Horizon:
         return float(np.exp(self.log_T))
 
 
+def _tangent_rows(m: int, n: int) -> int:
+    """Rows of X[i]: M N columns of B[i, :], then M (M + 1) / 2 pairs of z."""
+    return m * n + m * (m + 1) // 2
+
+
+def state_entries(m: int, n: int, track: bool) -> int:
+    """Entries of the flat state the solver integrates.
+
+    M N for s alone; with the tangent block M N + M^2 N^2 + M^2 (M + 1) N / 2.
+    """
+    if not track:
+        return m * n
+    return m * n + m * _tangent_rows(m, n) * n
+
+
 @dataclass(frozen=True)
 class AugmentedState:
-    """Adaptation coefficients s plus, when tracked, sensitivities B and z."""
+    """Adaptation coefficients s plus, when tracked, sensitivities B and z.
+
+    B has shape (M, M, N, N) and z the full (M, M, M, N), with
+    z[i,j,m] = z[i,m,j].  The solver integrates the compact layout of
+    ``state_to_flat``, which stores half of z; ``flat_size`` and ``nbytes``
+    count that flat vector, not the expanded arrays held here.
+    """
 
     s: np.ndarray
     B: np.ndarray | None
@@ -103,17 +137,50 @@ class AugmentedState:
 
     @property
     def nbytes(self) -> int:
-        total = self.s.nbytes
-        if self.track_sensitivities:
-            total += self.B.nbytes + self.z.nbytes
-        return total
+        return 8 * self.flat_size
 
     @property
     def flat_size(self) -> int:
         m, n = self.s.shape
-        if self.track_sensitivities:
-            return m * n + m * m * n * n + m * m * m * n
-        return m * n
+        return state_entries(m, n, self.track_sensitivities)
+
+
+class CompactLayout:
+    """Where s and the tangent block X sit in the tracked flat vector.
+
+    Also holds the flat indices that place the forcing terms in X;
+    ``compact_layout`` builds them once per shape, not per evaluation.
+    """
+
+    def __init__(self, m: int, n: int) -> None:
+        self.m, self.n = m, n
+        self.rows = _tangent_rows(m, n)
+        self.size = state_entries(m, n, True)
+        self.flat = (("s", (m, n)), ("X", (m, self.rows, n)))
+        # z[i,j,m] for the pair j <= m sits in row M N + pair of X[i].
+        self.pair_j, self.pair_m = np.triu_indices(m)
+        lane = np.arange(n)
+        # Flat entries of X: (i N + b, b) of X[i] take the identity in dB[i,i].
+        block = np.arange(m)[:, None]
+        self.eye = ((block * self.rows + block * n + lane) * n + lane).ravel()
+        # Flat entries of X at z[j,j,m] and z[m,j,m], and of the flat state
+        # at s_m and s_j, which force them.
+        row = (m * n + np.arange(self.pair_j.size))[:, None]
+        j, k = self.pair_j[:, None], self.pair_m[:, None]
+        self.at_j = ((j * self.rows + row) * n + lane).ravel()
+        self.at_m = ((k * self.rows + row) * n + lane).ravel()
+        self.s_m = (k * n + lane).ravel()
+        self.s_j = (j * n + lane).ravel()
+        # compact_layout hands the same arrays to every caller.
+        indices = (self.pair_j, self.pair_m, self.eye, self.at_j, self.at_m)
+        for index in (*indices, self.s_m, self.s_j):
+            index.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def compact_layout(m: int, n: int) -> CompactLayout:
+    """The tracked layout for M examples and N classes, built once per shape."""
+    return CompactLayout(m, n)
 
 
 def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -148,61 +215,70 @@ def rhs_full(
     W0: np.ndarray,
     data: EmbeddedSet,
     cfg: LossConfig,
-    state: AugmentedState,
+    flat: FlatState,
     gram: GramMatrix,
-) -> AugmentedState:
-    """Time derivative of the full augmented state (s, B, z)."""
-    if not state.track_sensitivities:
+    layout: CompactLayout,
+) -> FlatState:
+    """Time derivative of the tracked state (s, X) in the compact layout."""
+    if flat.layout != layout.flat:
         raise ValueError("rhs_full requires a tracked state; use rhs_adapt")
-    s, B, z = state.s, state.B, state.z
-    m = data.count
+    m, n, mn = layout.m, layout.n, layout.m * layout.n
     if gram.G.shape != (m, m):
         raise DimensionMismatchError("Gram matrix does not match the data")
+    s = flat.values[:mn].reshape(m, n)
+    X = flat.values[mn:].reshape(m, layout.rows, n)
     probs, ds = _probs_and_residual_rate(W0, data, cfg, s)
     A = curvature_from_probs(probs)
-    idx = np.arange(m)
 
-    # dB[i,j] = 1(i=j) A_i - lam B[i,j] - A_i sum_k G[i,k] B[k,j]
-    # The products are negated in place and the spent products GB and
-    # inner hold lam B and lam z, so no further state-sized array is made.
-    GB = np.tensordot(gram.G, B, axes=(1, 0))
-    dB = np.matmul(A[:, None, :, :], GB)
-    np.negative(dB, out=dB)
-    dB[idx, idx] += A
+    # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
+    # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].
+    # The spent Y holds lam X, so no further state-sized array is made.
+    Y = (gram.G @ X.reshape(m, -1)).reshape(X.shape)
+    forced = Y.reshape(-1)
+    forced[layout.eye] -= 1.0
+    forced[layout.at_j] += flat.values[layout.s_m]
+    forced[layout.at_m] += flat.values[layout.s_j]
+    values = np.empty(layout.size)
+    values[:mn] = ds.ravel()
+    dX = values[mn:].reshape(X.shape)
+    np.matmul(Y, np.negative(A, out=A), out=dX)
     if cfg.lam != 0.0:
-        dB -= np.multiply(B, cfg.lam, out=GB)
-
-    # dz[i,j,m] = -A_i (1(i=j) s_m + 1(i=m) s_j + sum_k G[i,k] z[k,j,m])
-    #             - lam z[i,j,m]
-    inner = np.tensordot(gram.G, z, axes=(1, 0))
-    inner[idx, idx] += s
-    inner[idx, :, idx] += s
-    n = s.shape[1]
-    dz = np.matmul(inner.reshape(m, m * m, n), A.transpose(0, 2, 1)).reshape(
-        m, m, m, n
-    )
-    np.negative(dz, out=dz)
-    if cfg.lam != 0.0:
-        dz -= np.multiply(z, cfg.lam, out=inner)
-
-    return AugmentedState(ds, dB, dz, True)
+        dX -= np.multiply(X, cfg.lam, out=Y)
+    return FlatState.wrap(values, layout.flat)
 
 
 def state_to_flat(state: AugmentedState) -> FlatState:
-    """Flatten (s, then B row-major, then z row-major) into one vector."""
-    if state.track_sensitivities:
-        segments = [("s", state.s), ("B", state.B), ("z", state.z)]
-    else:
-        segments = [("s", state.s)]
-    return FlatState.pack(segments)
+    """Flatten s, then (when tracked) the tangent block in compact layout.
+
+    The tracked layout stores z[i,j,m] for j <= m only, so z must be
+    symmetric in (j, m), as every state of the flow is.
+    """
+    if not state.track_sensitivities:
+        return FlatState.pack([("s", state.s)])
+    if not np.array_equal(state.z, state.z.transpose(0, 2, 1, 3)):
+        raise ValueError("z must satisfy z[i,j,m] == z[i,m,j]")
+    m, n = state.s.shape
+    layout = compact_layout(m, n)
+    values = np.empty(layout.size)
+    values[: m * n] = state.s.ravel()
+    X = values[m * n :].reshape(m, layout.rows, n)
+    X[:, : m * n] = state.B.transpose(0, 1, 3, 2).reshape(m, m * n, n)
+    X[:, m * n :] = state.z[:, layout.pair_j, layout.pair_m]
+    return FlatState(values, layout.flat)
 
 
 def flat_to_state(flat: FlatState, track: bool) -> AugmentedState:
-    if track:
-        return AugmentedState(
-            flat.view("s").copy(), flat.view("B").copy(), flat.view("z").copy(), True
-        )
-    return AugmentedState(flat.view("s").copy(), None, None, False)
+    """Copy a flat state out, expanding B and the full z when tracked."""
+    if not track:
+        return AugmentedState(flat.view("s").copy(), None, None, False)
+    s, X = flat.view("s"), flat.view("X")
+    m, n = s.shape
+    layout = compact_layout(m, n)
+    B = X[:, : m * n].reshape(m, m, n, n).transpose(0, 1, 3, 2).copy()
+    z = np.empty((m, m, m, n))
+    z[:, layout.pair_j, layout.pair_m] = X[:, m * n :]
+    z[:, layout.pair_m, layout.pair_j] = X[:, m * n :]
+    return AugmentedState(s.copy(), B, z, True)
 
 
 def adapt(
@@ -232,7 +308,7 @@ def adapt(
         raise ValueError(f"horizon T={T:g} exceeds the hard cap {t_cap:g}")
     if m > m_cap:
         raise MemoryBudgetError(f"M={m} exceeds the example cap {m_cap}")
-    flat_entries = m * n + (m * m * n * n + m * m * m * n if track else 0)
+    flat_entries = state_entries(m, n, track)
     if flat_entries * 8 > memory_budget:
         raise MemoryBudgetError(
             f"augmented state needs {flat_entries * 8} bytes, "
@@ -240,27 +316,17 @@ def adapt(
         )
 
     gram = GramMatrix.of(data.features)
-    y0 = state_to_flat(AugmentedState.zero(m, n, track))
-    layout = y0.layout
-    # Segment bounds of s, B and z in the flat vector, in state_to_flat order.
-    s_end = m * n
-    B_end = s_end + m * m * n * n
 
     if track:
+        layout = compact_layout(m, n)
+        y0 = FlatState.wrap(np.zeros(layout.size), layout.flat)
 
         def rhs(flat: FlatState) -> FlatState:
-            v = flat.values
-            state = AugmentedState(
-                v[:s_end].reshape(m, n),
-                v[s_end:B_end].reshape(m, m, n, n),
-                v[B_end:].reshape(m, m, m, n),
-                True,
-            )
-            d = rhs_full(W0, data, cfg, state, gram)
-            values = np.concatenate((d.s.ravel(), d.B.ravel(), d.z.ravel()))
-            return FlatState.wrap(values, layout)
+            return rhs_full(W0, data, cfg, flat, gram, layout)
 
     else:
+        y0 = state_to_flat(AugmentedState.zero(m, n, False))
+        layout = y0.layout
 
         def rhs(flat: FlatState) -> FlatState:
             ds = rhs_adapt(W0, data, cfg, flat.values.reshape(m, n))

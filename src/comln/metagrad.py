@@ -57,7 +57,9 @@ class MetaGradients:
     embedding network; it is empty for an identity backbone.  The
     ``outer_loss`` and ``test_accuracy`` fields record the state of the
     task at the adapted weights so callers logging metrics do not have
-    to re-run the adaptation.
+    to re-run the adaptation.  ``rhs_evals`` and ``rejected_steps`` are the
+    adaptation solver's counts; references that do not integrate leave
+    them at zero.
     """
 
     grad_W0: np.ndarray
@@ -69,6 +71,8 @@ class MetaGradients:
     grad_embedding: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     outer_loss: float
     test_accuracy: float
+    rhs_evals: int = 0
+    rejected_steps: int = 0
 
     def __post_init__(self) -> None:
         arrays = [self.grad_W0, self.grad_phi_train, self.grad_phi_test]
@@ -211,7 +215,7 @@ def task_metagrads(
     test_set = EmbeddedSet(phi_test, episode.test.labels)
 
     horizon = Horizon(meta.log_T)
-    W_T, state, _ = adapt(
+    W_T, state, stats = adapt(
         meta.W0,
         phi_train,
         episode.train.labels,
@@ -251,4 +255,6 @@ def task_metagrads(
         grad_embedding=tuple(emb_grads),
         outer_loss=float(outer_loss(W_T, test_set)),
         test_accuracy=float(np.mean(predictions == truth)),
+        rhs_evals=stats.rhs_evals,
+        rejected_steps=stats.rejected_steps,
     )

@@ -120,7 +120,12 @@ class TrainConfig:
 
 @dataclass
 class MetricsRow:
-    """One training iteration's diagnostics, appended in order."""
+    """One training iteration's diagnostics, appended in order.
+
+    ``rhs_evals`` and ``rejected_steps`` sum the adaptation solver's counts
+    over the meta-batch, so they show why one iteration costs more than
+    another.
+    """
 
     iteration: int
     outer_loss: float
@@ -130,6 +135,8 @@ class MetricsRow:
     grad_norm_embedding: float
     grad_norm_logT: float
     alignment: float
+    rhs_evals: int
+    rejected_steps: int
     wall_time: float
 
     FIELDS = (
@@ -141,6 +148,8 @@ class MetricsRow:
         "grad_norm_embedding",
         "grad_norm_logT",
         "alignment",
+        "rhs_evals",
+        "rejected_steps",
         "wall_time",
     )
 
@@ -317,6 +326,8 @@ def meta_train(
                 grad_norm_embedding=math.sqrt(emb_sq),
                 grad_norm_logT=abs(g_logT),
                 alignment=float(np.mean([x.diag_alignment for x in bundles])),
+                rhs_evals=sum(x.rhs_evals for x in bundles),
+                rejected_steps=sum(x.rejected_steps for x in bundles),
                 wall_time=time.perf_counter() - started,
             )
         )

@@ -10,6 +10,7 @@ from comln.dynamics import (
     Horizon,
     MemoryBudgetError,
     adapt,
+    compact_layout,
     flat_to_state,
     reconstruct_W,
     rhs_adapt,
@@ -44,6 +45,30 @@ def weight_flow(W0, data, cfg, T, solver):
 
     end, _ = integrate(rhs, FlatState.pack([("W", W0)]), 0.0, T, solver)
     return end.view("W").copy()
+
+
+def full_shape_rhs(W0, phi, labels, lam, s, B, z):
+    """The module docstring's ds, dB and dz in full shapes, as plain einsums."""
+    m, n = s.shape
+    logits = phi @ (W0 - s.T @ phi).T
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    A = (np.einsum("ia,ab->iab", p, np.eye(n)) - np.einsum("ia,ib->iab", p, p)) / m
+    G = phi @ phi.T
+    eye = np.eye(m)
+    ds = (p - labels) / m - lam * s
+    dB = (
+        np.einsum("ij,iab->ijab", eye, A)
+        - lam * B
+        - np.einsum("iac,ik,kjcb->ijab", A, G, B)
+    )
+    inner = (
+        np.einsum("ij,kc->ijkc", eye, s)
+        + np.einsum("ik,jc->ijkc", eye, s)
+        + np.einsum("il,ljkc->ijkc", G, z)
+    )
+    dz = -np.einsum("iac,ijkc->ijka", A, inner) - lam * z
+    return ds, dB, dz
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +135,16 @@ def test_rhs_full_zero_state_seeds_diagonal_curvature():
     # At s = B = z = 0 with W0 = 0 the only nonzero derivative blocks are
     # dB[i, i] = A_i(0) = (I/N - 11'/N^2) / M; dz must vanish.
     data = EmbeddedSet(np.eye(2), np.eye(2))
-    state = AugmentedState.zero(2, 2, track=True)
-    d = rhs_full(np.zeros((2, 2)), data, LAM0, state, GramMatrix.of(data.features))
+    zero = state_to_flat(AugmentedState.zero(2, 2, track=True))
+    out = rhs_full(
+        np.zeros((2, 2)),
+        data,
+        LAM0,
+        zero,
+        GramMatrix.of(data.features),
+        compact_layout(2, 2),
+    )
+    d = flat_to_state(out, track=True)
     block = np.array([[0.125, -0.125], [-0.125, 0.125]])
     assert_array_equal(d.B[0, 0], block)
     assert_array_equal(d.B[1, 1], block)
@@ -124,12 +157,40 @@ def test_rhs_full_requires_tracked_state_and_matching_gram():
     rng = np.random.default_rng(1)
     data = random_set(rng, m=3, n=2, d=4)
     W0 = np.zeros((2, 4))
-    untracked = AugmentedState.zero(3, 2, track=False)
+    layout = compact_layout(3, 2)
+    untracked = state_to_flat(AugmentedState.zero(3, 2, track=False))
     with pytest.raises(ValueError):
-        rhs_full(W0, data, LAM0, untracked, GramMatrix.of(data.features))
-    tracked = AugmentedState.zero(3, 2, track=True)
+        rhs_full(W0, data, LAM0, untracked, GramMatrix.of(data.features), layout)
+    tracked = state_to_flat(AugmentedState.zero(3, 2, track=True))
     with pytest.raises(DimensionMismatchError):
-        rhs_full(W0, data, LAM0, tracked, GramMatrix(np.eye(4)))
+        rhs_full(W0, data, LAM0, tracked, GramMatrix(np.eye(4)), layout)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("m, n", [(4, 3), (3, 5)])
+def test_rhs_full_matches_full_shape_equations(m, n, lam):
+    # Random states with symmetric z; the j = m pairs get both forcing terms.
+    rng = np.random.default_rng(20 + m)
+    data = random_set(rng, m=m, n=n, d=4)
+    W0 = rng.normal(size=(n, 4)) * 0.5
+    s = rng.normal(size=(m, n)) * 0.3
+    B = rng.normal(size=(m, m, n, n))
+    z = rng.normal(size=(m, m, m, n))
+    z = z + z.transpose(0, 2, 1, 3)
+    cfg = LossConfig(lam=lam)
+    out = rhs_full(
+        W0,
+        data,
+        cfg,
+        state_to_flat(AugmentedState(s, B, z, True)),
+        GramMatrix.of(data.features),
+        compact_layout(m, n),
+    )
+    d = flat_to_state(out, track=True)
+    ds, dB, dz = full_shape_rhs(W0, data.features, data.labels, lam, s, B, z)
+    assert_allclose(d.s, ds, rtol=0, atol=1e-13)
+    assert_allclose(d.B, dB, rtol=0, atol=1e-13)
+    assert_allclose(d.z, dz, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +279,34 @@ def test_tracking_does_not_perturb_the_adaptation():
     assert_array_equal(W_plain, W_tracked)
     assert state.B.shape == (4, 4, 2, 2)
     assert state.z.shape == (4, 4, 4, 2)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_tracked_euler_path_matches_full_shape_loop(lam):
+    # Euler steps do not depend on an error norm, so the compact state must
+    # follow a plain full-shape Euler loop step for step.
+    rng = np.random.default_rng(12)
+    m, n, d = 4, 3, 5
+    data = random_set(rng, m=m, n=n, d=d)
+    W0 = rng.normal(size=(n, d)) * 0.3
+    h, steps = 0.05, 20
+    s, B, z = np.zeros((m, n)), np.zeros((m, m, n, n)), np.zeros((m, m, m, n))
+    for _ in range(steps):
+        ds, dB, dz = full_shape_rhs(W0, data.features, data.labels, lam, s, B, z)
+        s, B, z = s + h * ds, B + h * dB, z + h * dz
+    _, state, stats = adapt(
+        W0,
+        data.features,
+        data.labels,
+        LossConfig(lam=lam),
+        Horizon.from_T(h * steps),
+        SolverConfig(method="euler", fixed_step=h),
+        track=True,
+    )
+    assert stats.accepted_steps == steps
+    for got, want in ((state.s, s), (state.B, B), (state.z, z)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert_array_equal(state.z, state.z.transpose(0, 2, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +399,54 @@ def test_long_horizon_state_stays_bounded():
 
 
 def test_flat_layout_orders_s_then_b_then_z():
+    # s, then per example i the columns of every B[i, j] and the z[i, j, k]
+    # with j <= k.
     m, n = 3, 2
     s = np.arange(m * n, dtype=np.float64).reshape(m, n)
     B = np.arange(m * m * n * n, dtype=np.float64).reshape(m, m, n, n) + 100.0
     z = np.arange(m * m * m * n, dtype=np.float64).reshape(m, m, m, n) + 1000.0
+    z = z + z.transpose(0, 2, 1, 3)
     flat = state_to_flat(AugmentedState(s, B, z, True))
-    expected = np.concatenate([s.ravel(), B.ravel(), z.ravel()])
+    rows = []
+    for i in range(m):
+        rows += [B[i, j][:, b] for j in range(m) for b in range(n)]
+        rows += [z[i, j, k] for j in range(m) for k in range(j, m)]
+    expected = np.concatenate([s.ravel(), *rows])
     assert_array_equal(flat.values, expected)
     back = flat_to_state(flat, track=True)
     assert_array_equal(back.s, s)
     assert_array_equal(back.B, B)
     assert_array_equal(back.z, z)
+    # Half of z cannot hold an asymmetric z.
+    with pytest.raises(ValueError):
+        state_to_flat(AugmentedState(s, B, z + np.arange(m)[:, None], True))
 
 
 def test_state_size_accounting():
     m, n = 4, 3
     tracked = AugmentedState.zero(m, n, track=True)
-    assert tracked.flat_size == m * n + m * m * n * n + m * m * m * n
+    assert tracked.flat_size == m * n + m * m * n * n + m * m * (m + 1) * n // 2
     assert tracked.nbytes == 8 * tracked.flat_size
+    assert state_to_flat(tracked).nbytes == tracked.nbytes
     plain = AugmentedState.zero(m, n, track=False)
     assert plain.flat_size == m * n
     assert plain.nbytes == 8 * m * n
-    # Constant in the horizon: the tracked state for T = 10 and T = 10000
-    # is the same object shape, so this is a type-level identity.
-    assert AugmentedState.zero(m, n, True).nbytes == tracked.nbytes
+    # Constant in the horizon: adapt returns the same bytes at every step count.
+    rng = np.random.default_rng(13)
+    data = random_set(rng, m=m, n=n, d=4)
+    W0 = rng.normal(size=(n, 4))
+    for steps in (1, 10, 100):
+        _, state, stats = adapt(
+            W0,
+            data.features,
+            data.labels,
+            LAM0,
+            Horizon.from_T(steps * 0.01),
+            SolverConfig(method="euler", fixed_step=0.01),
+            track=True,
+        )
+        assert stats.accepted_steps == steps
+        assert state.nbytes == tracked.nbytes
 
 
 def test_gram_matrix_is_symmetric_psd():

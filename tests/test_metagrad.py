@@ -314,6 +314,26 @@ def test_task_bundle_scalar_identities():
     assert np.isfinite(bundle.outer_loss)
 
 
+def test_task_bundle_carries_the_adaptation_solver_counts():
+    episode = small_episode(seed=12, way=3, shot=2, test_shots=3, input_dim=4)
+    meta = identity_meta(12, 3, 4, 0.6)
+    bundle = task_metagrads(meta, episode, LAM0, TIGHT)
+    _, _, stats = adapt(
+        meta.W0,
+        episode.train.features,
+        episode.train.labels,
+        LAM0,
+        Horizon(meta.log_T),
+        TIGHT,
+        track=True,
+    )
+    assert (bundle.rhs_evals, bundle.rejected_steps) == (
+        stats.rhs_evals,
+        stats.rejected_steps,
+    )
+    assert bundle.rhs_evals > 0
+
+
 def test_task_bundle_matches_finite_differences():
     episode = small_episode(seed=13, way=3, shot=2, test_shots=3, input_dim=5)
     meta = identity_meta(13, 3, 5, 0.7)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from comln.dynamics import AugmentedState
+from comln.dynamics import Horizon, adapt
 from comln.embedding import init_embedding
 from comln.loss import (
     EmbeddedSet,
@@ -86,11 +86,19 @@ def test_tape_storage_grows_linearly_while_tracked_state_does_not(steps):
     tape = unroll_gradient_descent(W0, data, LAM0, 0.01, steps)
     n, d, m = 3, 8, data.count
     assert tape.nbytes == 8 * ((steps + 1) * n * d + steps * m * n)
-    # The flow's augmented state has the same size whatever the horizon.
-    assert (
-        AugmentedState.zero(m, n, True).nbytes
-        == AugmentedState.zero(m, n, True).nbytes
+    # The flow's augmented state has the same size whatever the horizon:
+    # s and the tangent block (B and the j <= k half of z), 8 bytes each.
+    _, state, stats = adapt(
+        W0,
+        data.features,
+        data.labels,
+        LAM0,
+        Horizon.from_T(steps * 0.01),
+        SolverConfig(method="euler", fixed_step=0.01),
+        track=True,
     )
+    assert stats.accepted_steps == steps
+    assert state.nbytes == 8 * (m * n + m * m * n * n + m * m * (m + 1) * n // 2)
 
 
 # ---------------------------------------------------------------------------

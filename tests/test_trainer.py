@@ -195,6 +195,18 @@ def test_meta_batch_gradients_are_averaged():
     assert_array_equal(out.W0, initial.W0 - 0.1 * mean_grad)
 
 
+def test_metrics_sum_solver_counts_over_the_meta_batch():
+    episodes = episode_batch(2, seed=6)
+    initial = default_meta_params(2, 3)
+    cfg = flat_train_config(meta_batch_size=2)
+    bundles = [task_metagrads(initial, ep, LAM0, cfg.solver) for ep in episodes]
+    _, metrics = meta_train(cfg, episodes, initial=initial)
+    # Euler at step 0.01 over T = 0.05: five evaluations per task.
+    assert [b.rhs_evals for b in bundles] == [5, 5]
+    assert metrics[0].rhs_evals == 10
+    assert metrics[0].rejected_steps == 0
+
+
 def test_empty_stream_is_rejected():
     with pytest.raises(ValueError, match="empty"):
         meta_train(flat_train_config(), [])
@@ -267,8 +279,9 @@ def test_horizon_stays_positive_through_training():
 def test_metrics_row_field_order():
     assert MetricsRow.FIELDS[0] == "iteration"
     assert MetricsRow.FIELDS[-1] == "wall_time"
-    row = MetricsRow(3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 0.01)
-    assert row.as_row() == [3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 0.01]
+    assert MetricsRow.FIELDS[-3:-1] == ("rhs_evals", "rejected_steps")
+    row = MetricsRow(3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 43, 2, 0.01)
+    assert row.as_row() == [3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 43, 2, 0.01]
 
 
 # ---------------------------------------------------------------------------
