@@ -9,7 +9,7 @@ the adaptation, with memory cost independent of T.
 
 Modules
 -------
-solver     generic fixed-step / adaptive ODE integration on flat vectors
+solver     generic fixed-step / adaptive ODE integration on float64 vectors
 loss       softmax cross-entropy inner loss, curvature blocks, outer partials
 dynamics   augmented adaptation ODE and weight reconstruction
 metagrad   Jacobian-free projections and the per-task meta-gradient bundle
@@ -24,13 +24,12 @@ cli        command-line entry point (train / grad-check / bench / ...)
 from comln.dynamics import AugmentedState, Horizon, adapt
 from comln.loss import CurvatureBlocks, EmbeddedSet, LossConfig
 from comln.metagrad import MetaGradients, task_metagrads
-from comln.solver import FlatState, SolverConfig, StepStats, integrate
+from comln.solver import SolverConfig, StepStats, integrate
 from comln.tasks import Episode, TaskGenConfig, sample_episode
 from comln.trainer import (MetaParams, TrainConfig, default_meta_params,
                            meta_test, meta_train)
 
 __all__ = [
-    "FlatState",
     "SolverConfig",
     "StepStats",
     "integrate",

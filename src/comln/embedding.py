@@ -19,7 +19,7 @@ import numpy as np
 
 from comln.loss import DimensionMismatchError
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 class StaleTapeError(ValueError):
@@ -39,7 +39,7 @@ class Layer:
         object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise DimensionMismatchError("layer weight/bias shapes disagree")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 

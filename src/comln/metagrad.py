@@ -138,42 +138,6 @@ def project_phi(
     return -(s_T @ V + C @ W0 + D @ phi)
 
 
-def dense_jacobians(
-    s_T: np.ndarray,
-    B_T: np.ndarray,
-    z_T: np.ndarray,
-    phi: np.ndarray,
-    W0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Materialize the Jacobians the projections avoid forming.
-
-    Returns (dW/dW0 with shape (Nd, Nd), dW/dphi stacked as (M, Nd, d))
-    under row-major flattening.  Strictly a diagnostic for small
-    instances; refuses N*d beyond the same cap as the dense references.
-    """
-    m, n = s_T.shape
-    d = phi.shape[1]
-    nd = n * d
-    if nd > 64:
-        raise ValueError(f"dense Jacobians need N*d <= 64, got {nd}")
-    J_W0 = np.eye(nd)
-    for i in range(m):
-        for j in range(m):
-            J_W0 -= np.kron(B_T[i, j], np.outer(phi[i], phi[j]))
-    J_phi = np.empty((m, nd, d))
-    eye_d = np.eye(d)
-    for target in range(m):
-        acc = np.kron(s_T[target][:, None], eye_d)
-        for i in range(m):
-            acc += np.kron(B_T[i, target] @ W0, phi[i][:, None])
-            for j in range(m):
-                acc += np.kron(
-                    np.outer(z_T[i, j, target], phi[j]), phi[i][:, None]
-                )
-        J_phi[target] = -acc
-    return J_W0, J_phi
-
-
 def grad_T(V: np.ndarray, inner_grad_at_WT: np.ndarray) -> float:
     """Horizon gradient: minus the alignment of outer and inner gradients."""
     if V.shape != inner_grad_at_WT.shape:

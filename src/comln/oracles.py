@@ -4,8 +4,10 @@ Everything here recomputes what the projection path produces, by a route
 that shares none of its mathematics: reverse mode through an explicitly
 unrolled gradient-descent loop, dense forward sensitivities integrated
 in raw weight space, and central finite differences of the scalar outer
-loss.  These are quadratic-or-worse in time or memory by design; they
-exist to catch errors in the fast path, not to train with.
+loss.  ``dense_jacobians`` materializes, from the final (s, B, z), the
+Jacobians that the projections contract.  These are quadratic-or-worse
+in time or memory by design; they exist to catch errors in the fast
+path, not to train with.
 
 The module also carries the diagonal-quadratic demonstration of why
 meta-gradients are not computed by integrating the flow backward: on a
@@ -39,7 +41,7 @@ from .loss import (
     outer_partials,
 )
 from .metagrad import MetaGradients
-from .solver import FlatState, SolverConfig, integrate
+from .solver import SolverConfig, integrate
 from .tasks import Episode
 
 if TYPE_CHECKING:
@@ -177,12 +179,12 @@ def _descend(
 ) -> np.ndarray:
     """Integrate dW/dt = -grad L directly in weight space, return W(T)."""
 
-    def rhs(flat: FlatState) -> FlatState:
-        grad, _ = inner_grad(flat.view("W"), W0, data, cfg)
-        return FlatState.pack([("W", -grad)])
+    def rhs(w: np.ndarray) -> np.ndarray:
+        grad, _ = inner_grad(w.reshape(W0.shape), W0, data, cfg)
+        return -grad.ravel()
 
-    end, _ = integrate(rhs, FlatState.pack([("W", W0)]), 0.0, T, solver)
-    return end.view("W").copy()
+    end, _ = integrate(rhs, W0.ravel(), 0.0, T, solver)
+    return end.reshape(W0.shape)
 
 
 def naive_forward_sensitivity(
@@ -213,10 +215,13 @@ def naive_forward_sensitivity(
     eye_nd = np.eye(nd)
     eye_d = np.eye(d)
 
-    def rhs(flat: FlatState) -> FlatState:
-        W = flat.view("W")
-        S_W0 = flat.view("S_W0")
-        S_phi = flat.view("S_phi")
+    def unpack(y: np.ndarray):
+        """W, S_W0 and S_phi from the flat state, each stored row-major."""
+        W, S_W0, S_phi = np.split(y, [nd, nd + nd * nd])
+        return W.reshape(n, d), S_W0.reshape(nd, nd), S_phi.reshape(m, nd, d)
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        W, S_W0, S_phi = unpack(y)
         grad, resid = inner_grad(W, meta.W0, train, cfg)
         A = curvature(W, train).A
         H = cfg.lam * eye_nd
@@ -232,19 +237,51 @@ def naive_forward_sensitivity(
                 + np.kron(resid[i][:, None], eye_d) / m
             )
             dS_phi[i] = -H @ S_phi[i] + forcing
-        return FlatState.pack(
-            [("W", -grad), ("S_W0", dS_W0), ("S_phi", dS_phi)]
-        )
+        return np.concatenate([-grad.ravel(), dS_W0.ravel(), dS_phi.ravel()])
 
-    y0 = FlatState.pack(
-        [
-            ("W", meta.W0),
-            ("S_W0", eye_nd),
-            ("S_phi", np.zeros((m, nd, d))),
-        ]
-    )
+    y0 = np.concatenate([meta.W0.ravel(), eye_nd.ravel(), np.zeros(m * nd * d)])
     end, _ = integrate(rhs, y0, 0.0, T, solver)
-    return end.view("S_W0").copy(), end.view("S_phi").copy()
+    _, S_W0, S_phi = unpack(end)
+    return S_W0, S_phi
+
+
+def dense_jacobians(
+    s_T: np.ndarray,
+    B_T: np.ndarray,
+    z_T: np.ndarray,
+    phi: np.ndarray,
+    W0: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Materialize the Jacobians the projections avoid forming.
+
+    Returns (dW/dW0 with shape (Nd, Nd), dW/dphi stacked as (M, Nd, d))
+    under row-major flattening.  Strictly a diagnostic for small
+    instances; refuses N*d beyond SENSITIVITY_DIM_CAP, like the dense
+    sensitivities.
+    """
+    m, n = s_T.shape
+    d = phi.shape[1]
+    nd = n * d
+    if nd > SENSITIVITY_DIM_CAP:
+        raise ValueError(
+            f"dense Jacobians need N*d <= {SENSITIVITY_DIM_CAP}, got {nd}"
+        )
+    J_W0 = np.eye(nd)
+    for i in range(m):
+        for j in range(m):
+            J_W0 -= np.kron(B_T[i, j], np.outer(phi[i], phi[j]))
+    J_phi = np.empty((m, nd, d))
+    eye_d = np.eye(d)
+    for target in range(m):
+        acc = np.kron(s_T[target][:, None], eye_d)
+        for i in range(m):
+            acc += np.kron(B_T[i, target] @ W0, phi[i][:, None])
+            for j in range(m):
+                acc += np.kron(
+                    np.outer(z_T[i, j, target], phi[j]), phi[i][:, None]
+                )
+        J_phi[target] = -acc
+    return J_W0, J_phi
 
 
 def _perturbed_params(
@@ -405,14 +442,14 @@ def quadratic_sensitivity(
     eig = spec.eigenvalues
     k = eig.size
 
-    def rhs(flat: FlatState) -> FlatState:
-        w = flat.view("w")
-        S = flat.view("S")
-        return FlatState.pack([("w", -eig * w), ("S", -eig[:, None] * S)])
+    # The state is w followed by S (k x k) in row-major order.
+    def rhs(y: np.ndarray) -> np.ndarray:
+        w, S = y[:k], y[k:].reshape(k, k)
+        return np.concatenate([-eig * w, (-eig[:, None] * S).ravel()])
 
-    y0 = FlatState.pack([("w", spec.w0), ("S", np.eye(k))])
+    y0 = np.concatenate([spec.w0, np.eye(k).ravel()])
     end, _ = integrate(rhs, y0, 0.0, spec.T, solver)
-    return end.view("w").copy(), end.view("S").copy()
+    return end[:k], end[k:].reshape(k, k)
 
 
 @dataclass(frozen=True)
@@ -448,14 +485,14 @@ def adjoint_instability_demo(
     def run(start: np.ndarray, sign: float) -> np.ndarray:
         states = np.empty((pieces + 1, eig.size))
         states[0] = start
-        current = FlatState.pack([("w", start)])
+        current = start
 
-        def rhs(flat: FlatState) -> FlatState:
-            return FlatState.pack([("w", sign * eig * flat.view("w"))])
+        def rhs(w: np.ndarray) -> np.ndarray:
+            return sign * eig * w
 
         for j in range(pieces):
             current, _ = integrate(rhs, current, grid[j], grid[j + 1], solver)
-            states[j + 1] = current.view("w")
+            states[j + 1] = current
         return states
 
     forward = run(w0, -1.0)

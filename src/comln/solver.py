@@ -1,11 +1,10 @@
-"""ODE integration on flat 64-bit state vectors.
+"""ODE integration on one-dimensional float64 state vectors.
 
 Integrates autonomous systems dy/dt = rhs(y) from t0 to t1 with either a
 fixed-step scheme (explicit Euler, classic fourth-order Runge-Kutta) or the
 Dormand-Prince 5(4) embedded pair with adaptive step size.  The state is a
-single flat float64 vector; a layout of named segments lets callers address
-multi-dimensional views of it without copies.  Segment offsets are computed
-once per layout.
+single one-dimensional float64 vector; what its entries mean is the
+caller's business.
 
 Dormand-Prince has the first-same-as-last property: its seventh stage is
 the derivative at the new state, so an accepted step hands it to the next
@@ -14,10 +13,10 @@ six per step, accepted or rejected.  The stages live in one preallocated
 matrix, and every stage input and the error estimate is a single
 matrix-vector product over it.
 
-The rhs receives a FlatState whose vector the solver reuses for later
-stages, so the rhs must not keep references to its input between calls.
-It may return a view of its input: the solver copies each derivative into
-its stage matrix before it writes to that buffer again.
+The rhs receives a vector that the solver reuses for later stages, so the
+rhs must not keep references to its input between calls.  It may return a
+view of its input: the solver copies each derivative into its stage
+matrix before it writes to that buffer again.
 
 Every right-hand-side evaluation is counted exactly, and exceeding the
 configured evaluation budget is an error rather than a silent partial
@@ -29,10 +28,9 @@ statistics.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -43,95 +41,6 @@ class BudgetExceededError(RuntimeError):
 
 class NonFiniteStateError(ArithmeticError):
     """A NaN or Inf appeared in the state during integration."""
-
-
-Layout = Tuple[Tuple[str, Tuple[int, ...]], ...]
-
-
-@functools.lru_cache(maxsize=256)
-def _segment_table(layout: Layout):
-    """((name, start, stop, shape) per segment, total size) of a layout.
-
-    Cached, so a layout's names are checked and its offsets summed once.
-    """
-    segments = []
-    names = set()
-    offset = 0
-    for name, shape in layout:
-        if name in names:
-            raise ValueError("FlatState segment names must be unique")
-        names.add(name)
-        size = math.prod(shape)
-        segments.append((name, offset, offset + size, tuple(shape)))
-        offset += size
-    return tuple(segments), offset
-
-
-@dataclass(frozen=True)
-class FlatState:
-    """A flat float64 vector with named, shaped views onto its segments.
-
-    ``layout`` is an ordered tuple of (name, shape) pairs; the segments
-    tile the vector in order.  ``view`` returns a reshaped view (no copy)
-    of one segment.
-    """
-
-    values: np.ndarray
-    layout: Layout
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("FlatState values must be one-dimensional")
-        object.__setattr__(self, "values", values)
-        _, total = _segment_table(self.layout)
-        if total != values.size:
-            raise ValueError(
-                f"layout covers {total} entries but values has {values.size}"
-            )
-
-    @classmethod
-    def wrap(cls, values: np.ndarray, layout: Layout) -> "FlatState":
-        """Unchecked constructor for a vector already known to fit ``layout``.
-
-        ``values`` must be a one-dimensional float64 array whose size the
-        layout covers; nothing is validated or converted.
-        """
-        state = object.__new__(cls)
-        object.__setattr__(state, "values", values)
-        object.__setattr__(state, "layout", layout)
-        return state
-
-    @classmethod
-    def pack(cls, segments: Sequence[Tuple[str, np.ndarray]]) -> "FlatState":
-        """Concatenate named arrays (C order) into a single flat state."""
-        layout = tuple((name, tuple(arr.shape)) for name, arr in segments)
-        if segments:
-            values = np.concatenate(
-                [np.asarray(arr, dtype=np.float64).ravel() for _, arr in segments]
-            )
-        else:
-            values = np.zeros(0)
-        return cls(values, layout)
-
-    def view(self, name: str) -> np.ndarray:
-        """Shaped view of one segment; writes through to ``values``."""
-        segments, _ = _segment_table(self.layout)
-        for seg_name, start, stop, shape in segments:
-            if seg_name == name:
-                return self.values[start:stop].reshape(shape)
-        raise KeyError(f"no segment named {name!r}")
-
-    def with_values(self, values: np.ndarray) -> "FlatState":
-        """Same layout, new underlying vector."""
-        return FlatState(values, self.layout)
-
-    @property
-    def nbytes(self) -> int:
-        return self.values.nbytes
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
 
 @dataclass(frozen=True)
@@ -232,48 +141,55 @@ def _budget_error(config: SolverConfig, t: float, stats: StepStats):
 
 
 def integrate(
-    rhs: Callable[[FlatState], FlatState],
-    y0: FlatState,
+    rhs: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray,
     t0: float,
     t1: float,
     config: SolverConfig,
-) -> Tuple[FlatState, StepStats]:
+) -> Tuple[np.ndarray, StepStats]:
     """Integrate dy/dt = rhs(y) from t0 to t1 and return (y(t1), stats).
 
-    ``rhs`` must be a pure function mapping a FlatState to a FlatState of
-    derivatives in the same layout, and must not keep references to its
-    input.  Raises BudgetExceededError if the run would need more rhs
-    evaluations than ``config.max_evals`` and NonFiniteStateError if any
-    intermediate state stops being finite.
+    ``y0`` is a one-dimensional float64 vector and is not modified; the
+    returned y(t1) is a new vector of the same size.  ``rhs`` must be a pure
+    function mapping such a vector to the vector of its derivatives, and
+    must not keep references to its input.  Raises ValueError for a y0 that
+    is not one-dimensional or for non-finite or reversed times,
+    BudgetExceededError if the run would need more rhs evaluations than
+    ``config.max_evals`` and NonFiniteStateError if the initial or any
+    intermediate state is not finite.
     """
+    y0 = np.asarray(y0, dtype=np.float64)
+    if y0.ndim != 1:
+        raise ValueError(f"integrate requires a one-dimensional y0, not {y0.shape}")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"integrate requires finite times, got t0={t0} and t1={t1}")
     if t1 < t0:
         raise ValueError("integrate requires t1 >= t0")
-    if not y0.is_finite():
+    if not np.all(np.isfinite(y0)):
         raise NonFiniteStateError(f"initial state contains NaN or Inf at t={t0:.6g}")
 
     stats = StepStats()
     span = t1 - t0
     if span == 0.0:
-        return y0.with_values(y0.values.copy()), stats
+        return y0.copy(), stats
     if config.method == "dopri5":
-        return y0.with_values(_run_dopri5(rhs, y0, t0, span, config, stats)), stats
+        return _run_dopri5(rhs, y0, t0, span, config, stats), stats
 
-    layout = y0.layout
     step = config.fixed_step
 
     def f(values: np.ndarray) -> np.ndarray:
         if stats.rhs_evals >= config.max_evals:
             raise _budget_error(config, t0 + stats.accepted_steps * step, stats)
         stats.rhs_evals += 1
-        return rhs(FlatState.wrap(values, layout)).values
+        return rhs(values)
 
     one_step = _euler_step if config.method == "euler" else _rk4_step
     try:
-        y = _run_fixed(f, y0.values.copy(), span, step, stats, one_step)
+        y = _run_fixed(f, y0.copy(), span, step, stats, one_step)
     except NonFiniteStateError as exc:
         where = _where(t0 + stats.accepted_steps * step, stats)
         raise NonFiniteStateError(f"{exc} {where}") from None
-    return y0.with_values(y), stats
+    return y, stats
 
 
 def _euler_step(f, y, h):
@@ -301,12 +217,11 @@ def _run_fixed(f, y, span, step, stats, one_step):
 
 
 def _run_dopri5(rhs, y0, t0, span, config, stats):
-    layout = y0.layout
-    n = y0.values.size
+    n = y0.size
     # Row 0 is the current state y, row 1 + i the stage derivative k_i.
     rows = np.empty((8, n))
     y, k = rows[0], rows[1:]
-    y[:] = y0.values
+    y[:] = y0
     y_stage = np.empty(n)  # stage input; after stage 6 the candidate y_new
     err = np.empty(n)
     weights = np.empty((8, 8))
@@ -317,7 +232,7 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
             raise _budget_error(config, t0 + t, stats)
         stats.rhs_evals += 1
         # A copy, so a derivative that is a view of its input stays valid.
-        k[stage] = rhs(FlatState.wrap(values, layout)).values
+        k[stage] = rhs(values)
 
     h = min(max(span / 100.0, 1e-8), span)
     evaluate(y, 0)

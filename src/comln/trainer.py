@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import DEFAULT_T_CAP, Horizon, adapt
-from .embedding import EmbeddingParams, Layer, embed_set, init_embedding
+from .embedding import ACTIVATIONS, EmbeddingParams, Layer, embed_set, init_embedding
 from .loss import EmbeddedSet, LossConfig, outer_loss
 from .metagrad import MetaGradients, task_metagrads
 from .solver import SolverConfig
@@ -39,7 +39,6 @@ while math.exp(LOG_T_MAX) > DEFAULT_T_CAP:
     LOG_T_MAX = math.nextafter(LOG_T_MAX, -math.inf)
 
 _CKPT_MAGIC = "COMLN-CKPT v1"
-_ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 class VersionMismatchError(ValueError):
@@ -402,7 +401,7 @@ def _parse_layer_token(token: str) -> Tuple[int, int, str]:
         d_in, d_out = int(d_in), int(d_out)
     except ValueError as exc:
         raise VersionMismatchError(f"bad layer token {token!r}") from exc
-    if d_in < 1 or d_out < 1 or activation not in _ACTIVATIONS:
+    if d_in < 1 or d_out < 1 or activation not in ACTIVATIONS:
         raise VersionMismatchError(f"bad layer token {token!r}")
     return d_in, d_out, activation
 

@@ -15,17 +15,12 @@ import pytest
 from comln.dynamics import Horizon, adapt
 from comln.embedding import embed_set, init_embedding
 from comln.loss import EmbeddedSet, LossConfig, inner_loss, outer_partials
-from comln.metagrad import (
-    coupling_matrix,
-    dense_jacobians,
-    project_W0,
-    project_phi,
-    task_metagrads,
-)
+from comln.metagrad import coupling_matrix, project_W0, project_phi, task_metagrads
 from comln.oracles import (
     QuadraticSpec,
     adjoint_instability_demo,
     bptt_metagrads,
+    dense_jacobians,
     finite_diff_metagrads,
     naive_forward_sensitivity,
     quadratic_sensitivity,

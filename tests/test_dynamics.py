@@ -24,7 +24,7 @@ from comln.loss import (
     inner_grad,
     inner_loss,
 )
-from comln.solver import FlatState, SolverConfig, integrate
+from comln.solver import SolverConfig, integrate
 
 LAM0 = LossConfig(lam=0.0)
 TIGHT = SolverConfig(method="dopri5", rtol=1e-11, atol=1e-13)
@@ -39,12 +39,12 @@ def random_set(rng, m=6, n=3, d=4):
 def weight_flow(W0, data, cfg, T, solver):
     """Reference: integrate dW/dt = -grad L directly in weight space."""
 
-    def rhs(flat):
-        grad, _ = inner_grad(flat.view("W"), W0, data, cfg)
-        return FlatState.pack([("W", -grad)])
+    def rhs(w):
+        grad, _ = inner_grad(w.reshape(W0.shape), W0, data, cfg)
+        return -grad.ravel()
 
-    end, _ = integrate(rhs, FlatState.pack([("W", W0)]), 0.0, T, solver)
-    return end.view("W").copy()
+    end, _ = integrate(rhs, W0.ravel(), 0.0, T, solver)
+    return end.reshape(W0.shape)
 
 
 def full_shape_rhs(W0, phi, labels, lam, s, B, z):
@@ -105,6 +105,8 @@ def test_horizon_round_trip_and_positivity():
         Horizon.from_T(0.0)
     with pytest.raises(ValueError):
         Horizon.from_T(-1.0)
+    with pytest.raises(ValueError):
+        Horizon.from_T(float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,7 @@ def test_rhs_full_zero_state_seeds_diagonal_curvature():
         GramMatrix.of(data.features),
         compact_layout(2, 2),
     )
-    d = flat_to_state(out, track=True)
+    d = flat_to_state(out, 2, 2, track=True)
     block = np.array([[0.125, -0.125], [-0.125, 0.125]])
     assert_array_equal(d.B[0, 0], block)
     assert_array_equal(d.B[1, 1], block)
@@ -159,7 +161,7 @@ def test_rhs_full_requires_tracked_state_and_matching_gram():
     W0 = np.zeros((2, 4))
     layout = compact_layout(3, 2)
     untracked = state_to_flat(AugmentedState.zero(3, 2, track=False))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tracked state"):
         rhs_full(W0, data, LAM0, untracked, GramMatrix.of(data.features), layout)
     tracked = state_to_flat(AugmentedState.zero(3, 2, track=True))
     with pytest.raises(DimensionMismatchError):
@@ -186,7 +188,7 @@ def test_rhs_full_matches_full_shape_equations(m, n, lam):
         GramMatrix.of(data.features),
         compact_layout(m, n),
     )
-    d = flat_to_state(out, track=True)
+    d = flat_to_state(out, m, n, track=True)
     ds, dB, dz = full_shape_rhs(W0, data.features, data.labels, lam, s, B, z)
     assert_allclose(d.s, ds, rtol=0, atol=1e-13)
     assert_allclose(d.B, dB, rtol=0, atol=1e-13)
@@ -412,8 +414,8 @@ def test_flat_layout_orders_s_then_b_then_z():
         rows += [B[i, j][:, b] for j in range(m) for b in range(n)]
         rows += [z[i, j, k] for j in range(m) for k in range(j, m)]
     expected = np.concatenate([s.ravel(), *rows])
-    assert_array_equal(flat.values, expected)
-    back = flat_to_state(flat, track=True)
+    assert_array_equal(flat, expected)
+    back = flat_to_state(flat, m, n, track=True)
     assert_array_equal(back.s, s)
     assert_array_equal(back.B, B)
     assert_array_equal(back.z, z)
@@ -482,6 +484,23 @@ def test_adapt_rejects_horizon_beyond_cap():
             solver,
             track=False,
             t_cap=1.0,
+        )
+
+
+def test_adapt_rejects_nan_horizon():
+    # NaN compares false with any cap; unless it is refused, the solver
+    # returns W0 without taking a step.
+    rng = np.random.default_rng(10)
+    data = random_set(rng, m=3, n=2, d=3)
+    with pytest.raises(ValueError, match="T=nan"):
+        adapt(
+            np.zeros((2, 3)),
+            data.features,
+            data.labels,
+            LAM0,
+            Horizon(float("nan")),
+            SolverConfig(),
+            track=False,
         )
 
 

@@ -18,13 +18,16 @@ from comln.loss import (
 from comln.metagrad import (
     MetaGradients,
     coupling_matrix,
-    dense_jacobians,
     grad_T,
     project_W0,
     project_phi,
     task_metagrads,
 )
-from comln.oracles import finite_diff_metagrads, naive_forward_sensitivity
+from comln.oracles import (
+    dense_jacobians,
+    finite_diff_metagrads,
+    naive_forward_sensitivity,
+)
 from comln.solver import SolverConfig
 from comln.tasks import TaskGenConfig, sample_episode
 from comln.trainer import MetaParams

@@ -1,4 +1,4 @@
-"""Tests for the flat-state ODE solver."""
+"""Tests for the ODE solver on one-dimensional float64 vectors."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from comln.dynamics import Horizon, adapt
 from comln.loss import LossConfig
 from comln.solver import (
     BudgetExceededError,
-    FlatState,
     NonFiniteStateError,
     SolverConfig,
     StepStats,
@@ -18,44 +17,11 @@ from comln.tasks import TaskGenConfig, sample_episode
 
 
 def _state(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return FlatState(arr, (("y", arr.shape),))
+    return np.asarray(values, dtype=np.float64)
 
 
 def _decay(y):
-    return y.with_values(-y.values)
-
-
-class TestFlatState:
-    def test_pack_and_view_round_trip(self):
-        a = np.arange(6.0).reshape(2, 3)
-        b = np.arange(4.0)
-        st = FlatState.pack([("a", a), ("b", b)])
-        assert st.values.size == 10
-        np.testing.assert_array_equal(st.view("a"), a)
-        np.testing.assert_array_equal(st.view("b"), b)
-
-    def test_view_is_a_view(self):
-        st = FlatState.pack([("a", np.zeros((2, 2)))])
-        st.view("a")[0, 0] = 7.0
-        assert st.values[0] == 7.0
-
-    def test_layout_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FlatState(np.zeros(3), (("a", (2, 2)),))
-
-    def test_duplicate_segment_names_rejected(self):
-        with pytest.raises(ValueError):
-            FlatState(np.zeros(4), (("a", (2,)), ("a", (2,))))
-
-    def test_unknown_segment(self):
-        st = _state([1.0])
-        with pytest.raises(KeyError):
-            st.view("nope")
-
-    def test_nbytes(self):
-        st = _state(np.zeros(10))
-        assert st.nbytes == 80
+    return -y
 
 
 class TestSolverConfig:
@@ -75,16 +41,16 @@ class TestSolverConfig:
 class TestIntegrate:
     def test_zero_field_leaves_state_unchanged(self):
         y0 = _state([3.0, -1.0, 2.5])
-        zero = lambda y: y.with_values(np.zeros_like(y.values))
+        zero = lambda y: np.zeros_like(y)
         y, stats = integrate(zero, y0, 0.0, 7.0, SolverConfig())
-        np.testing.assert_array_equal(y.values, y0.values)
+        np.testing.assert_array_equal(y, y0)
         assert stats.accepted_steps >= 1
 
     def test_decay_dopri5_matches_closed_form(self):
         # dz/dt = -z from 1.0 over unit time; closed form exp(-1).
         cfg = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-10)
         y, stats = integrate(_decay, _state([1.0]), 0.0, 1.0, cfg)
-        np.testing.assert_allclose(y.values[0], 0.36787944117144233, atol=1e-6)
+        np.testing.assert_allclose(y[0], 0.36787944117144233, atol=1e-6)
         # First-same-as-last: one initial evaluation, then six per step.
         assert stats.rhs_evals == 1 + 6 * (stats.accepted_steps + stats.rejected_steps)
 
@@ -93,7 +59,7 @@ class TestIntegrate:
         # the shortened final step.
         cfg = SolverConfig(method="euler", fixed_step=0.01)
         y, stats = integrate(_decay, _state([1.0]), 0.0, 0.1, cfg)
-        np.testing.assert_allclose(y.values[0], 0.9043820750088045, atol=1e-12)
+        np.testing.assert_allclose(y[0], 0.9043820750088045, atol=1e-12)
         assert stats.accepted_steps == 10
         assert stats.rhs_evals == 10
         assert stats.rejected_steps == 0
@@ -104,18 +70,18 @@ class TestIntegrate:
         y, stats = integrate(_decay, _state([1.0]), 0.0, 0.25, cfg)
         assert stats.accepted_steps == 3
         expected = 1.0 * 0.9 * 0.9 * 0.95
-        np.testing.assert_allclose(y.values[0], expected, rtol=1e-15)
+        np.testing.assert_allclose(y[0], expected, rtol=1e-15)
 
     def test_zero_span_returns_copy(self):
         y0 = _state([2.0])
         y, stats = integrate(_decay, y0, 1.0, 1.0, SolverConfig())
-        assert y.values[0] == 2.0
+        assert y[0] == 2.0
         assert stats.rhs_evals == 0
-        assert y.values is not y0.values
+        assert y is not y0
 
     def test_empty_state_reaches_t1(self):
-        y, stats = integrate(lambda y: y, FlatState.pack([]), 0.0, 1.0, SolverConfig())
-        assert y.values.size == 0
+        y, stats = integrate(lambda y: y, np.zeros(0), 0.0, 1.0, SolverConfig())
+        assert y.size == 0
         assert stats.rejected_steps == 0
         assert stats.accepted_steps == 4
 
@@ -131,7 +97,7 @@ class TestIntegrate:
     def test_non_finite_intermediate_state(self):
         # Explosive growth overflows well before t = 1.  The overflow is the
         # point of the test, so the numpy warning for it is silenced.
-        blow_up = lambda y: y.with_values(y.values * y.values * 1e6)
+        blow_up = lambda y: y * y * 1e6
         cfg = SolverConfig(method="euler", fixed_step=0.05)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
             integrate(blow_up, _state([10.0]), 0.0, 1.0, cfg)
@@ -140,12 +106,31 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(_decay, _state([1.0]), 1.0, 0.0, SolverConfig())
 
+    def test_two_dimensional_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            integrate(_decay, np.zeros((2, 2)), 0.0, 1.0, SolverConfig())
+
+    @pytest.mark.parametrize(
+        "cfg", [SolverConfig(), SolverConfig(method="euler", fixed_step=0.1)]
+    )
+    @pytest.mark.parametrize("t1", [np.nan, np.inf])
+    def test_non_finite_end_time_rejected_before_any_evaluation(self, cfg, t1):
+        calls = []
+
+        def counted(y):
+            calls.append(1)
+            return -y
+
+        with pytest.raises(ValueError, match="finite times"):
+            integrate(counted, _state([1.0]), 0.0, t1, cfg)
+        assert calls == []
+
     def test_linearity_against_series_exponential(self):
         # For a linear field the flow map is the matrix exponential,
         # evaluated here by its power series as an independent reference.
         rng = np.random.default_rng(7)
         a = rng.normal(size=(2, 2))
-        rhs = lambda y: y.with_values(a @ y.values)
+        rhs = lambda y: a @ y
         y0 = rng.normal(size=2)
         cfg = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-12)
         y, _ = integrate(rhs, _state(y0), 0.0, 1.0, cfg)
@@ -154,18 +139,18 @@ class TestIntegrate:
         for k in range(1, 40):
             term = term @ a / k
             expm = expm + term
-        np.testing.assert_allclose(y.values, expm @ y0, rtol=1e-6)
+        np.testing.assert_allclose(y, expm @ y0, rtol=1e-6)
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4))
         a = -(a @ a.T)
-        rhs = lambda y: y.with_values(a @ y.values)
+        rhs = lambda y: a @ y
         y0 = _state(rng.normal(size=4))
         cfg = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-9)
         y1, s1 = integrate(rhs, y0, 0.0, 2.0, cfg)
         y2, s2 = integrate(rhs, y0, 0.0, 2.0, cfg)
-        assert np.array_equal(y1.values, y2.values)
+        assert np.array_equal(y1, y2)
         assert (s1.rhs_evals, s1.accepted_steps, s1.rejected_steps) == (
             s2.rhs_evals,
             s2.accepted_steps,
@@ -181,7 +166,7 @@ class TestIntegrate:
         for h in steps:
             cfg = SolverConfig(method=method, fixed_step=h)
             y, _ = integrate(_decay, _state([1.0]), 0.0, 1.0, cfg)
-            errs.append(abs(y.values[0] - np.exp(-1.0)))
+            errs.append(abs(y[0] - np.exp(-1.0)))
         ratio = errs[0] / errs[1]
         assert abs(ratio - expected) <= tol
 
@@ -191,7 +176,7 @@ class TestIntegrate:
         for rtol in (1e-4, 1e-8):
             cfg = SolverConfig(method="dopri5", rtol=rtol, atol=rtol * 1e-2)
             y, _ = integrate(_decay, _state([1.0]), 0.0, 1.0, cfg)
-            errs.append(abs(y.values[0] - np.exp(-1.0)))
+            errs.append(abs(y[0] - np.exp(-1.0)))
         assert errs[1] < errs[0]
 
     def test_stats_counts_are_consistent(self):
@@ -206,8 +191,8 @@ class TestIntegrate:
         y0 = _state([1.0, -2.0])
         cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-12)
         y, _ = integrate(lambda y: y, y0, 0.0, 1.0, cfg)
-        np.testing.assert_allclose(y.values, np.e * np.array([1.0, -2.0]), rtol=1e-8)
-        np.testing.assert_array_equal(y0.values, [1.0, -2.0])
+        np.testing.assert_allclose(y, np.e * np.array([1.0, -2.0]), rtol=1e-8)
+        np.testing.assert_array_equal(y0, [1.0, -2.0])
 
     @pytest.mark.parametrize(
         "cfg, where",
@@ -217,7 +202,7 @@ class TestIntegrate:
         ],
     )
     def test_budget_error_says_where(self, cfg, where):
-        grow = lambda y: y.with_values(np.ones_like(y.values))
+        grow = lambda y: np.ones_like(y)
         with pytest.raises(BudgetExceededError) as info:
             integrate(grow, _state([0.0]), 0.0, 1.0, cfg)
         assert str(info.value) == (
@@ -240,7 +225,7 @@ class TestIntegrate:
     )
     def test_non_finite_error_says_where(self, cfg, message):
         # The field is finite below y = 0.45 and NaN from there on.
-        cliff = lambda y: y.with_values(np.where(y.values < 0.45, 1.0, np.nan))
+        cliff = lambda y: np.where(y < 0.45, 1.0, np.nan)
         with pytest.raises(NonFiniteStateError) as info:
             integrate(cliff, _state([0.0]), 0.0, 1.0, cfg)
         assert str(info.value) == f"{message} accepted and 0 rejected steps"
@@ -269,9 +254,9 @@ class TestIntegrate:
     def test_fixed_step_outputs_are_pinned(self, cfg, expected):
         # Bit-exact values of a nonlinear field; any change to the fixed-step
         # arithmetic shows up here.
-        rhs = lambda y: y.with_values(np.sin(3.0 * y.values) - 0.5 * y.values**2)
+        rhs = lambda y: np.sin(3.0 * y) - 0.5 * y**2
         y, _ = integrate(rhs, _state([0.3, -1.2, 2.0]), 0.0, 1.5, cfg)
-        assert tuple(v.hex() for v in y.values) == expected
+        assert tuple(v.hex() for v in y) == expected
 
 
 class TestAgainstReference:
@@ -300,17 +285,16 @@ class TestAgainstReference:
     @classmethod
     def reference_dopri5(cls, rhs, y0, span, cfg):
         """Returns (y(span), accepted steps, rejected steps)."""
-        f = lambda v: rhs(FlatState(v, y0.layout)).values
-        y = y0.values.copy()
+        y = y0.copy()
         t, h = 0.0, min(max(span / 100.0, 1e-8), span)
         accepted = rejected = 0
         while t < span:
             clipped = h >= span - t
             if clipped:
                 h = span - t
-            k = [f(y)]
+            k = [rhs(y)]
             for a in cls.A[1:]:
-                k.append(f(y + h * sum(a_j * k_j for a_j, k_j in zip(a, k))))
+                k.append(rhs(y + h * sum(a_j * k_j for a_j, k_j in zip(a, k))))
             y_new = y + h * sum(b * k_j for b, k_j in zip(cls.B5, k))
             err = h * sum((b5 - b4) * k_j for b5, b4, k_j in zip(cls.B5, cls.B4, k))
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -332,7 +316,7 @@ class TestAgainstReference:
         y, stats = integrate(rhs, y0, 0.0, span, cfg)
         assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
         assert stats.rhs_evals == 1 + 6 * (accepted + rejected)
-        rel = np.max(np.abs(y.values - y_ref)) / np.max(np.abs(y_ref))
+        rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
         assert rel <= 1e-12
         return stats
 
@@ -346,7 +330,7 @@ class TestAgainstReference:
         rng = np.random.default_rng(17)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         a = q @ np.diag(-np.logspace(0.0, 3.0, 6)) @ q.T
-        rhs = lambda y: y.with_values(a @ y.values)
+        rhs = lambda y: a @ y
         stats = self.check_against_reference(
             rhs, _state(rng.normal(size=6)), 0.05, SolverConfig(rtol=1e-6, atol=1e-8)
         )
