@@ -22,7 +22,7 @@ cli        command-line entry point (train / grad-check / bench / ...)
 """
 
 from comln.dynamics import AugmentedState, Horizon, adapt
-from comln.loss import CurvatureBlocks, EmbeddedSet, LossConfig
+from comln.loss import EmbeddedSet, LossConfig
 from comln.metagrad import MetaGradients, task_metagrads
 from comln.solver import SolverConfig, StepStats, integrate
 from comln.tasks import Episode, TaskGenConfig, sample_episode
@@ -35,7 +35,6 @@ __all__ = [
     "integrate",
     "EmbeddedSet",
     "LossConfig",
-    "CurvatureBlocks",
     "AugmentedState",
     "Horizon",
     "adapt",

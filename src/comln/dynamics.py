@@ -8,6 +8,10 @@ coefficients s have to be integrated:
 
     ds_m/dt = (p_m(t) - y_m) / M - lam s_m(t),         s_m(0) = 0.
 
+The logits are phi W(t)' = P0 - G s with P0 = phi W0' and G the Gram
+matrix of the embeddings, both fixed per task (``TaskConstants``), so W
+itself is rebuilt only once, at T.
+
 The Jacobians of W(T) in W0 and in each training embedding admit the same
 compression.  With A_i(t) the per-example curvature blocks and G the Gram
 matrix of the embeddings,
@@ -51,8 +55,8 @@ from comln.loss import (
     DimensionMismatchError,
     EmbeddedSet,
     LossConfig,
-    _softmax_rows,
     curvature_from_probs,
+    softmax_rows_in_place,
 )
 from comln.solver import SolverConfig, StepStats, integrate
 
@@ -66,15 +70,30 @@ class MemoryBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise inner products G[i, j] = phi_i' phi_j of the train set."""
+class TaskConstants:
+    """What every right-hand side of one task reads; fixed along the flow.
 
+    Since W(t) = W0 - s' phi, the logits phi W(t)' are P0 - G s with
+    P0 = phi W0' and the Gram matrix G[i, j] = phi_i' phi_j, so one
+    (M x M)(M x N) product per evaluation replaces rebuilding W.
+    ``target`` is the label matrix Y / M and ``lam`` the proximal weight.
+    """
+
+    P0: np.ndarray
     G: np.ndarray
+    target: np.ndarray
+    lam: float
 
     @classmethod
-    def of(cls, phi: np.ndarray) -> "GramMatrix":
-        phi = np.asarray(phi, dtype=np.float64)
-        return cls(phi @ phi.T)
+    def of(cls, W0: np.ndarray, data: EmbeddedSet, cfg: LossConfig) -> "TaskConstants":
+        W0 = np.asarray(W0, dtype=np.float64)
+        phi = data.features
+        if W0.shape != (data.way, data.dim):
+            raise DimensionMismatchError(
+                f"cannot combine W0 {W0.shape} with phi {phi.shape} "
+                f"and {data.way} classes"
+            )
+        return cls(phi @ W0.T, phi @ phi.T, data.labels / data.count, cfg.lam)
 
 
 @dataclass(frozen=True)
@@ -192,57 +211,53 @@ def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return W0 - s.T @ phi
 
 
-def _probs_and_residual_rate(W0, data, cfg, s):
-    """Shared head of both right-hand sides: p, ds/dt at the current s."""
-    W = reconstruct_W(W0, s, data.features)
-    probs = _softmax_rows(data.features @ W.T)
-    ds = (probs - data.labels) / data.count
-    if cfg.lam != 0.0:
-        ds = ds - cfg.lam * s
+def _probs_and_rate(c: TaskConstants, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Shared head of both right-hand sides at the current (M, N) s.
+
+    Returns p = softmax(P0 - G s) row by row and ds/dt = (p - Y) / M - lam s.
+    """
+    probs = softmax_rows_in_place(c.P0 - c.G @ s)
+    ds = probs / probs.shape[0]
+    ds -= c.target
+    if c.lam != 0.0:
+        ds -= c.lam * s
     return probs, ds
 
 
-def rhs_adapt(
-    W0: np.ndarray, data: EmbeddedSet, cfg: LossConfig, s: np.ndarray
-) -> np.ndarray:
-    """Time derivative of the adaptation coefficients s (shape (M, N))."""
-    _, ds = _probs_and_residual_rate(W0, data, cfg, s)
-    return ds
+def rhs_adapt(c: TaskConstants, flat: np.ndarray) -> np.ndarray:
+    """Time derivative of the flat adaptation coefficients s (M N entries)."""
+    _, ds = _probs_and_rate(c, flat.reshape(c.P0.shape))
+    return ds.reshape(-1)
 
 
-def rhs_full(
-    W0: np.ndarray,
-    data: EmbeddedSet,
-    cfg: LossConfig,
-    flat: np.ndarray,
-    gram: GramMatrix,
-    layout: CompactLayout,
-) -> np.ndarray:
+def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.ndarray:
     """Time derivative of the tracked state (s, X) in the compact layout."""
     if flat.shape != (layout.size,):
         raise ValueError("rhs_full requires a tracked state; use rhs_adapt")
     m, n, mn = layout.m, layout.n, layout.m * layout.n
-    if gram.G.shape != (m, m):
-        raise DimensionMismatchError("Gram matrix does not match the data")
+    if c.P0.shape != (m, n) or c.G.shape != (m, m):
+        raise DimensionMismatchError("per-task constants do not match the layout")
     s = flat[:mn].reshape(m, n)
     X = flat[mn:].reshape(m, layout.rows, n)
-    probs, ds = _probs_and_residual_rate(W0, data, cfg, s)
+    probs, ds = _probs_and_rate(c, s)
     A = curvature_from_probs(probs)
 
     # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
     # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].
     # The spent Y holds lam X, so no further state-sized array is made.
-    Y = (gram.G @ X.reshape(m, -1)).reshape(X.shape)
+    Y = (c.G @ X.reshape(m, -1)).reshape(X.shape)
     forced = Y.reshape(-1)
     forced[layout.eye] -= 1.0
     forced[layout.at_j] += flat[layout.s_m]
     forced[layout.at_m] += flat[layout.s_j]
+    # values is allocated after Y, not before: the order of the two
+    # state-sized allocations decides which pages the allocator reuses.
     values = np.empty(layout.size)
-    values[:mn] = ds.ravel()
+    values[:mn] = ds.reshape(-1)
     dX = values[mn:].reshape(X.shape)
     np.matmul(Y, np.negative(A, out=A), out=dX)
-    if cfg.lam != 0.0:
-        dX -= np.multiply(X, cfg.lam, out=Y)
+    if c.lam != 0.0:
+        dX -= np.multiply(X, c.lam, out=Y)
     return values
 
 
@@ -315,18 +330,18 @@ def adapt(
             f"budget is {memory_budget}"
         )
 
-    gram = GramMatrix.of(data.features)
+    consts = TaskConstants.of(W0, data, cfg)
 
     if track:
         layout = compact_layout(m, n)
 
         def rhs(flat: np.ndarray) -> np.ndarray:
-            return rhs_full(W0, data, cfg, flat, gram, layout)
+            return rhs_full(consts, flat, layout)
 
     else:
 
         def rhs(flat: np.ndarray) -> np.ndarray:
-            return rhs_adapt(W0, data, cfg, flat.reshape(m, n)).ravel()
+            return rhs_adapt(consts, flat)
 
     # Kept alive until flat_to_state has run, not passed inline: freeing it
     # before B and z are expanded changes the order in which the allocator

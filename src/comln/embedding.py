@@ -2,8 +2,9 @@
 
 The embedding network maps raw inputs to the d-dimensional features the
 linear classifier head operates on.  It is shared across tasks and updated
-only by the outer loop, so its backward pass receives a per-example
-gradient in the embedding and returns gradients in the layer parameters.
+only by the outer loop, so its backward pass receives the gradient in
+every embedded row and returns gradients in the layer parameters, summed
+over the rows.  A set of rows goes through each layer as one matrix.
 
 An empty layer list is the identity backbone: features are the raw inputs
 and the parameter gradient is empty.  The final layer's activation is
@@ -20,10 +21,6 @@ import numpy as np
 from comln.loss import DimensionMismatchError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
-
-
-class StaleTapeError(ValueError):
-    """A backward pass received a tape inconsistent with the parameters."""
 
 
 @dataclass(frozen=True)
@@ -113,19 +110,25 @@ def _activation_derivative(name: str, pre: np.ndarray) -> np.ndarray:
     return np.ones_like(pre)
 
 
-def forward(
-    params: EmbeddingParams, x: np.ndarray
+def embed_set(
+    params: EmbeddingParams, inputs: np.ndarray
 ) -> tuple[np.ndarray, List[np.ndarray]]:
-    """Embed one input; the tape holds the input and each pre-activation."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
+    """Embed every row of ``inputs`` in one matrix pass per layer.
+
+    Returns the (rows, output_dim) features and the tape: the input
+    matrix, then each layer's (rows, width) pre-activation matrix.
+    """
+    # A copy: with no layers it is also the returned feature matrix.
+    x = np.array(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionMismatchError(
-            f"input shape {x.shape} does not match input_dim {params.input_dim}"
+            f"inputs of shape {x.shape} do not have input_dim {params.input_dim}"
         )
     tape = [x]
     h = x
     for layer in params.layers:
-        pre = layer.weight @ h + layer.bias
+        pre = h @ layer.weight.T
+        pre += layer.bias
         tape.append(pre)
         h = _apply_activation(layer.activation, pre)
     return h, tape
@@ -134,58 +137,36 @@ def forward(
 def backward(
     params: EmbeddingParams, tape: List[np.ndarray], grad_phi: np.ndarray
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Exact gradient of <grad_phi, f(x)> in the layer parameters.
+    """Exact gradient of sum_r <grad_phi[r], f(x_r)> in the layer parameters.
 
-    ``tape`` must come from a forward pass with the same parameters.
-    Returns one (d_weight, d_bias) pair per layer.
+    ``tape`` must come from ``embed_set`` with the same parameters, and
+    ``grad_phi`` has one row per embedded row.  Returns one
+    (d_weight, d_bias) pair per layer, summed over the rows.
     """
     grad_phi = np.asarray(grad_phi, dtype=np.float64)
     if len(tape) != len(params.layers) + 1:
-        raise StaleTapeError(
+        raise DimensionMismatchError(
             f"tape has {len(tape)} entries for {len(params.layers)} layers"
         )
-    if grad_phi.shape != (params.output_dim,):
-        raise StaleTapeError(
-            f"grad shape {grad_phi.shape} does not match output_dim"
+    rows = tape[0].shape[0]
+    if grad_phi.shape != (rows, params.output_dim):
+        raise DimensionMismatchError(
+            f"grad shape {grad_phi.shape} does not match {(rows, params.output_dim)}"
         )
     for layer, pre in zip(params.layers, tape[1:]):
-        if pre.shape != (layer.weight.shape[0],):
-            raise StaleTapeError("tape pre-activation shapes disagree with layers")
+        if pre.shape != (rows, layer.weight.shape[0]):
+            raise DimensionMismatchError(
+                "tape pre-activation shapes disagree with layers"
+            )
 
     grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     up = grad_phi
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        pre = tape[i + 1]
-        delta = up * _activation_derivative(layer.activation, pre)
+        delta = up * _activation_derivative(layer.activation, tape[i + 1])
         inp = tape[i] if i == 0 else _apply_activation(
             params.layers[i - 1].activation, tape[i]
         )
-        grads[i] = (np.outer(delta, inp), delta)
-        up = layer.weight.T @ delta
+        grads[i] = (delta.T @ inp, delta.sum(axis=0))
+        up = delta @ layer.weight
     return grads
-
-
-def embed_set(
-    params: EmbeddingParams, inputs: np.ndarray
-) -> tuple[np.ndarray, List[List[np.ndarray]]]:
-    """Embed each row of ``inputs``; returns stacked features and tapes."""
-    features = np.empty((inputs.shape[0], params.output_dim))
-    tapes = []
-    for m in range(inputs.shape[0]):
-        features[m], tape = forward(params, inputs[m])
-        tapes.append(tape)
-    return features, tapes
-
-
-def zeros_like_grads(params: EmbeddingParams) -> List[Tuple[np.ndarray, np.ndarray]]:
-    return [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers
-    ]
-
-
-def accumulate_grads(total, delta) -> None:
-    """Add one backward result into a running per-layer accumulator."""
-    for (tw, tb), (dw, db) in zip(total, delta):
-        tw += dw
-        tb += db

@@ -79,13 +79,6 @@ class LossConfig:
             raise ValueError("proximal weight lam must be non-negative")
 
 
-@dataclass(frozen=True)
-class CurvatureBlocks:
-    """Per-example curvature blocks A, stacked as an (M, N, N) array."""
-
-    A: np.ndarray
-
-
 def _check_W(W: np.ndarray, data: EmbeddedSet) -> np.ndarray:
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape != (data.way, data.dim):
@@ -95,22 +88,18 @@ def _check_W(W: np.ndarray, data: EmbeddedSet) -> np.ndarray:
     return W
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+def softmax_rows_in_place(logits: np.ndarray) -> np.ndarray:
+    """Overwrite a float64 (M, N) logit matrix with its row softmax."""
     # Max-subtraction keeps exp() from overflowing on large logits.
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
+    return logits
 
 
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def softmax_probs(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Class probabilities softmax(W phi) for a single embedding."""
-    logits = np.asarray(W, dtype=np.float64) @ np.asarray(phi, dtype=np.float64)
-    return _softmax_rows(logits[None, :])[0]
 
 
 def inner_loss(
@@ -138,7 +127,7 @@ def inner_grad(
     """
     W = _check_W(W, data)
     W0 = _check_W(W0, data)
-    probs = _softmax_rows(data.features @ W.T)
+    probs = softmax_rows_in_place(data.features @ W.T)
     residuals = probs - data.labels
     grad = residuals.T @ data.features / data.count
     if cfg.lam != 0.0:
@@ -146,19 +135,14 @@ def inner_grad(
     return grad, residuals
 
 
-def curvature(W: np.ndarray, data: EmbeddedSet) -> CurvatureBlocks:
-    """The M per-example blocks A_m = (diag(p_m) - p_m p_m') / M."""
-    W = _check_W(W, data)
-    probs = _softmax_rows(data.features @ W.T)
-    return CurvatureBlocks(curvature_from_probs(probs))
-
-
 def curvature_from_probs(probs: np.ndarray) -> np.ndarray:
-    """Curvature blocks straight from an (M, N) row-stochastic matrix."""
+    """The M per-example blocks A_m = (diag(p_m) - p_m p_m') / M, stacked
+    as an (M, N, N) array, from an (M, N) row-stochastic matrix."""
     m, n = probs.shape
-    blocks = -probs[:, :, None] * probs[:, None, :]
-    idx = np.arange(n)
-    blocks[:, idx, idx] += probs
+    # C order whatever the order of probs, so the reshape below is a view.
+    blocks = np.multiply(-probs[:, :, None], probs[:, None, :], order="C")
+    # The diagonals of all M blocks, as one strided view.
+    blocks.reshape(m, n * n)[:, :: n + 1] += probs
     blocks /= m
     return blocks
 
@@ -173,7 +157,7 @@ def outer_partials(
     the m-th test embedding, (p_m - y_m)' W_T / M_test.
     """
     W_T = _check_W(W_T, test)
-    probs = _softmax_rows(test.features @ W_T.T)
+    probs = softmax_rows_in_place(test.features @ W_T.T)
     residuals = probs - test.labels
     V = residuals.T @ test.features / test.count
     G_phi_test = residuals @ W_T / test.count

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Tuple
 import numpy as np
 
 from .dynamics import Horizon, adapt
-from .embedding import accumulate_grads, backward, embed_set, zeros_like_grads
+from .embedding import backward, embed_set
 from .loss import (
     DimensionMismatchError,
     EmbeddedSet,
@@ -157,10 +157,10 @@ def task_metagrads(
     """Adapt on the episode's train split and bundle every meta-gradient.
 
     Runs the tracked adaptation flow, projects the outer-loss partial
-    onto the (s, B, z) sensitivities, and backpropagates the embedding
-    rows through the network tapes.  The direct outer partial for train
-    embeddings is zero because the two splits are disjoint, so
-    ``grad_phi_train`` is the projection alone.
+    onto the (s, B, z) sensitivities, and backpropagates the gradients in
+    the embeddings of each split through the network in one pass.  The
+    direct outer partial for train embeddings is zero because the two
+    splits are disjoint, so ``grad_phi_train`` is the projection alone.
     """
     params = meta.phi_params
     if episode.train.dim != params.input_dim:
@@ -173,8 +173,8 @@ def task_metagrads(
             f"W0 has shape {meta.W0.shape}, expected "
             f"{(episode.way, params.output_dim)}"
         )
-    phi_train, train_tapes = embed_set(params, episode.train.features)
-    phi_test, test_tapes = embed_set(params, episode.test.features)
+    phi_train, train_tape = embed_set(params, episode.train.features)
+    phi_test, test_tape = embed_set(params, episode.test.features)
     train_set = EmbeddedSet(phi_train, episode.train.labels)
     test_set = EmbeddedSet(phi_test, episode.test.labels)
 
@@ -201,11 +201,13 @@ def task_metagrads(
     g_T = -alignment
     g_logT = horizon.T * g_T
 
-    emb_grads = zeros_like_grads(params)
-    for tape, row in zip(train_tapes, g_phi_train):
-        accumulate_grads(emb_grads, backward(params, tape, row))
-    for tape, row in zip(test_tapes, g_phi_test):
-        accumulate_grads(emb_grads, backward(params, tape, row))
+    emb_grads = [
+        (train_w + test_w, train_b + test_b)
+        for (train_w, train_b), (test_w, test_b) in zip(
+            backward(params, train_tape, g_phi_train),
+            backward(params, test_tape, g_phi_test),
+        )
+    ]
 
     predictions = np.argmax(phi_test @ W_T.T, axis=1)
     truth = np.argmax(episode.test.labels, axis=1)

@@ -23,19 +23,10 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .embedding import (
-    EmbeddingParams,
-    Layer,
-    accumulate_grads,
-    backward,
-    embed_set,
-    zeros_like_grads,
-)
+from .embedding import EmbeddingParams, Layer, backward, embed_set
 from .loss import (
     EmbeddedSet,
     LossConfig,
-    curvature,
-    curvature_from_probs,
     inner_grad,
     outer_loss,
     outer_partials,
@@ -48,6 +39,18 @@ if TYPE_CHECKING:
     from .trainer import MetaParams
 
 SENSITIVITY_DIM_CAP = 64
+
+
+def softmax_probs(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Class probabilities softmax(W phi) for a single embedding."""
+    logits = np.asarray(W, dtype=np.float64) @ np.asarray(phi, dtype=np.float64)
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def _curvature_blocks(probs: np.ndarray) -> np.ndarray:
+    """The blocks (diag(p_m) - p_m p_m') / M, one per row p_m of ``probs``."""
+    return np.stack([np.diag(p) - np.outer(p, p) for p in probs]) / len(probs)
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ def bptt_metagrads(
     the continuous path at T = steps * alpha.
     """
     params = meta.phi_params
-    phi_train, train_tapes = embed_set(params, episode.train.features)
-    phi_test, test_tapes = embed_set(params, episode.test.features)
+    phi_train, train_tape = embed_set(params, episode.train.features)
+    phi_test, test_tape = embed_set(params, episode.test.features)
     train = EmbeddedSet(phi_train, episode.train.labels)
     test = EmbeddedSet(phi_test, episode.test.labels)
     tape = unroll_gradient_descent(meta.W0, train, cfg, alpha, steps)
@@ -136,7 +139,7 @@ def bptt_metagrads(
     for k in range(steps - 1, -1, -1):
         W_k = tape.iterates[k]
         resid = tape.residuals[k]
-        A = curvature_from_probs(resid + train.labels)
+        A = _curvature_blocks(resid + train.labels)
         q = np.einsum("mij,mj->mi", A, phi_train @ G.T)
         if lam != 0.0:
             g_W0 += alpha * lam * G
@@ -149,11 +152,13 @@ def bptt_metagrads(
     g_T = -alignment
     T = steps * alpha
 
-    emb_grads = zeros_like_grads(params)
-    for layer_tape, row in zip(train_tapes, g_phi):
-        accumulate_grads(emb_grads, backward(params, layer_tape, row))
-    for layer_tape, row in zip(test_tapes, g_phi_test):
-        accumulate_grads(emb_grads, backward(params, layer_tape, row))
+    emb_grads = [
+        (train_w + test_w, train_b + test_b)
+        for (train_w, train_b), (test_w, test_b) in zip(
+            backward(params, train_tape, g_phi),
+            backward(params, test_tape, g_phi_test),
+        )
+    ]
 
     predictions = np.argmax(phi_test @ W_K.T, axis=1)
     truth = np.argmax(episode.test.labels, axis=1)
@@ -223,7 +228,7 @@ def naive_forward_sensitivity(
     def rhs(y: np.ndarray) -> np.ndarray:
         W, S_W0, S_phi = unpack(y)
         grad, resid = inner_grad(W, meta.W0, train, cfg)
-        A = curvature(W, train).A
+        A = _curvature_blocks(resid + train.labels)
         H = cfg.lam * eye_nd
         for i in range(m):
             H = H + np.kron(A[i], np.outer(phi_train[i], phi_train[i]))
@@ -373,7 +378,10 @@ def finite_diff_metagrads(
         f_test, _ = embed_set(perturbed, episode.test.features)
         return objective(meta.W0, f_train, f_test, T)
 
-    emb_grads = zeros_like_grads(params)
+    emb_grads = [
+        (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
+        for layer in params.layers
+    ]
     for li, layer in enumerate(params.layers):
         for field, shape in (("weight", layer.weight.shape), ("bias", layer.bias.shape)):
             target = emb_grads[li][0] if field == "weight" else emb_grads[li][1]

@@ -134,6 +134,14 @@ def _where(t: float, stats: StepStats) -> str:
     )
 
 
+def _shape_error(derivative, n: int, t: float, stats: StepStats) -> ValueError:
+    # Refused, not broadcast: a derivative of another size is a bug in rhs.
+    return ValueError(
+        f"rhs returned shape {np.shape(derivative)} for a state of shape "
+        f"({n},) {_where(t, stats)}"
+    )
+
+
 def _budget_error(config: SolverConfig, t: float, stats: StepStats):
     return BudgetExceededError(
         f"rhs evaluation budget of {config.max_evals} exhausted {_where(t, stats)}"
@@ -153,7 +161,8 @@ def integrate(
     returned y(t1) is a new vector of the same size.  ``rhs`` must be a pure
     function mapping such a vector to the vector of its derivatives, and
     must not keep references to its input.  Raises ValueError for a y0 that
-    is not one-dimensional or for non-finite or reversed times,
+    is not one-dimensional, for non-finite or reversed times and for a
+    derivative whose shape is not that of y0,
     BudgetExceededError if the run would need more rhs evaluations than
     ``config.max_evals`` and NonFiniteStateError if the initial or any
     intermediate state is not finite.
@@ -181,7 +190,11 @@ def integrate(
         if stats.rhs_evals >= config.max_evals:
             raise _budget_error(config, t0 + stats.accepted_steps * step, stats)
         stats.rhs_evals += 1
-        return rhs(values)
+        derivative = rhs(values)
+        if np.shape(derivative) != y0.shape:
+            t = t0 + stats.accepted_steps * step
+            raise _shape_error(derivative, y0.size, t, stats)
+        return derivative
 
     one_step = _euler_step if config.method == "euler" else _rk4_step
     try:
@@ -231,8 +244,11 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
         if stats.rhs_evals >= config.max_evals:
             raise _budget_error(config, t0 + t, stats)
         stats.rhs_evals += 1
+        derivative = rhs(values)
+        if np.shape(derivative) != (n,):
+            raise _shape_error(derivative, n, t0 + t, stats)
         # A copy, so a derivative that is a view of its input stays valid.
-        k[stage] = rhs(values)
+        k[stage] = derivative
 
     h = min(max(span / 100.0, 1e-8), span)
     evaluate(y, 0)

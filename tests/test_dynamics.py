@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from comln.dynamics import (
     AugmentedState,
-    GramMatrix,
     Horizon,
     MemoryBudgetError,
+    TaskConstants,
     adapt,
     compact_layout,
     flat_to_state,
@@ -117,8 +117,8 @@ def test_rhs_adapt_at_origin_matches_uniform_residuals():
     # With W0 = 0 every softmax is uniform, so the residual rows are
     # (1/N - y) and ds = residual / M exactly.
     data = EmbeddedSet(np.eye(2), np.eye(2))
-    ds = rhs_adapt(np.zeros((2, 2)), data, LAM0, np.zeros((2, 2)))
-    assert_array_equal(ds, np.array([[-0.25, 0.25], [0.25, -0.25]]))
+    ds = rhs_adapt(TaskConstants.of(np.zeros((2, 2)), data, LAM0), np.zeros(4))
+    assert_array_equal(ds, [-0.25, 0.25, 0.25, -0.25])
 
 
 def test_rhs_adapt_saturated_probabilities_decay_is_exactly_proximal():
@@ -129,8 +129,8 @@ def test_rhs_adapt_saturated_probabilities_decay_is_exactly_proximal():
     W0 = np.array([[1e4, -1e4], [-1e4, 1e4]])
     s = np.array([[1e-3, -2e-3], [5e-4, 0.0]])
     cfg = LossConfig(lam=0.7)
-    ds = rhs_adapt(W0, EmbeddedSet(phi, labels), cfg, s)
-    assert_array_equal(ds, -0.7 * s)
+    ds = rhs_adapt(TaskConstants.of(W0, EmbeddedSet(phi, labels), cfg), s.ravel())
+    assert_array_equal(ds, -0.7 * s.ravel())
 
 
 def test_rhs_full_zero_state_seeds_diagonal_curvature():
@@ -139,12 +139,7 @@ def test_rhs_full_zero_state_seeds_diagonal_curvature():
     data = EmbeddedSet(np.eye(2), np.eye(2))
     zero = state_to_flat(AugmentedState.zero(2, 2, track=True))
     out = rhs_full(
-        np.zeros((2, 2)),
-        data,
-        LAM0,
-        zero,
-        GramMatrix.of(data.features),
-        compact_layout(2, 2),
+        TaskConstants.of(np.zeros((2, 2)), data, LAM0), zero, compact_layout(2, 2)
     )
     d = flat_to_state(out, 2, 2, track=True)
     block = np.array([[0.125, -0.125], [-0.125, 0.125]])
@@ -160,12 +155,60 @@ def test_rhs_full_requires_tracked_state_and_matching_gram():
     data = random_set(rng, m=3, n=2, d=4)
     W0 = np.zeros((2, 4))
     layout = compact_layout(3, 2)
+    consts = TaskConstants.of(W0, data, LAM0)
     untracked = state_to_flat(AugmentedState.zero(3, 2, track=False))
     with pytest.raises(ValueError, match="tracked state"):
-        rhs_full(W0, data, LAM0, untracked, GramMatrix.of(data.features), layout)
+        rhs_full(consts, untracked, layout)
     tracked = state_to_flat(AugmentedState.zero(3, 2, track=True))
+    other = TaskConstants.of(W0, random_set(rng, m=4, n=2, d=4), LAM0)
     with pytest.raises(DimensionMismatchError):
-        rhs_full(W0, data, LAM0, tracked, GramMatrix(np.eye(4)), layout)
+        rhs_full(other, tracked, layout)
+
+
+def test_task_constants_reject_mismatched_initialization():
+    data = random_set(np.random.default_rng(2), m=3, n=2, d=4)
+    with pytest.raises(DimensionMismatchError):
+        TaskConstants.of(np.zeros((2, 3)), data, LAM0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_shared_head_matches_reconstructed_weights(lam):
+    # P0 - G s against the logits of the rebuilt W = W0 - s' phi, on
+    # random states of both right-hand sides.
+    rng = np.random.default_rng(30)
+    m, n = 5, 3
+    data = random_set(rng, m=m, n=n, d=4)
+    W0 = rng.normal(size=(n, 4))
+    cfg = LossConfig(lam=lam)
+    consts = TaskConstants.of(W0, data, cfg)
+    layout = compact_layout(m, n)
+    for _ in range(5):
+        s = rng.normal(size=(m, n))
+        logits = data.features @ reconstruct_W(W0, s, data.features).T
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        expected = ((p - data.labels) / m - lam * s).ravel()
+        assert_allclose(rhs_adapt(consts, s.ravel()), expected, rtol=0, atol=1e-13)
+        flat = np.concatenate([s.ravel(), rng.normal(size=layout.size - m * n)])
+        ds = rhs_full(consts, flat, layout)[: m * n]
+        assert_allclose(ds, expected, rtol=0, atol=1e-13)
+
+
+def test_right_hand_sides_stay_finite_at_large_logits():
+    # Logits near +800 and -800: exp() of either overflows or underflows
+    # to zero unless the row maximum is subtracted first.
+    data = EmbeddedSet(np.eye(2), np.eye(2))
+    W0 = np.array([[800.0, -800.0], [799.0, -801.0]])
+    consts = TaskConstants.of(W0, data, LossConfig(lam=0.5))
+    layout = compact_layout(2, 2)
+    top = 1.0 / (1.0 + np.exp(-1.0))
+    expected = np.array([top - 1.0, 1.0 - top, top, -top]) / 2
+    with np.errstate(all="raise"):
+        ds = rhs_adapt(consts, np.zeros(4))
+        full = rhs_full(consts, np.zeros(layout.size), layout)
+    assert_allclose(ds, expected, rtol=0, atol=1e-15)
+    assert np.all(np.isfinite(full))
+    assert_allclose(full[:4], expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -181,11 +224,8 @@ def test_rhs_full_matches_full_shape_equations(m, n, lam):
     z = z + z.transpose(0, 2, 1, 3)
     cfg = LossConfig(lam=lam)
     out = rhs_full(
-        W0,
-        data,
-        cfg,
+        TaskConstants.of(W0, data, cfg),
         state_to_flat(AugmentedState(s, B, z, True)),
-        GramMatrix.of(data.features),
         compact_layout(m, n),
     )
     d = flat_to_state(out, m, n, track=True)
@@ -373,7 +413,8 @@ def test_regularized_flow_reaches_its_stationary_point():
     )
     grad, _ = inner_grad(W_T, W0, data, cfg)
     assert np.linalg.norm(grad) <= 1e-6
-    assert np.linalg.norm(rhs_adapt(W0, data, cfg, state.s)) <= 1e-6
+    ds = rhs_adapt(TaskConstants.of(W0, data, cfg), state.s.ravel())
+    assert np.linalg.norm(ds) <= 1e-6
 
 
 def test_long_horizon_state_stays_bounded():
@@ -453,8 +494,8 @@ def test_state_size_accounting():
 
 def test_gram_matrix_is_symmetric_psd():
     rng = np.random.default_rng(9)
-    phi = rng.normal(size=(5, 3))
-    G = GramMatrix.of(phi).G
+    data = random_set(rng, m=5, n=2, d=3)
+    G = TaskConstants.of(np.zeros((2, 3)), data, LAM0).G
     assert_allclose(G, G.T, rtol=0, atol=1e-14)
     assert np.linalg.eigvalsh(G).min() >= -1e-12
 

@@ -6,15 +6,49 @@ import pytest
 from comln.embedding import (
     EmbeddingParams,
     Layer,
-    StaleTapeError,
-    accumulate_grads,
     backward,
     embed_set,
-    forward,
     init_embedding,
-    zeros_like_grads,
 )
 from comln.loss import DimensionMismatchError
+
+
+def forward(params, x):
+    """One input through ``embed_set``: its feature row and its tape."""
+    features, tape = embed_set(params, np.asarray(x)[None, :])
+    return features[0], tape
+
+
+# Activation and derivative, written out for the per-row references.
+ACTS = {
+    "relu": (lambda v: np.maximum(v, 0.0), lambda v: (v > 0).astype(float)),
+    "tanh": (np.tanh, lambda v: 1.0 - np.tanh(v) ** 2),
+    "identity": (lambda v: v, np.ones_like),
+}
+
+
+def reference_forward(params, x):
+    """Per-row reference: the input and each pre-activation, one vector each."""
+    tape = [np.asarray(x, dtype=np.float64)]
+    h = tape[0]
+    for layer in params.layers:
+        pre = layer.weight @ h + layer.bias
+        tape.append(pre)
+        h = ACTS[layer.activation][0](pre)
+    return h, tape
+
+
+def reference_backward(params, tape, g):
+    """Per-row reference reverse pass: outer products, one row at a time."""
+    grads = [None] * len(params.layers)
+    up = g
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        delta = up * ACTS[layer.activation][1](tape[i + 1])
+        inp = tape[0] if i == 0 else ACTS[params.layers[i - 1].activation][0](tape[i])
+        grads[i] = (np.outer(delta, inp), delta)
+        up = layer.weight.T @ delta
+    return grads
 
 
 def two_layer_tanh(seed=0):
@@ -49,7 +83,9 @@ class TestForward:
     def test_input_dimension_checked(self):
         params = two_layer_tanh()
         with pytest.raises(DimensionMismatchError):
-            forward(params, np.zeros(4))
+            embed_set(params, np.zeros((2, 4)))
+        with pytest.raises(DimensionMismatchError):
+            embed_set(params, np.zeros(3))
 
     def test_relu_positive_homogeneity(self):
         rng = np.random.default_rng(5)
@@ -68,8 +104,8 @@ class TestForward:
 class TestBackward:
     def test_zero_gradient(self):
         params = two_layer_tanh()
-        _, tape = forward(params, np.zeros(3))
-        grads = backward(params, tape, np.zeros(2))
+        _, tape = embed_set(params, np.zeros((2, 3)))
+        grads = backward(params, tape, np.zeros((2, 2)))
         for dw, db in grads:
             assert not dw.any() and not db.any()
 
@@ -79,7 +115,7 @@ class TestBackward:
         x = np.array([3.0, -4.0])
         g = np.array([0.7, 0.2])
         _, tape = forward(params, x)
-        grads = backward(params, tape, g)
+        grads = backward(params, tape, g[None, :])
         np.testing.assert_allclose(grads[0][0], np.outer(g, x), atol=1e-15)
         np.testing.assert_allclose(grads[0][1], g, atol=1e-15)
 
@@ -88,11 +124,12 @@ class TestBackward:
         [([3], "relu"), ([3, 2], "relu"), ([3, 5, 2], "relu"), ([3, 5, 2], "tanh")],
     )
     def test_matches_finite_differences(self, dims, act):
+        # Three rows: the gradient of sum_r <g_r, f(x_r)> in one pass.
         params = init_embedding(dims, seed=11, hidden_activation=act)
         rng = np.random.default_rng(12)
-        x = rng.normal(size=dims[0])
-        g = rng.normal(size=dims[-1])
-        phi, tape = forward(params, x)
+        x = rng.normal(size=(3, dims[0]))
+        g = rng.normal(size=(3, dims[-1]))
+        phi, tape = embed_set(params, x)
         grads = backward(params, tape, g)
         eps = 1e-6
         for li, layer in enumerate(params.layers):
@@ -112,8 +149,8 @@ class TestBackward:
                         bumped_params = EmbeddingParams(
                             tuple(layers), params.input_dim, params.output_dim
                         )
-                        out, _ = forward(bumped_params, x)
-                        return float(g @ out)
+                        out, _ = embed_set(bumped_params, x)
+                        return float(np.sum(g * out))
 
                     fd.ravel()[i] = (probe(eps) - probe(-eps)) / (2 * eps)
                 np.testing.assert_allclose(
@@ -126,7 +163,7 @@ class TestBackward:
         x = rng.normal(size=3)
         g = rng.normal(size=2)
         _, tape = forward(params, x)
-        grads = backward(params, tape, g)
+        grads = backward(params, tape, g[None, :])
         direction = [
             (rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape))
             for l in params.layers
@@ -150,11 +187,15 @@ class TestBackward:
 
     def test_stale_tape_rejected(self):
         params = two_layer_tanh()
-        _, tape = forward(params, np.zeros(3))
-        with pytest.raises(StaleTapeError):
-            backward(params, tape[:-1], np.zeros(2))
-        with pytest.raises(StaleTapeError):
-            backward(params, tape, np.zeros(3))
+        _, tape = embed_set(params, np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatchError):
+            backward(params, tape[:-1], np.zeros((4, 2)))
+        with pytest.raises(DimensionMismatchError):
+            backward(params, tape, np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatchError):
+            backward(params, tape, np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatchError):
+            backward(init_embedding([3, 5, 2], seed=0), tape, np.zeros((4, 2)))
 
 
 class TestInit:
@@ -188,19 +229,43 @@ class TestHelpers:
     def test_embed_set_shapes(self):
         params = init_embedding([3, 4], seed=0)
         inputs = np.random.default_rng(0).normal(size=(5, 3))
-        feats, tapes = embed_set(params, inputs)
+        feats, tape = embed_set(params, inputs)
         assert feats.shape == (5, 4)
-        assert len(tapes) == 5
+        assert [t.shape for t in tape] == [(5, 3), (5, 4)]
         single, _ = forward(params, inputs[2])
-        np.testing.assert_array_equal(feats[2], single)
+        np.testing.assert_allclose(feats[2], single, rtol=0, atol=1e-15)
 
     def test_accumulate(self):
+        # backward sums over rows: two equal rows give twice one row.
         params = init_embedding([3, 4, 2], seed=0)
-        total = zeros_like_grads(params)
-        x = np.ones(3)
-        _, tape = forward(params, x)
-        g = backward(params, tape, np.ones(2))
-        accumulate_grads(total, g)
-        accumulate_grads(total, g)
-        for (tw, _), (dw, _) in zip(total, g):
+        _, tape = forward(params, np.ones(3))
+        once = backward(params, tape, np.ones((1, 2)))
+        _, tape = embed_set(params, np.ones((2, 3)))
+        twice = backward(params, tape, np.ones((2, 2)))
+        for (tw, tb), (dw, db) in zip(twice, once):
             np.testing.assert_array_equal(tw, 2 * dw)
+            np.testing.assert_array_equal(tb, 2 * db)
+
+    @pytest.mark.parametrize(
+        "dims, act",
+        [([3], "relu"), ([3, 5, 2], "relu"), ([3, 5, 4, 2], "tanh")],
+    )
+    def test_matrix_pass_matches_per_row_loop(self, dims, act):
+        params = init_embedding(dims, seed=7, hidden_activation=act)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, dims[0]))
+        g = rng.normal(size=(6, dims[-1]))
+        feats, tape = embed_set(params, x)
+        grads = backward(params, tape, g)
+        want = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers]
+        for r in range(6):
+            row, row_tape = reference_forward(params, x[r])
+            np.testing.assert_allclose(feats[r], row, rtol=0, atol=1e-13)
+            row_grads = reference_backward(params, row_tape, g[r])
+            for (tw, tb), (dw, db) in zip(want, row_grads):
+                tw += dw
+                tb += db
+        assert len(grads) == len(want)
+        for (gw, gb), (tw, tb) in zip(grads, want):
+            np.testing.assert_allclose(gw, tw, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(gb, tb, rtol=0, atol=1e-13)

@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from comln.loss import (
-    CurvatureBlocks,
     DimensionMismatchError,
     EmbeddedSet,
     LossConfig,
-    curvature,
+    curvature_from_probs,
     inner_grad,
     inner_loss,
     outer_loss,
     outer_partials,
-    softmax_probs,
 )
+from comln.oracles import softmax_probs
 
 LAM0 = LossConfig(lam=0.0)
+
+
+def curvature(W, data):
+    """Curvature blocks at W, from per-row reference probabilities."""
+    probs = np.stack([softmax_probs(W, phi) for phi in data.features])
+    return curvature_from_probs(probs)
 
 
 def random_set(rng, m=6, n=3, d=5):
@@ -174,20 +179,27 @@ class TestCurvature:
         data = EmbeddedSet(np.ones((1, 2)), np.array([[1.0, 0.0]]))
         blocks = curvature(np.zeros((2, 2)), data)
         np.testing.assert_allclose(
-            blocks.A[0], [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15
+            blocks[0], [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15
         )
 
     def test_saturated_block_vanishes(self):
         data = EmbeddedSet(np.ones((1, 1)) * 50, np.array([[1.0, 0.0]]))
         blocks = curvature(np.array([[2.0], [-2.0]]), data)
-        np.testing.assert_allclose(blocks.A[0], np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(blocks[0], np.zeros((2, 2)), atol=1e-12)
+
+    def test_memory_order_of_probs_is_irrelevant(self):
+        probs = np.random.default_rng(12).dirichlet(np.ones(4), size=3)
+        expected = np.stack([np.diag(p) - np.outer(p, p) for p in probs]) / 3
+        for order in "CF":
+            blocks = curvature_from_probs(np.asarray(probs, order=order))
+            np.testing.assert_allclose(blocks, expected, rtol=0, atol=1e-15)
 
     def test_block_invariants(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             data = random_set(rng, m=5, n=4, d=3)
             W = rng.normal(size=(4, 3)) * 2
-            A = curvature(W, data).A
+            A = curvature(W, data)
             asym = np.abs(A - A.transpose(0, 2, 1)).max()
             assert asym <= 1e-14
             for block in A:
@@ -204,7 +216,7 @@ class TestCurvature:
         W0 = rng.normal(size=(2, 3))
         lam = 0.2
         cfg = LossConfig(lam=lam)
-        A = curvature(W, data).A
+        A = curvature(W, data)
         n, d = W.shape
         hess = lam * np.eye(n * d)
         for m in range(data.count):

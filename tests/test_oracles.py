@@ -11,7 +11,7 @@ from comln.embedding import init_embedding
 from comln.loss import (
     EmbeddedSet,
     LossConfig,
-    curvature,
+    curvature_from_probs,
     inner_grad,
     outer_loss,
     outer_partials,
@@ -26,6 +26,7 @@ from comln.oracles import (
     finite_diff_metagrads,
     naive_forward_sensitivity,
     quadratic_sensitivity,
+    softmax_probs,
     unroll_gradient_descent,
 )
 from comln.solver import SolverConfig
@@ -128,7 +129,9 @@ def test_bptt_single_step_matches_dense_hessian_expansion():
     W1, _ = inner_grad(meta.W0, meta.W0, data, LAM0)
     W1 = meta.W0 - alpha * W1
     V, _ = outer_partials(W1, EmbeddedSet(episode.test.features, episode.test.labels))
-    A = curvature(meta.W0, data).A
+    A = curvature_from_probs(
+        np.stack([softmax_probs(meta.W0, phi) for phi in data.features])
+    )
     nd = meta.W0.size
     H = np.zeros((nd, nd))
     for i in range(data.count):

@@ -125,6 +125,26 @@ class TestIntegrate:
             integrate(counted, _state([1.0]), 0.0, t1, cfg)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(),
+            SolverConfig(method="euler", fixed_step=0.1),
+            SolverConfig(method="rk4", fixed_step=0.1),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "derivative, shape", [(np.array([1.0]), "(1,)"), (1.0, "()")]
+    )
+    def test_derivative_of_another_size_rejected(self, cfg, derivative, shape):
+        # Broadcasting it over the state would hide a bug in the rhs.
+        with pytest.raises(ValueError) as info:
+            integrate(lambda y: derivative, np.zeros(3), 0.0, 1.0, cfg)
+        assert str(info.value) == (
+            f"rhs returned shape {shape} for a state of shape (3,) "
+            "at t=0 after 0 accepted and 0 rejected steps"
+        )
+
     def test_linearity_against_series_exponential(self):
         # For a linear field the flow map is the matrix exponential,
         # evaluated here by its power series as an independent reference.
