@@ -31,11 +31,24 @@ by one tangent block X of shape (M, K, N) with K = M N + M (M + 1) / 2:
 row X[i, j N + b] is column b of B[i,j], and the rows after the first M N
 hold z[i,j,m] for the pairs j <= m in row-major order.  The flat state has
 M N + M^2 N^2 + M^2 (M + 1) N / 2 entries regardless of the horizon T.
-One right-hand-side evaluation is one (M x M)(M x K N) Gram product, the
-forcing added in place, and one batched product with the A_i:
-O(M^3 N^2 + M^4 N / 2 + M^2 N^3) multiply-adds after the Gram matrix is
-cached.  B and the full z are expanded only when the final state is
-handed out as an AugmentedState.
+
+Each tangent row X[:, r, :] is the forward-mode derivative of s along one
+direction of the two per-task inputs P0 = phi W0' and G: B[:, j] along
+each entry of row j of P0 (M N directions), and z[:, j, m] along the
+symmetric G direction E_jm + E_mj (M (M + 1) / 2 directions).  K counts
+exactly these input directions, so the compact layout is already minimal
+for forward mode.
+
+dopri5 integrates the block in chunks of rows (``solver.TangentBlock``),
+which rests on two facts.  ds/dt never reads X.  And once s is known,
+every row X[:, r, :] evolves on its own: G mixes only across the examples
+i and A_i only across the N lanes, and the forcing of a row reads s
+alone.  ``tangent_rows`` is the one place the X equation is written; on
+all K rows it is one (M x M)(M x K N) Gram product, the forcing added in
+place, and one batched product with the A_i: O(M^3 N^2 + M^4 N / 2 +
+M^2 N^3) multiply-adds after the Gram matrix is cached.  B and the full z
+are expanded only when the final state is handed out as an
+AugmentedState.
 
 The proximal weight lam enters both sensitivity equations as a plain
 linear decay term outside the curvature product: the lam I block of the
@@ -58,7 +71,7 @@ from comln.loss import (
     curvature_from_probs,
     softmax_rows_in_place,
 )
-from comln.solver import SolverConfig, StepStats, integrate
+from comln.solver import SolverConfig, StepStats, TangentBlock, integrate
 
 DEFAULT_T_CAP = 100.0
 DEFAULT_M_CAP = 64
@@ -167,38 +180,50 @@ class AugmentedState:
 class CompactLayout:
     """Where s and the tangent block X sit in the tracked flat vector.
 
-    Also holds the flat indices that place the forcing terms in X;
-    ``compact_layout`` builds them once per shape, not per evaluation.
+    z[i,j,m] for the pair j <= m sits in row M N + pair of X[i], with the
+    pairs in the order of ``pair_j`` and ``pair_m``.
     """
 
     def __init__(self, m: int, n: int) -> None:
         self.m, self.n = m, n
         self.rows = _tangent_rows(m, n)
         self.size = state_entries(m, n, True)
-        # z[i,j,m] for the pair j <= m sits in row M N + pair of X[i].
         self.pair_j, self.pair_m = np.triu_indices(m)
-        lane = np.arange(n)
-        # Flat entries of X: (i N + b, b) of X[i] take the identity in dB[i,i].
-        block = np.arange(m)[:, None]
-        self.eye = ((block * self.rows + block * n + lane) * n + lane).ravel()
-        # Flat entries of X at z[j,j,m] and z[m,j,m], and of the flat state
-        # at s_m and s_j, which force them.
-        row = (m * n + np.arange(self.pair_j.size))[:, None]
-        j, k = self.pair_j[:, None], self.pair_m[:, None]
-        self.at_j = ((j * self.rows + row) * n + lane).ravel()
-        self.at_m = ((k * self.rows + row) * n + lane).ravel()
-        self.s_m = (k * n + lane).ravel()
-        self.s_j = (j * n + lane).ravel()
         # compact_layout hands the same arrays to every caller.
-        indices = (self.pair_j, self.pair_m, self.eye, self.at_j, self.at_m)
-        for index in (*indices, self.s_m, self.s_j):
-            index.setflags(write=False)
+        self.pair_j.setflags(write=False)
+        self.pair_m.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=16)
 def compact_layout(m: int, n: int) -> CompactLayout:
     """The tracked layout for M examples and N classes, built once per shape."""
     return CompactLayout(m, n)
+
+
+@functools.lru_cache(maxsize=256)
+def _row_forcing(m: int, n: int, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+    """Where the forcing enters rows lo:hi of X, built once per chunk.
+
+    Returns flat indices into an (M, hi - lo, N) array of those rows: the
+    entries (i N + b, b) of X[i], which take the identity in dB[i,i], and
+    the entries of z[j,j,m] and z[m,j,m]; then the flat indices of s_m and
+    s_j, which force the latter two.
+    """
+    count = hi - lo
+    lane = np.arange(n)
+    r = np.arange(lo, min(hi, m * n))
+    eye = ((r // n * count + r - lo) * n + r % n).ravel()
+    pairs = np.arange(max(lo - m * n, 0), max(hi - m * n, 0))
+    layout = compact_layout(m, n)
+    j = layout.pair_j[pairs][:, None]
+    k = layout.pair_m[pairs][:, None]
+    row = (m * n + pairs - lo)[:, None]
+    at_j = ((j * count + row) * n + lane).ravel()
+    at_m = ((k * count + row) * n + lane).ravel()
+    indices = (eye, at_j, at_m, (k * n + lane).ravel(), (j * n + lane).ravel())
+    for index in indices:
+        index.setflags(write=False)
+    return indices
 
 
 def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -230,6 +255,47 @@ def rhs_adapt(c: TaskConstants, flat: np.ndarray) -> np.ndarray:
     return ds.reshape(-1)
 
 
+def _rate_and_curvature(c: TaskConstants, s: np.ndarray):
+    """ds/dt at the flat s, and the negated curvature blocks -A_i there."""
+    probs, ds = _probs_and_rate(c, s.reshape(c.P0.shape))
+    A = curvature_from_probs(probs)
+    return ds.reshape(-1), np.negative(A, out=A)
+
+
+def tangent_rows(
+    c: TaskConstants,
+    s: np.ndarray,
+    neg_A: np.ndarray,
+    X: np.ndarray,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+) -> None:
+    """Write dX/dt for the rows X = X[:, lo:hi] of the tangent block to out.
+
+    ``s`` is the flat s and ``neg_A`` holds -A_i at the same state; X and
+    out have shape (M, hi - lo, N).  This is the only place the B and z
+    equations are written down.
+    """
+    m = X.shape[0]
+    eye, at_j, at_m, s_m, s_j = _row_forcing(m, X.shape[2], lo, hi)
+    # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
+    # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].
+    # The spent Y holds lam X, so no further array of the rows is made.
+    Y = c.G @ X.reshape(m, -1)
+    forced = Y.reshape(-1)
+    # A chunk holds B rows, z rows or both; an empty index still costs.
+    if eye.size:
+        forced[eye] -= 1.0
+    if at_j.size:
+        forced[at_j] += s[s_m]
+        forced[at_m] += s[s_j]
+    Y = Y.reshape(X.shape)
+    np.matmul(Y, neg_A, out=out)
+    if c.lam != 0.0:
+        out -= np.multiply(X, c.lam, out=Y)
+
+
 def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.ndarray:
     """Time derivative of the tracked state (s, X) in the compact layout."""
     if flat.shape != (layout.size,):
@@ -237,27 +303,18 @@ def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.nd
     m, n, mn = layout.m, layout.n, layout.m * layout.n
     if c.P0.shape != (m, n) or c.G.shape != (m, m):
         raise DimensionMismatchError("per-task constants do not match the layout")
-    s = flat[:mn].reshape(m, n)
-    X = flat[mn:].reshape(m, layout.rows, n)
-    probs, ds = _probs_and_rate(c, s)
-    A = curvature_from_probs(probs)
-
-    # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
-    # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].
-    # The spent Y holds lam X, so no further state-sized array is made.
-    Y = (c.G @ X.reshape(m, -1)).reshape(X.shape)
-    forced = Y.reshape(-1)
-    forced[layout.eye] -= 1.0
-    forced[layout.at_j] += flat[layout.s_m]
-    forced[layout.at_m] += flat[layout.s_j]
-    # values is allocated after Y, not before: the order of the two
-    # state-sized allocations decides which pages the allocator reuses.
+    shape = (m, layout.rows, n)
     values = np.empty(layout.size)
-    values[:mn] = ds.reshape(-1)
-    dX = values[mn:].reshape(X.shape)
-    np.matmul(Y, np.negative(A, out=A), out=dX)
-    if c.lam != 0.0:
-        dX -= np.multiply(X, c.lam, out=Y)
+    values[:mn], neg_A = _rate_and_curvature(c, flat[:mn])
+    tangent_rows(
+        c,
+        flat[:mn],
+        neg_A,
+        flat[mn:].reshape(shape),
+        0,
+        layout.rows,
+        values[mn:].reshape(shape),
+    )
     return values
 
 
@@ -337,6 +394,16 @@ def adapt(
 
         def rhs(flat: np.ndarray) -> np.ndarray:
             return rhs_full(consts, flat, layout)
+
+        # dopri5 reads the block from the rhs and integrates X in row
+        # chunks; euler and rk4 call rhs_full.  As an attribute the block
+        # survives wrappers made with functools.wraps, which copy it.
+        rhs.tangent = TangentBlock(
+            m * n,
+            (m, layout.rows, n),
+            functools.partial(_rate_and_curvature, consts),
+            functools.partial(tangent_rows, consts),
+        )
 
     else:
 

@@ -9,9 +9,21 @@ caller's business.
 Dormand-Prince has the first-same-as-last property: its seventh stage is
 the derivative at the new state, so an accepted step hands it to the next
 step as its first stage.  A dopri5 run therefore costs one evaluation plus
-six per step, accepted or rejected.  The stages live in one preallocated
-matrix, and every stage input and the error estimate is a single
-matrix-vector product over it.
+six per step, accepted or rejected.  Every stage input and the error
+estimate is a single matrix-vector product over a stage matrix whose rows
+are y and the seven stages.
+
+An rhs may carry a ``tangent`` attribute, a TangentBlock: the state is a
+head u followed by a block X whose rows evolve independently once u is
+known.  dopri5 then never calls the rhs itself.  Each step first takes
+all six stages of u, then, chunk by chunk of rows sized by CHUNK_BYTES,
+all six stages of those rows while they stay in cache, adding each
+chunk's share to the whole-vector error norm.  The state then lives in
+four state-sized buffers (y, the candidate y_new, the first and the last
+stage), which an accepted step swaps by reference; each step reads y and
+the first stage once and writes y_new and the last stage once, and every
+other pass runs over one chunk.  A block whose rows fit one chunk is
+integrated in place in the stage matrix.  euler and rk4 call the rhs.
 
 The rhs receives a vector that the solver reuses for later stages, so the
 rhs must not keep references to its input between calls.  It may return a
@@ -28,9 +40,10 @@ statistics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -72,11 +85,44 @@ class SolverConfig:
 
 @dataclass
 class StepStats:
-    """Exact counts of work done by one integrate() call."""
+    """Exact counts of work done by one integrate() call.
+
+    ``stiffness`` is the largest h rho over accepted dopri5 steps, with
+    rho = |k_7 - k_6| / |y_7 - y_6| the Hairer-Wanner estimate of the
+    dominant eigenvalue from the last two stages (Solving ODEs II, IV.2).
+    Near 3.3, the edge of dopri5's stability region on the negative real
+    axis, stability rather than accuracy limits the step.  It stays 0 for
+    euler and rk4.
+    """
 
     rhs_evals: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
+    stiffness: float = 0.0
+
+
+@dataclass(frozen=True)
+class TangentBlock:
+    """Row structure of a state y = (u, X) that dopri5 integrates in chunks.
+
+    y is the head u, its first ``head`` entries, followed by X of shape
+    ``shape`` = (lanes, rows, width) in C order.  ``rate(u)`` returns
+    du/dt, which reads u alone, and coefficients for ``rows``.
+    ``rows(u, coefficients, X_part, lo, hi, out)`` writes dX/dt for the
+    rows X_part = X[:, lo:hi] into ``out`` of the same shape; it reads
+    nothing of X outside those rows.
+    """
+
+    head: int
+    shape: Tuple[int, int, int]
+    rate: Callable[[np.ndarray], Tuple[np.ndarray, object]]
+    rows: Callable[..., None]
+
+
+# dopri5 forms all six stages of one chunk of tangent rows before the next,
+# in chunks whose state-sized vectors take at most this many bytes; the
+# chunk's fifteen stage and input vectors then stay in a core's L2 cache.
+CHUNK_BYTES = 1 << 17
 
 
 # Dormand-Prince 5(4) tableau.  b5 is the fifth-order weight row (the
@@ -160,9 +206,11 @@ def integrate(
     ``y0`` is a one-dimensional float64 vector and is not modified; the
     returned y(t1) is a new vector of the same size.  ``rhs`` must be a pure
     function mapping such a vector to the vector of its derivatives, and
-    must not keep references to its input.  Raises ValueError for a y0 that
-    is not one-dimensional, for non-finite or reversed times and for a
-    derivative whose shape is not that of y0,
+    must not keep references to its input.  An ``rhs.tangent`` TangentBlock
+    describing the same derivative lets dopri5 integrate its rows in
+    chunks.  Raises ValueError for a y0 that is not one-dimensional, for
+    non-finite or reversed times, for a derivative whose shape is not that
+    of y0 and for a tangent block that does not fill y0,
     BudgetExceededError if the run would need more rhs evaluations than
     ``config.max_evals`` and NonFiniteStateError if the initial or any
     intermediate state is not finite.
@@ -231,59 +279,155 @@ def _run_fixed(f, y, span, step, stats, one_step):
 
 def _run_dopri5(rhs, y0, t0, span, config, stats):
     n = y0.size
-    # Row 0 is the current state y, row 1 + i the stage derivative k_i.
-    rows = np.empty((8, n))
-    y, k = rows[0], rows[1:]
+    block = getattr(rhs, "tangent", None)
+    if block is None:
+        head, (lanes, rows, width) = n, (0, 0, 0)
+
+        def rate(values):
+            return rhs(values), None
+
+        rows_rate = None
+    else:
+        head, (lanes, rows, width) = block.head, block.shape
+        rate, rows_rate = block.rate, block.rows
+        if head + lanes * rows * width != n:
+            raise ValueError(
+                f"tangent block {block.shape} after {head} entries does not "
+                f"fill a state of shape ({n},)"
+            )
+    segments = _segments(head, lanes, rows, width, CHUNK_BYTES)
+    single = len(segments) == 1
+    # Every segment works in a contiguous (8, size) stage matrix, whose row
+    # 0 is y and row 1 + i the derivative k_i, and a (7, size) input
+    # matrix, whose row i is the input of stage i and row 6 the candidate
+    # y_new; row 0 is free.  The chunks of rows share one pair of buffers.
+    largest = max((segment.size for segment in segments[1:]), default=0)
+    shared = np.empty(8 * largest), np.empty(7 * largest)
+
+    def matrices(segment):
+        if segment.head:
+            return np.empty((8, segment.size)), np.empty((7, segment.size))
+        return (
+            shared[0][: 8 * segment.size].reshape(8, -1),
+            shared[1][: 7 * segment.size].reshape(7, -1),
+        )
+
+    def row_views(segment, k, u):
+        # The segment's rows of each stage input and derivative, each as a
+        # (lanes, rows, width) view.
+        if segment.hi == segment.lo:
+            return None
+        offset = head if segment.head else 0
+        shape = (lanes, segment.hi - segment.lo, width)
+        inputs = [k[0], *u[1:]]
+        return [
+            [row[offset:].reshape(shape) for row in rows] for rows in (inputs, k[1:])
+        ]
+
+    work = []
+    for segment in segments:
+        k, u = matrices(segment)
+        work.append((segment, k, u, row_views(segment, k, u)))
+    # The head's input at each stage, which every chunk of rows reads.
+    _, k, u, _ = work[0]
+    heads = [k[0, :head], *u[1:, :head]]
+    coefficients = [None] * 7
+    if single:
+        # One segment spans the state: its rows are the state's buffers.
+        y, k_first, y_new, k_last = k[0], k[1], u[6], k[7]
+    else:
+        y, y_new, k_first, k_last = (np.empty(n) for _ in range(4))
     y[:] = y0
-    y_stage = np.empty(n)  # stage input; after stage 6 the candidate y_new
-    err = np.empty(n)
     weights = np.empty((8, 8))
     t = 0.0
 
-    def evaluate(values, stage):
-        if stats.rhs_evals >= config.max_evals:
-            raise _budget_error(config, t0 + t, stats)
-        stats.rhs_evals += 1
-        derivative = rhs(values)
-        if np.shape(derivative) != (n,):
-            raise _shape_error(derivative, n, t0 + t, stats)
-        # A copy, so a derivative that is a view of its input stays valid.
-        k[stage] = derivative
+    def part(buffer, segment):
+        # Where a segment other than the one spanning the state sits.
+        if segment.head:
+            return buffer[:head]
+        return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
+
+    def evaluate(stage, segment, values, out, views):
+        if segment.head:
+            if stats.rhs_evals >= config.max_evals:
+                raise _budget_error(config, t0 + t, stats)
+            stats.rhs_evals += 1
+            derivative, coefficients[stage] = rate(values[:head])
+            if np.shape(derivative) != (head,):
+                raise _shape_error(derivative, head, t0 + t, stats)
+            # A copy, so a derivative that is a view of its input stays valid.
+            out[:head] = derivative
+        if views is not None:
+            rows_rate(
+                heads[stage],
+                coefficients[stage],
+                views[0][stage],
+                segment.lo,
+                segment.hi,
+                views[1][stage],
+            )
+
+    for segment, k, _, views in work:
+        if not single:
+            k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
+        evaluate(0, segment, k[0], k[1], views)
+        if not single:
+            part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
 
     h = min(max(span / 100.0, 1e-8), span)
-    evaluate(y, 0)
     while t < span:
         clipped = h >= span - t
         if clipped:
             h = span - t
         np.multiply(_DP_WEIGHTS, h, out=weights)
         weights[1:7, 0] = 1.0
-        for stage in range(1, 7):
-            np.dot(weights[stage, : stage + 1], rows[: stage + 1], out=y_stage)
-            evaluate(y_stage, stage)
-        y_new = y_stage
-        # A finite sum proves every entry finite; only an overflowing sum
-        # needs the entry-wise check.
-        if not math.isfinite(y_new.sum()) and not np.all(np.isfinite(y_new)):
-            raise NonFiniteStateError(
-                f"state became non-finite during a trial step {_where(t0 + t, stats)}"
-            )
-        np.dot(weights[7, 1:], k, out=err)
-        # The stages k1..k5 are spent; two of their rows hold the scale
-        # atol + rtol * max(|y|, |y_new|).
-        scale, scratch = k[1], k[2]
-        np.abs(y, out=scale)
-        np.abs(y_new, out=scratch)
-        np.maximum(scale, scratch, out=scale)
-        scale *= config.rtol
-        scale += config.atol
-        err /= scale
+        # Sums over the whole state: squared scaled error, |k_6 - k_5|^2
+        # and |y_new - u_5|^2 for the stiffness estimate.
+        err_sq = dk_sq = dy_sq = 0.0
+        for segment, k, u, views in work:
+            if not single:
+                shape = part(y, segment).shape
+                k[0].reshape(shape)[...] = part(y, segment)
+                k[1].reshape(shape)[...] = part(k_first, segment)
+            for stage in range(1, 7):
+                np.dot(weights[stage, : stage + 1], k[: stage + 1], out=u[stage])
+                evaluate(stage, segment, u[stage], k[stage + 1], views)
+            # A finite sum proves every entry finite; only an overflowing
+            # sum needs the entry-wise check.
+            if not math.isfinite(u[6].sum()) and not np.all(np.isfinite(u[6])):
+                raise NonFiniteStateError(
+                    "state became non-finite during a trial step "
+                    f"{_where(t0 + t, stats)}"
+                )
+            # k_1 and k_2 are spent once the error is formed; they hold the
+            # scale atol + rtol * max(|y|, |y_new|) and a difference.
+            err, scale, diff = u[0], k[2], k[3]
+            np.dot(weights[7, 1:], k[1:], out=err)
+            np.abs(k[0], out=scale)
+            np.abs(u[6], out=diff)
+            np.maximum(scale, diff, out=scale)
+            scale *= config.rtol
+            scale += config.atol
+            err /= scale
+            err_sq += np.dot(err, err)
+            np.subtract(k[7], k[6], out=diff)
+            dk_sq += np.dot(diff, diff)
+            np.subtract(u[6], u[5], out=diff)
+            dy_sq += np.dot(diff, diff)
+            if not single:
+                part(y_new, segment)[...] = u[6].reshape(shape)
+                part(k_last, segment)[...] = k[7].reshape(shape)
         # An empty state has no error; its steps grow until they reach t1.
-        err_norm = math.sqrt(np.dot(err, err) / n) if n else 0.0
+        err_norm = math.sqrt(err_sq / n) if n else 0.0
         if err_norm <= 1.0:
             stats.accepted_steps += 1
-            y[:] = y_new
-            k[0] = k[6]
+            if dy_sq > 0.0:
+                stats.stiffness = max(stats.stiffness, h * math.sqrt(dk_sq / dy_sq))
+            if single:
+                y[:] = y_new
+                k_first[:] = k_last
+            else:
+                y, y_new, k_first, k_last = y_new, y, k_last, k_first
             t = span if clipped else t + h
         else:
             stats.rejected_steps += 1
@@ -292,4 +436,30 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
         else:
             factor = min(max(_SAFETY * err_norm**_ORDER_EXP, _FACTOR_MIN), _FACTOR_MAX)
         h = h * factor
-    return y.copy()
+    return y.copy() if single else y
+
+
+class _Segment(NamedTuple):
+    head: bool  # whether the segment holds the head
+    lo: int  # its rows lo:hi of the tangent block
+    hi: int
+    size: int  # its number of state entries
+
+
+@functools.lru_cache(maxsize=64)
+def _segments(head, lanes, rows, width, chunk_bytes):
+    """How one dopri5 step walks the state: a tuple of _Segment.
+
+    A block whose rows fit ``chunk_bytes`` forms one segment with the head.
+    A larger one is cut into near-equal chunks of whole rows, each after a
+    segment of the head alone, whose six stages come first.
+    """
+    row_bytes = 8 * lanes * width
+    count = min(rows, -(-rows * row_bytes // chunk_bytes)) if row_bytes else 0
+    if count <= 1:
+        return (_Segment(True, 0, rows, head + rows * lanes * width),)
+    bounds = [rows * i // count for i in range(count + 1)]
+    return (_Segment(True, 0, 0, head),) + tuple(
+        _Segment(False, lo, hi, (hi - lo) * lanes * width)
+        for lo, hi in zip(bounds, bounds[1:])
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import comln.dynamics
+import comln.solver
 from comln.dynamics import Horizon, adapt
 from comln.loss import LossConfig
 from comln.solver import (
@@ -380,3 +381,141 @@ class TestAgainstReference:
         self.check_against_reference(
             captured["rhs"], captured["y0"], captured["span"], cfg
         )
+
+
+def matrix_dopri5(rhs, y0, span, cfg):
+    """Dormand-Prince with all stages in one (8, n) matrix, kept as reference.
+
+    The solver's loop before it learned to integrate a tangent block in
+    row chunks: every stage input and the error estimate is one product
+    with the whole stage matrix.  Returns (y(span), accepted steps,
+    rejected steps, largest accepted step).
+    """
+    n = y0.size
+    rows = np.empty((8, n))
+    y, k = rows[0], rows[1:]
+    y[:] = y0
+    y_stage = np.empty(n)
+    weights = np.empty((8, 8))
+    table = [[0.0] * 8]
+    table += [[0.0, *a] + [0.0] * (7 - len(a)) for a in TestAgainstReference.A[1:]]
+    b5, b4 = TestAgainstReference.B5, TestAgainstReference.B4
+    table += [[0.0, *(p - q for p, q in zip(b5, b4))]]
+    table = np.array(table)
+    t, h = 0.0, min(max(span / 100.0, 1e-8), span)
+    accepted = rejected = 0
+    largest = 0.0
+    k[0] = rhs(y)
+    while t < span:
+        clipped = h >= span - t
+        if clipped:
+            h = span - t
+        np.multiply(table, h, out=weights)
+        weights[1:7, 0] = 1.0
+        for stage in range(1, 7):
+            np.dot(weights[stage, : stage + 1], rows[: stage + 1], out=y_stage)
+            k[stage] = rhs(y_stage)
+        err = np.dot(weights[7, 1:], k)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_stage))
+        err /= scale
+        err_norm = np.sqrt(np.dot(err, err) / n)
+        if err_norm <= 1.0:
+            accepted += 1
+            largest = max(largest, h)
+            y[:] = y_stage
+            k[0] = k[6]
+            t = span if clipped else t + h
+        else:
+            rejected += 1
+        if err_norm == 0.0:
+            h = h * 5.0
+        else:
+            h = h * min(max(0.9 * err_norm**-0.2, 0.2), 5.0)
+    return y.copy(), accepted, rejected, largest
+
+
+class TestTangentBlock:
+    """dopri5 on the tracked flow, its tangent block cut into row chunks."""
+
+    @staticmethod
+    def tracked_rhs(monkeypatch, way, shot, T):
+        # The right-hand side adapt hands to integrate, with its block.
+        episode = sample_episode(TaskGenConfig(way=way, shot=shot, seed=5), 0)
+        W0 = np.random.default_rng(5).normal(size=(way, 16)) * 0.1
+        captured = {}
+
+        def capture(rhs, y0, t0, t1, config):
+            captured.update(rhs=rhs, y0=y0)
+            return integrate(rhs, y0, t0, t1, config)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(comln.dynamics, "integrate", capture)
+            adapt(
+                W0,
+                episode.train.features,
+                episode.train.labels,
+                LossConfig(lam=0.5),
+                Horizon.from_T(T),
+                SolverConfig(),
+                track=True,
+            )
+        return captured["rhs"], captured["y0"]
+
+    @pytest.mark.parametrize("way, shot, chunk_bytes", [(5, 1, 1400), (5, 5, 20_000)])
+    def test_chunks_take_the_steps_of_the_matrix_loop(
+        self, monkeypatch, way, shot, chunk_bytes
+    ):
+        m, n = way * shot, way
+        rhs, y0 = self.tracked_rhs(monkeypatch, way, shot, 20.0)
+        block = rhs.tangent
+        monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
+        segments = comln.solver._segments(
+            block.head, *block.shape, comln.solver.CHUNK_BYTES
+        )
+        # Chunk boundaries fall inside the B rows and inside the z rows.
+        bounds = [segment.lo for segment in segments[2:]]
+        assert any(0 < lo < m * n for lo in bounds)
+        assert any(lo > m * n for lo in bounds)
+
+        cfg = SolverConfig()
+        y, stats = integrate(rhs, y0, 0.0, 20.0, cfg)
+        y_ref, accepted, rejected, _ = matrix_dopri5(rhs, y0, 20.0, cfg)
+        assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+        z = comln.dynamics.flat_to_state(y, m, n, track=True).z
+        assert np.array_equal(z, z.transpose(0, 2, 1, 3))
+
+    def test_one_chunk_matches_the_matrix_loop_bit_for_bit(self, monkeypatch):
+        rhs, y0 = self.tracked_rhs(monkeypatch, 5, 1, 20.0)
+        block = rhs.tangent
+        segments = comln.solver._segments(
+            block.head, *block.shape, comln.solver.CHUNK_BYTES
+        )
+        assert len(segments) == 1
+        y, stats = integrate(rhs, y0, 0.0, 20.0, SolverConfig())
+        y_ref, accepted, rejected, _ = matrix_dopri5(rhs, y0, 20.0, SolverConfig())
+        assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
+        assert np.array_equal(y, y_ref)
+
+    def test_block_that_does_not_fill_the_state_rejected(self, monkeypatch):
+        rhs, y0 = self.tracked_rhs(monkeypatch, 5, 1, 1.0)
+        with pytest.raises(ValueError, match="does not fill"):
+            integrate(rhs, np.append(y0, 0.0), 0.0, 1.0, SolverConfig())
+
+
+class TestStiffness:
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 40.0])
+    def test_tracks_step_times_decay_rate(self, lam):
+        # On y' = -lam y every stage derivative is -lam times its input, so
+        # rho = lam and the estimate is lam times the largest accepted step.
+        rhs = lambda y: -lam * y
+        y0 = _state([1.0, -2.0, 0.5])
+        cfg = SolverConfig()
+        _, stats = integrate(rhs, y0, 0.0, 2.0, cfg)
+        _, _, _, largest = matrix_dopri5(rhs, y0, 2.0, cfg)
+        assert stats.stiffness == pytest.approx(lam * largest, rel=1e-9)
+
+    def test_zero_for_fixed_step_methods(self):
+        cfg = SolverConfig(method="rk4", fixed_step=0.1)
+        _, stats = integrate(_decay, _state([1.0]), 0.0, 1.0, cfg)
+        assert stats.stiffness == 0.0
