@@ -49,8 +49,9 @@ class EmbeddedSet:
             raise DimensionMismatchError("need at least one example")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
-        one_hot = np.all(np.isin(self.labels, (0.0, 1.0))) and np.all(
-            self.labels.sum(axis=1) == 1.0
+        labels = self.labels
+        one_hot = np.all((labels == 0) | (labels == 1)) and np.all(
+            labels.sum(axis=1) == 1.0
         )
         if not one_hot:
             raise ValueError("labels must be one-hot rows")

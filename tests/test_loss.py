@@ -50,6 +50,12 @@ class TestEmbeddedSet:
         with pytest.raises(ValueError):
             EmbeddedSet(np.zeros((2, 3)), np.array([[0.5, 0.5], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("row", [[2.0, -1.0], [np.nan, 1.0], [np.nan, 0.0]])
+    def test_rejects_labels_other_than_zero_and_one(self, row):
+        # [2, -1] sums to one, so only the entry-wise check refuses it.
+        with pytest.raises(ValueError, match="one-hot"):
+            EmbeddedSet(np.zeros((2, 3)), np.array([row, [1.0, 0.0]]))
+
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             EmbeddedSet(np.zeros((2, 3)), np.eye(3))
