@@ -279,58 +279,47 @@ def _run_fixed(f, y, span, step, stats, one_step):
 
 def _run_dopri5(rhs, y0, t0, span, config, stats):
     n = y0.size
-    block = getattr(rhs, "tangent", None)
-    if block is None:
-        head, (lanes, rows, width) = n, (0, 0, 0)
-
-        def rate(values):
-            return rhs(values), None
-
-        rows_rate = None
-    else:
-        head, (lanes, rows, width) = block.head, block.shape
-        rate, rows_rate = block.rate, block.rows
-        if head + lanes * rows * width != n:
-            raise ValueError(
-                f"tangent block {block.shape} after {head} entries does not "
-                f"fill a state of shape ({n},)"
-            )
+    # A plain rhs is a head of n entries with an empty block.
+    block = getattr(rhs, "tangent", None) or TangentBlock(
+        n, (0, 0, 0), lambda values: (rhs(values), None), None
+    )
+    head, (lanes, rows, width) = block.head, block.shape
+    if head + lanes * rows * width != n:
+        raise ValueError(
+            f"tangent block {block.shape} after {head} entries does not "
+            f"fill a state of shape ({n},)"
+        )
     segments = _segments(head, lanes, rows, width, CHUNK_BYTES)
     single = len(segments) == 1
-    # Every segment works in a contiguous (8, size) stage matrix, whose row
-    # 0 is y and row 1 + i the derivative k_i, and a (7, size) input
-    # matrix, whose row i is the input of stage i and row 6 the candidate
-    # y_new; row 0 is free.  The chunks of rows share one pair of buffers.
+    # Every segment works in a contiguous (15, size) matrix.  Its rows k
+    # are y and the derivatives k_0..k_6; its rows u are free, then the
+    # inputs of stages 1..6, the last of which is the candidate y_new.
+    # The chunks of rows share one matrix.
     largest = max((segment.size for segment in segments[1:]), default=0)
-    shared = np.empty(8 * largest), np.empty(7 * largest)
-
-    def matrices(segment):
-        if segment.head:
-            return np.empty((8, segment.size)), np.empty((7, segment.size))
-        return (
-            shared[0][: 8 * segment.size].reshape(8, -1),
-            shared[1][: 7 * segment.size].reshape(7, -1),
-        )
-
-    def row_views(segment, k, u):
-        # The segment's rows of each stage input and derivative, each as a
-        # (lanes, rows, width) view.
-        if segment.hi == segment.lo:
-            return None
-        offset = head if segment.head else 0
-        shape = (lanes, segment.hi - segment.lo, width)
-        inputs = [k[0], *u[1:]]
-        return [
-            [row[offset:].reshape(shape) for row in rows] for rows in (inputs, k[1:])
-        ]
-
+    shared = np.empty(15 * largest)
     work = []
     for segment in segments:
-        k, u = matrices(segment)
-        work.append((segment, k, u, row_views(segment, k, u)))
-    # The head's input at each stage, which every chunk of rows reads.
-    _, k, u, _ = work[0]
-    heads = [k[0, :head], *u[1:, :head]]
+        size = segment.size
+        matrix = shared[: 15 * size] if not segment.head else np.empty(15 * size)
+        k, u = matrix[: 8 * size].reshape(8, size), matrix[8 * size :].reshape(7, size)
+        # Row views made once, not per step: the rows, the leading rows
+        # each stage input combines, and the block's rows of each stage
+        # input and derivative as (lanes, rows, width) views.
+        views = None
+        if segment.hi > segment.lo:
+            offset = head if segment.head else 0
+            shape = (lanes, segment.hi - segment.lo, width)
+            views = [
+                [row[offset:].reshape(shape) for row in stage_rows]
+                for stage_rows in ([k[0], *u[1:]], k[1:])
+            ]
+        leading = [k[: stage + 1] for stage in range(8)]
+        work.append((segment, list(k), list(u), leading, views))
+    # The head's part of each stage input, which every chunk of rows reads,
+    # and of each stage derivative.
+    _, k, u, _, _ = work[0]
+    heads = [k[0][:head]] + [row[:head] for row in u[1:]]
+    head_rates = [row[:head] for row in k[1:]]
     coefficients = [None] * 7
     if single:
         # One segment spans the state: its rows are the state's buffers.
@@ -339,6 +328,7 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
         y, y_new, k_first, k_last = (np.empty(n) for _ in range(4))
     y[:] = y0
     weights = np.empty((8, 8))
+    stage_weights = [weights[stage, : stage + 1] for stage in range(7)]
     t = 0.0
 
     def part(buffer, segment):
@@ -347,18 +337,18 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
             return buffer[:head]
         return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
 
-    def evaluate(stage, segment, values, out, views):
+    def evaluate(stage, segment, views):
         if segment.head:
             if stats.rhs_evals >= config.max_evals:
                 raise _budget_error(config, t0 + t, stats)
             stats.rhs_evals += 1
-            derivative, coefficients[stage] = rate(values[:head])
+            derivative, coefficients[stage] = block.rate(heads[stage])
             if np.shape(derivative) != (head,):
                 raise _shape_error(derivative, head, t0 + t, stats)
             # A copy, so a derivative that is a view of its input stays valid.
-            out[:head] = derivative
+            head_rates[stage][...] = derivative
         if views is not None:
-            rows_rate(
+            block.rows(
                 heads[stage],
                 coefficients[stage],
                 views[0][stage],
@@ -367,10 +357,10 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
                 views[1][stage],
             )
 
-    for segment, k, _, views in work:
+    for segment, k, _, _, views in work:
         if not single:
             k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
-        evaluate(0, segment, k[0], k[1], views)
+        evaluate(0, segment, views)
         if not single:
             part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
 
@@ -384,14 +374,14 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
         # Sums over the whole state: squared scaled error, |k_6 - k_5|^2
         # and |y_new - u_5|^2 for the stiffness estimate.
         err_sq = dk_sq = dy_sq = 0.0
-        for segment, k, u, views in work:
+        for segment, k, u, leading, views in work:
             if not single:
                 shape = part(y, segment).shape
                 k[0].reshape(shape)[...] = part(y, segment)
                 k[1].reshape(shape)[...] = part(k_first, segment)
             for stage in range(1, 7):
-                np.dot(weights[stage, : stage + 1], k[: stage + 1], out=u[stage])
-                evaluate(stage, segment, u[stage], k[stage + 1], views)
+                np.dot(stage_weights[stage], leading[stage], out=u[stage])
+                evaluate(stage, segment, views)
             # A finite sum proves every entry finite; only an overflowing
             # sum needs the entry-wise check.
             if not math.isfinite(u[6].sum()) and not np.all(np.isfinite(u[6])):
@@ -402,7 +392,7 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
             # k_1 and k_2 are spent once the error is formed; they hold the
             # scale atol + rtol * max(|y|, |y_new|) and a difference.
             err, scale, diff = u[0], k[2], k[3]
-            np.dot(weights[7, 1:], k[1:], out=err)
+            np.dot(weights[7, 1:], leading[7][1:], out=err)
             np.abs(k[0], out=scale)
             np.abs(u[6], out=diff)
             np.maximum(scale, diff, out=scale)
