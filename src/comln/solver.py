@@ -120,8 +120,10 @@ class TangentBlock:
 
 
 # dopri5 forms all six stages of one chunk of tangent rows before the next,
-# in chunks whose state-sized vectors take at most this many bytes; the
-# chunk's fifteen stage and input vectors then stay in a core's L2 cache.
+# in chunks whose state-sized vectors take at most this many bytes, so the
+# chunk's fifteen stage and input vectors stay in a core's L2 cache.  On a
+# Xeon with 2 MB of L2 per core, 96-256 KiB ran a 10w5s task equally fast
+# and 16 KiB about 1.9 times slower.
 CHUNK_BYTES = 1 << 17
 
 
