@@ -458,9 +458,9 @@ def _cmd_bench(args) -> int:
         except MemoryBudgetError:
             return [method, token, T, steps, "", "", "budget-exceeded", ""]
         V, _ = outer_partials(W_T, test_set)
-        C = coupling_matrix(V, state.B, train_set.features)
-        project_W0(V, state.B, train_set.features, C=C)
-        project_phi(V, state.s, state.B, state.z, train_set.features, W0, C=C)
+        C, D = coupling_matrix(V, state.X, train_set.features)
+        project_W0(V, C, train_set.features)
+        project_phi(V, state.s, C, D, train_set.features, W0)
         g_inner, _ = inner_grad(W_T, W0, train_set, loss_cfg)
         grad_T(V, g_inner)
         wall = time.perf_counter() - started

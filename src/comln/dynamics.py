@@ -46,14 +46,17 @@ i and A_i only across the N lanes, and the forcing of a row reads s
 alone.  ``tangent_rows`` is the one place the X equation is written; on
 all K rows it is one (M x M)(M x K N) Gram product, the forcing added in
 place, and one batched product with the A_i: O(M^3 N^2 + M^4 N / 2 +
-M^2 N^3) multiply-adds after the Gram matrix is cached.  B and the full z
-are expanded only when the final state is handed out as an
-AugmentedState.
+M^2 N^3) multiply-adds after the Gram matrix is cached.
 
 The proximal weight lam enters both sensitivity equations as a plain
 linear decay term outside the curvature product: the lam I block of the
 loss Hessian acts directly on each basis coefficient, exactly as in the
 B equation.  All equations reduce to the unregularized ones at lam = 0.
+
+``adapt`` hands out s and X as views of the integrator's final vector.
+The projections in ``metagrad`` read X as it is, one contraction for both
+meta-gradients; B and the full z are built only by the reference code in
+``oracles``, for the dense Jacobians that check the projections.
 """
 
 from __future__ import annotations
@@ -143,38 +146,24 @@ def state_entries(m: int, n: int, track: bool) -> int:
 
 @dataclass(frozen=True)
 class AugmentedState:
-    """Adaptation coefficients s plus, when tracked, sensitivities B and z.
+    """Adaptation coefficients s (M, N) and, when tracked, the tangent block X.
 
-    B has shape (M, M, N, N) and z the full (M, M, M, N), with
-    z[i,j,m] = z[i,m,j].  The solver integrates the compact layout of
-    ``state_to_flat``, which stores half of z; ``flat_size`` and ``nbytes``
-    count that flat vector, not the expanded arrays held here.
+    X has shape (M, K, N) in the compact layout of ``CompactLayout``; it is
+    None when the sensitivities were not tracked.
     """
 
     s: np.ndarray
-    B: np.ndarray | None
-    z: np.ndarray | None
-    track_sensitivities: bool
+    X: np.ndarray | None
 
-    @classmethod
-    def zero(cls, m: int, n: int, track: bool) -> "AugmentedState":
-        if track:
-            return cls(
-                np.zeros((m, n)),
-                np.zeros((m, m, n, n)),
-                np.zeros((m, m, m, n)),
-                True,
-            )
-        return cls(np.zeros((m, n)), None, None, False)
+    @property
+    def track_sensitivities(self) -> bool:
+        return self.X is not None
 
     @property
     def nbytes(self) -> int:
-        return 8 * self.flat_size
-
-    @property
-    def flat_size(self) -> int:
+        """Bytes of the flat state the solver integrated."""
         m, n = self.s.shape
-        return state_entries(m, n, self.track_sensitivities)
+        return 8 * state_entries(m, n, self.track_sensitivities)
 
 
 class CompactLayout:
@@ -318,40 +307,6 @@ def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.nd
     return values
 
 
-def state_to_flat(state: AugmentedState) -> np.ndarray:
-    """Flatten s, then (when tracked) the tangent block in compact layout.
-
-    The tracked layout stores z[i,j,m] for j <= m only, so z must be
-    symmetric in (j, m), as every state of the flow is.
-    """
-    if not state.track_sensitivities:
-        return np.array(state.s, dtype=np.float64).ravel()
-    if not np.array_equal(state.z, state.z.transpose(0, 2, 1, 3)):
-        raise ValueError("z must satisfy z[i,j,m] == z[i,m,j]")
-    m, n = state.s.shape
-    layout = compact_layout(m, n)
-    values = np.empty(layout.size)
-    values[: m * n] = state.s.ravel()
-    X = values[m * n :].reshape(m, layout.rows, n)
-    X[:, : m * n] = state.B.transpose(0, 1, 3, 2).reshape(m, m * n, n)
-    X[:, m * n :] = state.z[:, layout.pair_j, layout.pair_m]
-    return values
-
-
-def flat_to_state(flat: np.ndarray, m: int, n: int, track: bool) -> AugmentedState:
-    """Copy a flat (M, N) state out, expanding B and the full z when tracked."""
-    s = flat[: m * n].reshape(m, n)
-    if not track:
-        return AugmentedState(s.copy(), None, None, False)
-    layout = compact_layout(m, n)
-    X = flat[m * n :].reshape(m, layout.rows, n)
-    B = X[:, : m * n].reshape(m, m, n, n).transpose(0, 1, 3, 2).copy()
-    z = np.empty((m, m, m, n))
-    z[:, layout.pair_j, layout.pair_m] = X[:, m * n :]
-    z[:, layout.pair_m, layout.pair_j] = X[:, m * n :]
-    return AugmentedState(s.copy(), B, z, True)
-
-
 def adapt(
     W0: np.ndarray,
     phi_train: np.ndarray,
@@ -366,8 +321,8 @@ def adapt(
 ) -> Tuple[np.ndarray, AugmentedState, StepStats]:
     """Integrate the adaptation flow from 0 to horizon.T.
 
-    Returns the adapted weights W(T), the final augmented state (with B
-    and z populated only when ``track``), and the solver statistics.  The
+    Returns the adapted weights W(T), the final augmented state (with the
+    tangent block X only when ``track``), and the solver statistics.  The
     horizon is capped at ``t_cap`` and the augmented state must fit
     ``memory_budget`` bytes before anything is allocated.
     """
@@ -410,11 +365,8 @@ def adapt(
         def rhs(flat: np.ndarray) -> np.ndarray:
             return rhs_adapt(consts, flat)
 
-    # Kept alive until flat_to_state has run, not passed inline: freeing it
-    # before B and z are expanded changes the order in which the allocator
-    # returns memory, which raised the peak RSS of a 10w5s task by about 4%.
-    y0 = np.zeros(flat_entries)
-    end, stats = integrate(rhs, y0, 0.0, T, solver)
-    state_T = flat_to_state(end, m, n, track)
-    W_T = reconstruct_W(W0, state_T.s, data.features)
-    return W_T, state_T, stats
+    end, stats = integrate(rhs, np.zeros(flat_entries), 0.0, T, solver)
+    s = end[: m * n].reshape(m, n)
+    X = end[m * n :].reshape(m, layout.rows, n) if track else None
+    W_T = reconstruct_W(W0, s, data.features)
+    return W_T, AugmentedState(s, X), stats

@@ -1,28 +1,33 @@
 """Meta-gradient projections for the adapted classifier.
 
-The tracked state (s, B, z) of the adaptation flow encodes the Jacobians
-of W(T) with respect to the initialization and the train embeddings:
+The adapted weights are W(T) = W0 - s' phi, and s depends on the
+meta-parameters only through the two per-task inputs P0 = phi W0' and
+G = phi phi'.  The tracked state (s, X) of ``dynamics.adapt`` holds s and
+its forward-mode tangents along every direction of those inputs: row
+j N + b of X is the tangent along entry (j, b) of P0, and pair row
+M N + p the tangent along the symmetric direction E_jm + E_mj of G, for
+the p-th pair j <= m.
 
-    dW(T)/dW0    = I - sum_ij kron(B[i,j], phi_i phi_j')
-    dW(T)/dphi_m = -[kron(s_m, I_d) + sum_i kron(B[i,m] W0, phi_i)
-                     + sum_ij kron(z[i,j,m] phi_j', phi_i)]
+The outer-loss partial V = dL/dW(T) (an N x d matrix) pulls back to s as
+dL/ds = -U with U = phi V'.  One contraction of X with U gives both input
+covectors,
 
-with row-major vectorization throughout.  Contracting an outer-loss
-partial V (an N x d matrix) against these Jacobians never materializes
-them.  With U = phi V' and the coupling matrix
+    C = -dL/dP0               (M x N, from the first M N rows)
+    D[j, m] = D[m, j] = -(derivative of L along E_jm + E_mj of G)
+                              (M x M, from the pair rows)
 
-    C[j] = sum_i B[i,j]' (V phi_i)          (M x N)
+and the chain rule through dP0 = dphi W0' + phi dW0' and
+dG = dphi phi' + phi dphi', with the direct dependence of W(T) on W0 and
+on phi through s' phi, gives
 
-the projections reduce to
+    grad_W0  = V - C' phi
+    grad_phi = -(s V + C W0 + D phi)
 
-    grad_W0       = V - C' phi
-    grad_phi[m]   = -(s_m' V + C[m] W0 + D[m] phi)
-    D[m, j]       = sum_i z[i,j,m]' (V phi_i)
-
-at cost O(M^2 N^2 + M N d) for the initialization and O(M^3 N + M^2 d)
-for the embeddings.  The horizon gradient is the negated alignment
-between the outer partial and the inner gradient at W(T): increasing T
-helps exactly when the two point the same way.
+The contraction reads X once: O(M K N) with K = M N + M (M + 1) / 2, and
+the products after it cost O(M N d + M^2 d).  No Jacobian of W(T) and no
+expanded sensitivity is formed.  The horizon gradient is the negated
+alignment between the outer partial and the inner gradient at W(T):
+increasing T helps exactly when the two point the same way.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .dynamics import Horizon, adapt
+from .dynamics import Horizon, adapt, compact_layout
 from .embedding import backward, embed_set
 from .loss import (
     DimensionMismatchError,
@@ -67,7 +72,6 @@ class MetaGradients:
     grad_phi_test: np.ndarray
     grad_T: float
     grad_logT: float
-    diag_alignment: float
     grad_embedding: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     outer_loss: float
     test_accuracy: float
@@ -79,62 +83,57 @@ class MetaGradients:
         arrays.extend(a for pair in self.grad_embedding for a in pair)
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("meta-gradient contains non-finite entries")
-        scalars = (self.grad_T, self.grad_logT, self.diag_alignment)
-        if not all(np.isfinite(x) for x in scalars):
+        if not (np.isfinite(self.grad_T) and np.isfinite(self.grad_logT)):
             raise ValueError("meta-gradient scalar is non-finite")
 
+    @property
+    def diag_alignment(self) -> float:
+        """Alignment of the outer partial with the inner gradient at W(T)."""
+        return -self.grad_T
 
-def coupling_matrix(V: np.ndarray, B_T: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """C[j] = sum_i B_T[i,j]' (V phi_i), shared by both projections."""
-    m = phi.shape[0]
+
+def coupling_matrix(
+    V: np.ndarray, X: np.ndarray, phi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """C = -dL/dP0 (M x N) and the symmetric D (M x M) from the tangent block X.
+
+    D[j, m] is minus the derivative of L along E_jm + E_mj of G.
+    """
     if V.ndim != 2 or phi.ndim != 2 or V.shape[1] != phi.shape[1]:
         raise DimensionMismatchError(
             f"cannot couple V {V.shape} with phi {phi.shape}"
         )
-    n = V.shape[0]
-    if B_T.shape != (m, m, n, n):
+    m, n = phi.shape[0], V.shape[0]
+    layout = compact_layout(m, n)
+    if X.shape != (m, layout.rows, n):
         raise DimensionMismatchError(
-            f"B has shape {B_T.shape}, expected {(m, m, n, n)}"
+            f"X has shape {X.shape}, expected {(m, layout.rows, n)}"
         )
-    U = phi @ V.T
-    return np.einsum("ik,ijkl->jl", U, B_T)
+    rows = np.einsum("irk,ik->r", X, phi @ V.T)
+    D = np.empty((m, m))
+    D[layout.pair_j, layout.pair_m] = rows[m * n :]
+    D[layout.pair_m, layout.pair_j] = rows[m * n :]
+    return rows[: m * n].reshape(m, n), D
 
 
-def project_W0(
-    V: np.ndarray,
-    B_T: np.ndarray,
-    phi: np.ndarray,
-    C: np.ndarray | None = None,
-) -> np.ndarray:
+def project_W0(V: np.ndarray, C: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Contract V with dW(T)/dW0 without forming the Nd x Nd matrix."""
-    if C is None:
-        C = coupling_matrix(V, B_T, phi)
     return V - C.T @ phi
 
 
 def project_phi(
     V: np.ndarray,
     s_T: np.ndarray,
-    B_T: np.ndarray,
-    z_T: np.ndarray,
+    C: np.ndarray,
+    D: np.ndarray,
     phi: np.ndarray,
     W0: np.ndarray,
-    C: np.ndarray | None = None,
 ) -> np.ndarray:
     """Contract V with every dW(T)/dphi_m; row m is the gradient for phi_m."""
-    m, n = s_T.shape
-    if z_T.shape != (m, m, m, n):
+    if W0.shape != (V.shape[0], phi.shape[1]):
         raise DimensionMismatchError(
-            f"z has shape {z_T.shape}, expected {(m, m, m, n)}"
+            f"W0 has shape {W0.shape}, expected {(V.shape[0], phi.shape[1])}"
         )
-    if W0.shape != (n, phi.shape[1]):
-        raise DimensionMismatchError(
-            f"W0 has shape {W0.shape}, expected {(n, phi.shape[1])}"
-        )
-    if C is None:
-        C = coupling_matrix(V, B_T, phi)
-    U = phi @ V.T
-    D = np.einsum("ijmk,ik->mj", z_T, U)
     return -(s_T @ V + C @ W0 + D @ phi)
 
 
@@ -157,7 +156,7 @@ def task_metagrads(
     """Adapt on the episode's train split and bundle every meta-gradient.
 
     Runs the tracked adaptation flow, projects the outer-loss partial
-    onto the (s, B, z) sensitivities, and backpropagates the gradients in
+    onto the tangent block X, and backpropagates the gradients in
     the embeddings of each split through the network in one pass.  The
     direct outer partial for train embeddings is zero because the two
     splits are disjoint, so ``grad_phi_train`` is the projection alone.
@@ -190,16 +189,12 @@ def task_metagrads(
     )
 
     V, g_phi_test = outer_partials(W_T, test_set)
-    C = coupling_matrix(V, state.B, phi_train)
-    g_W0 = project_W0(V, state.B, phi_train, C=C)
-    g_phi_train = project_phi(
-        V, state.s, state.B, state.z, phi_train, meta.W0, C=C
-    )
+    C, D = coupling_matrix(V, state.X, phi_train)
+    g_W0 = project_W0(V, C, phi_train)
+    g_phi_train = project_phi(V, state.s, C, D, phi_train, meta.W0)
 
     g_inner, _ = inner_grad(W_T, meta.W0, train_set, cfg)
-    alignment = float(np.sum(V * g_inner))
-    g_T = -alignment
-    g_logT = horizon.T * g_T
+    g_T = grad_T(V, g_inner)
 
     emb_grads = [
         (train_w + test_w, train_b + test_b)
@@ -216,8 +211,7 @@ def task_metagrads(
         grad_phi_train=g_phi_train,
         grad_phi_test=g_phi_test,
         grad_T=g_T,
-        grad_logT=g_logT,
-        diag_alignment=alignment,
+        grad_logT=horizon.T * g_T,
         grad_embedding=tuple(emb_grads),
         outer_loss=float(outer_loss(W_T, test_set)),
         test_accuracy=float(np.mean(predictions == truth)),

@@ -4,10 +4,11 @@ Everything here recomputes what the projection path produces, by a route
 that shares none of its mathematics: reverse mode through an explicitly
 unrolled gradient-descent loop, dense forward sensitivities integrated
 in raw weight space, and central finite differences of the scalar outer
-loss.  ``dense_jacobians`` materializes, from the final (s, B, z), the
-Jacobians that the projections contract.  These are quadratic-or-worse
-in time or memory by design; they exist to catch errors in the fast
-path, not to train with.
+loss.  ``expand_tangent_block`` rebuilds the sensitivities B and the full
+z from the tangent block X of the flow, the only place they exist, and
+``dense_jacobians`` materializes from them the Jacobians that the
+projections contract.  These are quadratic-or-worse in time or memory by
+design; they exist to catch errors in the fast path, not to train with.
 
 The module also carries the diagonal-quadratic demonstration of why
 meta-gradients are not computed by integrating the flow backward: on a
@@ -148,8 +149,7 @@ def bptt_metagrads(
     g_W0 += G
 
     g_inner, _ = inner_grad(W_K, meta.W0, train, cfg)
-    alignment = float(np.sum(V * g_inner))
-    g_T = -alignment
+    g_T = -float(np.sum(V * g_inner))
     T = steps * alpha
 
     emb_grads = [
@@ -168,7 +168,6 @@ def bptt_metagrads(
         grad_phi_test=g_phi_test,
         grad_T=g_T,
         grad_logT=T * g_T,
-        diag_alignment=alignment,
         grad_embedding=tuple(emb_grads),
         outer_loss=float(outer_loss(W_K, test)),
         test_accuracy=float(np.mean(predictions == truth)),
@@ -250,19 +249,36 @@ def naive_forward_sensitivity(
     return S_W0, S_phi
 
 
+def expand_tangent_block(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """B with shape (M, M, N, N) and the full z (M, M, M, N) from X (M, K, N).
+
+    Row j N + b of X[i] is column b of B[i, j]; the K - M N rows after them
+    hold z[i, j, m] for the pairs j <= m in row-major order, and z[i, m, j]
+    is the same vector.
+    """
+    m, rows, n = X.shape
+    if rows != m * n + m * (m + 1) // 2:
+        raise ValueError(f"X has shape {X.shape}, not (M, M N + M (M + 1) / 2, N)")
+    B = X[:, : m * n].reshape(m, m, n, n).transpose(0, 1, 3, 2).copy()
+    j, k = np.triu_indices(m)
+    z = np.empty((m, m, m, n))
+    z[:, j, k] = X[:, m * n :]
+    z[:, k, j] = X[:, m * n :]
+    return B, z
+
+
 def dense_jacobians(
     s_T: np.ndarray,
-    B_T: np.ndarray,
-    z_T: np.ndarray,
+    X_T: np.ndarray,
     phi: np.ndarray,
     W0: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Materialize the Jacobians the projections avoid forming.
 
     Returns (dW/dW0 with shape (Nd, Nd), dW/dphi stacked as (M, Nd, d))
-    under row-major flattening.  Strictly a diagnostic for small
-    instances; refuses N*d beyond SENSITIVITY_DIM_CAP, like the dense
-    sensitivities.
+    under row-major flattening, from s and the tangent block X at T.
+    Strictly a diagnostic for small instances; refuses N*d beyond
+    SENSITIVITY_DIM_CAP, like the dense sensitivities.
     """
     m, n = s_T.shape
     d = phi.shape[1]
@@ -271,6 +287,7 @@ def dense_jacobians(
         raise ValueError(
             f"dense Jacobians need N*d <= {SENSITIVITY_DIM_CAP}, got {nd}"
         )
+    B_T, z_T = expand_tangent_block(X_T)
     J_W0 = np.eye(nd)
     for i in range(m):
         for j in range(m):
@@ -407,7 +424,6 @@ def finite_diff_metagrads(
         grad_phi_test=g_phi_test,
         grad_T=g_T,
         grad_logT=T * g_T,
-        diag_alignment=-g_T,
         grad_embedding=tuple(emb_grads),
         outer_loss=float(outer_loss(base_WT, EmbeddedSet(phi_test, y_test))),
         test_accuracy=float(np.mean(predictions == truth)),

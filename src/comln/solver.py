@@ -91,8 +91,10 @@ class StepStats:
     rho = |k_7 - k_6| / |y_7 - y_6| the Hairer-Wanner estimate of the
     dominant eigenvalue from the last two stages (Solving ODEs II, IV.2).
     Near 3.3, the edge of dopri5's stability region on the negative real
-    axis, stability rather than accuracy limits the step.  It stays 0 for
-    euler and rk4.
+    axis, stability rather than accuracy limits the step.  Once the
+    solution is below atol, though, the error test accepts steps beyond
+    that edge, so the maximum can exceed it: on y' = -10 y over [0, 50] at
+    the default tolerances it reads 4.32.  It stays 0 for euler and rk4.
     """
 
     rhs_evals: int = 0
@@ -168,10 +170,11 @@ _ORDER_EXP = -1.0 / 5.0
 
 
 def _fixed_step_count(span: float, step: float) -> int:
-    # ceil(span / step), robust against the quotient landing one ulp above
-    # an integer when span was produced as (integer * step).
+    # ceil(span / step), robust against the quotient landing a few ulp above
+    # an integer when span was produced as (integer * step); the slack is
+    # relative because an ulp of the quotient grows with it.
     quotient = span / step
-    n = math.ceil(quotient - 1e-12)
+    n = math.ceil(quotient * (1.0 - 1e-12))
     return max(n, 1)
 
 

@@ -21,6 +21,7 @@ from comln.oracles import (
     adjoint_instability_demo,
     bptt_metagrads,
     dense_jacobians,
+    expand_tangent_block,
     finite_diff_metagrads,
     naive_forward_sensitivity,
     quadratic_sensitivity,
@@ -185,7 +186,7 @@ def test_criterion_3_decomposition_matches_naive_sensitivities():
             TIGHT,
             track=True,
         )
-        J_W0, J_phi = dense_jacobians(state.s, state.B, state.z, phi, W0)
+        J_W0, J_phi = dense_jacobians(state.s, state.X, phi, W0)
         S_W0, S_phi = naive_forward_sensitivity(meta, episode, cfg, TIGHT)
         worst_dense = max(
             worst_dense,
@@ -196,20 +197,15 @@ def test_criterion_3_decomposition_matches_naive_sensitivities():
         V, _ = outer_partials(
             W_T, EmbeddedSet(episode.test.features, episode.test.labels)
         )
-        C = coupling_matrix(V, state.B, phi)
+        C, D = coupling_matrix(V, state.X, phi)
         vjp_W0 = (V.ravel() @ J_W0).reshape(W0.shape)
         vjp_phi = np.stack(
             [V.ravel() @ J_phi[m] for m in range(phi.shape[0])]
         )
         worst_proj = max(
             worst_proj,
-            float(np.abs(project_W0(V, state.B, phi, C=C) - vjp_W0).max()),
-            float(
-                np.abs(
-                    project_phi(V, state.s, state.B, state.z, phi, W0, C=C)
-                    - vjp_phi
-                ).max()
-            ),
+            float(np.abs(project_W0(V, C, phi) - vjp_W0).max()),
+            float(np.abs(project_phi(V, state.s, C, D, phi, W0) - vjp_phi).max()),
         )
 
     assert worst_dense <= 1e-6
@@ -267,7 +263,8 @@ def test_criterion_4_adaptation_flow_is_stable():
             SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8),
             track=True,
         )
-        full = np.concatenate([state.s.ravel(), state.B.ravel(), state.z.ravel()])
+        B, z = expand_tangent_block(state.X)
+        full = np.concatenate([state.s.ravel(), B.ravel(), z.ravel()])
         assert np.isfinite(full).all()
         peak_norm = max(peak_norm, float(np.linalg.norm(full)))
     assert peak_norm <= 1e6

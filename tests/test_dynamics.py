@@ -11,11 +11,9 @@ from comln.dynamics import (
     TaskConstants,
     adapt,
     compact_layout,
-    flat_to_state,
     reconstruct_W,
     rhs_adapt,
     rhs_full,
-    state_to_flat,
 )
 from comln.loss import (
     DimensionMismatchError,
@@ -24,6 +22,7 @@ from comln.loss import (
     inner_grad,
     inner_loss,
 )
+from comln.oracles import expand_tangent_block
 from comln.solver import SolverConfig, integrate
 
 LAM0 = LossConfig(lam=0.0)
@@ -45,6 +44,25 @@ def weight_flow(W0, data, cfg, T, solver):
 
     end, _ = integrate(rhs, W0.ravel(), 0.0, T, solver)
     return end.reshape(W0.shape)
+
+
+def state_to_flat(s, B, z):
+    """Pack s, B and the j <= m half of a symmetric z in the compact layout."""
+    assert np.array_equal(z, z.transpose(0, 2, 1, 3))
+    m, n = s.shape
+    layout = compact_layout(m, n)
+    values = np.empty(layout.size)
+    values[: m * n] = s.ravel()
+    X = values[m * n :].reshape(m, layout.rows, n)
+    X[:, : m * n] = B.transpose(0, 1, 3, 2).reshape(m, m * n, n)
+    X[:, m * n :] = z[:, layout.pair_j, layout.pair_m]
+    return values
+
+
+def expand(flat, m, n):
+    """s, B and the full z of a flat tracked state, expanded by the oracle."""
+    B, z = expand_tangent_block(flat[m * n :].reshape(m, -1, n))
+    return flat[: m * n].reshape(m, n), B, z
 
 
 def full_shape_rhs(W0, phi, labels, lam, s, B, z):
@@ -137,17 +155,17 @@ def test_rhs_full_zero_state_seeds_diagonal_curvature():
     # At s = B = z = 0 with W0 = 0 the only nonzero derivative blocks are
     # dB[i, i] = A_i(0) = (I/N - 11'/N^2) / M; dz must vanish.
     data = EmbeddedSet(np.eye(2), np.eye(2))
-    zero = state_to_flat(AugmentedState.zero(2, 2, track=True))
+    layout = compact_layout(2, 2)
     out = rhs_full(
-        TaskConstants.of(np.zeros((2, 2)), data, LAM0), zero, compact_layout(2, 2)
+        TaskConstants.of(np.zeros((2, 2)), data, LAM0), np.zeros(layout.size), layout
     )
-    d = flat_to_state(out, 2, 2, track=True)
+    _, dB, dz = expand(out, 2, 2)
     block = np.array([[0.125, -0.125], [-0.125, 0.125]])
-    assert_array_equal(d.B[0, 0], block)
-    assert_array_equal(d.B[1, 1], block)
-    assert_array_equal(d.B[0, 1], np.zeros((2, 2)))
-    assert_array_equal(d.B[1, 0], np.zeros((2, 2)))
-    assert_array_equal(d.z, np.zeros((2, 2, 2, 2)))
+    assert_array_equal(dB[0, 0], block)
+    assert_array_equal(dB[1, 1], block)
+    assert_array_equal(dB[0, 1], np.zeros((2, 2)))
+    assert_array_equal(dB[1, 0], np.zeros((2, 2)))
+    assert_array_equal(dz, np.zeros((2, 2, 2, 2)))
 
 
 def test_rhs_full_requires_tracked_state_and_matching_gram():
@@ -156,10 +174,9 @@ def test_rhs_full_requires_tracked_state_and_matching_gram():
     W0 = np.zeros((2, 4))
     layout = compact_layout(3, 2)
     consts = TaskConstants.of(W0, data, LAM0)
-    untracked = state_to_flat(AugmentedState.zero(3, 2, track=False))
     with pytest.raises(ValueError, match="tracked state"):
-        rhs_full(consts, untracked, layout)
-    tracked = state_to_flat(AugmentedState.zero(3, 2, track=True))
+        rhs_full(consts, np.zeros(3 * 2), layout)
+    tracked = np.zeros(layout.size)
     other = TaskConstants.of(W0, random_set(rng, m=4, n=2, d=4), LAM0)
     with pytest.raises(DimensionMismatchError):
         rhs_full(other, tracked, layout)
@@ -225,14 +242,13 @@ def test_rhs_full_matches_full_shape_equations(m, n, lam):
     cfg = LossConfig(lam=lam)
     out = rhs_full(
         TaskConstants.of(W0, data, cfg),
-        state_to_flat(AugmentedState(s, B, z, True)),
+        state_to_flat(s, B, z),
         compact_layout(m, n),
     )
-    d = flat_to_state(out, m, n, track=True)
-    ds, dB, dz = full_shape_rhs(W0, data.features, data.labels, lam, s, B, z)
-    assert_allclose(d.s, ds, rtol=0, atol=1e-13)
-    assert_allclose(d.B, dB, rtol=0, atol=1e-13)
-    assert_allclose(d.z, dz, rtol=0, atol=1e-13)
+    got = expand(out, m, n)
+    want = full_shape_rhs(W0, data.features, data.labels, lam, s, B, z)
+    for got_part, want_part in zip(got, want):
+        assert_allclose(got_part, want_part, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +335,7 @@ def test_tracking_does_not_perturb_the_adaptation():
     W_plain, _, _ = adapt(*args, solver, track=False)
     W_tracked, state, _ = adapt(*args, solver, track=True)
     assert_array_equal(W_plain, W_tracked)
-    assert state.B.shape == (4, 4, 2, 2)
-    assert state.z.shape == (4, 4, 4, 2)
+    assert state.X.shape == (4, 4 * 2 + 4 * 5 // 2, 2)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -346,9 +361,8 @@ def test_tracked_euler_path_matches_full_shape_loop(lam):
         track=True,
     )
     assert stats.accepted_steps == steps
-    for got, want in ((state.s, s), (state.B, B), (state.z, z)):
+    for got, want in zip((state.s, *expand_tangent_block(state.X)), (s, B, z)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert_array_equal(state.z, state.z.transpose(0, 2, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +463,29 @@ def test_flat_layout_orders_s_then_b_then_z():
     B = np.arange(m * m * n * n, dtype=np.float64).reshape(m, m, n, n) + 100.0
     z = np.arange(m * m * m * n, dtype=np.float64).reshape(m, m, m, n) + 1000.0
     z = z + z.transpose(0, 2, 1, 3)
-    flat = state_to_flat(AugmentedState(s, B, z, True))
     rows = []
     for i in range(m):
         rows += [B[i, j][:, b] for j in range(m) for b in range(n)]
         rows += [z[i, j, k] for j in range(m) for k in range(j, m)]
     expected = np.concatenate([s.ravel(), *rows])
-    assert_array_equal(flat, expected)
-    back = flat_to_state(flat, m, n, track=True)
-    assert_array_equal(back.s, s)
-    assert_array_equal(back.B, B)
-    assert_array_equal(back.z, z)
-    # Half of z cannot hold an asymmetric z.
+    assert expected.size == compact_layout(m, n).size
+    assert_array_equal(state_to_flat(s, B, z), expected)
+    for got, want in zip(expand(expected, m, n), (s, B, z)):
+        assert_array_equal(got, want)
+    # The oracle refuses a block whose row count is not M N + M (M + 1) / 2.
     with pytest.raises(ValueError):
-        state_to_flat(AugmentedState(s, B, z + np.arange(m)[:, None], True))
+        expand_tangent_block(np.zeros((m, compact_layout(m, n).rows - 1, n)))
 
 
 def test_state_size_accounting():
     m, n = 4, 3
-    tracked = AugmentedState.zero(m, n, track=True)
-    assert tracked.flat_size == m * n + m * m * n * n + m * m * (m + 1) * n // 2
-    assert tracked.nbytes == 8 * tracked.flat_size
-    assert state_to_flat(tracked).nbytes == tracked.nbytes
-    plain = AugmentedState.zero(m, n, track=False)
-    assert plain.flat_size == m * n
+    X = np.zeros((m, compact_layout(m, n).rows, n))
+    tracked = AugmentedState(np.zeros((m, n)), X)
+    assert tracked.track_sensitivities
+    assert tracked.nbytes == 8 * (m * n + m * m * n * n + m * m * (m + 1) * n // 2)
+    assert tracked.nbytes == 8 * m * n + X.nbytes
+    plain = AugmentedState(np.zeros((m, n)), None)
+    assert not plain.track_sensitivities
     assert plain.nbytes == 8 * m * n
     # Constant in the horizon: adapt returns the same bytes at every step count.
     rng = np.random.default_rng(13)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from comln.dynamics import Horizon, adapt
-from comln.embedding import init_embedding
+from comln.dynamics import Horizon, adapt, compact_layout
+from comln.embedding import embed_set, init_embedding
 from comln.loss import (
     DimensionMismatchError,
     EmbeddedSet,
@@ -25,6 +25,7 @@ from comln.metagrad import (
 )
 from comln.oracles import (
     dense_jacobians,
+    expand_tangent_block,
     finite_diff_metagrads,
     naive_forward_sensitivity,
 )
@@ -49,6 +50,24 @@ def identity_meta(seed, way, dim, T, scale=0.3):
     return MetaParams(W0, init_embedding([dim], seed=0), math.log(T))
 
 
+def block(m, n, rng=None):
+    """A tangent block X for M examples and N classes: random, or zeros."""
+    shape = (m, compact_layout(m, n).rows, n)
+    return np.zeros(shape) if rng is None else rng.normal(size=shape)
+
+
+def einsum_projections(V, s, B, z, phi, W0):
+    """grad_W0 and grad_phi contracted from the expanded B and full z."""
+    U = phi @ V.T
+    C = np.einsum("ik,ijkl->jl", U, B)
+    D = np.einsum("ijmk,ik->mj", z, U)
+    return V - C.T @ phi, -(s @ V + C @ W0 + D @ phi)
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 def tracked_state(meta, episode, cfg, solver):
     return adapt(
         meta.W0,
@@ -69,18 +88,21 @@ def test_zero_sensitivity_leaves_outer_partial_unchanged():
     rng = np.random.default_rng(0)
     V = rng.normal(size=(2, 4))
     phi = rng.normal(size=(3, 4))
-    B = np.zeros((3, 3, 2, 2))
-    assert_array_equal(coupling_matrix(V, B, phi), np.zeros((3, 2)))
-    assert_array_equal(project_W0(V, B, phi), V)
+    C, D = coupling_matrix(V, block(3, 2), phi)
+    assert_array_equal(C, np.zeros((3, 2)))
+    assert_array_equal(D, np.zeros((3, 3)))
+    assert_array_equal(project_W0(V, C, phi), V)
 
 
 def test_single_identity_block_with_orthonormal_features():
     rng = np.random.default_rng(1)
     V = rng.normal(size=(2, 3))
     phi = np.eye(3)
-    B = np.zeros((3, 3, 2, 2))
-    B[1, 1] = np.eye(2)
-    result = project_W0(V, B, phi)
+    # B[1, 1] = I: rows 1 N + b of X[1] are the columns of the identity.
+    X = block(3, 2)
+    X[1, 2:4] = np.eye(2)
+    C, _ = coupling_matrix(V, X, phi)
+    result = project_W0(V, C, phi)
     expected = V - np.outer(V @ phi[1], phi[1])
     assert_allclose(result, expected, rtol=0, atol=1e-15)
 
@@ -90,14 +112,8 @@ def test_zero_state_projects_embeddings_to_zero():
     V = rng.normal(size=(2, 3))
     phi = rng.normal(size=(3, 3))
     W0 = rng.normal(size=(2, 3))
-    out = project_phi(
-        V,
-        np.zeros((3, 2)),
-        np.zeros((3, 3, 2, 2)),
-        np.zeros((3, 3, 3, 2)),
-        phi,
-        W0,
-    )
+    C, D = coupling_matrix(V, block(3, 2), phi)
+    out = project_phi(V, np.zeros((3, 2)), C, D, phi, W0)
     assert_array_equal(out, np.zeros((3, 3)))
 
 
@@ -108,9 +124,8 @@ def test_pure_coefficient_row_picks_negated_partial_row():
     W0 = rng.normal(size=(2, 3))
     s = np.zeros((3, 2))
     s[1, 0] = 1.0
-    out = project_phi(
-        V, s, np.zeros((3, 3, 2, 2)), np.zeros((3, 3, 3, 2)), phi, W0
-    )
+    C, D = coupling_matrix(V, block(3, 2), phi)
+    out = project_phi(V, s, C, D, phi, W0)
     assert_array_equal(out[0], np.zeros(3))
     assert_array_equal(out[2], np.zeros(3))
     assert_allclose(out[1], -V[0], rtol=0, atol=1e-15)
@@ -119,46 +134,34 @@ def test_pure_coefficient_row_picks_negated_partial_row():
 def test_projection_dimension_checks():
     V = np.zeros((2, 3))
     phi = np.zeros((3, 3))
+    X = block(3, 2)
     with pytest.raises(DimensionMismatchError):
-        coupling_matrix(V, np.zeros((2, 2, 2, 2)), phi)
+        coupling_matrix(V, X, np.zeros((3, 4)))
+    # Wrong K: one row short, and the row count of another M.
     with pytest.raises(DimensionMismatchError):
-        coupling_matrix(V, np.zeros((3, 3, 2, 2)), np.zeros((3, 4)))
+        coupling_matrix(V, X[:, :-1], phi)
     with pytest.raises(DimensionMismatchError):
-        project_phi(
-            V,
-            np.zeros((3, 2)),
-            np.zeros((3, 3, 2, 2)),
-            np.zeros((2, 2, 2, 2)),
-            phi,
-            np.zeros((2, 3)),
-        )
+        coupling_matrix(V, np.zeros((3, compact_layout(2, 2).rows, 2)), phi)
+    # Wrong (M, N) with the K of the block.
     with pytest.raises(DimensionMismatchError):
-        project_phi(
-            V,
-            np.zeros((3, 2)),
-            np.zeros((3, 3, 2, 2)),
-            np.zeros((3, 3, 3, 2)),
-            phi,
-            np.zeros((3, 3)),
-        )
+        coupling_matrix(V, block(2, 2), phi)
+    with pytest.raises(DimensionMismatchError):
+        coupling_matrix(V, block(3, 3), phi)
+    C, D = coupling_matrix(V, X, phi)
+    with pytest.raises(DimensionMismatchError):
+        project_phi(V, np.zeros((3, 2)), C, D, phi, np.zeros((3, 3)))
 
 
 def test_shared_coupling_matrix_is_bitwise_stable():
     rng = np.random.default_rng(4)
     V = rng.normal(size=(2, 3))
-    B = rng.normal(size=(3, 3, 2, 2))
+    X = block(3, 2, rng)
     phi = rng.normal(size=(3, 3))
-    W0 = rng.normal(size=(2, 3))
-    s = rng.normal(size=(3, 2))
-    z = rng.normal(size=(3, 3, 3, 2))
-    C1 = coupling_matrix(V, B, phi)
-    C2 = coupling_matrix(V, B, phi)
+    C1, D1 = coupling_matrix(V, X, phi)
+    C2, D2 = coupling_matrix(V, X, phi)
     assert_array_equal(C1, C2)
-    assert_array_equal(project_W0(V, B, phi), project_W0(V, B, phi, C=C1))
-    assert_array_equal(
-        project_phi(V, s, B, z, phi, W0),
-        project_phi(V, s, B, z, phi, W0, C=C2),
-    )
+    assert_array_equal(D1, D2)
+    assert_array_equal(D1, D1.T)
 
 
 def test_first_order_relation_between_projection_and_coupling():
@@ -166,10 +169,50 @@ def test_first_order_relation_between_projection_and_coupling():
     # V to rounding.
     rng = np.random.default_rng(5)
     V = rng.normal(size=(3, 4))
-    B = rng.normal(size=(4, 4, 3, 3))
     phi = rng.normal(size=(4, 4))
-    C = coupling_matrix(V, B, phi)
-    assert_allclose(project_W0(V, B, phi, C=C) + C.T @ phi, V, rtol=1e-13, atol=1e-13)
+    C, _ = coupling_matrix(V, block(4, 3, rng), phi)
+    assert_allclose(project_W0(V, C, phi) + C.T @ phi, V, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (3, 5)])
+def test_compact_projections_match_einsum_on_expanded_block(m, n):
+    # The projections read X as it is; the einsums read B and the full z
+    # that the oracle expands from the same X.
+    rng = np.random.default_rng(40 + m)
+    d = 6
+    V, phi, W0 = (rng.normal(size=shape) for shape in ((n, d), (m, d), (n, d)))
+    s, X = rng.normal(size=(m, n)), block(m, n, rng)
+    C, D = coupling_matrix(V, X, phi)
+    want_W0, want_phi = einsum_projections(V, s, *expand_tangent_block(X), phi, W0)
+    assert relative_gap(project_W0(V, C, phi), want_W0) <= 1e-12
+    assert relative_gap(project_phi(V, s, C, D, phi, W0), want_phi) <= 1e-12
+
+
+def test_compact_projections_match_einsum_on_adapted_5w5s_state():
+    episode = sample_episode(TaskGenConfig(way=5, shot=5, seed=2), 0)
+    meta = MetaParams(
+        np.random.default_rng(2).normal(size=(5, 32)) * 0.1,
+        init_embedding([16, 64, 32], seed=0),
+        math.log(2.0),
+    )
+    phi, _ = embed_set(meta.phi_params, episode.train.features)
+    phi_test, _ = embed_set(meta.phi_params, episode.test.features)
+    cfg = LossConfig(lam=0.5)
+    W_T, state, _ = adapt(
+        meta.W0,
+        phi,
+        episode.train.labels,
+        cfg,
+        Horizon(meta.log_T),
+        SolverConfig(),
+        track=True,
+    )
+    V, _ = outer_partials(W_T, EmbeddedSet(phi_test, episode.test.labels))
+    C, D = coupling_matrix(V, state.X, phi)
+    B, z = expand_tangent_block(state.X)
+    want_W0, want_phi = einsum_projections(V, state.s, B, z, phi, meta.W0)
+    assert relative_gap(project_W0(V, C, phi), want_W0) <= 1e-12
+    assert relative_gap(project_phi(V, state.s, C, D, phi, meta.W0), want_phi) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +235,11 @@ def test_projections_match_dense_contraction_on_adapted_state():
             W_T, EmbeddedSet(episode.test.features, episode.test.labels)
         )
         phi = episode.train.features
-        J_W0, J_phi = dense_jacobians(state.s, state.B, state.z, phi, meta.W0)
+        J_W0, J_phi = dense_jacobians(state.s, state.X, phi, meta.W0)
         expect_W0, expect_phi = dense_vjp(V, J_W0, J_phi, meta.W0.shape)
-        assert np.abs(project_W0(V, state.B, phi) - expect_W0).max() <= 1e-12
-        got_phi = project_phi(V, state.s, state.B, state.z, phi, meta.W0)
+        C, D = coupling_matrix(V, state.X, phi)
+        assert np.abs(project_W0(V, C, phi) - expect_W0).max() <= 1e-12
+        got_phi = project_phi(V, state.s, C, D, phi, meta.W0)
         assert np.abs(got_phi - expect_phi).max() <= 1e-12
 
 
@@ -210,17 +254,16 @@ def test_projection_suite_randomized_tensors():
         m = int(rng.integers(2, 7))
         V = rng.normal(size=(n, d))
         s = rng.normal(size=(m, n))
-        B = rng.normal(size=(m, m, n, n))
-        z = rng.normal(size=(m, m, m, n))
+        X = block(m, n, rng)
         phi = rng.normal(size=(m, d))
         W0 = rng.normal(size=(n, d))
-        J_W0, J_phi = dense_jacobians(s, B, z, phi, W0)
+        J_W0, J_phi = dense_jacobians(s, X, phi, W0)
         expect_W0, expect_phi = dense_vjp(V, J_W0, J_phi, (n, d))
-        C = coupling_matrix(V, B, phi)
+        C, D = coupling_matrix(V, X, phi)
         worst = max(
             worst,
-            np.abs(project_W0(V, B, phi, C=C) - expect_W0).max(),
-            np.abs(project_phi(V, s, B, z, phi, W0, C=C) - expect_phi).max(),
+            np.abs(project_W0(V, C, phi) - expect_W0).max(),
+            np.abs(project_phi(V, s, C, D, phi, W0) - expect_phi).max(),
         )
     assert worst <= 1e-10
 
@@ -228,11 +271,7 @@ def test_projection_suite_randomized_tensors():
 def test_dense_jacobians_refuse_large_instances():
     with pytest.raises(ValueError, match="64"):
         dense_jacobians(
-            np.zeros((2, 5)),
-            np.zeros((2, 2, 5, 5)),
-            np.zeros((2, 2, 2, 5)),
-            np.zeros((2, 16)),
-            np.zeros((5, 16)),
+            np.zeros((2, 5)), block(2, 5), np.zeros((2, 16)), np.zeros((5, 16))
         )
 
 
@@ -242,9 +281,7 @@ def test_decomposed_jacobians_match_naive_integration(lam):
     meta = identity_meta(7, 2, 3, 1.5)
     cfg = LossConfig(lam=lam)
     _, state, _ = tracked_state(meta, episode, cfg, TIGHT)
-    J_W0, J_phi = dense_jacobians(
-        state.s, state.B, state.z, episode.train.features, meta.W0
-    )
+    J_W0, J_phi = dense_jacobians(state.s, state.X, episode.train.features, meta.W0)
     S_W0, S_phi = naive_forward_sensitivity(meta, episode, cfg, TIGHT)
     assert np.abs(J_W0 - S_W0).max() <= 1e-6
     assert np.abs(J_phi - S_phi).max() <= 1e-6
@@ -381,7 +418,6 @@ def test_bundle_rejects_non_finite_entries():
             grad_phi_test=good,
             grad_T=0.0,
             grad_logT=0.0,
-            diag_alignment=0.0,
             grad_embedding=(),
             outer_loss=0.0,
             test_accuracy=0.0,
@@ -393,7 +429,6 @@ def test_bundle_rejects_non_finite_entries():
             grad_phi_test=good,
             grad_T=float("inf"),
             grad_logT=0.0,
-            diag_alignment=0.0,
             grad_embedding=(),
             outer_loss=0.0,
             test_accuracy=0.0,
