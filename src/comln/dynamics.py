@@ -352,12 +352,16 @@ def adapt(
 
         # dopri5 reads the block from the rhs and integrates X in row
         # chunks; euler and rk4 call rhs_full.  As an attribute the block
-        # survives wrappers made with functools.wraps, which copy it.
+        # survives wrappers made with functools.wraps, which copy it.  Its
+        # kernels are looked up by module name at each call, as rhs_full
+        # is, so that rebinding either name reaches the chunked path too.
         rhs.tangent = TangentBlock(
             m * n,
             (m, layout.rows, n),
-            functools.partial(_rate_and_curvature, consts),
-            functools.partial(tangent_rows, consts),
+            lambda s: _rate_and_curvature(consts, s),
+            lambda u, neg_A, X, lo, hi, out: tangent_rows(
+                consts, u, neg_A, X, lo, hi, out
+            ),
         )
 
     else:

@@ -62,9 +62,9 @@ class MetaGradients:
     embedding network; it is empty for an identity backbone.  The
     ``outer_loss`` and ``test_accuracy`` fields record the state of the
     task at the adapted weights so callers logging metrics do not have
-    to re-run the adaptation.  ``rhs_evals`` and ``rejected_steps`` are the
-    adaptation solver's counts; references that do not integrate leave
-    them at zero.
+    to re-run the adaptation.  ``rhs_evals``, ``rejected_steps`` and
+    ``stiffness`` come from the adaptation solver's ``StepStats``;
+    references that do not integrate leave them at zero.
     """
 
     grad_W0: np.ndarray
@@ -77,6 +77,7 @@ class MetaGradients:
     test_accuracy: float
     rhs_evals: int = 0
     rejected_steps: int = 0
+    stiffness: float = 0.0
 
     def __post_init__(self) -> None:
         arrays = [self.grad_W0, self.grad_phi_train, self.grad_phi_test]
@@ -217,4 +218,5 @@ def task_metagrads(
         test_accuracy=float(np.mean(predictions == truth)),
         rhs_evals=stats.rhs_evals,
         rejected_steps=stats.rejected_steps,
+        stiffness=stats.stiffness,
     )

@@ -13,6 +13,13 @@ six per step, accepted or rejected.  Every stage input and the error
 estimate is a single matrix-vector product over a stage matrix whose rows
 are y and the seven stages.
 
+dopri5 starts with the step span/100 and scales the step after every
+trial by 0.9 err^(-1/5), kept within [0.2, 5].  Only after a first step
+accepted with no rejection before it may the step grow by up to 1e4, as
+SUNDIALS allows (eta_max1): on a short horizon that start is far more
+accurate than asked, and the next step goes straight to the size accuracy
+permits instead of climbing there by factors of 5.
+
 An rhs may carry a ``tangent`` attribute, a TangentBlock: the state is a
 head u followed by a block X whose rows evolve independently once u is
 known.  dopri5 then never calls the rhs itself.  Each step first takes
@@ -166,6 +173,11 @@ _DP_WEIGHTS = np.array(
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
+# The growth allowed right after a first step accepted with no rejection
+# before it, SUNDIALS' eta_max1 (Hindmarsh et al., ACM TOMS 2005): the start
+# span/100 is cautious, so the next step may jump to where accuracy limits
+# it.  Every later step keeps _FACTOR_MAX.
+_FIRST_FACTOR_MAX = 1e4
 _ORDER_EXP = -1.0 / 5.0
 
 
@@ -426,10 +438,13 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
             t = span if clipped else t + h
         else:
             stats.rejected_steps += 1
+        # Holds once: right after a first step accepted without a rejection.
+        first = stats.accepted_steps == 1 and not stats.rejected_steps
+        factor_max = _FIRST_FACTOR_MAX if first else _FACTOR_MAX
         if err_norm == 0.0:
-            factor = _FACTOR_MAX
+            factor = factor_max
         else:
-            factor = min(max(_SAFETY * err_norm**_ORDER_EXP, _FACTOR_MIN), _FACTOR_MAX)
+            factor = min(max(_SAFETY * err_norm**_ORDER_EXP, _FACTOR_MIN), factor_max)
         h = h * factor
     return y.copy() if single else y
 

@@ -123,7 +123,9 @@ class MetricsRow:
 
     ``rhs_evals`` and ``rejected_steps`` sum the adaptation solver's counts
     over the meta-batch, so they show why one iteration costs more than
-    another.
+    another; ``stiffness`` is the largest ``StepStats.stiffness`` in the
+    meta-batch, which nears 3.3 where stability rather than accuracy caps
+    the steps.
     """
 
     iteration: int
@@ -134,6 +136,7 @@ class MetricsRow:
     grad_norm_embedding: float
     grad_norm_logT: float
     alignment: float
+    stiffness: float
     rhs_evals: int
     rejected_steps: int
     wall_time: float
@@ -147,6 +150,7 @@ class MetricsRow:
         "grad_norm_embedding",
         "grad_norm_logT",
         "alignment",
+        "stiffness",
         "rhs_evals",
         "rejected_steps",
         "wall_time",
@@ -327,6 +331,7 @@ def meta_train(
                 alignment=float(np.mean([x.diag_alignment for x in bundles])),
                 rhs_evals=sum(x.rhs_evals for x in bundles),
                 rejected_steps=sum(x.rejected_steps for x in bundles),
+                stiffness=max(x.stiffness for x in bundles),
                 wall_time=time.perf_counter() - started,
             )
         )

@@ -67,6 +67,22 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     assert "solver" not in resolved["train"]
 
 
+@pytest.mark.parametrize(
+    "solver", [{"method": "euler", "fixed_step": 0.01}, {"method": "dopri5"}]
+)
+def test_metrics_csv_records_the_stiffness_estimate(tmp_path, solver):
+    config = write_config(tmp_path, solver=solver)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+    header, *rows = read_csv(out / "metrics.csv")
+    column = [float(row[header.index("stiffness")]) for row in rows]
+    # Only dopri5 estimates it; euler leaves it at zero.
+    if solver["method"] == "dopri5":
+        assert all(value > 0.0 for value in column)
+    else:
+        assert column == [0.0, 0.0]
+
+
 def test_train_zero_iterations_writes_initial_state(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "run"

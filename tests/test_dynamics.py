@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import comln.dynamics
+import comln.solver
 from comln.dynamics import (
     AugmentedState,
     Horizon,
@@ -336,6 +338,39 @@ def test_tracking_does_not_perturb_the_adaptation():
     W_tracked, state, _ = adapt(*args, solver, track=True)
     assert_array_equal(W_plain, W_tracked)
     assert state.X.shape == (4, 4 * 2 + 4 * 5 // 2, 2)
+
+
+def test_chunked_path_looks_up_the_kernels_at_call_time(monkeypatch):
+    # The kernels are rebound by module name once adapt has built its
+    # right-hand side, as a tracer switched on mid-run would.  The chunked
+    # dopri5 path reaches the new bindings and its result does not change.
+    rng = np.random.default_rng(7)
+    data = random_set(rng, m=5, n=3, d=4)
+    W0 = rng.normal(size=(3, 4))
+    args = (W0, data.features, data.labels, LossConfig(lam=0.5), Horizon.from_T(2.0))
+    monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 1000)
+    W_plain, plain, _ = adapt(*args, SolverConfig(), track=True)
+    calls = {"_rate_and_curvature": 0, "tangent_rows": 0}
+
+    def rebind_then_integrate(*arguments):
+        for name in calls:
+            kernel = getattr(comln.dynamics, name)
+
+            def counting(*a, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(*a)
+
+            monkeypatch.setattr(comln.dynamics, name, counting)
+        return integrate(*arguments)
+
+    monkeypatch.setattr(comln.dynamics, "integrate", rebind_then_integrate)
+    W_T, state, stats = adapt(*args, SolverConfig(), track=True)
+    # Every evaluation takes the rate once and the rows in several chunks.
+    assert calls["_rate_and_curvature"] == stats.rhs_evals
+    assert calls["tangent_rows"] > stats.rhs_evals
+    assert_array_equal(W_T, W_plain)
+    assert_array_equal(state.s, plain.s)
+    assert_array_equal(state.X, plain.X)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])

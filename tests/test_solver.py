@@ -6,6 +6,7 @@ import pytest
 import comln.dynamics
 import comln.solver
 from comln.dynamics import Horizon, adapt
+from comln.embedding import embed_set
 from comln.loss import LossConfig
 from comln.solver import (
     BudgetExceededError,
@@ -15,6 +16,7 @@ from comln.solver import (
     integrate,
 )
 from comln.tasks import TaskGenConfig, sample_episode
+from comln.trainer import default_meta_params
 
 
 def _state(values):
@@ -89,10 +91,12 @@ class TestIntegrate:
         assert y is not y0
 
     def test_empty_state_reaches_t1(self):
+        # No error, so the first step of 0.01 grows by the first-step bound
+        # and the second, clipped to 0.99, ends the run.
         y, stats = integrate(lambda y: y, np.zeros(0), 0.0, 1.0, SolverConfig())
         assert y.size == 0
         assert stats.rejected_steps == 0
-        assert stats.accepted_steps == 4
+        assert stats.accepted_steps == 2
 
     def test_budget_exceeded(self):
         cfg = SolverConfig(method="rk4", fixed_step=0.1, max_evals=3)
@@ -227,7 +231,13 @@ class TestIntegrate:
         "cfg, where",
         [
             (SolverConfig(method="rk4", fixed_step=0.1, max_evals=10), "t=0.2 after 2"),
-            (SolverConfig(method="dopri5", max_evals=20), "t=0.31 after 3"),
+            # On y' = 1 the first step of 0.01 errs by rounding alone (error
+            # norm about 1e-11), so the next one grows about 130-fold, within
+            # the first-step bound, and is clipped to the 0.99 left.  The
+            # first evaluation and the six of the first step spend 7 of the
+            # 10; the second step runs out at its fourth stage, from t=0.01
+            # after one accepted step.
+            (SolverConfig(method="dopri5", max_evals=10), "t=0.01 after 1"),
         ],
     )
     def test_budget_error_says_where(self, cfg, where):
@@ -246,9 +256,11 @@ class TestIntegrate:
                 SolverConfig(method="euler", fixed_step=0.1),
                 "state became non-finite at step 6 at t=0.5 after 5",
             ),
+            # The first step of 0.01 is followed by one of 0.99 (see above),
+            # whose third stage reads y = 0.01 + 0.8 * 0.99, beyond the cliff.
             (
                 SolverConfig(method="dopri5"),
-                "state became non-finite during a trial step at t=0.31 after 3",
+                "state became non-finite during a trial step at t=0.01 after 1",
             ),
         ],
     )
@@ -334,10 +346,13 @@ class TestAgainstReference:
                 t = span if clipped else t + h
             else:
                 rejected += 1
+            # A first step accepted with no rejection before it may grow by
+            # up to 1e4, every other step by up to 5.
+            most = 1e4 if (accepted, rejected) == (1, 0) else 5.0
             if err_norm == 0.0:
-                h = h * 5.0
+                h = h * most
             else:
-                h = h * min(max(0.9 * err_norm**-0.2, 0.2), 5.0)
+                h = h * min(max(0.9 * err_norm**-0.2, 0.2), most)
         return y, accepted, rejected
 
     def check_against_reference(self, rhs, y0, span, cfg):
@@ -435,10 +450,13 @@ def matrix_dopri5(rhs, y0, span, cfg):
             t = span if clipped else t + h
         else:
             rejected += 1
+        # Growth up to 1e4 right after a first step accepted with no
+        # rejection before it, and up to 5 after every other step.
+        growth = 5.0 if rejected or accepted != 1 else 1e4
         if err_norm == 0.0:
-            h = h * 5.0
+            h = h * growth
         else:
-            h = h * min(max(0.9 * err_norm**-0.2, 0.2), 5.0)
+            h = h * min(max(0.9 * err_norm**-0.2, 0.2), growth)
     return y.copy(), accepted, rejected, largest
 
 
@@ -507,6 +525,91 @@ class TestTangentBlock:
         rhs, y0 = self.tracked_rhs(monkeypatch, 5, 1, 1.0)
         with pytest.raises(ValueError, match="does not fill"):
             integrate(rhs, np.append(y0, 0.0), 0.0, 1.0, SolverConfig())
+
+
+class TestFirstStep:
+    """The growth allowed right after the first step."""
+
+    @staticmethod
+    def trial_steps(rate, x0, span):
+        """The size of every trial step dopri5 takes on x' = rate(t, x).
+
+        The state carries its own clock t' = 1, whose stage inputs are
+        t + h / 5 for the first stage and t + h for the sixth, so each group
+        of six evaluations gives the step h.
+        """
+        clocks = []
+
+        def rhs(y):
+            clocks.append(y[0])
+            return np.concatenate(([1.0], rate(y[0], y[1:])))
+
+        integrate(rhs, np.concatenate(([0.0], x0)), 0.0, span, SolverConfig())
+        stages = np.reshape(clocks[1:], (-1, 6))
+        return (stages[:, 5] - stages[:, 0]) / 0.8
+
+    def test_zero_error_first_step_grows_by_the_first_bound(self, monkeypatch):
+        # An empty state has no error.  At the true bound the second step,
+        # 1e4 times 1, is clipped to the 99 left.  With the bound lowered to
+        # 2 the steps are 1, 2 and then 5 times the last, 10, 50 and the 37
+        # left.  A budget of 1 + 6 k evaluations runs out at the first stage
+        # of step k + 1, so it names the time after k steps.
+        empty = lambda y: y
+        _, stats = integrate(empty, np.zeros(0), 0.0, 100.0, SolverConfig())
+        assert stats.accepted_steps == 2
+        monkeypatch.setattr(comln.solver, "_FIRST_FACTOR_MAX", 2.0)
+        _, stats = integrate(empty, np.zeros(0), 0.0, 100.0, SolverConfig())
+        assert stats.accepted_steps == 5
+        for steps, t in [(1, 1), (2, 3), (3, 13), (4, 63)]:
+            with pytest.raises(BudgetExceededError, match=f"at t={t} after {steps} "):
+                cfg = SolverConfig(max_evals=1 + 6 * steps)
+                integrate(empty, np.zeros(0), 0.0, 100.0, cfg)
+
+    def test_ordinary_first_error_and_later_steps_grow_at_most_five(
+        self, monkeypatch
+    ):
+        # x' = (1 - t)^6 up to t = 1 and 0 after it: the first step of 0.1
+        # has an ordinary error and grows by less than 5, and the steps
+        # after t = 1 have almost no error and grow by exactly 5.
+        rate = lambda t, x: np.array([max(1.0 - t, 0.0) ** 6])
+        steps = self.trial_steps(rate, np.zeros(1), 10.0)
+        growth = steps[1:] / steps[:-1]
+        assert steps[0] == pytest.approx(0.1, rel=1e-12)
+        assert 1.0 < growth[0] < 5.0
+        assert np.all(growth <= 5.0 * (1.0 + 1e-9))
+        assert np.any(np.abs(growth - 5.0) <= 5e-9)
+        # The same steps as a controller that bounds every growth by 5.
+        monkeypatch.setattr(comln.solver, "_FIRST_FACTOR_MAX", 5.0)
+        assert np.array_equal(self.trial_steps(rate, np.zeros(1), 10.0), steps)
+
+    def test_rejection_before_the_first_accepted_step_keeps_the_cap(self):
+        # x' jumps from 0 to 1000 at t = 0.005.  The first trial of 0.01
+        # crosses the jump and is rejected, its successor of 0.002 stops
+        # short of it and has almost no error, and after the rejection that
+        # step may grow by 5 only, not up to the first-step bound.
+        rate = lambda t, x: np.array([1e3 if t >= 0.005 else 0.0])
+        steps = self.trial_steps(rate, np.zeros(1), 1.0)
+        np.testing.assert_allclose(steps[:3], [0.01, 0.002, 0.01], rtol=1e-12)
+
+    def test_tracked_10w5s_short_horizon_takes_four_steps(self):
+        # The metagrad-10w5s benchmark task at T = 2: the first step of 0.02
+        # is accepted with an error norm near 1e-8, the next grows to where
+        # accuracy limits it, about 0.8.  The bound of 5 took 5 steps.
+        meta = default_meta_params(10, 16, seed=0, hidden_dims=(64, 32))
+        task = TaskGenConfig(way=10, shot=5, test_shots=15, seed=1)
+        episode = sample_episode(task, 0)
+        phi, _ = embed_set(meta.phi_params, episode.train.features)
+        _, _, stats = adapt(
+            meta.W0,
+            phi,
+            episode.train.labels,
+            LossConfig(lam=0.5),
+            Horizon.from_T(2.0),
+            SolverConfig(),
+            track=True,
+        )
+        assert (stats.accepted_steps, stats.rejected_steps) == (4, 0)
+        assert stats.rhs_evals == 25
 
 
 class TestStiffness:

@@ -207,6 +207,16 @@ def test_metrics_sum_solver_counts_over_the_meta_batch():
     assert metrics[0].rejected_steps == 0
 
 
+def test_metrics_record_the_largest_stiffness_of_the_meta_batch():
+    episodes = episode_batch(2, seed=6)
+    initial = default_meta_params(2, 3)
+    cfg = flat_train_config(meta_batch_size=2, solver=SolverConfig())
+    bundles = [task_metagrads(initial, ep, LAM0, cfg.solver) for ep in episodes]
+    _, metrics = meta_train(cfg, episodes, initial=initial)
+    assert bundles[0].stiffness != bundles[1].stiffness
+    assert metrics[0].stiffness == max(b.stiffness for b in bundles)
+
+
 def test_empty_stream_is_rejected():
     with pytest.raises(ValueError, match="empty"):
         meta_train(flat_train_config(), [])
@@ -280,8 +290,8 @@ def test_metrics_row_field_order():
     assert MetricsRow.FIELDS[0] == "iteration"
     assert MetricsRow.FIELDS[-1] == "wall_time"
     assert MetricsRow.FIELDS[-3:-1] == ("rhs_evals", "rejected_steps")
-    row = MetricsRow(3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 43, 2, 0.01)
-    assert row.as_row() == [3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 43, 2, 0.01]
+    row = MetricsRow(3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 1.5, 43, 2, 0.01)
+    assert row.as_row() == [3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 1.5, 43, 2, 0.01]
 
 
 # ---------------------------------------------------------------------------
