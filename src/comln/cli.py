@@ -77,10 +77,6 @@ from .trainer import (
     save_checkpoint,
 )
 
-# Test hook: when set, applied to every gradient bundle grad-check
-# computes, so the checker itself can be shown to catch a planted error.
-_CHECK_TAMPER = None
-
 _STEPS_PER_UNIT_T = 100  # fixed-step size 0.01
 
 _FD_LIMIT = 1e-4
@@ -327,9 +323,6 @@ def _cmd_grad_check(args) -> int:
 
         flow = task_metagrads(meta, episode, loss_cfg, flow_solver)
         stepped = task_metagrads(meta, episode, loss_cfg, euler_solver)
-        if _CHECK_TAMPER is not None:
-            flow = _CHECK_TAMPER(flow)
-            stepped = _CHECK_TAMPER(stepped)
         fd = finite_diff_metagrads(meta, episode, loss_cfg, probe_solver, eps=1e-5)
         bptt = bptt_metagrads(meta, episode, loss_cfg, alpha, steps)
 

@@ -218,12 +218,17 @@ def test_grad_check_single_seed_prints_one_row_per_component(capsys):
 
 
 def test_grad_check_catches_a_planted_sign_error(capsys, monkeypatch):
-    def flip_horizon_gradient(bundle):
+    # Flips the horizon gradient of the two bundles grad-check takes from
+    # task_metagrads, the flow and the stepped one, and none of its oracles.
+    exact = cli.task_metagrads
+
+    def flip_horizon_gradient(*args, **kwargs):
+        bundle = exact(*args, **kwargs)
         return dataclasses.replace(
             bundle, grad_T=-bundle.grad_T, grad_logT=-bundle.grad_logT
         )
 
-    monkeypatch.setattr(cli, "_CHECK_TAMPER", flip_horizon_gradient)
+    monkeypatch.setattr(cli, "task_metagrads", flip_horizon_gradient)
     assert cli.main(["grad-check", "--seeds", "1"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
