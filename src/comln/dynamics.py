@@ -85,23 +85,24 @@ class MemoryBudgetError(RuntimeError):
     """The augmented state would not fit the configured memory budget."""
 
 
-@dataclass(frozen=True)
 class TaskConstants:
     """What every right-hand side of one task reads; fixed along the flow.
 
     Since W(t) = W0 - s' phi, the logits phi W(t)' are P0 - G s with
     P0 = phi W0' and the Gram matrix G[i, j] = phi_i' phi_j, so one
-    (M x M)(M x N) product per evaluation replaces rebuilding W.
-    ``target`` is the label matrix Y / M and ``lam`` the proximal weight.
+    product per evaluation replaces rebuilding W.  ``target`` is the label
+    matrix Y / M and ``lam`` the proximal weight.  ``gram_lam`` stacks G
+    over lam I, and G is its top half, so that one product gives G s and
+    lam s; ``column`` holds M, so that the softmax divides each row by M.
+
+    The rest is the head's scratch, made once per task and overwritten by
+    every evaluation: ``gram_s`` and ``lam_s``, the halves of ``products``;
+    ``probs``, the logits and then p / M; the (M, 1) ``row_max`` and
+    ``row_sum``.  So one TaskConstants serves one integration at a time,
+    and no array an evaluation returns is scratch.
     """
 
-    P0: np.ndarray
-    G: np.ndarray
-    target: np.ndarray
-    lam: float
-
-    @classmethod
-    def of(cls, W0: np.ndarray, data: EmbeddedSet, cfg: LossConfig) -> "TaskConstants":
+    def __init__(self, W0: np.ndarray, data: EmbeddedSet, cfg: LossConfig) -> None:
         W0 = np.asarray(W0, dtype=np.float64)
         phi = data.features
         if W0.shape != (data.way, data.dim):
@@ -109,7 +110,15 @@ class TaskConstants:
                 f"cannot combine W0 {W0.shape} with phi {phi.shape} "
                 f"and {data.way} classes"
             )
-        return cls(phi @ W0.T, phi @ phi.T, data.labels / data.count, cfg.lam)
+        m, n = data.count, data.way
+        self.P0, self.target, self.lam = phi @ W0.T, data.labels / m, cfg.lam
+        self.gram_lam = np.vstack((phi @ phi.T, cfg.lam * np.eye(m)))
+        self.G = self.gram_lam[:m]
+        self.column = np.full((n, 1), float(m))
+        self.products = np.empty((2 * m, n))
+        self.gram_s, self.lam_s = self.products[:m], self.products[m:]
+        self.probs = np.empty((m, n))
+        self.row_max, self.row_sum = np.empty((m, 1)), np.empty((m, 1))
 
 
 @dataclass(frozen=True)
@@ -228,14 +237,16 @@ def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _probs_and_rate(c: TaskConstants, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Shared head of both right-hand sides at the current (M, N) s.
 
-    Returns p = softmax(P0 - G s) row by row and ds/dt = (p - Y) / M - lam s.
+    Returns q = softmax(P0 - G s) / M row by row, in the scratch ``c.probs``
+    that the next evaluation overwrites, and a new array ds/dt = q - Y / M
+    - lam s.
     """
-    probs = softmax_rows_in_place(c.P0 - c.G @ s)
-    ds = probs / probs.shape[0]
-    ds -= c.target
-    if c.lam != 0.0:
-        ds -= c.lam * s
-    return probs, ds
+    np.matmul(c.gram_lam, s, c.products)
+    np.subtract(c.P0, c.gram_s, c.probs)
+    q = softmax_rows_in_place(c.probs, c.column, c.row_max, c.row_sum)
+    ds = np.subtract(q, c.target)
+    ds -= c.lam_s
+    return q, ds
 
 
 def rhs_adapt(c: TaskConstants, flat: np.ndarray) -> np.ndarray:
@@ -246,9 +257,8 @@ def rhs_adapt(c: TaskConstants, flat: np.ndarray) -> np.ndarray:
 
 def _rate_and_curvature(c: TaskConstants, s: np.ndarray):
     """ds/dt at the flat s, and the negated curvature blocks -A_i there."""
-    probs, ds = _probs_and_rate(c, s.reshape(c.P0.shape))
-    A = curvature_from_probs(probs)
-    return ds.reshape(-1), np.negative(A, out=A)
+    q, ds = _probs_and_rate(c, s.reshape(c.P0.shape))
+    return ds.reshape(-1), curvature_from_probs(q, negate=True)
 
 
 def tangent_rows(
@@ -342,7 +352,7 @@ def adapt(
             f"budget is {memory_budget}"
         )
 
-    consts = TaskConstants.of(W0, data, cfg)
+    consts = TaskConstants(W0, data, cfg)
 
     if track:
         layout = compact_layout(m, n)

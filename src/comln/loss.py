@@ -89,12 +89,23 @@ def _check_W(W: np.ndarray, data: EmbeddedSet) -> np.ndarray:
     return W
 
 
-def softmax_rows_in_place(logits: np.ndarray) -> np.ndarray:
-    """Overwrite a float64 (M, N) logit matrix with its row softmax."""
+def softmax_rows_in_place(
+    logits: np.ndarray,
+    column: np.ndarray,
+    row_max: np.ndarray | None = None,
+    row_sum: np.ndarray | None = None,
+) -> np.ndarray:
+    """Overwrite a float64 (M, N) logit matrix with its row softmax, each
+    row divided by the value that fills the (N, 1) ``column``.
+
+    The row totals are one matmul against the column, which on short rows
+    costs half of a reduction along them.  ``row_max`` and ``row_sum`` are
+    optional (M, 1) buffers for the row maxima and totals.
+    """
     # Max-subtraction keeps exp() from overflowing on large logits.
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=1, keepdims=True)
+    np.subtract(logits, np.maximum.reduce(logits, 1, None, row_max, True), logits)
+    np.exp(logits, logits)
+    np.divide(logits, np.matmul(logits, column, row_sum), logits)
     return logits
 
 
@@ -128,7 +139,7 @@ def inner_grad(
     """
     W = _check_W(W, data)
     W0 = _check_W(W0, data)
-    probs = softmax_rows_in_place(data.features @ W.T)
+    probs = softmax_rows_in_place(data.features @ W.T, np.ones((data.way, 1)))
     residuals = probs - data.labels
     grad = residuals.T @ data.features / data.count
     if cfg.lam != 0.0:
@@ -136,15 +147,21 @@ def inner_grad(
     return grad, residuals
 
 
-def curvature_from_probs(probs: np.ndarray) -> np.ndarray:
+def curvature_from_probs(q: np.ndarray, negate: bool = False) -> np.ndarray:
     """The M per-example blocks A_m = (diag(p_m) - p_m p_m') / M, stacked
-    as an (M, N, N) array, from an (M, N) row-stochastic matrix."""
-    m, n = probs.shape
-    # C order whatever the order of probs, so the reshape below is a view.
-    blocks = np.multiply(-probs[:, :, None], probs[:, None, :], order="C")
+    as an (M, N, N) array, from the (M, N) matrix q of the rows p_m / M of
+    a row-stochastic p; with ``negate`` the blocks -A_m.
+
+    In q the blocks are A_m = diag(q_m) - M q_m q_m': the outer products
+    are exactly symmetric, and scaling them by -M or by M sets the sign.
+    """
+    m, n = q.shape
+    # C order whatever the order of q, so the reshape below is a view.
+    blocks = np.multiply(q[:, :, None], q[:, None, :], order="C")
+    blocks *= m if negate else -m
     # The diagonals of all M blocks, as one strided view.
-    blocks.reshape(m, n * n)[:, :: n + 1] += probs
-    blocks /= m
+    diagonal = blocks.reshape(m, n * n)[:, :: n + 1]
+    (np.subtract if negate else np.add)(diagonal, q, diagonal)
     return blocks
 
 
@@ -158,7 +175,7 @@ def outer_partials(
     the m-th test embedding, (p_m - y_m)' W_T / M_test.
     """
     W_T = _check_W(W_T, test)
-    probs = softmax_rows_in_place(test.features @ W_T.T)
+    probs = softmax_rows_in_place(test.features @ W_T.T, np.ones((test.way, 1)))
     residuals = probs - test.labels
     V = residuals.T @ test.features / test.count
     G_phi_test = residuals @ W_T / test.count

@@ -137,7 +137,7 @@ def test_rhs_adapt_at_origin_matches_uniform_residuals():
     # With W0 = 0 every softmax is uniform, so the residual rows are
     # (1/N - y) and ds = residual / M exactly.
     data = EmbeddedSet(np.eye(2), np.eye(2))
-    ds = rhs_adapt(TaskConstants.of(np.zeros((2, 2)), data, LAM0), np.zeros(4))
+    ds = rhs_adapt(TaskConstants(np.zeros((2, 2)), data, LAM0), np.zeros(4))
     assert_array_equal(ds, [-0.25, 0.25, 0.25, -0.25])
 
 
@@ -149,7 +149,7 @@ def test_rhs_adapt_saturated_probabilities_decay_is_exactly_proximal():
     W0 = np.array([[1e4, -1e4], [-1e4, 1e4]])
     s = np.array([[1e-3, -2e-3], [5e-4, 0.0]])
     cfg = LossConfig(lam=0.7)
-    ds = rhs_adapt(TaskConstants.of(W0, EmbeddedSet(phi, labels), cfg), s.ravel())
+    ds = rhs_adapt(TaskConstants(W0, EmbeddedSet(phi, labels), cfg), s.ravel())
     assert_array_equal(ds, -0.7 * s.ravel())
 
 
@@ -159,7 +159,7 @@ def test_rhs_full_zero_state_seeds_diagonal_curvature():
     data = EmbeddedSet(np.eye(2), np.eye(2))
     layout = compact_layout(2, 2)
     out = rhs_full(
-        TaskConstants.of(np.zeros((2, 2)), data, LAM0), np.zeros(layout.size), layout
+        TaskConstants(np.zeros((2, 2)), data, LAM0), np.zeros(layout.size), layout
     )
     _, dB, dz = expand(out, 2, 2)
     block = np.array([[0.125, -0.125], [-0.125, 0.125]])
@@ -175,11 +175,11 @@ def test_rhs_full_requires_tracked_state_and_matching_gram():
     data = random_set(rng, m=3, n=2, d=4)
     W0 = np.zeros((2, 4))
     layout = compact_layout(3, 2)
-    consts = TaskConstants.of(W0, data, LAM0)
+    consts = TaskConstants(W0, data, LAM0)
     with pytest.raises(ValueError, match="tracked state"):
         rhs_full(consts, np.zeros(3 * 2), layout)
     tracked = np.zeros(layout.size)
-    other = TaskConstants.of(W0, random_set(rng, m=4, n=2, d=4), LAM0)
+    other = TaskConstants(W0, random_set(rng, m=4, n=2, d=4), LAM0)
     with pytest.raises(DimensionMismatchError):
         rhs_full(other, tracked, layout)
 
@@ -187,7 +187,7 @@ def test_rhs_full_requires_tracked_state_and_matching_gram():
 def test_task_constants_reject_mismatched_initialization():
     data = random_set(np.random.default_rng(2), m=3, n=2, d=4)
     with pytest.raises(DimensionMismatchError):
-        TaskConstants.of(np.zeros((2, 3)), data, LAM0)
+        TaskConstants(np.zeros((2, 3)), data, LAM0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -199,7 +199,7 @@ def test_shared_head_matches_reconstructed_weights(lam):
     data = random_set(rng, m=m, n=n, d=4)
     W0 = rng.normal(size=(n, 4))
     cfg = LossConfig(lam=lam)
-    consts = TaskConstants.of(W0, data, cfg)
+    consts = TaskConstants(W0, data, cfg)
     layout = compact_layout(m, n)
     for _ in range(5):
         s = rng.normal(size=(m, n))
@@ -218,7 +218,7 @@ def test_right_hand_sides_stay_finite_at_large_logits():
     # to zero unless the row maximum is subtracted first.
     data = EmbeddedSet(np.eye(2), np.eye(2))
     W0 = np.array([[800.0, -800.0], [799.0, -801.0]])
-    consts = TaskConstants.of(W0, data, LossConfig(lam=0.5))
+    consts = TaskConstants(W0, data, LossConfig(lam=0.5))
     layout = compact_layout(2, 2)
     top = 1.0 / (1.0 + np.exp(-1.0))
     expected = np.array([top - 1.0, 1.0 - top, top, -top]) / 2
@@ -228,6 +228,88 @@ def test_right_hand_sides_stay_finite_at_large_logits():
     assert_allclose(ds, expected, rtol=0, atol=1e-15)
     assert np.all(np.isfinite(full))
     assert_allclose(full[:4], expected, rtol=0, atol=1e-15)
+
+
+def flow_task(seed, m=5, n=4, d=3, lam=0.5):
+    rng = np.random.default_rng(seed)
+    data = random_set(rng, m=m, n=n, d=d)
+    W0 = rng.normal(size=(n, d))
+    return rng, data, W0, TaskConstants(W0, data, LossConfig(lam=lam))
+
+
+def test_consecutive_evaluations_return_fresh_arrays():
+    # The head writes into per-task scratch; what it hands out must not be
+    # scratch, nor change when the next evaluation runs.
+    rng, _, _, consts = flow_task(40)
+    first, second = rng.normal(size=(2, 20))
+    scratch = [value for value in vars(consts).values() if isinstance(value, np.ndarray)]
+    ds = rhs_adapt(consts, first)
+    kept = ds.copy()
+    later = rhs_adapt(consts, second)
+    assert not np.shares_memory(ds, later)
+    assert_array_equal(ds, kept)
+    rate, neg_A = comln.dynamics._rate_and_curvature(consts, first)
+    kept = rate.copy(), neg_A.copy()
+    results = comln.dynamics._rate_and_curvature(consts, second)
+    for value in (ds, later, rate, neg_A, *results):
+        assert not any(np.shares_memory(value, array) for array in scratch)
+    for value in (rate, neg_A):
+        assert not any(np.shares_memory(value, other) for other in results)
+    assert_array_equal(rate, kept[0])
+    assert_array_equal(neg_A, kept[1])
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_rk4_adapt_equals_a_run_that_copies_every_derivative(track):
+    # RK4 keeps k1..k4 alive across evaluations, so each must be its own
+    # array: copying every derivative as it is returned changes no bit.
+    _, data, W0, consts = flow_task(41, m=4, n=3)
+    solver = SolverConfig(method="rk4", fixed_step=0.1)
+    horizon = Horizon.from_T(1.0)
+    _, state, _ = adapt(
+        W0, data.features, data.labels, LossConfig(lam=0.5), horizon, solver, track
+    )
+    layout = compact_layout(4, 3)
+    if track:
+        size = layout.size
+
+        def rhs(y):
+            return rhs_full(consts, y, layout).copy()
+
+    else:
+        size = 12
+
+        def rhs(y):
+            return rhs_adapt(consts, y).copy()
+
+    end, _ = integrate(rhs, np.zeros(size), 0.0, horizon.T, solver)
+    assert_array_equal(state.s.ravel(), end[:12])
+    if track:
+        assert_array_equal(state.X.ravel(), end[12:])
+
+
+def test_head_probabilities_match_the_textbook_softmax_at_large_logits():
+    # With phi = I and s = 0 the logits are W0' itself: entries near +800
+    # and -800, whose exp() overflows unless shifted; the smaller entries of
+    # a row underflow to 0, as they should.  The head holds p / M.
+    rng = np.random.default_rng(42)
+    logits = 800.0 * rng.choice([-1.0, 1.0], size=(5, 4)) + rng.normal(size=(5, 4))
+    data = EmbeddedSet(np.eye(5), np.eye(4)[[0, 1, 2, 3, 0]])
+    consts = TaskConstants(logits.T, data, LossConfig(lam=0.5))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        q, _ = comln.dynamics._probs_and_rate(consts, np.zeros((5, 4)))
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    textbook = shifted / shifted.sum(axis=1, keepdims=True)
+    assert np.all(np.isfinite(q))
+    assert_allclose(5 * q, textbook, rtol=0, atol=1e-15)
+
+
+def test_negated_curvature_blocks_are_symmetric_and_annihilate_ones():
+    rng, _, _, consts = flow_task(43)
+    for _ in range(5):
+        _, neg_A = comln.dynamics._rate_and_curvature(consts, rng.normal(size=20))
+        assert_array_equal(neg_A, neg_A.transpose(0, 2, 1))
+        assert np.abs(neg_A.sum(axis=2)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -243,7 +325,7 @@ def test_rhs_full_matches_full_shape_equations(m, n, lam):
     z = z + z.transpose(0, 2, 1, 3)
     cfg = LossConfig(lam=lam)
     out = rhs_full(
-        TaskConstants.of(W0, data, cfg),
+        TaskConstants(W0, data, cfg),
         state_to_flat(s, B, z),
         compact_layout(m, n),
     )
@@ -462,7 +544,7 @@ def test_regularized_flow_reaches_its_stationary_point():
     )
     grad, _ = inner_grad(W_T, W0, data, cfg)
     assert np.linalg.norm(grad) <= 1e-6
-    ds = rhs_adapt(TaskConstants.of(W0, data, cfg), state.s.ravel())
+    ds = rhs_adapt(TaskConstants(W0, data, cfg), state.s.ravel())
     assert np.linalg.norm(ds) <= 1e-6
 
 
@@ -543,7 +625,7 @@ def test_state_size_accounting():
 def test_gram_matrix_is_symmetric_psd():
     rng = np.random.default_rng(9)
     data = random_set(rng, m=5, n=2, d=3)
-    G = TaskConstants.of(np.zeros((2, 3)), data, LAM0).G
+    G = TaskConstants(np.zeros((2, 3)), data, LAM0).G
     assert_allclose(G, G.T, rtol=0, atol=1e-14)
     assert np.linalg.eigvalsh(G).min() >= -1e-12
 
