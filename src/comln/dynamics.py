@@ -237,9 +237,8 @@ def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _probs_and_rate(c: TaskConstants, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Shared head of both right-hand sides at the current (M, N) s.
 
-    Returns q = softmax(P0 - G s) / M row by row, in the scratch ``c.probs``
-    that the next evaluation overwrites, and a new array ds/dt = q - Y / M
-    - lam s.
+    Returns q = softmax(P0 - G s) / M by rows, in the scratch ``c.probs``
+    that the next evaluation overwrites, and a new ds/dt = q - Y / M - lam s.
     """
     np.matmul(c.gram_lam, s, c.products)
     np.subtract(c.P0, c.gram_s, c.probs)
@@ -258,7 +257,7 @@ def rhs_adapt(c: TaskConstants, flat: np.ndarray) -> np.ndarray:
 def _rate_and_curvature(c: TaskConstants, s: np.ndarray):
     """ds/dt at the flat s, and the negated curvature blocks -A_i there."""
     q, ds = _probs_and_rate(c, s.reshape(c.P0.shape))
-    return ds.reshape(-1), curvature_from_probs(q, negate=True)
+    return ds.reshape(-1), curvature_from_probs(q)
 
 
 def tangent_rows(

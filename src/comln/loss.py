@@ -147,21 +147,21 @@ def inner_grad(
     return grad, residuals
 
 
-def curvature_from_probs(q: np.ndarray, negate: bool = False) -> np.ndarray:
-    """The M per-example blocks A_m = (diag(p_m) - p_m p_m') / M, stacked
-    as an (M, N, N) array, from the (M, N) matrix q of the rows p_m / M of
-    a row-stochastic p; with ``negate`` the blocks -A_m.
+def curvature_from_probs(q: np.ndarray) -> np.ndarray:
+    """The negated per-example blocks -A_m = (p_m p_m' - diag(p_m)) / M,
+    stacked as an (M, N, N) array, from the (M, N) matrix q of the rows
+    p_m / M of a row-stochastic p.
 
-    In q the blocks are A_m = diag(q_m) - M q_m q_m': the outer products
-    are exactly symmetric, and scaling them by -M or by M sets the sign.
+    In q the blocks are -A_m = M q_m q_m' - diag(q_m): one outer product,
+    exactly symmetric, scaled by M, then the diagonal.  The flow multiplies
+    by -A_m, so it takes the sign here at no extra pass.
     """
     m, n = q.shape
     # C order whatever the order of q, so the reshape below is a view.
     blocks = np.multiply(q[:, :, None], q[:, None, :], order="C")
-    blocks *= m if negate else -m
+    blocks *= m
     # The diagonals of all M blocks, as one strided view.
-    diagonal = blocks.reshape(m, n * n)[:, :: n + 1]
-    (np.subtract if negate else np.add)(diagonal, q, diagonal)
+    blocks.reshape(m, n * n)[:, :: n + 1] -= q
     return blocks
 
 

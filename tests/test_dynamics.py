@@ -242,7 +242,7 @@ def test_consecutive_evaluations_return_fresh_arrays():
     # scratch, nor change when the next evaluation runs.
     rng, _, _, consts = flow_task(40)
     first, second = rng.normal(size=(2, 20))
-    scratch = [value for value in vars(consts).values() if isinstance(value, np.ndarray)]
+    scratch = [a for a in vars(consts).values() if isinstance(a, np.ndarray)]
     ds = rhs_adapt(consts, first)
     kept = ds.copy()
     later = rhs_adapt(consts, second)

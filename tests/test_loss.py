@@ -21,7 +21,7 @@ LAM0 = LossConfig(lam=0.0)
 def curvature(W, data):
     """Curvature blocks at W, from per-row reference probabilities."""
     probs = np.stack([softmax_probs(W, phi) for phi in data.features])
-    return curvature_from_probs(probs / data.count)
+    return -curvature_from_probs(probs / data.count)
 
 
 def random_set(rng, m=6, n=3, d=5):
@@ -197,7 +197,7 @@ class TestCurvature:
         probs = np.random.default_rng(12).dirichlet(np.ones(4), size=3)
         expected = np.stack([np.diag(p) - np.outer(p, p) for p in probs]) / 3
         for order in "CF":
-            blocks = curvature_from_probs(np.asarray(probs / 3, order=order))
+            blocks = -curvature_from_probs(np.asarray(probs / 3, order=order))
             np.testing.assert_allclose(blocks, expected, rtol=0, atol=1e-15)
 
     def test_block_invariants(self):

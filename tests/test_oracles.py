@@ -129,7 +129,7 @@ def test_bptt_single_step_matches_dense_hessian_expansion():
     W1, _ = inner_grad(meta.W0, meta.W0, data, LAM0)
     W1 = meta.W0 - alpha * W1
     V, _ = outer_partials(W1, EmbeddedSet(episode.test.features, episode.test.labels))
-    A = curvature_from_probs(
+    A = -curvature_from_probs(
         np.stack([softmax_probs(meta.W0, phi) for phi in data.features]) / data.count
     )
     nd = meta.W0.size
