@@ -240,7 +240,7 @@ def _probs_and_rate(c: TaskConstants, s: np.ndarray) -> Tuple[np.ndarray, np.nda
     Returns q = softmax(P0 - G s) / M by rows, in the scratch ``c.probs``
     that the next evaluation overwrites, and a new ds/dt = q - Y / M - lam s.
     """
-    np.matmul(c.gram_lam, s, c.products)
+    np.dot(c.gram_lam, s, c.products)
     np.subtract(c.P0, c.gram_s, c.probs)
     q = softmax_rows_in_place(c.probs, c.column, c.row_max, c.row_sum)
     ds = np.subtract(q, c.target)
