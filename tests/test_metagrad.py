@@ -456,8 +456,8 @@ SHORT_HORIZON_GRAD_RTOL = 3e-4
 
 
 def _default_solver_gradient_errors(way, shot, w0, T):
-    """Largest relative errors of the default solver's gradients against
-    rtol 1e-12 / atol 1e-14, with the default solver's bundle."""
+    """The relative error of each gradient of the default solver against
+    rtol 1e-12 / atol 1e-14, and the default solver's bundle."""
     episode = sample_episode(TaskGenConfig(way=way, shot=shot, seed=3), 0)
     W0 = np.zeros((way, 32))
     if w0 == "random":
