@@ -333,7 +333,11 @@ def adapt(
     Returns the adapted weights W(T), the final augmented state (with the
     tangent block X only when ``track``), and the solver statistics.  The
     horizon is capped at ``t_cap`` and the augmented state must fit
-    ``memory_budget`` bytes before anything is allocated.
+    ``memory_budget`` bytes before anything is allocated.  The budget bounds
+    the state, not the integrator: dopri5 holds three state-sized vectors
+    plus chunk scratch of 15 chunk-sized vectors (about 15 *
+    ``solver.CHUNK_BYTES``), or one matrix of 15 state-sized rows for an
+    untracked state or one within a chunk.
     """
     W0 = np.asarray(W0, dtype=np.float64)
     data = EmbeddedSet(phi_train, labels)

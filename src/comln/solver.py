@@ -9,7 +9,8 @@ caller's business.
 Dormand-Prince has the first-same-as-last property: its seventh stage is
 the derivative at the new state, so an accepted step hands it to the next
 step as its first stage.  A dopri5 run therefore costs one evaluation plus
-six per step, accepted or rejected.  Every stage input and the error
+six per step, accepted or rejected, plus one per rejected step of a chunked
+state (see below).  Every stage input and the error
 estimate is a single matrix-vector product over a stage matrix whose rows
 are y and the seven stages.
 
@@ -26,11 +27,17 @@ known.  dopri5 then never calls the rhs itself.  Each step first takes
 all six stages of u, then, chunk by chunk of rows sized by CHUNK_BYTES,
 all six stages of those rows while they stay in cache, adding each
 chunk's share to the whole-vector error norm.  The state then lives in
-four state-sized buffers (y, the candidate y_new, the first and the last
-stage), which an accepted step swaps by reference; each step reads y and
-the first stage once and writes y_new and the last stage once, and every
-other pass runs over one chunk.  A block whose rows fit one chunk is
-integrated in place in the stage matrix.  euler and rk4 call the rhs.
+three state-sized vectors: y, the candidate y_new and one stage vector k.
+k holds the first stage when a step starts; each chunk copies its part into
+its stage matrix and, as the sweep leaves it, writes its last stage there.
+An accepted step swaps y and y_new by reference and finds the next first
+stage in k.  A rejected step evaluates the first stage at y again (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5: only the first-same-as-last stage
+can be recomputed); the rhs is deterministic, so that stage is the one the
+trial overwrote, bit for bit.  Each step reads y and k once and writes
+y_new and k once, and every other pass runs over one chunk.  A block whose
+rows fit one chunk is integrated in place in the stage matrix.  euler and
+rk4 call the rhs.
 
 The rhs receives a vector that the solver reuses for later stages, so the
 rhs must not keep references to its input between calls.  It may return a
@@ -129,8 +136,9 @@ class TangentBlock:
 
 
 # dopri5 forms all six stages of one chunk of tangent rows before the next,
-# in chunks whose state-sized vectors take at most this many bytes, so the
-# chunk's fifteen stage and input vectors stay in a core's L2 cache.  On a
+# in chunks whose state-sized vectors take about this many bytes (whole rows,
+# so up to one row more), so the chunk's fifteen stage and input vectors
+# stay in a core's L2 cache.  On a
 # Xeon with 2 MB of L2 per core, 96-256 KiB ran a 10w5s task equally fast
 # and 16 KiB about 1.9 times slower.
 CHUNK_BYTES = 1 << 17
@@ -342,7 +350,10 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
         # One segment spans the state: its rows are the state's buffers.
         y, k_first, y_new, k_last = k[0], k[1], u[6], k[7]
     else:
-        y, y_new, k_first, k_last = (np.empty(n) for _ in range(4))
+        # One stage vector holds the first stage when a step starts; each
+        # chunk, once it has copied its part, leaves its last stage there.
+        y, y_new, k_first = np.empty(n), np.empty(n), np.empty(n)
+        k_last = k_first
     y[:] = y0
     weights = np.empty((8, 8))
     stage_weights = [weights[stage, : stage + 1] for stage in range(7)]
@@ -374,13 +385,15 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
                 views[1][stage],
             )
 
-    for segment, k, _, _, views in work:
-        if not single:
-            k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
-        evaluate(0, segment, views)
-        if not single:
-            part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
+    def first_stage():
+        for segment, k, _, _, views in work:
+            if not single:
+                k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
+            evaluate(0, segment, views)
+            if not single:
+                part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
 
+    first_stage()
     h = min(max(span / 100.0, 1e-8), span)
     while t < span:
         clipped = h >= span - t
@@ -434,10 +447,14 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
                 y[:] = y_new
                 k_first[:] = k_last
             else:
-                y, y_new, k_first, k_last = y_new, y, k_last, k_first
+                y, y_new = y_new, y
             t = span if clipped else t + h
         else:
             stats.rejected_steps += 1
+            if not single:
+                # The trial left its last stage where the first stage was.
+                # The rhs is deterministic, so this restores it bit for bit.
+                first_stage()
         # Holds once: right after a first step accepted without a rejection.
         first = stats.accepted_steps == 1 and not stats.rejected_steps
         factor_max = _FIRST_FACTOR_MAX if first else _FACTOR_MAX

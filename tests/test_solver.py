@@ -1,5 +1,7 @@
 """Tests for the ODE solver on one-dimensional float64 vectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from comln.solver import (
     NonFiniteStateError,
     SolverConfig,
     StepStats,
+    TangentBlock,
     integrate,
 )
 from comln.tasks import TaskGenConfig, sample_episode
@@ -25,6 +28,22 @@ def _state(values):
 
 def _decay(y):
     return -y
+
+
+def _metagrad_10w5s_adapt_args():
+    """adapt's arguments for the metagrad-10w5s benchmark task at T = 2."""
+    meta = default_meta_params(10, 16, seed=0, hidden_dims=(64, 32))
+    task = TaskGenConfig(way=10, shot=5, test_shots=15, seed=1)
+    episode = sample_episode(task, 0)
+    phi, _ = embed_set(meta.phi_params, episode.train.features)
+    return (
+        meta.W0,
+        phi,
+        episode.train.labels,
+        LossConfig(lam=0.5),
+        Horizon.from_T(2.0),
+        SolverConfig(),
+    )
 
 
 class TestSolverConfig:
@@ -464,10 +483,9 @@ class TestTangentBlock:
     """dopri5 on the tracked flow, its tangent block cut into row chunks."""
 
     @staticmethod
-    def tracked_rhs(monkeypatch, way, shot, T):
-        # The right-hand side adapt hands to integrate, with its block.
-        episode = sample_episode(TaskGenConfig(way=way, shot=shot, seed=5), 0)
-        W0 = np.random.default_rng(5).normal(size=(way, 16)) * 0.1
+    def captured_rhs(monkeypatch, *args):
+        # The right-hand side and y0 that adapt(*args, track=True) hands to
+        # integrate, the rhs with its block.
         captured = {}
 
         def capture(rhs, y0, t0, t1, config):
@@ -476,16 +494,22 @@ class TestTangentBlock:
 
         with monkeypatch.context() as patch:
             patch.setattr(comln.dynamics, "integrate", capture)
-            adapt(
-                W0,
-                episode.train.features,
-                episode.train.labels,
-                LossConfig(lam=0.5),
-                Horizon.from_T(T),
-                SolverConfig(),
-                track=True,
-            )
+            adapt(*args, track=True)
         return captured["rhs"], captured["y0"]
+
+    @classmethod
+    def tracked_rhs(cls, monkeypatch, way, shot, T):
+        episode = sample_episode(TaskGenConfig(way=way, shot=shot, seed=5), 0)
+        W0 = np.random.default_rng(5).normal(size=(way, 16)) * 0.1
+        return cls.captured_rhs(
+            monkeypatch,
+            W0,
+            episode.train.features,
+            episode.train.labels,
+            LossConfig(lam=0.5),
+            Horizon.from_T(T),
+            SolverConfig(),
+        )
 
     @pytest.mark.parametrize("way, shot, chunk_bytes", [(5, 1, 1400), (5, 5, 20_000)])
     def test_chunks_take_the_steps_of_the_matrix_loop(
@@ -507,6 +531,9 @@ class TestTangentBlock:
         y, stats = integrate(rhs, y0, 0.0, 20.0, cfg)
         y_ref, accepted, rejected, _ = matrix_dopri5(rhs, y0, 20.0, cfg)
         assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
+        # A rejected step evaluates the first stage again, which its trial
+        # overwrote with the last one.  5w1s here takes 24 + 1 steps.
+        assert stats.rhs_evals == 1 + 6 * (accepted + rejected) + rejected
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
     def test_one_chunk_matches_the_matrix_loop_bit_for_bit(self, monkeypatch):
@@ -525,6 +552,65 @@ class TestTangentBlock:
         rhs, y0 = self.tracked_rhs(monkeypatch, 5, 1, 1.0)
         with pytest.raises(ValueError, match="does not fill"):
             integrate(rhs, np.append(y0, 0.0), 0.0, 1.0, SolverConfig())
+
+    def test_chunked_state_takes_three_state_vectors(self, monkeypatch):
+        # The metagrad-10w5s state: 888,000 entries, M = 50 lanes of N = 10,
+        # cut into the head and 55 chunks.  y0 is made before tracing
+        # starts, so the peak counts what integrate allocates: y, y_new and
+        # one stage vector, the chunks' shared 15-row matrix, and per-call
+        # temporaries.
+        rhs, y0 = self.captured_rhs(monkeypatch, *_metagrad_10w5s_adapt_args())
+        head, (lanes, rows, width) = rhs.tangent.head, rhs.tangent.shape
+        segments = comln.solver._segments(
+            head, lanes, rows, width, comln.solver.CHUNK_BYTES
+        )
+        # Chunks of whole rows, so the largest is up to a row above
+        # CHUNK_BYTES: 132,000 bytes here.
+        chunk = 8 * max(segment.size for segment in segments[1:])
+        assert chunk <= comln.solver.CHUNK_BYTES + 8 * lanes * width
+        temporaries = (
+            15 * head * 8  # the head's own stage matrix
+            + 7 * lanes * width * width * 8  # -A_i of each of seven stages
+            + chunk  # a chunk's Gram product in the rows
+            + (1 << 20)  # row views and other bookkeeping, 0.3 MB measured
+        )
+        bound = 3 * y0.nbytes + 15 * chunk + temporaries
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            integrate(rhs, y0, 0.0, 2.0, SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # Measured 24.07 MB; a fourth state vector adds 7.1 MB.
+        assert peak <= bound
+
+    def test_non_finite_rows_in_a_later_chunk_say_where(self, monkeypatch):
+        # The head is a clock, t' = 1; every row decays, X' = -X, but the
+        # rows of the second chunk turn infinite from t = 0.3 on.  Steps of
+        # 0.01 and about 0.24 are accepted; the third trial's stage inputs
+        # pass t = 0.3.
+        def rows(u, coefficients, X, lo, hi, out):
+            np.negative(X, out=out)
+            if lo > 0 and u[0] >= 0.3:
+                out[...] = np.inf
+
+        rhs = lambda y: None
+        rhs.tangent = TangentBlock(1, (1, 8, 2), lambda u: (np.ones(1), None), rows)
+        monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
+        assert len(comln.solver._segments(1, 1, 8, 2, 64)) == 3
+        y0 = np.concatenate(([0.0], np.ones(16)))
+        # Stage inputs that combine infinities are NaN; that is the point.
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteStateError) as info:
+            integrate(rhs, y0, 0.0, 1.0, SolverConfig())
+        assert str(info.value) == (
+            "state became non-finite during a trial step "
+            "at t=0.247614 after 2 accepted and 0 rejected steps"
+        )
 
 
 class TestFirstStep:
@@ -595,19 +681,7 @@ class TestFirstStep:
         # The metagrad-10w5s benchmark task at T = 2: the first step of 0.02
         # is accepted with an error norm near 1e-8, the next grows to where
         # accuracy limits it, about 0.8.  The bound of 5 took 5 steps.
-        meta = default_meta_params(10, 16, seed=0, hidden_dims=(64, 32))
-        task = TaskGenConfig(way=10, shot=5, test_shots=15, seed=1)
-        episode = sample_episode(task, 0)
-        phi, _ = embed_set(meta.phi_params, episode.train.features)
-        _, _, stats = adapt(
-            meta.W0,
-            phi,
-            episode.train.labels,
-            LossConfig(lam=0.5),
-            Horizon.from_T(2.0),
-            SolverConfig(),
-            track=True,
-        )
+        _, _, stats = adapt(*_metagrad_10w5s_adapt_args(), track=True)
         assert (stats.accepted_steps, stats.rejected_steps) == (4, 0)
         assert stats.rhs_evals == 25
 
@@ -623,6 +697,14 @@ class TestStiffness:
         _, stats = integrate(rhs, y0, 0.0, 2.0, cfg)
         _, _, _, largest = matrix_dopri5(rhs, y0, 2.0, cfg)
         assert stats.stiffness == pytest.approx(lam * largest, rel=1e-9)
+
+    def test_passes_the_stability_edge_below_atol(self):
+        # The StepStats docstring's example: once y is below atol the error
+        # test accepts steps beyond the edge near 3.3.
+        rhs = lambda y: -10.0 * y
+        _, stats = integrate(rhs, _state([1.0]), 0.0, 50.0, SolverConfig())
+        assert stats.stiffness == pytest.approx(4.3206, abs=5e-5)
+        assert (stats.accepted_steps, stats.rejected_steps) == (189, 11)
 
     def test_zero_for_fixed_step_methods(self):
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
