@@ -9,10 +9,12 @@ the adaptation, with memory cost independent of T.
 
 Modules
 -------
-solver     generic fixed-step / adaptive ODE integration on float64 vectors
+solver     generic fixed-step / adaptive ODE integration on float64 vectors,
+           with an episode axis for batches of small states
 loss       softmax cross-entropy inner loss, curvature blocks, outer partials
 dynamics   augmented adaptation ODE and weight reconstruction
-metagrad   Jacobian-free projections and the per-task meta-gradient bundle
+metagrad   Jacobian-free projections and the per-task meta-gradient bundles
+           of a meta-batch
 embedding  small fully-connected feature extractor with explicit backward
 oracles    brute-force references: unrolled backprop, dense sensitivities,
            finite differences, and the backward-integration instability demo
@@ -23,7 +25,7 @@ cli        command-line entry point (train / grad-check / bench / ...)
 
 from comln.dynamics import AugmentedState, Horizon, adapt
 from comln.loss import EmbeddedSet, LossConfig
-from comln.metagrad import MetaGradients, task_metagrads
+from comln.metagrad import MetaGradients, batch_metagrads, task_metagrads
 from comln.solver import SolverConfig, StepStats, integrate
 from comln.tasks import Episode, TaskGenConfig, sample_episode
 from comln.trainer import (MetaParams, TrainConfig, default_meta_params,
@@ -40,6 +42,7 @@ __all__ = [
     "adapt",
     "MetaGradients",
     "task_metagrads",
+    "batch_metagrads",
     "Episode",
     "TaskGenConfig",
     "sample_episode",

@@ -86,7 +86,7 @@ class MemoryBudgetError(RuntimeError):
 
 
 class TaskConstants:
-    """What every right-hand side of one task reads; fixed along the flow.
+    """What every right-hand side of a batch of tasks reads; fixed along the flow.
 
     Since W(t) = W0 - s' phi, the logits phi W(t)' are P0 - G s with
     P0 = phi W0' and the Gram matrix G[i, j] = phi_i' phi_j, so one
@@ -95,14 +95,21 @@ class TaskConstants:
     over lam I, and G is its top half, so that one product gives G s and
     lam s; ``column`` holds M, so that the softmax divides each row by M.
 
-    The rest is the head's scratch, made once per task and overwritten by
+    ``data`` holds ``episodes`` tasks of M rows each, stacked row by row,
+    that share W0.  Each array is computed per task as for that task
+    alone; with several tasks it gains a leading axis of ``episodes``, and
+    ``product`` is np.matmul over that axis, else np.dot.
+
+    The rest is the head's scratch, made once per batch and overwritten by
     every evaluation: ``gram_s`` and ``lam_s``, the halves of ``products``;
     ``probs``, the logits and then p / M; the (M, 1) ``row_max`` and
     ``row_sum``.  So one TaskConstants serves one integration at a time,
     and no array an evaluation returns is scratch.
     """
 
-    def __init__(self, W0: np.ndarray, data: EmbeddedSet, cfg: LossConfig) -> None:
+    def __init__(
+        self, W0: np.ndarray, data: EmbeddedSet, cfg: LossConfig, episodes: int = 1
+    ) -> None:
         W0 = np.asarray(W0, dtype=np.float64)
         phi = data.features
         if W0.shape != (data.way, data.dim):
@@ -110,15 +117,39 @@ class TaskConstants:
                 f"cannot combine W0 {W0.shape} with phi {phi.shape} "
                 f"and {data.way} classes"
             )
-        m, n = data.count, data.way
-        self.P0, self.target, self.lam = phi @ W0.T, data.labels / m, cfg.lam
-        self.gram_lam = np.vstack((phi @ phi.T, cfg.lam * np.eye(m)))
-        self.G = self.gram_lam[:m]
-        self.column = np.full((n, 1), float(m))
-        self.products = np.empty((2 * m, n))
-        self.gram_s, self.lam_s = self.products[:m], self.products[m:]
-        self.probs = np.empty((m, n))
-        self.row_max, self.row_sum = np.empty((m, 1)), np.empty((m, 1))
+        m, n = data.count // episodes, data.way
+        tasks = phi.reshape(episodes, m, -1)
+        self.lam, self.column = cfg.lam, np.full((n, 1), float(m))
+        lam_eye = cfg.lam * np.eye(m)
+        self._hold(
+            np.array([task @ W0.T for task in tasks]),
+            data.labels.reshape(episodes, m, n) / m,
+            np.array([np.vstack((task @ task.T, lam_eye)) for task in tasks]),
+        )
+
+    def _hold(self, P0: np.ndarray, target: np.ndarray, gram_lam: np.ndarray) -> None:
+        # The per-task arrays, each with a leading axis of tasks, kept
+        # without it for one task; then fresh scratch.
+        self.episodes = len(P0)
+        if self.episodes == 1:
+            P0, target, gram_lam = P0[0], target[0], gram_lam[0]
+        self.product = np.dot if self.episodes == 1 else np.matmul
+        m = P0.shape[-2]
+        self.P0, self.target, self.gram_lam = P0, target, gram_lam
+        self.G = gram_lam[..., :m, :]
+        self.products = np.empty(gram_lam.shape[:-1] + P0.shape[-1:])
+        self.gram_s, self.lam_s = self.products[..., :m, :], self.products[..., m:, :]
+        self.probs = np.empty(P0.shape)
+        self.row_max = np.empty(P0.shape[:-1] + (1,))
+        self.row_sum = np.empty(P0.shape[:-1] + (1,))
+
+    def take(self, index) -> "TaskConstants":
+        """The constants of the tasks at the positions ``index`` of a batch of
+        several, in that order."""
+        taken = object.__new__(TaskConstants)
+        taken.lam, taken.column = self.lam, self.column
+        taken._hold(self.P0[index], self.target[index], self.gram_lam[index])
+        return taken
 
 
 @dataclass(frozen=True)
@@ -158,7 +189,8 @@ class AugmentedState:
     """Adaptation coefficients s (M, N) and, when tracked, the tangent block X.
 
     X has shape (M, K, N) in the compact layout of ``CompactLayout``; it is
-    None when the sensitivities were not tracked.
+    None when the sensitivities were not tracked.  The state of a batch of
+    tasks has a leading axis of tasks on both.
     """
 
     s: np.ndarray
@@ -170,9 +202,10 @@ class AugmentedState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the flat state the solver integrated."""
-        m, n = self.s.shape
-        return 8 * state_entries(m, n, self.track_sensitivities)
+        """Bytes of the flat state the solver integrated, for every task."""
+        m, n = self.s.shape[-2:]
+        tasks = self.s.size // (m * n)
+        return 8 * tasks * state_entries(m, n, self.track_sensitivities)
 
 
 class CompactLayout:
@@ -199,13 +232,16 @@ def compact_layout(m: int, n: int) -> CompactLayout:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_forcing(m: int, n: int, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+def _row_forcing(
+    m: int, n: int, lo: int, hi: int, tasks: int = 1
+) -> Tuple[np.ndarray, ...]:
     """Where the forcing enters rows lo:hi of X, built once per chunk.
 
     Returns flat indices into an (M, hi - lo, N) array of those rows: the
     entries (i N + b, b) of X[i], which take the identity in dB[i,i], and
     the entries of z[j,j,m] and z[m,j,m]; then the flat indices of s_m and
-    s_j, which force the latter two.
+    s_j, which force the latter two.  For a batch of ``tasks`` they index
+    the (tasks, M, hi - lo, N) rows and the (tasks, M N) s of all of them.
     """
     count = hi - lo
     lane = np.arange(n)
@@ -219,28 +255,38 @@ def _row_forcing(m: int, n: int, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
     at_j = ((j * count + row) * n + lane).ravel()
     at_m = ((k * count + row) * n + lane).ravel()
     indices = (eye, at_j, at_m, (k * n + lane).ravel(), (j * n + lane).ravel())
+    # Task t's entries follow those of the t tasks before it.
+    task = np.arange(tasks)[:, None]
+    sizes = (m * count * n,) * 3 + (m * n,) * 2
+    indices = tuple(
+        (task * size + index).ravel() for size, index in zip(sizes, indices)
+    )
     for index in indices:
         index.setflags(write=False)
     return indices
 
 
 def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Classifier weights W = W0 - sum_m s_m phi_m' at the current state."""
+    """Classifier weights W = W0 - sum_m s_m phi_m' at the current state.
+
+    s (..., M, N) and phi (..., M, d) may hold a batch of tasks that share
+    W0, along a leading axis of both.
+    """
     W0 = np.asarray(W0, dtype=np.float64)
-    if s.shape[0] != phi.shape[0] or W0.shape != (s.shape[1], phi.shape[1]):
+    if s.shape[:-1] != phi.shape[:-1] or W0.shape != (s.shape[-1], phi.shape[-1]):
         raise DimensionMismatchError(
             f"cannot combine W0 {W0.shape}, s {s.shape}, phi {phi.shape}"
         )
-    return W0 - s.T @ phi
+    return W0 - np.swapaxes(s, -1, -2) @ phi
 
 
 def _probs_and_rate(c: TaskConstants, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Shared head of both right-hand sides at the current (M, N) s.
+    """Shared head of both right-hand sides at s of the shape of ``c.P0``.
 
     Returns q = softmax(P0 - G s) / M by rows, in the scratch ``c.probs``
     that the next evaluation overwrites, and a new ds/dt = q - Y / M - lam s.
     """
-    np.dot(c.gram_lam, s, c.products)
+    c.product(c.gram_lam, s, c.products)
     np.subtract(c.P0, c.gram_s, c.probs)
     q = softmax_rows_in_place(c.probs, c.column, c.row_max, c.row_sum)
     ds = np.subtract(q, c.target)
@@ -249,15 +295,17 @@ def _probs_and_rate(c: TaskConstants, s: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 
 def rhs_adapt(c: TaskConstants, flat: np.ndarray) -> np.ndarray:
-    """Time derivative of the flat adaptation coefficients s (M N entries)."""
+    """Time derivative of the adaptation coefficients s, M N entries per task,
+    in the shape of ``flat``."""
     _, ds = _probs_and_rate(c, flat.reshape(c.P0.shape))
-    return ds.reshape(-1)
+    return ds.reshape(flat.shape)
 
 
 def _rate_and_curvature(c: TaskConstants, s: np.ndarray):
-    """ds/dt at the flat s, and the negated curvature blocks -A_i there."""
+    """ds/dt at s, M N entries per task, in the shape of s, and the negated
+    curvature blocks -A_i there."""
     q, ds = _probs_and_rate(c, s.reshape(c.P0.shape))
-    return ds.reshape(-1), curvature_from_probs(q)
+    return ds.reshape(s.shape), curvature_from_probs(q)
 
 
 def tangent_rows(
@@ -272,20 +320,23 @@ def tangent_rows(
     """Write dX/dt for the rows X = X[:, lo:hi] of the tangent block to out.
 
     ``s`` is the flat s and ``neg_A`` holds -A_i at the same state; X and
-    out have shape (M, hi - lo, N).  This is the only place the B and z
+    out have shape (M, hi - lo, N).  For a batch of tasks s, neg_A, X and
+    out have a leading axis of tasks.  This is the only place the B and z
     equations are written down.
     """
-    m = X.shape[0]
-    eye, at_j, at_m, s_m, s_j = _row_forcing(m, X.shape[2], lo, hi)
+    m = X.shape[-3]
+    eye, at_j, at_m, s_m, s_j = _row_forcing(m, X.shape[-1], lo, hi, c.episodes)
     # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
     # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].
     # The spent Y holds lam X, so no further array of the rows is made.
-    Y = c.G @ X.reshape(m, -1)
+    Y = c.G @ X.reshape(X.shape[:-2] + (-1,))
+    # Flat, because indexing one axis costs a fraction of indexing two.
     forced = Y.reshape(-1)
     # A chunk holds B rows, z rows or both; an empty index still costs.
     if eye.size:
         forced[eye] -= 1.0
     if at_j.size:
+        s = s.reshape(-1)
         forced[at_j] += s[s_m]
         forced[at_m] += s[s_j]
     Y = Y.reshape(X.shape)
@@ -295,25 +346,53 @@ def tangent_rows(
 
 
 def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.ndarray:
-    """Time derivative of the tracked state (s, X) in the compact layout."""
-    if flat.shape != (layout.size,):
+    """Time derivative of the tracked state (s, X) in the compact layout, of
+    every task of ``c`` one after another."""
+    if flat.shape != (c.episodes * layout.size,):
         raise ValueError("rhs_full requires a tracked state; use rhs_adapt")
     m, n, mn = layout.m, layout.n, layout.m * layout.n
-    if c.P0.shape != (m, n) or c.G.shape != (m, m):
+    if c.P0.shape[-2:] != (m, n) or c.G.shape[-2:] != (m, m):
         raise DimensionMismatchError("per-task constants do not match the layout")
-    shape = (m, layout.rows, n)
-    values = np.empty(layout.size)
-    values[:mn], neg_A = _rate_and_curvature(c, flat[:mn])
+    lead = c.P0.shape[:-2]
+    shape = lead + (m, layout.rows, n)
+    values = np.empty(flat.shape)
+    state, rate = flat.reshape(lead + (-1,)), values.reshape(lead + (-1,))
+    rate[..., :mn], neg_A = _rate_and_curvature(c, state[..., :mn])
     tangent_rows(
         c,
-        flat[:mn],
+        state[..., :mn],
         neg_A,
-        flat[mn:].reshape(shape),
+        state[..., mn:].reshape(shape),
         0,
         layout.rows,
-        values[mn:].reshape(shape),
+        rate[..., mn:].reshape(shape),
     )
     return values
+
+
+def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
+    """The flow of the tasks of ``c`` as dopri5 integrates it.
+
+    Its kernels are looked up by module name at each call, as rhs_full is,
+    so that rebinding either name reaches dopri5 too.
+    """
+    m, n = c.P0.shape[-2:]
+
+    def take(index):
+        return _block(c.take(index), layout)
+
+    if layout is None:
+        return TangentBlock(
+            m * n, (0, 0, 0), lambda s: (rhs_adapt(c, s), None), None, c.episodes, take
+        )
+    return TangentBlock(
+        m * n,
+        (m, layout.rows, n),
+        lambda s: _rate_and_curvature(c, s),
+        lambda u, neg_A, X, lo, hi, out: tangent_rows(c, u, neg_A, X, lo, hi, out),
+        c.episodes,
+        take,
+    )
 
 
 def adapt(
@@ -327,6 +406,7 @@ def adapt(
     t_cap: float = DEFAULT_T_CAP,
     m_cap: int = DEFAULT_M_CAP,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
+    episodes: int | None = None,
 ) -> Tuple[np.ndarray, AugmentedState, StepStats]:
     """Integrate the adaptation flow from 0 to horizon.T.
 
@@ -338,52 +418,58 @@ def adapt(
     plus chunk scratch of 15 chunk-sized vectors (about 15 *
     ``solver.CHUNK_BYTES``), or one matrix of 15 state-sized rows for an
     untracked state or one within a chunk.
+
+    With ``episodes`` = E, phi_train (E M, d) and labels (E M, N) hold the
+    train splits of E tasks of M examples each, stacked row by row, which
+    adapt from the same W0 for the same horizon in one integrate call.  W(T)
+    is then (E, N, d), s and X gain a leading axis of E, the budget bounds
+    the states of all E tasks, and the StepStats hold the totals over the
+    tasks, the largest stiffness and, in ``episodes``, each task's own.
+    Under dopri5 each task takes the steps it would take alone; a task whose
+    state spans several chunks is integrated one at a time.
     """
     W0 = np.asarray(W0, dtype=np.float64)
     data = EmbeddedSet(phi_train, labels)
-    m, n = data.count, data.way
+    count = 1 if episodes is None else episodes
+    if count < 1 or data.count % count:
+        raise DimensionMismatchError(
+            f"{data.count} rows do not split into {count} tasks of equal size"
+        )
+    m, n = data.count // count, data.way
     T = horizon.T
     # Written so that a NaN T fails it too.
     if not T <= t_cap:
         raise ValueError(f"horizon T={T:g} is not within the hard cap {t_cap:g}")
     if m > m_cap:
         raise MemoryBudgetError(f"M={m} exceeds the example cap {m_cap}")
-    flat_entries = state_entries(m, n, track)
+    flat_entries = count * state_entries(m, n, track)
     if flat_entries * 8 > memory_budget:
         raise MemoryBudgetError(
             f"augmented state needs {flat_entries * 8} bytes, "
             f"budget is {memory_budget}"
         )
 
-    consts = TaskConstants(W0, data, cfg)
+    consts = TaskConstants(W0, data, cfg, count)
+    layout = compact_layout(m, n) if track else None
 
     if track:
-        layout = compact_layout(m, n)
 
         def rhs(flat: np.ndarray) -> np.ndarray:
             return rhs_full(consts, flat, layout)
-
-        # dopri5 reads the block from the rhs and integrates X in row
-        # chunks; euler and rk4 call rhs_full.  As an attribute the block
-        # survives wrappers made with functools.wraps, which copy it.  Its
-        # kernels are looked up by module name at each call, as rhs_full
-        # is, so that rebinding either name reaches the chunked path too.
-        rhs.tangent = TangentBlock(
-            m * n,
-            (m, layout.rows, n),
-            lambda s: _rate_and_curvature(consts, s),
-            lambda u, neg_A, X, lo, hi, out: tangent_rows(
-                consts, u, neg_A, X, lo, hi, out
-            ),
-        )
 
     else:
 
         def rhs(flat: np.ndarray) -> np.ndarray:
             return rhs_adapt(consts, flat)
 
+    # dopri5 reads the block from the rhs; euler and rk4 call the rhs.  As
+    # an attribute the block survives wrappers made with functools.wraps,
+    # which copy it.
+    rhs.tangent = _block(consts, layout)
     end, stats = integrate(rhs, np.zeros(flat_entries), 0.0, T, solver)
-    s = end[: m * n].reshape(m, n)
-    X = end[m * n :].reshape(m, layout.rows, n) if track else None
-    W_T = reconstruct_W(W0, s, data.features)
+    lead = () if episodes is None else (count,)
+    states = end.reshape(count, -1)
+    s = states[:, : m * n].reshape(lead + (m, n))
+    X = states[:, m * n :].reshape(lead + (m, layout.rows, n)) if track else None
+    W_T = reconstruct_W(W0, s, data.features.reshape(lead + (m, -1)))
     return W_T, AugmentedState(s, X), stats

@@ -18,6 +18,7 @@ vector.  The outer (test) loss is always plain unregularized cross-entropy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -60,6 +61,18 @@ class EmbeddedSet:
     def count(self) -> int:
         return self.features.shape[0]
 
+    def split(self, counts: Sequence[int]) -> List["EmbeddedSet"]:
+        """Consecutive runs of ``counts`` rows, as sets that are not checked
+        again: they are views of this checked one."""
+        bounds = np.cumsum([0, *counts])
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = object.__new__(EmbeddedSet)
+            object.__setattr__(part, "features", self.features[lo:hi])
+            object.__setattr__(part, "labels", self.labels[lo:hi])
+            parts.append(part)
+        return parts
+
     @property
     def dim(self) -> int:
         return self.features.shape[1]
@@ -95,18 +108,21 @@ def softmax_rows_in_place(
     row_max: np.ndarray | None = None,
     row_sum: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Overwrite a float64 (M, N) logit matrix with its row softmax, each
+    """Overwrite a float64 (..., M, N) logit array with its row softmax, each
     row divided by the value that fills the (N, 1) ``column``.
 
     The row totals are one matrix product with the column, which on short
     rows costs half of a reduction along them.  ``row_max`` and ``row_sum``
-    are optional (M, 1) buffers for the row maxima and totals.
+    are optional (..., M, 1) buffers for the row maxima and totals.
     """
     # Max-subtraction keeps exp() from overflowing on large logits.
-    np.subtract(logits, np.maximum.reduce(logits, 1, None, row_max, True), logits)
+    np.subtract(logits, np.maximum.reduce(logits, -1, None, row_max, True), logits)
     np.exp(logits, logits)
-    # np.dot, not np.matmul: on arrays this small it has less call overhead.
-    np.divide(logits, np.dot(logits, column, row_sum), logits)
+    # np.dot on one matrix: on arrays this small it has less call overhead
+    # than np.matmul, which a stack of matrices needs to round as np.dot
+    # does on each of them.
+    product = np.dot if logits.ndim == 2 else np.matmul
+    np.divide(logits, product(logits, column, row_sum), logits)
     return logits
 
 
@@ -150,19 +166,19 @@ def inner_grad(
 
 def curvature_from_probs(q: np.ndarray) -> np.ndarray:
     """The negated per-example blocks -A_m = (p_m p_m' - diag(p_m)) / M,
-    stacked as an (M, N, N) array, from the (M, N) matrix q of the rows
-    p_m / M of a row-stochastic p.
+    stacked as an (..., M, N, N) array, from the (..., M, N) array q of the
+    rows p_m / M of a row-stochastic p.
 
     In q the blocks are -A_m = M q_m q_m' - diag(q_m): one outer product,
     exactly symmetric, scaled by M, then the diagonal.  The flow multiplies
     by -A_m, so it takes the sign here at no extra pass.
     """
-    m, n = q.shape
+    m, n = q.shape[-2:]
     # C order whatever the order of q, so the reshape below is a view.
-    blocks = np.multiply(q[:, :, None], q[:, None, :], order="C")
+    blocks = np.multiply(q[..., None], q[..., None, :], order="C")
     blocks *= m
-    # The diagonals of all M blocks, as one strided view.
-    blocks.reshape(m, n * n)[:, :: n + 1] -= q
+    # The diagonals of all blocks, as one strided view.
+    blocks.reshape(-1, n * n)[:, :: n + 1] -= q.reshape(-1, n)
     return blocks
 
 

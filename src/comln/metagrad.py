@@ -33,7 +33,7 @@ increasing T helps exactly when the two point the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -148,6 +148,140 @@ def grad_T(V: np.ndarray, inner_grad_at_WT: np.ndarray) -> float:
     return -float(np.sum(V * inner_grad_at_WT))
 
 
+class TaskFailure(RuntimeError):
+    """Task ``task`` of a meta-batch failed; its exception is the cause."""
+
+    def __init__(self, task: int, cause: BaseException) -> None:
+        super().__init__(f"task {task}: {cause}")
+        self.task = task
+
+
+def batch_metagrads(
+    meta: "MetaParams",
+    episodes: Sequence[Episode],
+    cfg: LossConfig,
+    solver: SolverConfig,
+) -> List[MetaGradients]:
+    """The MetaGradients of every episode of a meta-batch, in order.
+
+    For each episode this is what ``task_metagrads`` computes: the tracked
+    adaptation flow on its train split, the projection of the outer-loss
+    partial onto the tangent block X, and one backward pass of the
+    gradients in the embeddings of each split through the network.  The
+    direct outer partial for train embeddings is zero because the two
+    splits are disjoint, so ``grad_phi_train`` is the projection alone.
+
+    The train splits of one size adapt together, stacked, in one
+    ``adapt`` call, in which each episode still takes the solver steps it
+    would take alone; the embeddings and labels of all splits are checked
+    once, together.  A failing episode raises TaskFailure with its index.
+    """
+    params = meta.phi_params
+    embedded = []
+    for i, episode in enumerate(episodes):
+        try:
+            if episode.train.dim != params.input_dim:
+                raise DimensionMismatchError(
+                    f"episode inputs have dim {episode.train.dim}, "
+                    f"embedding expects {params.input_dim}"
+                )
+            if meta.W0.shape != (episode.way, params.output_dim):
+                raise DimensionMismatchError(
+                    f"W0 has shape {meta.W0.shape}, expected "
+                    f"{(episode.way, params.output_dim)}"
+                )
+            embedded.append(
+                (
+                    embed_set(params, episode.train.features),
+                    embed_set(params, episode.test.features),
+                )
+            )
+        except Exception as exc:
+            raise TaskFailure(i, exc) from exc
+    # Every train split, then every test split, as one checked set.
+    order = [pair[0] for pair in embedded] + [pair[1] for pair in embedded]
+    splits = [e.train for e in episodes] + [e.test for e in episodes]
+    features = np.concatenate([phi for phi, _ in order])
+    labels = np.concatenate([split.labels for split in splits])
+    try:
+        sets = EmbeddedSet(features, labels).split([len(phi) for phi, _ in order])
+    except ValueError as exc:
+        # Each episode's labels were checked when it was made, so one of the
+        # embeddings is not finite.
+        finite = [np.isfinite(phi).all() for phi, _ in order]
+        bad = finite.index(False) % len(episodes) if not all(finite) else 0
+        raise TaskFailure(bad, exc) from exc
+    train_sets, test_sets = sets[: len(episodes)], sets[len(episodes) :]
+
+    sizes: dict = {}
+    for i, episode in enumerate(episodes):
+        sizes.setdefault(episode.train.count, []).append(i)
+    horizon = Horizon(meta.log_T)
+    bundles: List[MetaGradients] = [None] * len(episodes)
+    for tasks in sizes.values():
+        try:
+            W_T, state, stats = adapt(
+                meta.W0,
+                np.concatenate([train_sets[i].features for i in tasks]),
+                np.concatenate([train_sets[i].labels for i in tasks]),
+                cfg,
+                horizon,
+                solver,
+                track=True,
+                episodes=len(tasks),
+            )
+        except Exception as exc:
+            # A solver error names the row it happened in; others hold for
+            # every task of this size, and name the first.
+            raise TaskFailure(tasks[getattr(exc, "episode", None) or 0], exc) from exc
+        for row, i in enumerate(tasks):
+            try:
+                bundles[i] = _bundle(
+                    meta, cfg, horizon, W_T[row], state.s[row], state.X[row],
+                    stats.episodes[row], train_sets[i], test_sets[i], embedded[i],
+                )
+            except Exception as exc:
+                raise TaskFailure(i, exc) from exc
+    return bundles
+
+
+def _bundle(meta, cfg, horizon, W_T, s, X, stats, train, test, embedded):
+    """One episode's MetaGradients from its adapted state and embeddings."""
+    (_, train_tape), (_, test_tape) = embedded
+    phi_train = train.features
+    V, g_phi_test = outer_partials(W_T, test)
+    C, D = coupling_matrix(V, X, phi_train)
+    g_W0 = project_W0(V, C, phi_train)
+    g_phi_train = project_phi(V, s, C, D, phi_train, meta.W0)
+
+    g_inner, _ = inner_grad(W_T, meta.W0, train, cfg)
+    g_T = grad_T(V, g_inner)
+
+    emb_grads = [
+        (train_w + test_w, train_b + test_b)
+        for (train_w, train_b), (test_w, test_b) in zip(
+            backward(meta.phi_params, train_tape, g_phi_train),
+            backward(meta.phi_params, test_tape, g_phi_test),
+        )
+    ]
+
+    predictions = np.argmax(test.features @ W_T.T, axis=1)
+    truth = np.argmax(test.labels, axis=1)
+    return MetaGradients(
+        grad_W0=g_W0,
+        grad_phi_train=g_phi_train,
+        grad_phi_test=g_phi_test,
+        grad_T=g_T,
+        grad_logT=horizon.T * g_T,
+        grad_embedding=tuple(emb_grads),
+        outer_loss=float(outer_loss(W_T, test)),
+        test_accuracy=float(np.mean(predictions == truth)),
+        rhs_evals=stats.rhs_evals,
+        rejected_steps=stats.rejected_steps,
+        stiffness=stats.stiffness,
+    )
+
+
 def task_metagrads(
     meta: "MetaParams",
     episode: Episode,
@@ -156,67 +290,11 @@ def task_metagrads(
 ) -> MetaGradients:
     """Adapt on the episode's train split and bundle every meta-gradient.
 
-    Runs the tracked adaptation flow, projects the outer-loss partial
-    onto the tangent block X, and backpropagates the gradients in
-    the embeddings of each split through the network in one pass.  The
-    direct outer partial for train embeddings is zero because the two
-    splits are disjoint, so ``grad_phi_train`` is the projection alone.
+    The meta-batch of one of ``batch_metagrads``; a failure raises the
+    episode's own exception.
     """
-    params = meta.phi_params
-    if episode.train.dim != params.input_dim:
-        raise DimensionMismatchError(
-            f"episode inputs have dim {episode.train.dim}, "
-            f"embedding expects {params.input_dim}"
-        )
-    if meta.W0.shape != (episode.way, params.output_dim):
-        raise DimensionMismatchError(
-            f"W0 has shape {meta.W0.shape}, expected "
-            f"{(episode.way, params.output_dim)}"
-        )
-    phi_train, train_tape = embed_set(params, episode.train.features)
-    phi_test, test_tape = embed_set(params, episode.test.features)
-    train_set = EmbeddedSet(phi_train, episode.train.labels)
-    test_set = EmbeddedSet(phi_test, episode.test.labels)
-
-    horizon = Horizon(meta.log_T)
-    W_T, state, stats = adapt(
-        meta.W0,
-        phi_train,
-        episode.train.labels,
-        cfg,
-        horizon,
-        solver,
-        track=True,
-    )
-
-    V, g_phi_test = outer_partials(W_T, test_set)
-    C, D = coupling_matrix(V, state.X, phi_train)
-    g_W0 = project_W0(V, C, phi_train)
-    g_phi_train = project_phi(V, state.s, C, D, phi_train, meta.W0)
-
-    g_inner, _ = inner_grad(W_T, meta.W0, train_set, cfg)
-    g_T = grad_T(V, g_inner)
-
-    emb_grads = [
-        (train_w + test_w, train_b + test_b)
-        for (train_w, train_b), (test_w, test_b) in zip(
-            backward(params, train_tape, g_phi_train),
-            backward(params, test_tape, g_phi_test),
-        )
-    ]
-
-    predictions = np.argmax(phi_test @ W_T.T, axis=1)
-    truth = np.argmax(episode.test.labels, axis=1)
-    return MetaGradients(
-        grad_W0=g_W0,
-        grad_phi_train=g_phi_train,
-        grad_phi_test=g_phi_test,
-        grad_T=g_T,
-        grad_logT=horizon.T * g_T,
-        grad_embedding=tuple(emb_grads),
-        outer_loss=float(outer_loss(W_T, test_set)),
-        test_accuracy=float(np.mean(predictions == truth)),
-        rhs_evals=stats.rhs_evals,
-        rejected_steps=stats.rejected_steps,
-        stiffness=stats.stiffness,
-    )
+    try:
+        (bundle,) = batch_metagrads(meta, [episode], cfg, solver)
+    except TaskFailure as failure:
+        raise failure.__cause__ from None
+    return bundle

@@ -4,15 +4,16 @@ Integrates autonomous systems dy/dt = rhs(y) from t0 to t1 with either a
 fixed-step scheme (explicit Euler, classic fourth-order Runge-Kutta) or the
 Dormand-Prince 5(4) embedded pair with adaptive step size.  The state is a
 single one-dimensional float64 vector; what its entries mean is the
-caller's business.
+caller's business, except that a TangentBlock (below) may cut it into the
+states of several independent episodes.
 
 Dormand-Prince has the first-same-as-last property: its seventh stage is
 the derivative at the new state, so an accepted step hands it to the next
-step as its first stage.  A dopri5 run therefore costs one evaluation plus
-six per step, accepted or rejected, plus one per rejected step of a chunked
-state (see below).  Every stage input and the error
-estimate is a single matrix-vector product over a stage matrix whose rows
-are y and the seven stages.
+step as its first stage.  A dopri5 run therefore costs, for each episode
+of the state, one evaluation plus six per step, accepted or rejected, plus
+one per rejected step of a chunked state (see below).  Every stage input
+and the error estimate is a single matrix-vector product over a stage
+matrix whose rows are y and the seven stages.
 
 dopri5 starts with the step span/100 and scales the step after every
 trial by 0.9 err^(-1/5), kept within [0.2, 5].  Only after a first step
@@ -21,23 +22,39 @@ SUNDIALS allows (eta_max1): on a short horizon that start is far more
 accurate than asked, and the next step goes straight to the size accuracy
 permits instead of climbing there by factors of 5.
 
-An rhs may carry a ``tangent`` attribute, a TangentBlock: the state is a
-head u followed by a block X whose rows evolve independently once u is
-known.  dopri5 then never calls the rhs itself.  Each step first takes
-all six stages of u, then, chunk by chunk of rows sized by CHUNK_BYTES,
-all six stages of those rows while they stay in cache, adding each
-chunk's share to the whole-vector error norm.  The state then lives in
-three state-sized vectors: y, the candidate y_new and one stage vector k.
-k holds the first stage when a step starts; each chunk copies its part into
-its stage matrix and, as the sweep leaves it, writes its last stage there.
-An accepted step swaps y and y_new by reference and finds the next first
-stage in k.  A rejected step evaluates the first stage at y again (Hairer,
-Norsett & Wanner, Solving ODEs I, II.5: only the first-same-as-last stage
-can be recomputed); the rhs is deterministic, so that stage is the one the
-trial overwrote, bit for bit.  Each step reads y and k once and writes
-y_new and k once, and every other pass runs over one chunk.  A block whose
-rows fit one chunk is integrated in place in the stage matrix.  euler and
-rk4 call the rhs.
+An rhs may carry a ``tangent`` attribute, a TangentBlock: the state is
+then ``episodes`` independent states one after another, each a head u
+followed by a block X whose rows evolve independently once u is known.
+dopri5 then never calls the rhs itself, and the size of one episode's
+state decides the path:
+
+- An episode state that fits one chunk of CHUNK_BYTES is one row of an
+  episode axis.  Each row has its own (15, size) stage matrix, each stage
+  input of all rows is one batched product with per-row weights, and the
+  block evaluates all rows in one call.  Every row keeps its own t, h,
+  error norm, accept/reject decision, first-step growth, evaluation budget
+  and stiffness, as an ODE solver under jax.vmap does in diffrax (Kidger,
+  2021), not one step for the whole batch: a row takes the steps it would
+  take alone, bit for bit.  A row that reaches t1 leaves the active set,
+  and the block's ``take`` narrows its kernels to the rows left.  A plain
+  rhs is one episode on this path.
+- A larger episode state is integrated one episode at a time.  Each step
+  first takes all six stages of u, then, chunk by chunk of rows sized by
+  CHUNK_BYTES, all six stages of those rows while they stay in cache,
+  adding each chunk's share to the whole-vector error norm.  The state
+  then lives in three state-sized vectors: y, the candidate y_new and one
+  stage vector k.  k holds the first stage when a step starts; each chunk
+  copies its part into its stage matrix and, as the sweep leaves it,
+  writes its last stage there.  An accepted step swaps y and y_new by
+  reference and finds the next first stage in k.  A rejected step
+  evaluates the first stage at y again (Hairer, Norsett & Wanner, Solving
+  ODEs I, II.5: only the first-same-as-last stage can be recomputed); the
+  rhs is deterministic, so that stage is the one the trial overwrote, bit
+  for bit.  Each step reads y and k once and writes y_new and k once, and
+  every other pass runs over one chunk.
+
+euler and rk4 call the rhs on the whole vector, so every episode of a
+batched state takes the same fixed steps.
 
 The rhs receives a vector that the solver reuses for later stages, so the
 rhs must not keep references to its input between calls.  It may return a
@@ -47,27 +64,41 @@ matrix before it writes to that buffer again.
 Every right-hand-side evaluation is counted exactly, and exceeding the
 configured evaluation budget is an error rather than a silent partial
 result.  Budget and non-finite errors name the time reached and the
-accepted and rejected step counts.  All arithmetic is in float64 and fully
-deterministic: identical inputs produce bit-identical outputs and step
-statistics.
+accepted and rejected step counts, and for a state of several episodes
+the episode row.  A numpy warning made an error by a warnings filter, which
+a stage that turned non-finite raises from the next stage product, becomes
+the same NonFiniteStateError; a caller's np.errstate still rules inside
+the rhs.  All arithmetic is in float64 and fully deterministic: identical
+inputs produce bit-identical outputs and step statistics.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
 
 class BudgetExceededError(RuntimeError):
-    """The integration would exceed the configured rhs evaluation budget."""
+    """The integration would exceed the configured rhs evaluation budget.
+
+    ``episode`` is the row of a batched state that ran out, else None.
+    """
+
+    episode: int | None = None
 
 
 class NonFiniteStateError(ArithmeticError):
-    """A NaN or Inf appeared in the state during integration."""
+    """A NaN or Inf appeared in the state during integration.
+
+    ``episode`` is the row of a batched state that turned non-finite, else
+    None.
+    """
+
+    episode: int | None = None
 
 
 @dataclass(frozen=True)
@@ -101,6 +132,11 @@ class SolverConfig:
 class StepStats:
     """Exact counts of work done by one integrate() call.
 
+    For a state of several episodes the counts are the sums over the
+    episodes, ``stiffness`` is the largest of theirs, and ``episodes``
+    holds each episode's own StepStats in order; every integrate() call
+    fills it, with one entry for a single state.
+
     ``stiffness`` is the largest h rho over accepted dopri5 steps, with
     rho = |k_7 - k_6| / |y_7 - y_6| the Hairer-Wanner estimate of the
     dominant eigenvalue from the last two stages (Solving ODEs II, IV.2).
@@ -115,24 +151,32 @@ class StepStats:
     accepted_steps: int = 0
     rejected_steps: int = 0
     stiffness: float = 0.0
+    episodes: Tuple["StepStats", ...] = ()
 
 
 @dataclass(frozen=True)
 class TangentBlock:
-    """Row structure of a state y = (u, X) that dopri5 integrates in chunks.
+    """Row structure of ``episodes`` states y = (u, X) one after another.
 
-    y is the head u, its first ``head`` entries, followed by X of shape
-    ``shape`` = (lanes, rows, width) in C order.  ``rate(u)`` returns
-    du/dt, which reads u alone, and coefficients for ``rows``.
-    ``rows(u, coefficients, X_part, lo, hi, out)`` writes dX/dt for the
-    rows X_part = X[:, lo:hi] into ``out`` of the same shape; it reads
-    nothing of X outside those rows.
+    Each holds the head u, its first ``head`` entries, followed by X of
+    shape ``shape`` = (lanes, rows, width) in C order.  ``rate(u)``
+    returns du/dt in the shape of u, which reads u alone, and coefficients
+    for ``rows``.  ``rows(u, coefficients, X_part, lo, hi, out)`` writes
+    dX/dt for the rows X_part = X[:, lo:hi] into ``out`` of the same shape;
+    it reads nothing of X outside those rows.  ``rows`` is None when the
+    block is empty.  With one episode u has shape (head,) and X_part
+    (lanes, hi - lo, width); with A > 1 they gain a leading axis of A, one
+    row per episode.  ``take(index)`` returns the block of the episodes at
+    the positions ``index``, in that order; a block of one episode need not
+    have it.
     """
 
     head: int
     shape: Tuple[int, int, int]
     rate: Callable[[np.ndarray], Tuple[np.ndarray, object]]
-    rows: Callable[..., None]
+    rows: Callable[..., None] | None
+    episodes: int = 1
+    take: Callable[[List[int]], "TangentBlock"] | None = None
 
 
 # dopri5 forms all six stages of one chunk of tangent rows before the next,
@@ -198,24 +242,77 @@ def _fixed_step_count(span: float, step: float) -> int:
     return max(n, 1)
 
 
-def _where(t: float, stats: StepStats) -> str:
-    return (
-        f"at t={t:.6g} after {stats.accepted_steps} accepted and "
-        f"{stats.rejected_steps} rejected steps"
+def _failure(error, message: str, t: float, stats: StepStats, episode=None):
+    """``error`` with the message, the time reached and the step counts.
+
+    ``episode`` is the row of a batched state it happened in, named in the
+    message and kept on the exception; None for a single state.
+    """
+    row = "" if episode is None else f"in episode {episode} "
+    exc = error(
+        f"{message} {row}at t={t:.6g} after {stats.accepted_steps} accepted "
+        f"and {stats.rejected_steps} rejected steps"
     )
+    exc.episode = episode
+    return exc
 
 
-def _shape_error(derivative, n: int, t: float, stats: StepStats) -> ValueError:
+def _shape_error(derivative, shape, t: float, stats: StepStats, episode=None):
     # Refused, not broadcast: a derivative of another size is a bug in rhs.
-    return ValueError(
-        f"rhs returned shape {np.shape(derivative)} for a state of shape "
-        f"({n},) {_where(t, stats)}"
-    )
+    message = f"rhs returned shape {np.shape(derivative)} for a state of shape {shape}"
+    return _failure(ValueError, message, t, stats, episode)
 
 
-def _budget_error(config: SolverConfig, t: float, stats: StepStats):
-    return BudgetExceededError(
-        f"rhs evaluation budget of {config.max_evals} exhausted {_where(t, stats)}"
+def _budget_error(config: SolverConfig, t: float, stats: StepStats, episode=None):
+    message = f"rhs evaluation budget of {config.max_evals} exhausted"
+    return _failure(BudgetExceededError, message, t, stats, episode)
+
+
+def _scale_error(err, y, y_new, scale, diff, config: SolverConfig) -> None:
+    """Divide the error estimate err by atol + rtol * max(|y|, |y_new|),
+    which is formed in scale with diff as scratch."""
+    np.abs(y, out=scale)
+    np.abs(y_new, out=diff)
+    np.maximum(scale, diff, out=scale)
+    scale *= config.rtol
+    scale += config.atol
+    err /= scale
+
+
+def _judge(stats: StepStats, h: float, err_sq, n: int, dk_sq, dy_sq):
+    """Count a dopri5 trial of step h in ``stats`` and choose the next step.
+
+    ``err_sq`` is the squared scaled error summed over the n entries of the
+    state, ``dk_sq`` and ``dy_sq`` the squares |k_6 - k_5|^2 and
+    |y_new - u_5|^2 of the stiffness estimate.  Returns whether the trial
+    was accepted, and the next step.
+    """
+    # An empty state has no error; its steps grow until they reach t1.
+    err_norm = math.sqrt(err_sq / n) if n else 0.0
+    accepted = err_norm <= 1.0
+    if accepted:
+        stats.accepted_steps += 1
+        if dy_sq > 0.0:
+            stats.stiffness = max(stats.stiffness, h * math.sqrt(dk_sq / dy_sq))
+    else:
+        stats.rejected_steps += 1
+    # Holds once: right after a first step accepted without a rejection.
+    first = stats.accepted_steps == 1 and not stats.rejected_steps
+    factor_max = _FIRST_FACTOR_MAX if first else _FACTOR_MAX
+    if err_norm == 0.0:
+        return accepted, h * factor_max
+    factor = min(max(_SAFETY * err_norm**_ORDER_EXP, _FACTOR_MIN), factor_max)
+    return accepted, h * factor
+
+
+def _totals(rows) -> StepStats:
+    """The StepStats of a batch of episodes with the StepStats ``rows``."""
+    return StepStats(
+        sum(row.rhs_evals for row in rows),
+        sum(row.accepted_steps for row in rows),
+        sum(row.rejected_steps for row in rows),
+        max(row.stiffness for row in rows),
+        tuple(rows),
     )
 
 
@@ -232,13 +329,14 @@ def integrate(
     returned y(t1) is a new vector of the same size.  ``rhs`` must be a pure
     function mapping such a vector to the vector of its derivatives, and
     must not keep references to its input.  An ``rhs.tangent`` TangentBlock
-    describing the same derivative lets dopri5 integrate its rows in
-    chunks.  Raises ValueError for a y0 that is not one-dimensional, for
+    describing the same derivative lets dopri5 integrate its episodes as
+    rows or its rows in chunks; y0 then holds its episodes one after
+    another.  Raises ValueError for a y0 that is not one-dimensional, for
     non-finite or reversed times, for a derivative whose shape is not that
-    of y0 and for a tangent block that does not fill y0,
+    of its state and for a tangent block that does not fill y0,
     BudgetExceededError if the run would need more rhs evaluations than
-    ``config.max_evals`` and NonFiniteStateError if the initial or any
-    intermediate state is not finite.
+    ``config.max_evals`` for an episode and NonFiniteStateError if the
+    initial or any intermediate state is not finite.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 1:
@@ -250,32 +348,44 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise NonFiniteStateError(f"initial state contains NaN or Inf at t={t0:.6g}")
 
-    stats = StepStats()
+    block = getattr(rhs, "tangent", None)
+    episodes = block.episodes if block is not None else 1
     span = t1 - t0
     if span == 0.0:
-        return y0.copy(), stats
+        return y0.copy(), _totals([StepStats() for _ in range(episodes)])
     if config.method == "dopri5":
-        return _run_dopri5(rhs, y0, t0, span, config, stats), stats
+        return _run_dopri5(rhs, block, y0, t0, span, config)
 
     step = config.fixed_step
+    stats = StepStats()
+    # Every episode takes the same steps, so the first one names a failure.
+    row = 0 if episodes > 1 else None
 
     def f(values: np.ndarray) -> np.ndarray:
+        t = t0 + stats.accepted_steps * step
         if stats.rhs_evals >= config.max_evals:
-            raise _budget_error(config, t0 + stats.accepted_steps * step, stats)
+            raise _budget_error(config, t, stats, row)
         stats.rhs_evals += 1
         derivative = rhs(values)
         if np.shape(derivative) != y0.shape:
-            t = t0 + stats.accepted_steps * step
-            raise _shape_error(derivative, y0.size, t, stats)
+            raise _shape_error(derivative, y0.shape, t, stats, row)
         return derivative
 
     one_step = _euler_step if config.method == "euler" else _rk4_step
-    try:
-        y = _run_fixed(f, y0.copy(), span, step, stats, one_step)
-    except NonFiniteStateError as exc:
-        where = _where(t0 + stats.accepted_steps * step, stats)
-        raise NonFiniteStateError(f"{exc} {where}") from None
-    return y, stats
+    n = _fixed_step_count(span, step)
+    y = y0.copy()
+    for k in range(n):
+        # Final step is shortened to land exactly on the end time.
+        h = span - k * step if k == n - 1 else step
+        y = one_step(f, y, h)
+        if not np.all(np.isfinite(y)):
+            finite = np.isfinite(y.reshape(episodes, -1)).all(axis=1)
+            message = f"state became non-finite at step {k + 1}"
+            t = t0 + stats.accepted_steps * step
+            bad = int(np.argmin(finite)) if row is not None else None
+            raise _failure(NonFiniteStateError, message, t, stats, bad)
+        stats.accepted_steps += 1
+    return y, _totals([replace(stats) for _ in range(episodes)])
 
 
 def _euler_step(f, y, h):
@@ -290,52 +400,247 @@ def _rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _run_fixed(f, y, span, step, stats, one_step):
-    n = _fixed_step_count(span, step)
-    for k in range(n):
-        # Final step is shortened to land exactly on the end time.
-        h = span - k * step if k == n - 1 else step
-        y = one_step(f, y, h)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(f"state became non-finite at step {k + 1}")
-        stats.accepted_steps += 1
-    return y
-
-
-def _run_dopri5(rhs, y0, t0, span, config, stats):
-    n = y0.size
-    # A plain rhs is a head of n entries with an empty block.
-    block = getattr(rhs, "tangent", None) or TangentBlock(
-        n, (0, 0, 0), lambda values: (rhs(values), None), None
-    )
+def _run_dopri5(rhs, block, y0, t0, span, config):
+    if block is None:
+        # A plain rhs is one episode: a head of n entries with an empty block.
+        block = TangentBlock(y0.size, (0, 0, 0), lambda u: (rhs(u), None), None)
     head, (lanes, rows, width) = block.head, block.shape
-    if head + lanes * rows * width != n:
+    size, episodes = head + lanes * rows * width, block.episodes
+    if episodes * size != y0.size:
         raise ValueError(
-            f"tangent block {block.shape} after {head} entries does not "
-            f"fill a state of shape ({n},)"
+            f"{episodes} episode(s) of a tangent block {block.shape} after "
+            f"{head} entries does not fill a state of shape ({y0.size},)"
         )
+    states = y0.reshape(episodes, size)
+    if len(_segments(head, lanes, rows, width, CHUNK_BYTES)) == 1:
+        y, stats = _run_rows(block, states, t0, span, config)
+        return y.reshape(-1), _totals(stats)
+    # One episode at a time, each in three state-sized vectors.
+    stats = [StepStats() for _ in range(episodes)]
+    if episodes == 1:
+        y = _run_chunked(block, states[0], t0, span, config, stats[0])
+        return y, _totals(stats)
+    y = np.empty((episodes, size))
+    for episode in range(episodes):
+        one = block.take([episode])
+        y[episode] = _run_chunked(
+            one, states[episode], t0, span, config, stats[episode], episode
+        )
+    return y.reshape(-1), _totals(stats)
+
+
+def _run_rows(block, y0, t0, span, config):
+    """dopri5 on the rows of y0, one episode state each, every row in its own
+    steps.  Returns y(t1) as an array of y0's shape, and each row's StepStats.
+    """
+    episodes, size = y0.shape
+    head, (lanes, rows, width) = block.head, block.shape
+    named = episodes > 1  # whether an error names its episode
+    stats = [StepStats() for _ in range(episodes)]
+    out = np.empty_like(y0)
+    # The episode each active row integrates, its time and its next step.
+    order = list(range(episodes))
+    t = [0.0] * episodes
+    h = [min(max(span / 100.0, 1e-8), span)] * episodes
+    evals = 0  # evaluations of every active row: they move in lockstep
+    # Row e holds the stage matrix of the e-th active episode.  Its rows 0-7
+    # are y and the derivatives k_0..k_6; rows 8-14 are free, then the
+    # inputs of stages 1..6, the last of which is the candidate y_new.
+    # Zeros, so that the warning handler below meets only values a step wrote.
+    matrix = np.zeros((episodes, 15, size))
+    matrix[:, 0] = y0
+
+    def arrange(matrix):
+        # The views and products over the active rows, made once per active
+        # set.  One row takes 1-D views and np.dot, which costs less per call
+        # than np.matmul and rounds the same.
+        active = len(matrix)
+        weights = np.empty((active, 8, 8))
+        if active == 1:
+            one, w = matrix[0], weights[0]
+            rows_of = one
+            # The error estimate, then the inputs of stages 1..6.
+            products = [functools.partial(np.dot, w[7, 1:], one[1:8], one[8])]
+            products += [
+                functools.partial(np.dot, w[s, : s + 1], one[: s + 1], one[8 + s])
+                for s in range(1, 7)
+            ]
+
+            def set_weights(h):
+                np.multiply(_DP_WEIGHTS, h[0], out=w)
+                w[1:7, 0] = 1.0
+
+            def squares(v):
+                return (np.dot(v, v),)
+
+        else:
+            rows_of = matrix.swapaxes(0, 1)
+            products = [
+                functools.partial(
+                    np.matmul, weights[:, 7:8, 1:], matrix[:, 1:8], out=matrix[:, 8:9]
+                )
+            ]
+            products += [
+                functools.partial(
+                    np.matmul,
+                    weights[:, s : s + 1, : s + 1],
+                    matrix[:, : s + 1],
+                    out=matrix[:, 8 + s : 9 + s],
+                )
+                for s in range(1, 7)
+            ]
+            column = np.empty((active, 1, 1))
+
+            def set_weights(h):
+                column[:, 0, 0] = h
+                np.multiply(_DP_WEIGHTS, column, out=weights)
+                weights[:, 1:7, 0] = 1.0
+
+            def squares(v):
+                return np.matmul(v[:, None, :], v[:, :, None]).ravel().tolist()
+
+        # The head's part of each stage input and derivative, and the
+        # block's as (lanes, rows, width) arrays, with the episode axis in
+        # front for several rows.
+        inputs, derivatives = [rows_of[0], *rows_of[9:]], rows_of[1:8]
+        shape = (lanes, rows, width) if active == 1 else (active, lanes, rows, width)
+        heads = [row[..., :head] for row in inputs]
+        rates = [row[..., :head] for row in derivatives]
+        blocks = None
+        if rows:
+            blocks = [
+                (x[..., head:].reshape(shape), k[..., head:].reshape(shape))
+                for x, k in zip(inputs, derivatives)
+            ]
+        # y, k_0, k_5, k_6, y_new, u_5, and three rows for the error: k_1 and
+        # k_2 are spent once it is formed, and hold the scale
+        # atol + rtol * max(|y|, |y_new|) and a difference.
+        used = [rows_of[r] for r in (0, 1, 6, 7, 14, 13, 8, 2, 3)]
+        return set_weights, products, squares, heads, rates, blocks, used
+
+    set_weights, products, squares, heads, rates, blocks, used = arrange(matrix)
+
+    def evaluate(stage):
+        nonlocal evals
+        u = heads[stage]
+        if evals >= config.max_evals:
+            first = order[0]
+            episode = first if named else None
+            raise _budget_error(config, t0 + t[0], stats[first], episode)
+        evals += 1
+        derivative, coefficients = block.rate(u)
+        if np.shape(derivative) != u.shape:
+            raise _shape_error(derivative, u.shape, t0 + t[0], stats[order[0]])
+        # A copy, so a derivative that is a view of its input stays valid.
+        rates[stage][...] = derivative
+        if blocks is not None:
+            x, k = blocks[stage]
+            block.rows(u, coefficients, x, 0, rows, k)
+
+    def non_finite(values):
+        # The error for the first active row with a non-finite entry in values.
+        i = int(np.argmin(np.isfinite(values.reshape(len(order), -1)).all(axis=1)))
+        message = "state became non-finite during a trial step"
+        return _failure(
+            NonFiniteStateError, message, t0 + t[i], stats[order[i]],
+            order[i] if named else None,
+        )
+
+    try:
+        evaluate(0)
+        while True:
+            active = len(order)
+            clipped = [False] * active
+            for i in range(active):
+                if h[i] >= span - t[i]:
+                    h[i], clipped[i] = span - t[i], True
+            set_weights(h)
+            for stage in range(1, 7):
+                products[stage]()
+                evaluate(stage)
+            y, k_first, k5, k6, y_new, u5, err, scale, diff = used
+            # A finite sum proves every entry finite; only an overflowing sum
+            # needs the entry-wise check.
+            if not math.isfinite(y_new.sum()) and not np.all(np.isfinite(y_new)):
+                raise non_finite(y_new)
+            products[0]()
+            _scale_error(err, y, y_new, scale, diff, config)
+            err_sq = squares(err)
+            # |k_6 - k_5|^2 and |y_new - u_5|^2 for the stiffness estimate.
+            np.subtract(k6, k5, out=diff)
+            dk_sq = squares(diff)
+            np.subtract(y_new, u5, out=diff)
+            dy_sq = squares(diff)
+            accepted, done = [], False
+            for i in range(active):
+                taken, row = h[i], stats[order[i]]
+                ok, h[i] = _judge(row, taken, err_sq[i], size, dk_sq[i], dy_sq[i])
+                if ok:
+                    t[i] = span if clipped[i] else t[i] + taken
+                    done = done or not t[i] < span
+                    accepted.append(i)
+            if len(accepted) == active:
+                y[...] = y_new
+                k_first[...] = k6
+            else:
+                for i in accepted:
+                    matrix[i, 0] = matrix[i, 14]
+                    matrix[i, 1] = matrix[i, 7]
+            if done:
+                keep = []
+                for i in range(active):
+                    if t[i] < span:
+                        keep.append(i)
+                    else:
+                        out[order[i]] = matrix[i, 0]
+                        stats[order[i]].rhs_evals = evals
+                if not keep:
+                    return out, stats
+                # The rows left, with kernels for their episodes alone.
+                matrix, block = matrix[keep], block.take(keep)
+                order, t, h = ([values[i] for i in keep] for values in (order, t, h))
+                set_weights, products, squares, heads, rates, blocks, used = arrange(
+                    matrix
+                )
+    except RuntimeWarning as warning:
+        # Under a filter that makes numpy's warnings errors, a stage that
+        # turned non-finite raises from the next product, before the step's
+        # own check.  A warning with every stored value finite is not ours.
+        if np.all(np.isfinite(matrix)):
+            raise
+        raise non_finite(matrix) from warning
+
+
+def _run_chunked(block, y0, t0, span, config, stats, episode=None):
+    """dopri5 on one state whose tangent block spans several chunks of rows.
+
+    Returns y(t1); ``episode`` is the row of a batched state y0 came from,
+    which errors name.
+    """
+    n = y0.size
+    head, (lanes, rows, width) = block.head, block.shape
     segments = _segments(head, lanes, rows, width, CHUNK_BYTES)
-    single = len(segments) == 1
     # Every segment works in a contiguous (15, size) matrix.  Its rows k
     # are y and the derivatives k_0..k_6; its rows u are free, then the
     # inputs of stages 1..6, the last of which is the candidate y_new.
-    # The chunks of rows share one matrix.
-    largest = max((segment.size for segment in segments[1:]), default=0)
-    shared = np.empty(15 * largest)
+    # The chunks of rows share one matrix.  Zeros, so that the warning
+    # handler below meets only values a step wrote.
+    shared = np.zeros(15 * max(segment.size for segment in segments[1:]))
     work = []
     for segment in segments:
         size = segment.size
-        matrix = shared[: 15 * size] if not segment.head else np.empty(15 * size)
+        matrix = np.zeros(15 * size) if segment.head else shared[: 15 * size]
+        if segment.head:
+            buffers = (shared, matrix)
         k, u = matrix[: 8 * size].reshape(8, size), matrix[8 * size :].reshape(7, size)
         # Row views made once, not per step: the rows, the leading rows
         # each stage input combines, and the block's rows of each stage
         # input and derivative as (lanes, rows, width) views.
         views = None
         if segment.hi > segment.lo:
-            offset = head if segment.head else 0
             shape = (lanes, segment.hi - segment.lo, width)
             views = [
-                [row[offset:].reshape(shape) for row in stage_rows]
+                [row.reshape(shape) for row in stage_rows]
                 for stage_rows in ([k[0], *u[1:]], k[1:])
             ]
         leading = [k[: stage + 1] for stage in range(8)]
@@ -346,21 +651,17 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
     heads = [k[0][:head]] + [row[:head] for row in u[1:]]
     head_rates = [row[:head] for row in k[1:]]
     coefficients = [None] * 7
-    if single:
-        # One segment spans the state: its rows are the state's buffers.
-        y, k_first, y_new, k_last = k[0], k[1], u[6], k[7]
-    else:
-        # One stage vector holds the first stage when a step starts; each
-        # chunk, once it has copied its part, leaves its last stage there.
-        y, y_new, k_first = np.empty(n), np.empty(n), np.empty(n)
-        k_last = k_first
+    # One stage vector holds the first stage when a step starts; each chunk,
+    # once it has copied its part, leaves its last stage there.
+    y, y_new, k_first = np.empty(n), np.empty(n), np.empty(n)
+    k_last = k_first
     y[:] = y0
     weights = np.empty((8, 8))
     stage_weights = [weights[stage, : stage + 1] for stage in range(7)]
     t = 0.0
 
     def part(buffer, segment):
-        # Where a segment other than the one spanning the state sits.
+        # Where a segment sits in a state-sized vector.
         if segment.head:
             return buffer[:head]
         return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
@@ -368,11 +669,11 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
     def evaluate(stage, segment, views):
         if segment.head:
             if stats.rhs_evals >= config.max_evals:
-                raise _budget_error(config, t0 + t, stats)
+                raise _budget_error(config, t0 + t, stats, episode)
             stats.rhs_evals += 1
             derivative, coefficients[stage] = block.rate(heads[stage])
             if np.shape(derivative) != (head,):
-                raise _shape_error(derivative, head, t0 + t, stats)
+                raise _shape_error(derivative, (head,), t0 + t, stats, episode)
             # A copy, so a derivative that is a view of its input stays valid.
             head_rates[stage][...] = derivative
         if views is not None:
@@ -387,83 +688,65 @@ def _run_dopri5(rhs, y0, t0, span, config, stats):
 
     def first_stage():
         for segment, k, _, _, views in work:
-            if not single:
-                k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
+            k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
             evaluate(0, segment, views)
-            if not single:
-                part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
+            part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
 
-    first_stage()
+    def non_finite():
+        message = "state became non-finite during a trial step"
+        return _failure(NonFiniteStateError, message, t0 + t, stats, episode)
+
     h = min(max(span / 100.0, 1e-8), span)
-    while t < span:
-        clipped = h >= span - t
-        if clipped:
-            h = span - t
-        np.multiply(_DP_WEIGHTS, h, out=weights)
-        weights[1:7, 0] = 1.0
-        # Sums over the whole state: squared scaled error, |k_6 - k_5|^2
-        # and |y_new - u_5|^2 for the stiffness estimate.
-        err_sq = dk_sq = dy_sq = 0.0
-        for segment, k, u, leading, views in work:
-            if not single:
+    try:
+        first_stage()
+        while t < span:
+            clipped = h >= span - t
+            if clipped:
+                h = span - t
+            np.multiply(_DP_WEIGHTS, h, out=weights)
+            weights[1:7, 0] = 1.0
+            # Sums over the whole state: squared scaled error, |k_6 - k_5|^2
+            # and |y_new - u_5|^2 for the stiffness estimate.
+            err_sq = dk_sq = dy_sq = 0.0
+            for segment, k, u, leading, views in work:
                 shape = part(y, segment).shape
                 k[0].reshape(shape)[...] = part(y, segment)
                 k[1].reshape(shape)[...] = part(k_first, segment)
-            for stage in range(1, 7):
-                np.dot(stage_weights[stage], leading[stage], out=u[stage])
-                evaluate(stage, segment, views)
-            # A finite sum proves every entry finite; only an overflowing
-            # sum needs the entry-wise check.
-            if not math.isfinite(u[6].sum()) and not np.all(np.isfinite(u[6])):
-                raise NonFiniteStateError(
-                    "state became non-finite during a trial step "
-                    f"{_where(t0 + t, stats)}"
-                )
-            # k_1 and k_2 are spent once the error is formed; they hold the
-            # scale atol + rtol * max(|y|, |y_new|) and a difference.
-            err, scale, diff = u[0], k[2], k[3]
-            np.dot(weights[7, 1:], leading[7][1:], out=err)
-            np.abs(k[0], out=scale)
-            np.abs(u[6], out=diff)
-            np.maximum(scale, diff, out=scale)
-            scale *= config.rtol
-            scale += config.atol
-            err /= scale
-            err_sq += np.dot(err, err)
-            np.subtract(k[7], k[6], out=diff)
-            dk_sq += np.dot(diff, diff)
-            np.subtract(u[6], u[5], out=diff)
-            dy_sq += np.dot(diff, diff)
-            if not single:
+                for stage in range(1, 7):
+                    np.dot(stage_weights[stage], leading[stage], out=u[stage])
+                    evaluate(stage, segment, views)
+                # A finite sum proves every entry finite; only an overflowing
+                # sum needs the entry-wise check.
+                if not math.isfinite(u[6].sum()) and not np.all(np.isfinite(u[6])):
+                    raise non_finite()
+                # k_1 and k_2 are spent once the error is formed; they hold the
+                # scale atol + rtol * max(|y|, |y_new|) and a difference.
+                err, scale, diff = u[0], k[2], k[3]
+                np.dot(weights[7, 1:], leading[7][1:], out=err)
+                _scale_error(err, k[0], u[6], scale, diff, config)
+                err_sq += np.dot(err, err)
+                np.subtract(k[7], k[6], out=diff)
+                dk_sq += np.dot(diff, diff)
+                np.subtract(u[6], u[5], out=diff)
+                dy_sq += np.dot(diff, diff)
                 part(y_new, segment)[...] = u[6].reshape(shape)
                 part(k_last, segment)[...] = k[7].reshape(shape)
-        # An empty state has no error; its steps grow until they reach t1.
-        err_norm = math.sqrt(err_sq / n) if n else 0.0
-        if err_norm <= 1.0:
-            stats.accepted_steps += 1
-            if dy_sq > 0.0:
-                stats.stiffness = max(stats.stiffness, h * math.sqrt(dk_sq / dy_sq))
-            if single:
-                y[:] = y_new
-                k_first[:] = k_last
-            else:
+            accepted, next_h = _judge(stats, h, err_sq, n, dk_sq, dy_sq)
+            if accepted:
                 y, y_new = y_new, y
-            t = span if clipped else t + h
-        else:
-            stats.rejected_steps += 1
-            if not single:
+                t = span if clipped else t + h
+            else:
                 # The trial left its last stage where the first stage was.
                 # The rhs is deterministic, so this restores it bit for bit.
                 first_stage()
-        # Holds once: right after a first step accepted without a rejection.
-        first = stats.accepted_steps == 1 and not stats.rejected_steps
-        factor_max = _FIRST_FACTOR_MAX if first else _FACTOR_MAX
-        if err_norm == 0.0:
-            factor = factor_max
-        else:
-            factor = min(max(_SAFETY * err_norm**_ORDER_EXP, _FACTOR_MIN), factor_max)
-        h = h * factor
-    return y.copy() if single else y
+            h = next_h
+    except RuntimeWarning as warning:
+        # As in _run_rows: a stage that turned non-finite, caught by a
+        # filter that makes numpy's warnings errors.
+        if all(np.isfinite(buffer).all() for buffer in buffers):
+            raise
+        raise non_finite() from warning
+    return y
 
 
 class _Segment(NamedTuple):

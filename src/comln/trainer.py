@@ -26,7 +26,8 @@ import numpy as np
 from .dynamics import DEFAULT_T_CAP, Horizon, adapt
 from .embedding import ACTIVATIONS, EmbeddingParams, Layer, embed_set, init_embedding
 from .loss import EmbeddedSet, LossConfig, outer_loss
-from .metagrad import MetaGradients, task_metagrads
+# task_metagrads is looked up here by the benchmark's tracer (bench/tracer.py).
+from .metagrad import TaskFailure, batch_metagrads, task_metagrads  # noqa: F401
 from .solver import SolverConfig
 from .tasks import Episode
 
@@ -211,11 +212,12 @@ def meta_train(
 ) -> Tuple[MetaParams, List[MetricsRow]]:
     """Run the outer loop and return the final parameters plus metrics.
 
-    ``episodes`` is consumed one meta-batch per iteration.  When no
-    ``initial`` parameters are given, the first episode fixes the task
-    dimensions and an identity network is used.  A failing task aborts
-    the run with the iteration and task index attached; it is never
-    silently dropped.
+    ``episodes`` is consumed one meta-batch per iteration, whose
+    meta-gradients ``batch_metagrads`` computes in one adaptation flow per
+    train-split size.  When no ``initial`` parameters are given, the first
+    episode fixes the task dimensions and an identity network is used.  A
+    failing task aborts the run with the iteration and task index
+    attached; it is never silently dropped.
 
     The log-horizon is projected onto (-inf, LOG_T_MAX] after every
     update.  Without a weight penalty the outer loss on separable tasks
@@ -258,16 +260,12 @@ def meta_train(
                     f"episode stream exhausted at iteration {k}"
                 ) from None
 
-        bundles: List[MetaGradients] = []
-        for i, episode in enumerate(batch):
-            try:
-                bundles.append(
-                    task_metagrads(meta, episode, loss_cfg, cfg.solver)
-                )
-            except Exception as exc:
-                raise RuntimeError(
-                    f"meta-training aborted: iteration {k}, task {i}: {exc}"
-                ) from exc
+        try:
+            bundles = batch_metagrads(meta, batch, loss_cfg, cfg.solver)
+        except TaskFailure as failure:
+            raise RuntimeError(
+                f"meta-training aborted: iteration {k}, {failure}"
+            ) from failure.__cause__
 
         b = len(bundles)
         g_W0 = sum(x.grad_W0 for x in bundles) / b

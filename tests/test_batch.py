@@ -1,0 +1,294 @@
+"""Tests of the episode axis: several small episodes in one integrate call.
+
+Under dopri5 every episode of a batch keeps its own step control, so each
+takes the steps it would take alone, and its results do not depend on which
+episodes share its batch or where it sits in it.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from comln.dynamics import Horizon, adapt
+from comln.embedding import init_embedding
+from comln.loss import LossConfig
+from comln.metagrad import batch_metagrads, task_metagrads
+from comln.solver import (
+    BudgetExceededError,
+    NonFiniteStateError,
+    SolverConfig,
+    TangentBlock,
+    integrate,
+)
+from comln.tasks import TaskGenConfig, sample_episode
+from comln.trainer import MetaParams, TrainConfig, meta_train
+
+LAM = LossConfig(lam=0.5)
+CFG = SolverConfig()
+
+
+def clock_rhs(episodes, field):
+    """A batch of states (c, x), c' = 1 and x' = field(e, c, x) for episode e.
+
+    dopri5 reads only the block; ``take`` keeps the episode numbers, so a
+    narrowed block evaluates the same fields.
+    """
+
+    def block(ids):
+        def rate(u):
+            rows = u.reshape(len(ids), 2)
+            du = np.ones_like(rows)
+            du[:, 1] = [field(e, c, x) for e, (c, x) in zip(ids, rows)]
+            return du.reshape(u.shape), None
+
+        def take(index):
+            return block([ids[i] for i in index])
+
+        return TangentBlock(2, (0, 0, 0), rate, None, len(ids), take)
+
+    rhs = lambda y: None  # noqa: E731
+    rhs.tangent = block(list(episodes))
+    return rhs
+
+
+def decay(rates):
+    return lambda e, c, x: -rates[e] * x
+
+
+def start(episodes):
+    # Clocks at 0, x at 1 + e, so that no two rows are alike.
+    return np.array([[0.0, 1.0 + e] for e in episodes]).ravel()
+
+
+class TestRows:
+    """dopri5 on a batch of synthetic episodes against each one alone."""
+
+    RATES = {0: 0.5, 1: 3.0, 2: 40.0, 3: 7.0}
+
+    def alone(self, e, field):
+        return integrate(clock_rhs([e], field), start([e]), 0.0, 2.0, CFG)
+
+    def test_each_row_takes_the_steps_it_takes_alone(self):
+        ids = [0, 1, 2, 3]
+        field = decay(self.RATES)
+        y, stats = integrate(clock_rhs(ids, field), start(ids), 0.0, 2.0, CFG)
+        rows = y.reshape(4, 2)
+        for r, e in enumerate(ids):
+            y_e, alone = self.alone(e, field)
+            assert stats.episodes[r] == alone.episodes[0]
+            assert_array_equal(rows[r], y_e)
+        # The rows really differ: the stiff one takes several times the steps.
+        steps = [s.accepted_steps for s in stats.episodes]
+        assert steps[2] >= 3 * steps[0]
+        assert stats.rhs_evals == sum(s.rhs_evals for s in stats.episodes)
+        assert stats.accepted_steps == sum(steps)
+        assert stats.rejected_steps == sum(s.rejected_steps for s in stats.episodes)
+        assert stats.stiffness == max(s.stiffness for s in stats.episodes)
+
+    def test_a_row_does_not_depend_on_its_mates_or_position(self):
+        field = decay(self.RATES)
+        ids = [0, 1, 3]
+        first, _ = integrate(clock_rhs(ids, field), start(ids), 0.0, 2.0, CFG)
+        second, _ = integrate(clock_rhs([3, 2], field), start([3, 2]), 0.0, 2.0, CFG)
+        assert_array_equal(first.reshape(3, 2)[2], second.reshape(2, 2)[0])
+
+    def test_budget_error_names_the_row_that_ran_out(self):
+        # Evaluations are counted per row; the stiff row 2 needs the most.
+        field = decay(self.RATES)
+        counts = [self.alone(e, field)[1].rhs_evals for e in range(4)]
+        assert counts[2] > max(counts[:2] + counts[3:])
+        cfg = SolverConfig(max_evals=max(counts[:2] + counts[3:]))
+        with pytest.raises(BudgetExceededError) as info:
+            integrate(clock_rhs(range(4), field), start(range(4)), 0.0, 2.0, cfg)
+        assert info.value.episode == 2
+        message = f"budget of {cfg.max_evals} exhausted in episode 2 at t="
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_non_finite_row_is_named_whatever_the_warning_filter(self, action):
+        # Row 1's x turns infinite once its clock passes 0.3.  With numpy's
+        # warnings made errors, the stage products after it raise first;
+        # either way the caller gets the error that names the row.
+        def field(e, c, x):
+            return math.inf if e == 1 and c >= 0.3 else -x
+
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(NonFiniteStateError) as info:
+                integrate(clock_rhs(range(3), field), start(range(3)), 0.0, 1.0, CFG)
+        assert info.value.episode == 1
+        assert str(info.value) == (
+            "state became non-finite during a trial step in episode 1 "
+            "at t=0.262878 after 2 accepted and 0 rejected steps"
+        )
+
+    def test_fixed_steps_count_every_episode(self):
+        rhs = lambda y: -y  # noqa: E731
+        rhs.tangent = TangentBlock(2, (0, 0, 0), None, None, 3)
+        cfg = SolverConfig(method="rk4", fixed_step=0.1)
+        y, stats = integrate(rhs, np.ones(6), 0.0, 1.0, cfg)
+        alone, one = integrate(lambda y: -y, np.ones(2), 0.0, 1.0, cfg)
+        assert_array_equal(y.reshape(3, 2), np.tile(alone, (3, 1)))
+        assert stats.episodes == (one.episodes[0],) * 3
+        assert (stats.rhs_evals, stats.accepted_steps) == (3 * 40, 3 * 10)
+
+
+def pinned_episodes(count=4, way=5, shot=1, seed=9):
+    task = TaskGenConfig(way=way, shot=shot, seed=seed)
+    return [sample_episode(task, i) for i in range(count)]
+
+
+def stacked(episodes):
+    return (
+        np.concatenate([e.train.features for e in episodes]),
+        np.concatenate([e.train.labels for e in episodes]),
+    )
+
+
+W0 = np.random.default_rng(9).normal(size=(5, 16)) * 0.1
+
+
+def rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestAdapt:
+    @pytest.mark.parametrize("track", [False, True])
+    def test_each_episode_equals_its_adaptation_alone(self, track):
+        episodes = pinned_episodes()
+        args = (LAM, Horizon.from_T(20.0), CFG, track)
+        W_T, state, stats = adapt(W0, *stacked(episodes), *args, episodes=4)
+        assert W_T.shape == (4, 5, 16) and state.s.shape == (4, 5, 5)
+        for e, episode in enumerate(episodes):
+            W1, one, alone = adapt(W0, *stacked([episode]), *args)
+            assert stats.episodes[e] == alone.episodes[0]
+            assert rel(W_T[e], W1) <= 1e-12
+            assert rel(state.s[e], one.s) <= 1e-12
+            if track:
+                assert rel(state.X[e], one.X) <= 1e-12
+        # The episodes take different steps, so each row kept its own.
+        assert len({s.rhs_evals for s in stats.episodes}) > 1
+        assert state.nbytes == 4 * one.nbytes
+
+    def test_episode_output_does_not_depend_on_its_batch(self):
+        episodes = pinned_episodes(count=5)
+        args = (LAM, Horizon.from_T(20.0), CFG, True)
+        first = adapt(W0, *stacked(episodes[:3]), *args, episodes=3)
+        picked = [episodes[2], episodes[4]]
+        second = adapt(W0, *stacked(picked), *args, episodes=2)
+        (W1, one, _), (W2, two, _) = first, second
+        for got, want in zip((W2, two.s, two.X), (W1, one.s, one.X)):
+            assert_array_equal(got[0], want[2])
+        assert second[2].episodes[0] == first[2].episodes[2]
+
+    def test_a_longer_episode_leaves_the_others_steps_unchanged(self):
+        # Scaled-up features make the flow stiffer, so that episode takes
+        # more steps; the others' steps are those of the batch without it.
+        episodes = pinned_episodes(count=3)
+        features, labels = stacked(episodes)
+        hard = features.copy()
+        hard[5:10] *= 4.0
+        args = (LAM, Horizon.from_T(20.0), CFG, True)
+        _, state, stats = adapt(W0, hard, labels, *args, episodes=3)
+        keep = np.r_[0:5, 10:15]
+        _, easy_state, easy = adapt(W0, features[keep], labels[keep], *args, episodes=2)
+        assert stats.episodes[1].rhs_evals > max(s.rhs_evals for s in easy.episodes)
+        assert (stats.episodes[0], stats.episodes[2]) == easy.episodes
+        assert_array_equal(state.X[[0, 2]], easy_state.X)
+
+    def test_episodes_larger_than_a_chunk_run_one_at_a_time(self):
+        # 5w5s states span several chunks, so each episode takes the
+        # chunked path alone and the batch only stacks the results.
+        episodes = pinned_episodes(count=2, shot=5)
+        args = (LAM, Horizon.from_T(2.0), CFG, True)
+        W_T, state, stats = adapt(W0, *stacked(episodes), *args, episodes=2)
+        for e, episode in enumerate(episodes):
+            W1, one, alone = adapt(W0, *stacked([episode]), *args)
+            assert_array_equal(W_T[e], W1)
+            assert_array_equal(state.X[e], one.X)
+            assert stats.episodes[e] == alone.episodes[0]
+
+    def test_a_split_that_does_not_divide_is_refused(self):
+        features, labels = stacked(pinned_episodes(count=2))
+        with pytest.raises(ValueError, match="do not split"):
+            adapt(W0, features, labels, LAM, Horizon.from_T(1.0), CFG, True, episodes=3)
+
+    def test_euler_batch_equals_each_episode_alone(self):
+        episodes = pinned_episodes(count=3)
+        euler = SolverConfig(method="euler", fixed_step=0.05)
+        args = (LAM, Horizon.from_T(1.0), euler, True)
+        W_T, state, stats = adapt(W0, *stacked(episodes), *args, episodes=3)
+        for e, episode in enumerate(episodes):
+            W1, one, alone = adapt(W0, *stacked([episode]), *args)
+            assert_array_equal(W_T[e], W1)
+            assert_array_equal(state.X[e], one.X)
+            assert stats.episodes[e] == alone.episodes[0]
+
+
+def meta_at(T, way=5, dim=16, seed=9):
+    W = np.random.default_rng(seed).normal(size=(way, dim)) * 0.1
+    return MetaParams(W, init_embedding([dim], seed=0), math.log(T))
+
+
+def one_step(batch, solver=CFG):
+    return TrainConfig(
+        meta_batch_size=batch,
+        iterations=1,
+        lr=0.1,
+        momentum=0.0,
+        nesterov=False,
+        lr_schedule=(),
+        lam=LAM.lam,
+        solver=solver,
+        eval_every=0,
+    )
+
+
+class TestMetaBatch:
+    def test_meta_batch_metrics_equal_a_per_episode_run(self):
+        episodes = pinned_episodes()
+        meta = meta_at(20.0)
+        bundles = [task_metagrads(meta, e, LAM, CFG) for e in episodes]
+        out, (row,) = meta_train(one_step(4), episodes, initial=meta)
+        assert row.rhs_evals == sum(b.rhs_evals for b in bundles)
+        assert row.rejected_steps == sum(b.rejected_steps for b in bundles)
+        assert row.stiffness == max(b.stiffness for b in bundles)
+        mean = sum(b.grad_W0 for b in bundles) / 4
+        assert_array_equal(out.W0, meta.W0 - 0.1 * mean)
+
+    def test_train_splits_of_two_sizes_adapt_apart(self):
+        one_shot = pinned_episodes(count=2)
+        two_shot = pinned_episodes(count=2, shot=2, seed=10)
+        episodes = [one_shot[0], two_shot[0], one_shot[1], two_shot[1]]
+        meta = meta_at(5.0)
+        bundles = batch_metagrads(meta, episodes, LAM, CFG)
+        for bundle, episode in zip(bundles, episodes):
+            alone = task_metagrads(meta, episode, LAM, CFG)
+            assert_array_equal(bundle.grad_W0, alone.grad_W0)
+            assert_array_equal(bundle.grad_phi_train, alone.grad_phi_train)
+            assert bundle.rhs_evals == alone.rhs_evals
+
+    def test_budget_failure_names_its_task_alone(self):
+        episodes = pinned_episodes()
+        meta = meta_at(20.0)
+        counts = [task_metagrads(meta, e, LAM, CFG).rhs_evals for e in episodes]
+        # Put the episode that needs the most evaluations third.
+        hardest = int(np.argmax(counts))
+        order = [e for e in range(4) if e != hardest]
+        order.insert(2, hardest)
+        others = [counts[e] for e in order if e != hardest]
+        assert counts[hardest] > max(others)
+        solver = SolverConfig(max_evals=max(others))
+        with pytest.raises(RuntimeError) as info:
+            meta_train(one_step(4, solver), [episodes[e] for e in order], initial=meta)
+        message = str(info.value)
+        assert message.startswith(
+            f"meta-training aborted: iteration 0, task 2: rhs evaluation budget of "
+            f"{max(others)} exhausted in episode 2 at t="
+        )
+        assert isinstance(info.value.__cause__, BudgetExceededError)
+        for other in (0, 1, 3):
+            assert f"task {other}" not in message and f"episode {other}" not in message

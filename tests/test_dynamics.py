@@ -422,6 +422,52 @@ def test_tracking_does_not_perturb_the_adaptation():
     assert state.X.shape == (4, 4 * 2 + 4 * 5 // 2, 2)
 
 
+# Softmax curvature has the ones vector in its null space (A_i 1 = 0) and
+# every label row sums to one, so along the whole flow s 1 = 0, X 1 = 0, and
+# for each j the B rows X[:, j N + b, :] sum to 0 over b.  Rounding breaks
+# them by at most 4.0e-16 of the largest entry at 10w5s, T = 2 (4 steps),
+# and by up to 4.6e-14 on the 5w1s rows at T = 20 (25 to 33 steps).
+INVARIANT_RTOL = 1e-12
+
+
+def assert_flow_invariants(s, X):
+    m, _, n = X.shape
+    assert np.abs(s.sum(axis=1)).max() <= INVARIANT_RTOL * np.abs(s).max()
+    bound = INVARIANT_RTOL * np.abs(X).max()
+    assert np.abs(X.sum(axis=2)).max() <= bound
+    # X[i, j N + b, c] as B[i, j, b, c], summed over b.
+    assert np.abs(X[:, : m * n].reshape(m, m, n, n).sum(axis=2)).max() <= bound
+
+
+def test_structural_invariants_at_10w5s():
+    # The metagrad-10w5s benchmark task at T = 2, on the chunked path.
+    from comln.embedding import embed_set
+    from comln.tasks import TaskGenConfig, sample_episode
+    from comln.trainer import default_meta_params
+
+    meta = default_meta_params(10, 16, seed=0, hidden_dims=(64, 32))
+    episode = sample_episode(TaskGenConfig(way=10, shot=5, test_shots=15, seed=1), 0)
+    phi, _ = embed_set(meta.phi_params, episode.train.features)
+    labels = episode.train.labels
+    args = (meta.W0, phi, labels, LossConfig(lam=0.5), Horizon.from_T(2.0))
+    _, state, _ = adapt(*args, SolverConfig(), track=True)
+    assert_flow_invariants(state.s, state.X)
+
+
+def test_structural_invariants_on_every_row_of_a_batch():
+    from comln.tasks import TaskGenConfig, sample_episode
+
+    task = TaskGenConfig(way=5, shot=1, seed=9)
+    episodes = [sample_episode(task, i) for i in range(4)]
+    features = np.concatenate([e.train.features for e in episodes])
+    labels = np.concatenate([e.train.labels for e in episodes])
+    W0 = np.random.default_rng(9).normal(size=(5, 16)) * 0.1
+    args = (W0, features, labels, LossConfig(lam=0.5), Horizon.from_T(20.0))
+    _, state, _ = adapt(*args, SolverConfig(), track=True, episodes=4)
+    for s, X in zip(state.s, state.X):
+        assert_flow_invariants(s, X)
+
+
 def test_chunked_path_looks_up_the_kernels_at_call_time(monkeypatch):
     # The kernels are rebound by module name once adapt has built its
     # right-hand side, as a tracer switched on mid-run would.  The chunked
