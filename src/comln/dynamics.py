@@ -102,9 +102,9 @@ class TaskConstants:
 
     The rest is the head's scratch, made once per batch and overwritten by
     every evaluation: ``gram_s`` and ``lam_s``, the halves of ``products``;
-    ``probs``, the logits and then p / M; the (M, 1) ``row_max`` and
-    ``row_sum``.  So one TaskConstants serves one integration at a time,
-    and no array an evaluation returns is scratch.
+    ``probs``, the logits and then p / M; ``residual``, p / M - Y / M; the
+    (M, 1) ``row_max`` and ``row_sum``.  So one TaskConstants serves one
+    integration at a time, and no array an evaluation returns is scratch.
     """
 
     def __init__(
@@ -140,6 +140,7 @@ class TaskConstants:
         self.products = np.empty(gram_lam.shape[:-1] + P0.shape[-1:])
         self.gram_s, self.lam_s = self.products[..., :m, :], self.products[..., m:, :]
         self.probs = np.empty(P0.shape)
+        self.residual = np.empty(P0.shape)
         self.row_max = np.empty(P0.shape[:-1] + (1,))
         self.row_sum = np.empty(P0.shape[:-1] + (1,))
 
@@ -280,32 +281,46 @@ def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return W0 - np.swapaxes(s, -1, -2) @ phi
 
 
-def _probs_and_rate(c: TaskConstants, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Shared head of both right-hand sides at s of the shape of ``c.P0``.
+def _probs_and_rate(
+    c: TaskConstants, s: np.ndarray, out: np.ndarray | None = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Shared head of both right-hand sides at s, M N entries per task.
 
     Returns q = softmax(P0 - G s) / M by rows, in the scratch ``c.probs``
-    that the next evaluation overwrites, and a new ds/dt = q - Y / M - lam s.
+    that the next evaluation overwrites, and ds/dt = q - Y / M - lam s in
+    the shape of s: written into ``out`` when given, else into a new array.
+    ``out`` must reshape to the shape of ``c.P0`` without a copy, as the
+    solver's stage rows do.
     """
-    c.product(c.gram_lam, s, c.products)
+    shape = c.P0.shape
+    c.product(c.gram_lam, s.reshape(shape), c.products)
     np.subtract(c.P0, c.gram_s, c.probs)
     q = softmax_rows_in_place(c.probs, c.column, c.row_max, c.row_sum)
-    ds = np.subtract(q, c.target)
-    ds -= c.lam_s
-    return q, ds
+    # The residual in scratch, so that a strided ``out`` is written once.
+    residual = np.subtract(q, c.target, c.residual)
+    if out is None:
+        return q, np.subtract(residual, c.lam_s).reshape(s.shape)
+    np.subtract(residual, c.lam_s, out.reshape(shape))
+    return q, out
 
 
-def rhs_adapt(c: TaskConstants, flat: np.ndarray) -> np.ndarray:
+def rhs_adapt(
+    c: TaskConstants, flat: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Time derivative of the adaptation coefficients s, M N entries per task,
-    in the shape of ``flat``."""
-    _, ds = _probs_and_rate(c, flat.reshape(c.P0.shape))
-    return ds.reshape(flat.shape)
+    in the shape of ``flat``: written into ``out`` when given, else into a
+    new array."""
+    return _probs_and_rate(c, flat, out)[1]
 
 
-def _rate_and_curvature(c: TaskConstants, s: np.ndarray):
+def _rate_and_curvature(
+    c: TaskConstants, s: np.ndarray, out: np.ndarray | None = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """ds/dt at s, M N entries per task, in the shape of s, and the negated
-    curvature blocks -A_i there."""
-    q, ds = _probs_and_rate(c, s.reshape(c.P0.shape))
-    return ds.reshape(s.shape), curvature_from_probs(q)
+    curvature blocks -A_i there.  ds/dt is written into ``out`` when given,
+    else into a new array."""
+    q, ds = _probs_and_rate(c, s, out)
+    return ds, curvature_from_probs(q)
 
 
 def tangent_rows(
@@ -357,7 +372,7 @@ def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.nd
     shape = lead + (m, layout.rows, n)
     values = np.empty(flat.shape)
     state, rate = flat.reshape(lead + (-1,)), values.reshape(lead + (-1,))
-    rate[..., :mn], neg_A = _rate_and_curvature(c, state[..., :mn])
+    _, neg_A = _rate_and_curvature(c, state[..., :mn], rate[..., :mn])
     tangent_rows(
         c,
         state[..., :mn],
@@ -382,13 +397,19 @@ def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
         return _block(c.take(index), layout)
 
     if layout is None:
-        return TangentBlock(
-            m * n, (0, 0, 0), lambda s: (rhs_adapt(c, s), None), None, c.episodes, take
-        )
+
+        def rate(s, out):
+            rhs_adapt(c, s, out)
+
+        return TangentBlock(m * n, (0, 0, 0), rate, None, c.episodes, take)
+
+    def rate(s, out):
+        return _rate_and_curvature(c, s, out)[1]
+
     return TangentBlock(
         m * n,
         (m, layout.rows, n),
-        lambda s: _rate_and_curvature(c, s),
+        rate,
         lambda u, neg_A, X, lo, hi, out: tangent_rows(c, u, neg_A, X, lo, hi, out),
         c.episodes,
         take,

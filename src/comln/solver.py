@@ -29,9 +29,12 @@ dopri5 then never calls the rhs itself, and the size of one episode's
 state decides the path:
 
 - An episode state that fits one chunk of CHUNK_BYTES is one row of an
-  episode axis.  Each row has its own (15, size) stage matrix, each stage
-  input of all rows is one batched product with per-row weights, and the
-  block evaluates all rows in one call.  Every row keeps its own t, h,
+  episode axis.  The stage matrix is stage-major, (15, episodes, size), so
+  y, y_new, every stage and the error estimate of all rows are each one
+  contiguous (episodes, size) array, and the step controller's ufuncs run
+  on them.  Each stage input of all rows is one batched product with
+  per-row weights, which rounds as np.dot on that row alone, and the block
+  evaluates all rows in one call.  Every row keeps its own t, h,
   error norm, accept/reject decision, first-step growth, evaluation budget
   and stiffness, as an ODE solver under jax.vmap does in diffrax (Kidger,
   2021), not one step for the whole batch: a row takes the steps it would
@@ -59,7 +62,8 @@ batched state takes the same fixed steps.
 The rhs receives a vector that the solver reuses for later stages, so the
 rhs must not keep references to its input between calls.  It may return a
 view of its input: the solver copies each derivative into its stage
-matrix before it writes to that buffer again.
+matrix before it writes to that buffer again.  A TangentBlock's kernels
+instead write each derivative into the stage row they are given.
 
 Every right-hand-side evaluation is counted exactly, and exceeding the
 configured evaluation budget is an error rather than a silent partial
@@ -139,7 +143,12 @@ class StepStats:
 
     ``stiffness`` is the largest h rho over accepted dopri5 steps, with
     rho = |k_7 - k_6| / |y_7 - y_6| the Hairer-Wanner estimate of the
-    dominant eigenvalue from the last two stages (Solving ODEs II, IV.2).
+    dominant eigenvalue from the last two stages (Solving ODEs II, IV.2),
+    taken over the head u of a TangentBlock state and over the whole state
+    of a plain rhs.  On the tracked flow the head gives the same spectral
+    radius: the rows of X, derivatives of u, are forced by u and evolve
+    under u's own Jacobian, so the Jacobian of (u, X) is block
+    lower-triangular with that of u on every diagonal block.
     Near 3.3, the edge of dopri5's stability region on the negative real
     axis, stability rather than accuracy limits the step.  Once the
     solution is below atol, though, the error test accepts steps beyond
@@ -159,9 +168,10 @@ class TangentBlock:
     """Row structure of ``episodes`` states y = (u, X) one after another.
 
     Each holds the head u, its first ``head`` entries, followed by X of
-    shape ``shape`` = (lanes, rows, width) in C order.  ``rate(u)``
-    returns du/dt in the shape of u, which reads u alone, and coefficients
-    for ``rows``.  ``rows(u, coefficients, X_part, lo, hi, out)`` writes
+    shape ``shape`` = (lanes, rows, width) in C order.  ``rate(u, out)``
+    writes du/dt, which reads u alone, into ``out`` of the shape of u, the
+    head of a row of dopri5's stage matrix, and returns coefficients for
+    ``rows``.  ``rows(u, coefficients, X_part, lo, hi, out)`` writes
     dX/dt for the rows X_part = X[:, lo:hi] into ``out`` of the same shape;
     it reads nothing of X outside those rows.  ``rows`` is None when the
     block is empty.  With one episode u has shape (head,) and X_part
@@ -173,7 +183,7 @@ class TangentBlock:
 
     head: int
     shape: Tuple[int, int, int]
-    rate: Callable[[np.ndarray], Tuple[np.ndarray, object]]
+    rate: Callable[[np.ndarray, np.ndarray], object]
     rows: Callable[..., None] | None
     episodes: int = 1
     take: Callable[[List[int]], "TangentBlock"] | None = None
@@ -186,6 +196,13 @@ class TangentBlock:
 # Xeon with 2 MB of L2 per core, 96-256 KiB ran a 10w5s task equally fast
 # and 16 KiB about 1.9 times slower.
 CHUNK_BYTES = 1 << 17
+
+# Episode rows of at least this many entries share one np.matmul per stage
+# input; shorter ones take np.dot row by row.  On the strided rows of one
+# episode in the stage-major matrix, np.matmul leaves BLAS below this size
+# (measured with numpy 2.4 and OpenBLAS 0.3.31) and rounds unlike np.dot,
+# which a row integrated alone uses.
+_BATCHED_MIN_SIZE = 4
 
 
 # Dormand-Prince 5(4) tableau.  b5 is the fifth-order weight row (the
@@ -257,10 +274,13 @@ def _failure(error, message: str, t: float, stats: StepStats, episode=None):
     return exc
 
 
-def _shape_error(derivative, shape, t: float, stats: StepStats, episode=None):
+def _shape_message(derivative, shape) -> str:
     # Refused, not broadcast: a derivative of another size is a bug in rhs.
-    message = f"rhs returned shape {np.shape(derivative)} for a state of shape {shape}"
-    return _failure(ValueError, message, t, stats, episode)
+    return f"rhs returned shape {np.shape(derivative)} for a state of shape {shape}"
+
+
+class _Misshapen(Exception):
+    """A plain rhs returned a derivative of another shape; dopri5 adds where."""
 
 
 def _budget_error(config: SolverConfig, t: float, stats: StepStats, episode=None):
@@ -368,7 +388,7 @@ def integrate(
         stats.rhs_evals += 1
         derivative = rhs(values)
         if np.shape(derivative) != y0.shape:
-            raise _shape_error(derivative, y0.shape, t, stats, row)
+            raise _failure(ValueError, _shape_message(derivative, y0.shape), t, stats, row)
         return derivative
 
     one_step = _euler_step if config.method == "euler" else _rk4_step
@@ -403,7 +423,14 @@ def _rk4_step(f, y, h):
 def _run_dopri5(rhs, block, y0, t0, span, config):
     if block is None:
         # A plain rhs is one episode: a head of n entries with an empty block.
-        block = TangentBlock(y0.size, (0, 0, 0), lambda u: (rhs(u), None), None)
+        def rate(u, out):
+            derivative = rhs(u)
+            if np.shape(derivative) != u.shape:
+                raise _Misshapen(_shape_message(derivative, u.shape))
+            # A copy, so a derivative that is a view of its input stays valid.
+            out[...] = derivative
+
+        block = TangentBlock(y0.size, (0, 0, 0), rate, None)
     head, (lanes, rows, width) = block.head, block.shape
     size, episodes = head + lanes * rows * width, block.episodes
     if episodes * size != y0.size:
@@ -438,70 +465,58 @@ def _run_rows(block, y0, t0, span, config):
     named = episodes > 1  # whether an error names its episode
     stats = [StepStats() for _ in range(episodes)]
     out = np.empty_like(y0)
-    # The episode each active row integrates, its time and its next step.
+    # The episode each active row integrates, and the rows' times and next
+    # steps: floats while one row is active, else lists of one per row.
     order = list(range(episodes))
-    t = [0.0] * episodes
-    h = [min(max(span / 100.0, 1e-8), span)] * episodes
+    t, h = 0.0, min(max(span / 100.0, 1e-8), span)
+    if named:
+        t, h = [t] * episodes, [h] * episodes
     evals = 0  # evaluations of every active row: they move in lockstep
-    # Row e holds the stage matrix of the e-th active episode.  Its rows 0-7
-    # are y and the derivatives k_0..k_6; rows 8-14 are free, then the
-    # inputs of stages 1..6, the last of which is the candidate y_new.
-    # Zeros, so that the warning handler below meets only values a step wrote.
-    matrix = np.zeros((episodes, 15, size))
-    matrix[:, 0] = y0
+    # Stage-major: matrix[r] holds row r of the stage matrix of every active
+    # episode, contiguous.  Rows 0-7 are y and the derivatives k_0..k_6;
+    # rows 8-14 are free, then the inputs of stages 1..6, the last of which
+    # is the candidate y_new.  Zeros, so that the warning handler below
+    # meets only values a step wrote.
+    matrix = np.zeros((15, episodes, size))
+    matrix[0] = y0
 
     def arrange(matrix):
         # The views and products over the active rows, made once per active
-        # set.  One row takes 1-D views and np.dot, which costs less per call
-        # than np.matmul and rounds the same.
-        active = len(matrix)
+        # set.  Product r forms row 8 + r of every episode: the error
+        # estimate for r = 0, the input of stage r after it.
+        active = matrix.shape[1]
         weights = np.empty((active, 8, 8))
-        if active == 1:
-            one, w = matrix[0], weights[0]
-            rows_of = one
-            # The error estimate, then the inputs of stages 1..6.
-            products = [functools.partial(np.dot, w[7, 1:], one[1:8], one[8])]
-            products += [
-                functools.partial(np.dot, w[s, : s + 1], one[: s + 1], one[8 + s])
-                for s in range(1, 7)
-            ]
-
-            def set_weights(h):
-                np.multiply(_DP_WEIGHTS, h[0], out=w)
-                w[1:7, 0] = 1.0
-
-            def squares(v):
-                return (np.dot(v, v),)
-
-        else:
-            rows_of = matrix.swapaxes(0, 1)
+        terms = [(7, 1, 8)] + [(s, 0, s + 1) for s in range(1, 7)]
+        if active > 1 and size >= _BATCHED_MIN_SIZE:
+            # One product for all episodes.
+            episode = matrix.swapaxes(0, 1)
             products = [
-                functools.partial(
-                    np.matmul, weights[:, 7:8, 1:], matrix[:, 1:8], out=matrix[:, 8:9]
+                (
+                    functools.partial(
+                        np.matmul,
+                        weights[:, w : w + 1, lo:hi],
+                        episode[:, lo:hi],
+                        out=episode[:, 8 + r : 9 + r],
+                    ),
                 )
+                for r, (w, lo, hi) in enumerate(terms)
             ]
-            products += [
-                functools.partial(
-                    np.matmul,
-                    weights[:, s : s + 1, : s + 1],
-                    matrix[:, : s + 1],
-                    out=matrix[:, 8 + s : 9 + s],
+        else:
+            # np.dot on each episode's rows, which for one row costs less
+            # per call than np.matmul.
+            products = [
+                tuple(
+                    functools.partial(
+                        np.dot, weights[e, w, lo:hi], matrix[lo:hi, e], matrix[8 + r, e]
+                    )
+                    for e in range(active)
                 )
-                for s in range(1, 7)
+                for r, (w, lo, hi) in enumerate(terms)
             ]
-            column = np.empty((active, 1, 1))
-
-            def set_weights(h):
-                column[:, 0, 0] = h
-                np.multiply(_DP_WEIGHTS, column, out=weights)
-                weights[:, 1:7, 0] = 1.0
-
-            def squares(v):
-                return np.matmul(v[:, None, :], v[:, :, None]).ravel().tolist()
-
         # The head's part of each stage input and derivative, and the
         # block's as (lanes, rows, width) arrays, with the episode axis in
         # front for several rows.
+        rows_of = matrix[:, 0] if active == 1 else matrix
         inputs, derivatives = [rows_of[0], *rows_of[9:]], rows_of[1:8]
         shape = (lanes, rows, width) if active == 1 else (active, lanes, rows, width)
         heads = [row[..., :head] for row in inputs]
@@ -512,96 +527,135 @@ def _run_rows(block, y0, t0, span, config):
                 (x[..., head:].reshape(shape), k[..., head:].reshape(shape))
                 for x, k in zip(inputs, derivatives)
             ]
-        # y, k_0, k_5, k_6, y_new, u_5, and three rows for the error: k_1 and
-        # k_2 are spent once it is formed, and hold the scale
-        # atol + rtol * max(|y|, |y_new|) and a difference.
-        used = [rows_of[r] for r in (0, 1, 6, 7, 14, 13, 8, 2, 3)]
-        return set_weights, products, squares, heads, rates, blocks, used
+        # k_1 and k_2 are spent once the error is formed.  They hold the
+        # scale atol + rtol * max(|y|, |y_new|) and a difference, then in
+        # their head parts k_6 - k_5 and y_new - u_5 for the stiffness.
+        err, pair = rows_of[8], rows_of[2:4, ..., :head]
+        ends, starts = rows_of[7:15:7, ..., :head], rows_of[6:14:7, ..., :head]
 
-    set_weights, products, squares, heads, rates, blocks, used = arrange(matrix)
+        if active == 1:
+            w, dk, dy = weights[0], pair[0], pair[1]
+
+            def set_weights(h):
+                np.multiply(_DP_WEIGHTS, h, out=w)
+                w[1:7, 0] = 1.0
+
+            def norms():
+                np.subtract(ends, starts, out=pair)
+                return np.dot(err, err), np.dot(dk, dk), np.dot(dy, dy)
+
+        else:
+            column = np.empty((active, 1, 1))
+            # Each row's squares as products of (1, n) and (n, 1) views.
+            err_rows = (err[:, None, :], err[:, :, None])
+            pair_rows = (pair[..., None, :], pair[..., :, None])
+
+            def set_weights(h):
+                column[:, 0, 0] = h
+                np.multiply(_DP_WEIGHTS, column, out=weights)
+                weights[:, 1:7, 0] = 1.0
+
+            def norms():
+                np.subtract(ends, starts, out=pair)
+                err_sq = np.matmul(*err_rows).ravel().tolist()
+                return (err_sq, *np.matmul(*pair_rows).reshape(2, active).tolist())
+
+        used = (rows_of[0], rows_of[1], rows_of[7], rows_of[14], err, *rows_of[2:4])
+        return set_weights, products, norms, heads, rates, blocks, used
+
+    set_weights, products, norms, heads, rates, blocks, used = arrange(matrix)
+
+    def where(i):
+        # The time, StepStats and name of active row i, for an error.
+        now = t if len(order) == 1 else t[i]
+        return t0 + now, stats[order[i]], order[i] if named else None
 
     def evaluate(stage):
         nonlocal evals
-        u = heads[stage]
         if evals >= config.max_evals:
-            first = order[0]
-            episode = first if named else None
-            raise _budget_error(config, t0 + t[0], stats[first], episode)
+            raise _budget_error(config, *where(0))
         evals += 1
-        derivative, coefficients = block.rate(u)
-        if np.shape(derivative) != u.shape:
-            raise _shape_error(derivative, u.shape, t0 + t[0], stats[order[0]])
-        # A copy, so a derivative that is a view of its input stays valid.
-        rates[stage][...] = derivative
+        u = heads[stage]
+        coefficients = block.rate(u, rates[stage])
         if blocks is not None:
             x, k = blocks[stage]
             block.rows(u, coefficients, x, 0, rows, k)
 
     def non_finite(values):
-        # The error for the first active row with a non-finite entry in values.
-        i = int(np.argmin(np.isfinite(values.reshape(len(order), -1)).all(axis=1)))
+        # The error for the first active row with a non-finite entry in
+        # values, whose axis before the last runs over the active rows.
+        finite = np.isfinite(values.reshape(-1, len(order), size)).all(axis=(0, 2))
         message = "state became non-finite during a trial step"
-        return _failure(
-            NonFiniteStateError, message, t0 + t[i], stats[order[i]],
-            order[i] if named else None,
-        )
+        return _failure(NonFiniteStateError, message, *where(int(np.argmin(finite))))
 
     try:
         evaluate(0)
         while True:
-            active = len(order)
-            clipped = [False] * active
-            for i in range(active):
-                if h[i] >= span - t[i]:
-                    h[i], clipped[i] = span - t[i], True
+            if len(order) == 1:
+                clipped = h >= span - t
+                if clipped:
+                    h = span - t
+            else:
+                clipped = [step >= span - now for now, step in zip(t, h)]
+                h = [span - now if c else step for now, step, c in zip(t, h, clipped)]
             set_weights(h)
             for stage in range(1, 7):
-                products[stage]()
+                for product in products[stage]:
+                    product()
                 evaluate(stage)
-            y, k_first, k5, k6, y_new, u5, err, scale, diff = used
+            y, k_first, k6, y_new, err, scale, diff = used
             # A finite sum proves every entry finite; only an overflowing sum
             # needs the entry-wise check.
             if not math.isfinite(y_new.sum()) and not np.all(np.isfinite(y_new)):
                 raise non_finite(y_new)
-            products[0]()
+            for product in products[0]:
+                product()
             _scale_error(err, y, y_new, scale, diff, config)
-            err_sq = squares(err)
-            # |k_6 - k_5|^2 and |y_new - u_5|^2 for the stiffness estimate.
-            np.subtract(k6, k5, out=diff)
-            dk_sq = squares(diff)
-            np.subtract(y_new, u5, out=diff)
-            dy_sq = squares(diff)
-            accepted, done = [], False
-            for i in range(active):
-                taken, row = h[i], stats[order[i]]
+            err_sq, dk_sq, dy_sq = norms()
+            if len(order) == 1:
+                row = stats[order[0]]
+                ok, next_h = _judge(row, h, err_sq, size, dk_sq, dy_sq)
+                if ok:
+                    y[...] = y_new
+                    k_first[...] = k6
+                    t = span if clipped else t + h
+                    if not t < span:
+                        out[order[0]] = y
+                        row.rhs_evals = evals
+                        return out, stats
+                h = next_h
+                continue
+            accepted = []
+            for i, taken in enumerate(h):
+                row = stats[order[i]]
                 ok, h[i] = _judge(row, taken, err_sq[i], size, dk_sq[i], dy_sq[i])
                 if ok:
                     t[i] = span if clipped[i] else t[i] + taken
-                    done = done or not t[i] < span
                     accepted.append(i)
-            if len(accepted) == active:
+            if len(accepted) == len(order):
                 y[...] = y_new
                 k_first[...] = k6
             else:
-                for i in accepted:
-                    matrix[i, 0] = matrix[i, 14]
-                    matrix[i, 1] = matrix[i, 7]
-            if done:
-                keep = []
-                for i in range(active):
-                    if t[i] < span:
-                        keep.append(i)
-                    else:
-                        out[order[i]] = matrix[i, 0]
+                matrix[0, accepted] = matrix[14, accepted]
+                matrix[1, accepted] = matrix[7, accepted]
+            keep = [i for i, now in enumerate(t) if now < span]
+            if len(keep) < len(order):
+                for i, now in enumerate(t):
+                    if not now < span:
+                        out[order[i]] = matrix[0, i]
                         stats[order[i]].rhs_evals = evals
                 if not keep:
                     return out, stats
                 # The rows left, with kernels for their episodes alone.
-                matrix, block = matrix[keep], block.take(keep)
+                matrix, block = matrix[:, keep], block.take(keep)
                 order, t, h = ([values[i] for i in keep] for values in (order, t, h))
-                set_weights, products, squares, heads, rates, blocks, used = arrange(
+                if len(keep) == 1:
+                    (t,), (h,) = t, h
+                set_weights, products, norms, heads, rates, blocks, used = arrange(
                     matrix
                 )
+    except _Misshapen as error:
+        raise _failure(ValueError, str(error), *where(0)) from None
     except RuntimeWarning as warning:
         # Under a filter that makes numpy's warnings errors, a stage that
         # turned non-finite raises from the next product, before the step's
@@ -671,11 +725,7 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
             if stats.rhs_evals >= config.max_evals:
                 raise _budget_error(config, t0 + t, stats, episode)
             stats.rhs_evals += 1
-            derivative, coefficients[stage] = block.rate(heads[stage])
-            if np.shape(derivative) != (head,):
-                raise _shape_error(derivative, (head,), t0 + t, stats, episode)
-            # A copy, so a derivative that is a view of its input stays valid.
-            head_rates[stage][...] = derivative
+            coefficients[stage] = block.rate(heads[stage], head_rates[stage])
         if views is not None:
             block.rows(
                 heads[stage],
@@ -705,9 +755,8 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
                 h = span - t
             np.multiply(_DP_WEIGHTS, h, out=weights)
             weights[1:7, 0] = 1.0
-            # Sums over the whole state: squared scaled error, |k_6 - k_5|^2
-            # and |y_new - u_5|^2 for the stiffness estimate.
-            err_sq = dk_sq = dy_sq = 0.0
+            # The squared scaled error, summed over the whole state.
+            err_sq = 0.0
             for segment, k, u, leading, views in work:
                 shape = part(y, segment).shape
                 k[0].reshape(shape)[...] = part(y, segment)
@@ -725,10 +774,13 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
                 np.dot(weights[7, 1:], leading[7][1:], out=err)
                 _scale_error(err, k[0], u[6], scale, diff, config)
                 err_sq += np.dot(err, err)
-                np.subtract(k[7], k[6], out=diff)
-                dk_sq += np.dot(diff, diff)
-                np.subtract(u[6], u[5], out=diff)
-                dy_sq += np.dot(diff, diff)
+                if segment.head:
+                    # The head's |k_6 - k_5|^2 and |y_new - u_5|^2 for the
+                    # stiffness estimate.
+                    np.subtract(k[7], k[6], out=diff)
+                    dk_sq = np.dot(diff, diff)
+                    np.subtract(u[6], u[5], out=diff)
+                    dy_sq = np.dot(diff, diff)
                 part(y_new, segment)[...] = u[6].reshape(shape)
                 part(k_last, segment)[...] = k[7].reshape(shape)
             accepted, next_h = _judge(stats, h, err_sq, n, dk_sq, dy_sq)

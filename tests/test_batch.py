@@ -38,11 +38,11 @@ def clock_rhs(episodes, field):
     """
 
     def block(ids):
-        def rate(u):
+        def rate(u, out):
             rows = u.reshape(len(ids), 2)
             du = np.ones_like(rows)
             du[:, 1] = [field(e, c, x) for e, (c, x) in zip(ids, rows)]
-            return du.reshape(u.shape), None
+            out[...] = du.reshape(u.shape)
 
         def take(index):
             return block([ids[i] for i in index])

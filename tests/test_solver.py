@@ -601,7 +601,7 @@ class TestTangentBlock:
                 out[...] = np.inf
 
         rhs = lambda y: None
-        rhs.tangent = TangentBlock(1, (1, 8, 2), lambda u: (np.ones(1), None), rows)
+        rhs.tangent = TangentBlock(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
         monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
         assert len(comln.solver._segments(1, 1, 8, 2, 64)) == 3
         y0 = np.concatenate(([0.0], np.ones(16)))
@@ -704,6 +704,40 @@ class TestStiffness:
         _, stats = integrate(rhs, y0, 0.0, 2.0, cfg)
         _, _, _, largest = matrix_dopri5(rhs, y0, 2.0, cfg)
         assert stats.stiffness == pytest.approx(lam * largest, rel=1e-9)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 16])
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 40.0])
+    def test_tangent_block_reads_the_head_alone(self, monkeypatch, lam, chunk_bytes):
+        # Head u' = -lam u and rows X' = -lam X + u, as one row of episodes
+        # and, with 16-byte chunks, one row per chunk.  On the head rho =
+        # lam, so the estimate is lam times the largest accepted step; on
+        # the whole vector the rows' forcing by u would move it.
+        def rate(u, out):
+            np.multiply(u, -lam, out=out)
+
+        def rows(u, coefficients, X, lo, hi, out):
+            np.multiply(X, -lam, out=out)
+            out += u
+
+        rhs = lambda y: None  # noqa: E731
+        rhs.tangent = TangentBlock(2, (1, 3, 2), rate, rows)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
+            assert len(comln.solver._segments(2, 1, 3, 2, chunk_bytes)) == 4
+        # The steps each path accepts, as its controller sees them.
+        accepted_steps, judge = [], comln.solver._judge
+
+        def spy(stats, h, *sums):
+            accepted, next_h = judge(stats, h, *sums)
+            if accepted:
+                accepted_steps.append(h)
+            return accepted, next_h
+
+        monkeypatch.setattr(comln.solver, "_judge", spy)
+        y0 = _state([1.0, -2.0, 0.5, 0.25, -1.0, 2.0, 0.0, 1.5])
+        _, stats = integrate(rhs, y0, 0.0, 2.0, SolverConfig())
+        assert len(accepted_steps) == stats.accepted_steps
+        assert stats.stiffness == pytest.approx(lam * max(accepted_steps), rel=1e-9)
 
     def test_passes_the_stability_edge_below_atol(self):
         # The StepStats docstring's example: once y is below atol the error
