@@ -163,11 +163,6 @@ def build_configs(
         loss = LossConfig(**config["loss"])
         solver = SolverConfig(**config["solver"])
         train_kwargs = dict(config["train"])
-        schedule = train_kwargs.get("lr_schedule")
-        if schedule is not None:
-            train_kwargs["lr_schedule"] = tuple(
-                (int(it), float(mult)) for it, mult in schedule
-            )
         if train_kwargs.get("checkpoint_path") is None:
             train_kwargs["checkpoint_path"] = default_checkpoint
         train = TrainConfig(**train_kwargs, lam=loss.lam, solver=solver)

@@ -425,7 +425,6 @@ def adapt(
     solver: SolverConfig,
     track: bool,
     t_cap: float = DEFAULT_T_CAP,
-    m_cap: int = DEFAULT_M_CAP,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     episodes: int | None = None,
 ) -> Tuple[np.ndarray, AugmentedState, StepStats]:
@@ -433,12 +432,13 @@ def adapt(
 
     Returns the adapted weights W(T), the final augmented state (with the
     tangent block X only when ``track``), and the solver statistics.  The
-    horizon is capped at ``t_cap`` and the augmented state must fit
-    ``memory_budget`` bytes before anything is allocated.  The budget bounds
-    the state, not the integrator: dopri5 holds three state-sized vectors
-    plus chunk scratch of 15 chunk-sized vectors (about 15 *
-    ``solver.CHUNK_BYTES``), or one matrix of 15 state-sized rows for an
-    untracked state or one within a chunk.
+    horizon is capped at ``t_cap``, a task holds at most ``DEFAULT_M_CAP``
+    examples, and the augmented state must fit ``memory_budget`` bytes
+    before anything is allocated.  The budget bounds the state, not the
+    integrator: dopri5 holds three state-sized vectors plus chunk scratch of
+    15 chunk-sized vectors (about 15 * ``solver.CHUNK_BYTES``), or one
+    matrix of 15 state-sized rows for an untracked state or one within a
+    chunk.
 
     With ``episodes`` = E, phi_train (E M, d) and labels (E M, N) hold the
     train splits of E tasks of M examples each, stacked row by row, which
@@ -461,8 +461,8 @@ def adapt(
     # Written so that a NaN T fails it too.
     if not T <= t_cap:
         raise ValueError(f"horizon T={T:g} is not within the hard cap {t_cap:g}")
-    if m > m_cap:
-        raise MemoryBudgetError(f"M={m} exceeds the example cap {m_cap}")
+    if m > DEFAULT_M_CAP:
+        raise MemoryBudgetError(f"M={m} exceeds the example cap {DEFAULT_M_CAP}")
     flat_entries = count * state_entries(m, n, track)
     if flat_entries * 8 > memory_budget:
         raise MemoryBudgetError(

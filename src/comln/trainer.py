@@ -6,11 +6,16 @@ step with optional Nesterov momentum to every meta-parameter.  The
 horizon is trained through its logarithm, which keeps T positive by
 construction no matter what the optimizer does.
 
+The update runs on one flat float64 vector laid out as W0, then each
+layer's weight and bias, then log T; ``_flat`` and ``_unflat`` own that
+order, so the gradient mean, the momentum buffer and the step are one
+array each.
+
 Checkpoints use the "COMLN-CKPT v1" format: a three-line ASCII header
 (magic, dimensions plus the full-precision log-horizon, layer layout)
-followed by little-endian float64 blocks for W0 and then each layer's
-weight and bias in order.  Momentum buffers are not part of the format,
-so resuming is bit-reproducible only for momentum-free configurations.
+followed by the flat vector without log T, as little-endian float64.
+Momentum buffers are not part of the format, so resuming is
+bit-reproducible only for momentum-free configurations.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class MetaParams:
 
     def __post_init__(self) -> None:
         W0 = np.asarray(self.W0, dtype=np.float64)
+        # A numpy scalar would write its repr into the checkpoint header.
+        object.__setattr__(self, "log_T", float(self.log_T))
         if W0.ndim != 2:
             raise ValueError("W0 must be a 2-d matrix")
         if not np.isfinite(W0).all():
@@ -187,6 +194,45 @@ def default_meta_params(
     return MetaParams(W0, phi, math.log(INITIAL_T))
 
 
+def _layer_spec(layer: Layer) -> Tuple[int, int, str]:
+    d_out, d_in = layer.weight.shape
+    return d_in, d_out, layer.activation
+
+
+def _flat(W0, pairs, log_T) -> np.ndarray:
+    """W0, then each (weight, bias) pair in order, then log T, as one vector.
+
+    Takes the parameters or their gradients alike.
+    """
+    arrays = [W0, *(a for pair in pairs for a in pair), log_T]
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def _unflat(
+    theta: np.ndarray,
+    way: int,
+    input_dim: int,
+    specs: Sequence[Tuple[int, int, str]],
+) -> MetaParams:
+    """Rebuild MetaParams from a ``_flat`` vector and the layers' specs.
+
+    A spec is (d_in, d_out, activation); no specs is the identity backbone.
+    """
+    dim = specs[-1][1] if specs else input_dim
+    sizes = [way * dim]
+    for d_in, d_out, _ in specs:
+        sizes += [d_in * d_out, d_out]
+    pieces = np.split(theta, np.cumsum(sizes))
+    layers = tuple(
+        Layer(weight.reshape(d_out, d_in), bias, activation)
+        for (d_in, d_out, activation), weight, bias in zip(
+            specs, pieces[1:-1:2], pieces[2:-1:2]
+        )
+    )
+    params = EmbeddingParams(layers, input_dim, dim)
+    return MetaParams(pieces[0].reshape(way, dim), params, theta[-1])
+
+
 def _sgd_step(grad, velocity, momentum: float, nesterov: bool):
     """One momentum update; returns (step_direction, new_velocity)."""
     new_velocity = momentum * velocity + grad
@@ -241,12 +287,11 @@ def meta_train(
         else default_lr_schedule(cfg.iterations)
     )
 
-    vel_W0 = np.zeros_like(meta.W0)
-    vel_layers = [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias))
-        for l in meta.phi_params.layers
-    ]
-    vel_logT = 0.0
+    layers = meta.phi_params.layers
+    specs = [_layer_spec(l) for l in layers]
+    theta = _flat(meta.W0, [(l.weight, l.bias) for l in layers], meta.log_T)
+    velocity = np.zeros_like(theta)
+    n_W0 = meta.W0.size
 
     metrics: List[MetricsRow] = []
     for k in range(cfg.iterations):
@@ -267,54 +312,14 @@ def meta_train(
                 f"meta-training aborted: iteration {k}, {failure}"
             ) from failure.__cause__
 
-        b = len(bundles)
-        g_W0 = sum(x.grad_W0 for x in bundles) / b
-        g_layers = [
-            (
-                sum(x.grad_embedding[li][0] for x in bundles) / b,
-                sum(x.grad_embedding[li][1] for x in bundles) / b,
-            )
-            for li in range(len(meta.phi_params.layers))
-        ]
-        g_logT = sum(x.grad_logT for x in bundles) / b
+        grad = sum(
+            _flat(x.grad_W0, x.grad_embedding, x.grad_logT) for x in bundles
+        ) / len(bundles)
+        step, velocity = _sgd_step(grad, velocity, cfg.momentum, cfg.nesterov)
+        theta = theta - _effective_lr(cfg.lr, schedule, k) * step
+        theta[-1] = min(theta[-1], LOG_T_MAX)
+        meta = _unflat(theta, meta.way, meta.phi_params.input_dim, specs)
 
-        lr = _effective_lr(cfg.lr, schedule, k)
-        step_W0, vel_W0 = _sgd_step(g_W0, vel_W0, cfg.momentum, cfg.nesterov)
-        new_W0 = meta.W0 - lr * step_W0
-        new_layers = []
-        for li, layer in enumerate(meta.phi_params.layers):
-            step_w, vel_w = _sgd_step(
-                g_layers[li][0], vel_layers[li][0], cfg.momentum, cfg.nesterov
-            )
-            step_b, vel_b = _sgd_step(
-                g_layers[li][1], vel_layers[li][1], cfg.momentum, cfg.nesterov
-            )
-            vel_layers[li] = (vel_w, vel_b)
-            new_layers.append(
-                Layer(
-                    layer.weight - lr * step_w,
-                    layer.bias - lr * step_b,
-                    layer.activation,
-                )
-            )
-        step_logT, vel_logT = _sgd_step(
-            g_logT, vel_logT, cfg.momentum, cfg.nesterov
-        )
-        new_logT = min(meta.log_T - lr * step_logT, LOG_T_MAX)
-
-        meta = MetaParams(
-            new_W0,
-            EmbeddingParams(
-                tuple(new_layers),
-                meta.phi_params.input_dim,
-                meta.phi_params.output_dim,
-            ),
-            new_logT,
-        )
-
-        emb_sq = sum(
-            float(np.sum(gw**2) + np.sum(gb**2)) for gw, gb in g_layers
-        )
         metrics.append(
             MetricsRow(
                 iteration=k,
@@ -323,9 +328,9 @@ def meta_train(
                     np.mean([x.test_accuracy for x in bundles])
                 ),
                 T=meta.T,
-                grad_norm_W0=float(np.linalg.norm(g_W0)),
-                grad_norm_embedding=math.sqrt(emb_sq),
-                grad_norm_logT=abs(g_logT),
+                grad_norm_W0=float(np.linalg.norm(grad[:n_W0])),
+                grad_norm_embedding=float(np.linalg.norm(grad[n_W0:-1])),
+                grad_norm_logT=abs(float(grad[-1])),
                 alignment=float(np.mean([x.diag_alignment for x in bundles])),
                 rhs_evals=sum(x.rhs_evals for x in bundles),
                 rejected_steps=sum(x.rejected_steps for x in bundles),
@@ -373,28 +378,23 @@ def meta_test(
     return accuracy, loss
 
 
-def _layer_token(layer: Layer) -> str:
-    d_out, d_in = layer.weight.shape
-    return f"{d_in}->{d_out}:{layer.activation}"
-
-
 def save_checkpoint(meta: MetaParams, path: str) -> None:
     """Write the meta-parameters in the COMLN-CKPT v1 format."""
     way, dim = meta.W0.shape
-    tokens = ",".join(_layer_token(l) for l in meta.phi_params.layers)
+    layers = meta.phi_params.layers
+    tokens = ",".join(
+        f"{d_in}->{d_out}:{activation}"
+        for d_in, d_out, activation in map(_layer_spec, layers)
+    )
     header = (
         f"{_CKPT_MAGIC}\n"
         f"N {way} d {dim} log_T {meta.log_T!r}\n"
         f"layers {tokens if tokens else '-'}\n"
     )
-    blocks = [np.ascontiguousarray(meta.W0, dtype="<f8").tobytes()]
-    for layer in meta.phi_params.layers:
-        blocks.append(np.ascontiguousarray(layer.weight, dtype="<f8").tobytes())
-        blocks.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    payload = _flat(meta.W0, [(l.weight, l.bias) for l in layers], meta.log_T)[:-1]
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for block in blocks:
-            fh.write(block)
+        fh.write(payload.astype("<f8").tobytes())
 
 
 def _parse_layer_token(token: str) -> Tuple[int, int, str]:
@@ -461,18 +461,8 @@ def load_checkpoint(path: str) -> MetaParams:
     if not np.isfinite(values).all():
         raise CorruptPayloadError("checkpoint parameters are non-finite")
 
-    offset = way * dim
-    W0 = values[:offset].reshape(way, dim).copy()
-    layers = []
-    for d_in, d_out, activation in shapes:
-        weight = values[offset : offset + d_in * d_out].reshape(d_out, d_in)
-        offset += d_in * d_out
-        bias = values[offset : offset + d_out]
-        offset += d_out
-        layers.append(Layer(weight.copy(), bias.copy(), activation))
     input_dim = shapes[0][0] if shapes else dim
     try:
-        params = EmbeddingParams(tuple(layers), input_dim, dim)
-        return MetaParams(W0, params, log_T)
+        return _unflat(np.append(values, log_T), way, input_dim, shapes)
     except ValueError as exc:
         raise VersionMismatchError(f"inconsistent checkpoint: {exc}") from exc

@@ -159,6 +159,17 @@ def test_malformed_and_unknown_overrides_exit_2(tmp_path, capsys):
     assert "train.nope" in err
 
 
+def test_lr_schedule_override_is_normalized_or_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    base = ["train", "--config", config, "--out", str(out), "--set"]
+    assert cli.main(base + ["train.lr_schedule=[[1, 1]]"]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["train"]["lr_schedule"] == [[1, 1.0]]
+    assert cli.main(base + ["train.lr_schedule=[[1]]"]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_reruns_are_deterministic_apart_from_wall_time(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

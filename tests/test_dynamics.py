@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import comln.dynamics
 import comln.solver
 from comln.dynamics import (
+    DEFAULT_M_CAP,
     AugmentedState,
     Horizon,
     MemoryBudgetError,
@@ -721,22 +722,25 @@ def test_adapt_rejects_nan_horizon():
         )
 
 
-def test_adapt_rejects_oversized_state_before_allocating():
+def test_adapt_rejects_oversized_state_before_allocating(monkeypatch):
     rng = np.random.default_rng(11)
     data = random_set(rng, m=6, n=3, d=3)
     W0 = np.zeros((3, 3))
     solver = SolverConfig(method="dopri5")
-    with pytest.raises(MemoryBudgetError, match="cap"):
-        adapt(
-            W0,
-            data.features,
-            data.labels,
-            LAM0,
-            Horizon.from_T(1.0),
-            solver,
-            track=False,
-            m_cap=4,
-        )
+    over = random_set(rng, m=DEFAULT_M_CAP + 1, n=3, d=3)
+    with monkeypatch.context() as patch:
+        # Any per-task setup would mean the cap was checked too late.
+        patch.setattr(comln.dynamics, "TaskConstants", None)
+        with pytest.raises(MemoryBudgetError, match="cap"):
+            adapt(
+                W0,
+                over.features,
+                over.labels,
+                LAM0,
+                Horizon.from_T(1.0),
+                solver,
+                track=False,
+            )
     with pytest.raises(MemoryBudgetError, match="budget"):
         adapt(
             W0,

@@ -1,11 +1,13 @@
 """Tests for the outer training loop and the checkpoint format."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import comln.trainer
 from comln.embedding import init_embedding
 from comln.loss import EmbeddedSet, LossConfig
 from comln.metagrad import task_metagrads
@@ -286,6 +288,69 @@ def test_horizon_stays_positive_through_training():
     assert all(row.T > 0.0 for row in metrics)
 
 
+def layer_arrays(meta):
+    return [a for l in meta.phi_params.layers for a in (l.weight, l.bias)]
+
+
+def test_nesterov_steps_on_an_mlp_match_a_per_array_reference(monkeypatch):
+    seen = []
+    real = comln.trainer.batch_metagrads
+
+    def spy(meta, batch, loss_cfg, solver):
+        bundles = real(meta, batch, loss_cfg, solver)
+        if not seen:
+            # Push log T past the cap so that the projection engages.
+            bundles = [dataclasses.replace(b, grad_logT=-10.0) for b in bundles]
+        seen.append((meta, bundles))
+        return bundles
+
+    monkeypatch.setattr(comln.trainer, "batch_metagrads", spy)
+    task_cfg = TaskGenConfig(way=5, shot=1, input_dim=16, seed=12)
+    episodes = [sample_episode(task_cfg, i) for i in range(8)]
+    initial = default_meta_params(5, 16, seed=12, hidden_dims=(8, 6))
+    initial = MetaParams(initial.W0, initial.phi_params, LOG_T_MAX - 0.5)
+    cfg = flat_train_config(
+        iterations=4,
+        meta_batch_size=2,
+        momentum=0.9,
+        nesterov=True,
+        lr_schedule=((2, 0.1),),
+        lam=0.5,
+        solver=SolverConfig(),
+    )
+    out, _ = meta_train(cfg, episodes, initial=initial)
+    assert len(seen) == cfg.iterations
+
+    # Each array and log T on its own: v = m v + g, then p -= lr (g + m v).
+    m = cfg.momentum
+    params = [initial.W0, *layer_arrays(initial)]
+    velocity = [np.zeros_like(p) for p in params]
+    log_T, vel_T = initial.log_T, 0.0
+    clamped = 0
+    for k, (meta, bundles) in enumerate([*seen, (out, None)]):
+        for got, want in zip([meta.W0, *layer_arrays(meta)], params, strict=True):
+            assert_array_equal(got, want)
+        assert meta.log_T == log_T
+        if bundles is None:
+            break
+        lr = cfg.lr * (0.1 if k >= 2 else 1.0)
+        grads = [
+            [b.grad_W0, *(a for pair in b.grad_embedding for a in pair)]
+            for b in bundles
+        ]
+        for i in range(len(params)):
+            g = sum(gs[i] for gs in grads) / len(bundles)
+            velocity[i] = m * velocity[i] + g
+            params[i] = params[i] - lr * (g + m * velocity[i])
+        g_T = sum(b.grad_logT for b in bundles) / len(bundles)
+        vel_T = m * vel_T + g_T
+        log_T = log_T - lr * (g_T + m * vel_T)
+        clamped += log_T > LOG_T_MAX
+        log_T = min(log_T, LOG_T_MAX)
+    assert clamped >= 1
+    assert [l.activation for l in out.phi_params.layers] == ["relu", "identity"]
+
+
 def test_metrics_row_field_order():
     assert MetricsRow.FIELDS[0] == "iteration"
     assert MetricsRow.FIELDS[-1] == "wall_time"
@@ -348,6 +413,14 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert_array_equal(got.weight, want.weight)
         assert_array_equal(got.bias, want.bias)
         assert got.activation == want.activation
+
+
+def test_numpy_scalar_horizon_survives_the_checkpoint(tmp_path):
+    meta = MetaParams(np.zeros((2, 3)), init_embedding([3], seed=0), np.log(0.05))
+    assert type(meta.log_T) is float
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(meta, path)
+    assert load_checkpoint(path).log_T == meta.log_T
 
 
 def test_checkpoint_header_layout(tmp_path):
