@@ -23,7 +23,7 @@ trainer    outer SGD loop, meta-test evaluation, COMLN-CKPT checkpoints
 cli        command-line entry point (train / grad-check / bench / ...)
 """
 
-from comln.dynamics import AugmentedState, Horizon, adapt
+from comln.dynamics import AugmentedState, adapt
 from comln.loss import EmbeddedSet, LossConfig
 from comln.metagrad import MetaGradients, batch_metagrads, task_metagrads
 from comln.solver import SolverConfig, StepStats, integrate
@@ -38,7 +38,6 @@ __all__ = [
     "EmbeddedSet",
     "LossConfig",
     "AugmentedState",
-    "Horizon",
     "adapt",
     "MetaGradients",
     "task_metagrads",

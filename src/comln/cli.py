@@ -45,7 +45,6 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_MEMORY_BUDGET,
-    Horizon,
     MemoryBudgetError,
     adapt,
 )
@@ -437,7 +436,7 @@ def _cmd_bench(args) -> int:
                 train_set.features,
                 train_set.labels,
                 loss_cfg,
-                Horizon(math.log(T)),
+                T,
                 solver,
                 track=True,
                 t_cap=math.inf,

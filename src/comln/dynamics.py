@@ -153,23 +153,6 @@ class TaskConstants:
         return taken
 
 
-@dataclass(frozen=True)
-class Horizon:
-    """Adaptation time, parametrized on the log scale so T stays positive."""
-
-    log_T: float
-
-    @classmethod
-    def from_T(cls, T: float) -> "Horizon":
-        if not T > 0:
-            raise ValueError(f"horizon T must be positive, got {T}")
-        return cls(float(np.log(T)))
-
-    @property
-    def T(self) -> float:
-        return float(np.exp(self.log_T))
-
-
 def _tangent_rows(m: int, n: int) -> int:
     """Rows of X[i]: M N columns of B[i, :], then M (M + 1) / 2 pairs of z."""
     return m * n + m * (m + 1) // 2
@@ -421,18 +404,18 @@ def adapt(
     phi_train: np.ndarray,
     labels: np.ndarray,
     cfg: LossConfig,
-    horizon: Horizon,
+    T: float,
     solver: SolverConfig,
     track: bool,
     t_cap: float = DEFAULT_T_CAP,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     episodes: int | None = None,
 ) -> Tuple[np.ndarray, AugmentedState, StepStats]:
-    """Integrate the adaptation flow from 0 to horizon.T.
+    """Integrate the adaptation flow from 0 to the end time T.
 
     Returns the adapted weights W(T), the final augmented state (with the
-    tangent block X only when ``track``), and the solver statistics.  The
-    horizon is capped at ``t_cap``, a task holds at most ``DEFAULT_M_CAP``
+    tangent block X only when ``track``), and the solver statistics.  T
+    must satisfy 0 < T <= ``t_cap``, a task holds at most ``DEFAULT_M_CAP``
     examples, and the augmented state must fit ``memory_budget`` bytes
     before anything is allocated.  The budget bounds the state, not the
     integrator: dopri5 holds three state-sized vectors plus chunk scratch of
@@ -442,7 +425,7 @@ def adapt(
 
     With ``episodes`` = E, phi_train (E M, d) and labels (E M, N) hold the
     train splits of E tasks of M examples each, stacked row by row, which
-    adapt from the same W0 for the same horizon in one integrate call.  W(T)
+    adapt from the same W0 for the same T in one integrate call.  W(T)
     is then (E, N, d), s and X gain a leading axis of E, the budget bounds
     the states of all E tasks, and the StepStats hold the totals over the
     tasks, the largest stiffness and, in ``episodes``, each task's own.
@@ -457,10 +440,11 @@ def adapt(
             f"{data.count} rows do not split into {count} tasks of equal size"
         )
     m, n = data.count // count, data.way
-    T = horizon.T
     # Written so that a NaN T fails it too.
-    if not T <= t_cap:
-        raise ValueError(f"horizon T={T:g} is not within the hard cap {t_cap:g}")
+    if not 0 < T <= t_cap:
+        raise ValueError(
+            f"horizon T={T:g} is not within (0, {t_cap:g}], the hard cap"
+        )
     if m > DEFAULT_M_CAP:
         raise MemoryBudgetError(f"M={m} exceeds the example cap {DEFAULT_M_CAP}")
     flat_entries = count * state_entries(m, n, track)

@@ -89,8 +89,8 @@ class LossConfig:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("proximal weight lam must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("proximal weight lam must be finite and non-negative")
 
 
 def _check_W(W: np.ndarray, data: EmbeddedSet) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import Horizon, adapt, compact_layout
+from .dynamics import adapt, compact_layout
 from .embedding import backward, embed_set
 from .loss import (
     DimensionMismatchError,
@@ -65,13 +65,15 @@ class MetaGradients:
     to re-run the adaptation.  ``rhs_evals``, ``rejected_steps`` and
     ``stiffness`` come from the adaptation solver's ``StepStats``;
     references that do not integrate leave them at zero.
+
+    ``grad_T`` is the one horizon gradient, dL/dT; the trainer, which owns
+    the log-T parametrisation, turns it into dL/dlog T = T grad_T.
     """
 
     grad_W0: np.ndarray
     grad_phi_train: np.ndarray
     grad_phi_test: np.ndarray
     grad_T: float
-    grad_logT: float
     grad_embedding: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     outer_loss: float
     test_accuracy: float
@@ -84,7 +86,7 @@ class MetaGradients:
         arrays.extend(a for pair in self.grad_embedding for a in pair)
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("meta-gradient contains non-finite entries")
-        if not (np.isfinite(self.grad_T) and np.isfinite(self.grad_logT)):
+        if not np.isfinite(self.grad_T):
             raise ValueError("meta-gradient scalar is non-finite")
 
     @property
@@ -216,7 +218,7 @@ def batch_metagrads(
     sizes: dict = {}
     for i, episode in enumerate(episodes):
         sizes.setdefault(episode.train.count, []).append(i)
-    horizon = Horizon(meta.log_T)
+    T = meta.T
     bundles: List[MetaGradients] = [None] * len(episodes)
     for tasks in sizes.values():
         try:
@@ -225,7 +227,7 @@ def batch_metagrads(
                 np.concatenate([train_sets[i].features for i in tasks]),
                 np.concatenate([train_sets[i].labels for i in tasks]),
                 cfg,
-                horizon,
+                T,
                 solver,
                 track=True,
                 episodes=len(tasks),
@@ -237,7 +239,7 @@ def batch_metagrads(
         for row, i in enumerate(tasks):
             try:
                 bundles[i] = _bundle(
-                    meta, cfg, horizon, W_T[row], state.s[row], state.X[row],
+                    meta, cfg, W_T[row], state.s[row], state.X[row],
                     stats.episodes[row], train_sets[i], test_sets[i], embedded[i],
                 )
             except Exception as exc:
@@ -245,7 +247,7 @@ def batch_metagrads(
     return bundles
 
 
-def _bundle(meta, cfg, horizon, W_T, s, X, stats, train, test, embedded):
+def _bundle(meta, cfg, W_T, s, X, stats, train, test, embedded):
     """One episode's MetaGradients from its adapted state and embeddings."""
     (_, train_tape), (_, test_tape) = embedded
     phi_train = train.features
@@ -272,7 +274,6 @@ def _bundle(meta, cfg, horizon, W_T, s, X, stats, train, test, embedded):
         grad_phi_train=g_phi_train,
         grad_phi_test=g_phi_test,
         grad_T=g_T,
-        grad_logT=horizon.T * g_T,
         grad_embedding=tuple(emb_grads),
         outer_loss=float(outer_loss(W_T, test)),
         test_accuracy=float(np.mean(predictions == truth)),

@@ -150,7 +150,6 @@ def bptt_metagrads(
 
     g_inner, _ = inner_grad(W_K, meta.W0, train, cfg)
     g_T = -float(np.sum(V * g_inner))
-    T = steps * alpha
 
     emb_grads = [
         (train_w + test_w, train_b + test_b)
@@ -167,7 +166,6 @@ def bptt_metagrads(
         grad_phi_train=g_phi,
         grad_phi_test=g_phi_test,
         grad_T=g_T,
-        grad_logT=T * g_T,
         grad_embedding=tuple(emb_grads),
         outer_loss=float(outer_loss(W_K, test)),
         test_accuracy=float(np.mean(predictions == truth)),
@@ -215,7 +213,7 @@ def naive_forward_sensitivity(
             f"dense sensitivities need N*d <= {SENSITIVITY_DIM_CAP}, got {nd}"
         )
     m = train.count
-    T = float(np.exp(meta.log_T))
+    T = meta.T
     eye_nd = np.eye(nd)
     eye_d = np.eye(d)
 
@@ -339,10 +337,8 @@ def finite_diff_metagrads(
     flow at the supplied solver settings, so pass tolerances well below
     the difference quotient you intend to resolve.  Embedding-row probes
     perturb the embedded features directly; network probes perturb one
-    scalar parameter and re-embed both splits.  The log-horizon entry is
-    filled through the chain rule T * grad_T rather than probed again,
-    and the horizon probe turns one-sided when T <= eps so it never
-    integrates over a negative span.
+    scalar parameter and re-embed both splits.  The horizon probe turns
+    one-sided when T <= eps so it never integrates over a negative span.
     """
     if eps <= 0:
         raise ValueError("finite-difference step eps must be positive")
@@ -350,7 +346,7 @@ def finite_diff_metagrads(
     y_train, y_test = episode.train.labels, episode.test.labels
     phi_train, _ = embed_set(params, episode.train.features)
     phi_test, _ = embed_set(params, episode.test.features)
-    T = float(np.exp(meta.log_T))
+    T = meta.T
 
     def adapted(W0, features, horizon):
         return _descend(W0, EmbeddedSet(features, y_train), cfg, horizon, solver)
@@ -423,7 +419,6 @@ def finite_diff_metagrads(
         grad_phi_train=g_phi_train,
         grad_phi_test=g_phi_test,
         grad_T=g_T,
-        grad_logT=T * g_T,
         grad_embedding=tuple(emb_grads),
         outer_loss=float(outer_loss(base_WT, EmbeddedSet(phi_test, y_test))),
         test_accuracy=float(np.mean(predictions == truth)),

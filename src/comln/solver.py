@@ -128,6 +128,9 @@ class SolverConfig:
         else:
             if self.rtol <= 0 or self.atol <= 0:
                 raise ValueError("dopri5 requires positive rtol and atol")
+        step = 0.0 if self.fixed_step is None else self.fixed_step
+        if not all(math.isfinite(x) for x in (self.rtol, self.atol, step)):
+            raise ValueError("fixed_step, rtol and atol must be finite")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
 

@@ -93,8 +93,10 @@ class TaskGenConfig:
             raise ValueError("need at least two classes")
         if min(self.shot, self.test_shots, self.input_dim) < 1:
             raise ValueError("shot, test_shots and input_dim must be positive")
-        if self.class_spread <= 0 or self.noise_std < 0:
-            raise ValueError("class_spread must be positive, noise_std >= 0")
+        if not (0 < self.class_spread < np.inf and 0 <= self.noise_std < np.inf):
+            raise ValueError(
+                "class_spread must be positive, noise_std >= 0, both finite"
+            )
 
 
 def sample_episode(cfg: TaskGenConfig, episode_index: int) -> Episode:

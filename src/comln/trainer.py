@@ -4,7 +4,10 @@ Each iteration draws a meta-batch of episodes, computes per-task
 gradient bundles, averages them arithmetically, and applies one SGD
 step with optional Nesterov momentum to every meta-parameter.  The
 horizon is trained through its logarithm, which keeps T positive by
-construction no matter what the optimizer does.
+construction no matter what the optimizer does.  That parametrisation
+lives here alone: ``MetaParams.T`` is the one place a log T turns into
+the T the flow integrates to, and ``meta_train`` applies the chain rule
+dL/dlog T = T dL/dT to the bundles' ``grad_T``.
 
 The update runs on one flat float64 vector laid out as W0, then each
 layer's weight and bias, then log T; ``_flat`` and ``_unflat`` own that
@@ -20,15 +23,16 @@ bit-reproducible only for momentum-free configurations.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_T_CAP, Horizon, adapt
+from .dynamics import DEFAULT_T_CAP, adapt
 from .embedding import ACTIVATIONS, EmbeddingParams, Layer, embed_set, init_embedding
 from .loss import EmbeddedSet, LossConfig, outer_loss
 # task_metagrads is looked up here by the benchmark's tracer (bench/tracer.py).
@@ -41,7 +45,7 @@ INITIAL_T = 0.05
 # Largest log-horizon whose exp stays inside the hard cap, so a clamped
 # value always constructs a valid MetaParams despite exp/log rounding.
 LOG_T_MAX = math.log(DEFAULT_T_CAP)
-while math.exp(LOG_T_MAX) > DEFAULT_T_CAP:
+while np.exp(LOG_T_MAX) > DEFAULT_T_CAP:
     LOG_T_MAX = math.nextafter(LOG_T_MAX, -math.inf)
 
 _CKPT_MAGIC = "COMLN-CKPT v1"
@@ -78,7 +82,8 @@ class MetaParams:
             )
         if not np.isfinite(self.log_T):
             raise ValueError("log_T must be finite")
-        if math.exp(self.log_T) > DEFAULT_T_CAP:
+        # In log space, so that no log_T overflows on its way to the check.
+        if self.log_T > LOG_T_MAX:
             raise ValueError(
                 f"T = exp({self.log_T:g}) exceeds the hard cap {DEFAULT_T_CAP:g}"
             )
@@ -90,7 +95,8 @@ class MetaParams:
 
     @property
     def T(self) -> float:
-        return math.exp(self.log_T)
+        """The end time of the adaptation flow, exp(log_T)."""
+        return float(np.exp(self.log_T))
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,8 @@ class TrainConfig:
             raise ValueError("meta_batch_size must be at least 1")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError("learning rate must be finite and non-negative")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.lr_schedule is not None:
@@ -149,23 +155,14 @@ class MetricsRow:
     rejected_steps: int
     wall_time: float
 
-    FIELDS = (
-        "iteration",
-        "outer_loss",
-        "test_accuracy",
-        "T",
-        "grad_norm_W0",
-        "grad_norm_embedding",
-        "grad_norm_logT",
-        "alignment",
-        "stiffness",
-        "rhs_evals",
-        "rejected_steps",
-        "wall_time",
-    )
+    # The CSV columns: the field names, in declaration order.
+    FIELDS: ClassVar[Tuple[str, ...]]
 
     def as_row(self) -> List:
         return [getattr(self, name) for name in self.FIELDS]
+
+
+MetricsRow.FIELDS = tuple(f.name for f in dataclasses.fields(MetricsRow))
 
 
 def default_lr_schedule(iterations: int) -> Tuple[Tuple[int, float], ...]:
@@ -312,8 +309,9 @@ def meta_train(
                 f"meta-training aborted: iteration {k}, {failure}"
             ) from failure.__cause__
 
+        # The log-T entry takes the chain rule dL/dlog T = T dL/dT.
         grad = sum(
-            _flat(x.grad_W0, x.grad_embedding, x.grad_logT) for x in bundles
+            _flat(x.grad_W0, x.grad_embedding, meta.T * x.grad_T) for x in bundles
         ) / len(bundles)
         step, velocity = _sgd_step(grad, velocity, cfg.momentum, cfg.nesterov)
         theta = theta - _effective_lr(cfg.lr, schedule, k) * step
@@ -367,7 +365,7 @@ def meta_test(
         phi_train,
         episode.train.labels,
         cfg,
-        Horizon(meta.log_T),
+        meta.T,
         solver,
         track=False,
     )

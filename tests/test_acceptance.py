@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from comln.dynamics import Horizon, adapt
+from comln.dynamics import DEFAULT_T_CAP, adapt
 from comln.embedding import embed_set, init_embedding
 from comln.loss import EmbeddedSet, LossConfig, inner_loss, outer_partials
 from comln.metagrad import coupling_matrix, project_W0, project_phi, task_metagrads
@@ -30,7 +30,6 @@ from comln.oracles import (
 from comln.solver import SolverConfig
 from comln.tasks import TaskGenConfig, episode_stream, sample_episode
 from comln.trainer import (
-    LOG_T_MAX,
     MetaParams,
     TrainConfig,
     meta_test,
@@ -54,7 +53,6 @@ def _components(bundle) -> dict:
         "phi_train": bundle.grad_phi_train,
         "phi_test": bundle.grad_phi_test,
         "T": np.array([bundle.grad_T]),
-        "logT": np.array([bundle.grad_logT]),
     }
     if bundle.grad_embedding:
         parts["embedding"] = np.concatenate(
@@ -89,7 +87,7 @@ def test_criterion_1_euler_flow_equals_unrolled_descent():
             phi,
             episode.train.labels,
             LAM0,
-            Horizon(meta.log_T),
+            meta.T,
             euler,
             track=False,
         )
@@ -182,7 +180,7 @@ def test_criterion_3_decomposition_matches_naive_sensitivities():
             phi,
             episode.train.labels,
             cfg,
-            Horizon(meta.log_T),
+            meta.T,
             TIGHT,
             track=True,
         )
@@ -237,10 +235,10 @@ def test_criterion_4_adaptation_flow_is_stable():
         previous = float(np.linalg.norm(W0a - W0b))
         for T in checkpoints:
             Wa, _, _ = adapt(
-                W0a, phi, labels, LAM0, Horizon.from_T(T), solver, track=False
+                W0a, phi, labels, LAM0, T, solver, track=False
             )
             Wb, _, _ = adapt(
-                W0b, phi, labels, LAM0, Horizon.from_T(T), solver, track=False
+                W0b, phi, labels, LAM0, T, solver, track=False
             )
             distance = float(np.linalg.norm(Wa - Wb))
             assert distance <= previous + slack, f"seed {seed}, T {T}"
@@ -259,7 +257,7 @@ def test_criterion_4_adaptation_flow_is_stable():
             episode.train.features,
             episode.train.labels,
             LAM0,
-            Horizon(LOG_T_MAX),
+            DEFAULT_T_CAP,
             SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8),
             track=True,
         )
@@ -287,7 +285,7 @@ def test_criterion_4_adaptation_flow_is_stable():
                 data.features,
                 data.labels,
                 cfg,
-                Horizon.from_T(T),
+                T,
                 solver,
                 track=False,
             )
@@ -329,10 +327,8 @@ def test_criterion_6_constant_memory_versus_linear_unrolling():
 
     flow_bytes = []
     for steps in steps_list:
-        log_T = min(math.log(steps * ALPHA), LOG_T_MAX)
-        _, state, stats = adapt(
-            W0, phi, labels, LAM0, Horizon(log_T), euler, track=True
-        )
+        T = min(steps * ALPHA, DEFAULT_T_CAP)
+        _, state, stats = adapt(W0, phi, labels, LAM0, T, euler, track=True)
         assert stats.accepted_steps == steps
         flow_bytes.append(state.nbytes)
     assert len(set(flow_bytes)) == 1

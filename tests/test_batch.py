@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from comln.dynamics import Horizon, adapt
+from comln.dynamics import adapt
 from comln.embedding import init_embedding
 from comln.loss import LossConfig
 from comln.metagrad import batch_metagrads, task_metagrads
@@ -159,7 +159,7 @@ class TestAdapt:
     @pytest.mark.parametrize("track", [False, True])
     def test_each_episode_equals_its_adaptation_alone(self, track):
         episodes = pinned_episodes()
-        args = (LAM, Horizon.from_T(20.0), CFG, track)
+        args = (LAM, 20.0, CFG, track)
         W_T, state, stats = adapt(W0, *stacked(episodes), *args, episodes=4)
         assert W_T.shape == (4, 5, 16) and state.s.shape == (4, 5, 5)
         for e, episode in enumerate(episodes):
@@ -175,7 +175,7 @@ class TestAdapt:
 
     def test_episode_output_does_not_depend_on_its_batch(self):
         episodes = pinned_episodes(count=5)
-        args = (LAM, Horizon.from_T(20.0), CFG, True)
+        args = (LAM, 20.0, CFG, True)
         first = adapt(W0, *stacked(episodes[:3]), *args, episodes=3)
         picked = [episodes[2], episodes[4]]
         second = adapt(W0, *stacked(picked), *args, episodes=2)
@@ -191,7 +191,7 @@ class TestAdapt:
         features, labels = stacked(episodes)
         hard = features.copy()
         hard[5:10] *= 4.0
-        args = (LAM, Horizon.from_T(20.0), CFG, True)
+        args = (LAM, 20.0, CFG, True)
         _, state, stats = adapt(W0, hard, labels, *args, episodes=3)
         keep = np.r_[0:5, 10:15]
         _, easy_state, easy = adapt(W0, features[keep], labels[keep], *args, episodes=2)
@@ -203,7 +203,7 @@ class TestAdapt:
         # 5w5s states span several chunks, so each episode takes the
         # chunked path alone and the batch only stacks the results.
         episodes = pinned_episodes(count=2, shot=5)
-        args = (LAM, Horizon.from_T(2.0), CFG, True)
+        args = (LAM, 2.0, CFG, True)
         W_T, state, stats = adapt(W0, *stacked(episodes), *args, episodes=2)
         for e, episode in enumerate(episodes):
             W1, one, alone = adapt(W0, *stacked([episode]), *args)
@@ -214,12 +214,12 @@ class TestAdapt:
     def test_a_split_that_does_not_divide_is_refused(self):
         features, labels = stacked(pinned_episodes(count=2))
         with pytest.raises(ValueError, match="do not split"):
-            adapt(W0, features, labels, LAM, Horizon.from_T(1.0), CFG, True, episodes=3)
+            adapt(W0, features, labels, LAM, 1.0, CFG, True, episodes=3)
 
     def test_euler_batch_equals_each_episode_alone(self):
         episodes = pinned_episodes(count=3)
         euler = SolverConfig(method="euler", fixed_step=0.05)
-        args = (LAM, Horizon.from_T(1.0), euler, True)
+        args = (LAM, 1.0, euler, True)
         W_T, state, stats = adapt(W0, *stacked(episodes), *args, episodes=3)
         for e, episode in enumerate(episodes):
             W1, one, alone = adapt(W0, *stacked([episode]), *args)

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import comln.cli as cli
+import comln.dynamics
 from comln.tasks import TaskGenConfig, load_episodes, sample_episode
 from comln.trainer import INITIAL_T, load_checkpoint
 
@@ -170,6 +171,28 @@ def test_lr_schedule_override_is_normalized_or_exits_2(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("train", ["loss.lam=NaN"]),
+        ("train", ["loss.lam=Infinity"]),
+        ("train", ['solver.method="euler"', "solver.fixed_step=NaN"]),
+        ("train", ["train.lr=NaN"]),
+        ("train", ["solver.rtol=Infinity"]),
+        ("train", ["solver.atol=NaN"]),
+        ("gen-tasks", ["tasks.noise_std=NaN"]),
+        ("gen-tasks", ["tasks.class_spread=Infinity"]),
+    ],
+)
+def test_non_finite_settings_exit_2(tmp_path, capsys, command, overrides):
+    out = str(tmp_path / ("run" if command == "train" else "x.ep"))
+    argv = [command, "--config", write_config(tmp_path), "--out", out]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert cli.main(argv) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_reruns_are_deterministic_apart_from_wall_time(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -235,9 +258,7 @@ def test_grad_check_catches_a_planted_sign_error(capsys, monkeypatch):
 
     def flip_horizon_gradient(*args, **kwargs):
         bundle = exact(*args, **kwargs)
-        return dataclasses.replace(
-            bundle, grad_T=-bundle.grad_T, grad_logT=-bundle.grad_logT
-        )
+        return dataclasses.replace(bundle, grad_T=-bundle.grad_T)
 
     monkeypatch.setattr(cli, "task_metagrads", flip_horizon_gradient)
     assert cli.main(["grad-check", "--seeds", "1"]) == 1
@@ -284,6 +305,22 @@ def test_bench_memory_table(tmp_path, capsys):
     t_for_steps10 = {r[2] for r in body if r[1] == "steps=10"}
     assert t_for_steps10 == {"0.1"}
     assert "state_bytes" in capsys.readouterr().out
+
+
+def test_bench_integrates_to_the_requested_T(tmp_path, monkeypatch):
+    ends = []
+    real = comln.dynamics.integrate
+
+    def spy(rhs, y0, t0, t1, solver):
+        ends.append(t1)
+        return real(rhs, y0, t0, t1, solver)
+
+    monkeypatch.setattr(comln.dynamics, "integrate", spy)
+    argv = ["bench", "--mode", "memory", "--horizons", "T=5"]
+    assert cli.main(argv + ["--out", str(tmp_path / "bench.csv")]) == 0
+    # One euler and one dopri5 flow; 5 round-tripped through its log would
+    # end at 4.999999999999999.
+    assert ends == [5.0, 5.0]
 
 
 def test_bench_dopri5_needs_fewer_evaluations_than_euler_here(tmp_path):

@@ -9,7 +9,6 @@ import comln.solver
 from comln.dynamics import (
     DEFAULT_M_CAP,
     AugmentedState,
-    Horizon,
     MemoryBudgetError,
     TaskConstants,
     adapt,
@@ -93,7 +92,7 @@ def full_shape_rhs(W0, phi, labels, lam, s, B, z):
 
 
 # ---------------------------------------------------------------------------
-# reconstruction and the horizon parametrization
+# reconstruction
 
 
 def test_reconstruct_zero_coefficients_returns_w0():
@@ -116,18 +115,6 @@ def test_reconstruct_rejects_mismatched_shapes():
         reconstruct_W(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((5, 3)))
     with pytest.raises(DimensionMismatchError):
         reconstruct_W(np.zeros((3, 3)), np.zeros((4, 2)), np.zeros((4, 3)))
-
-
-def test_horizon_round_trip_and_positivity():
-    h = Horizon.from_T(2.5)
-    assert h.T == pytest.approx(2.5, rel=1e-15)
-    assert h.log_T == pytest.approx(np.log(2.5), rel=1e-15)
-    with pytest.raises(ValueError):
-        Horizon.from_T(0.0)
-    with pytest.raises(ValueError):
-        Horizon.from_T(-1.0)
-    with pytest.raises(ValueError):
-        Horizon.from_T(float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +253,8 @@ def test_rk4_adapt_equals_a_run_that_copies_every_derivative(track):
     # array: copying every derivative as it is returned changes no bit.
     _, data, W0, consts = flow_task(41, m=4, n=3)
     solver = SolverConfig(method="rk4", fixed_step=0.1)
-    horizon = Horizon.from_T(1.0)
     _, state, _ = adapt(
-        W0, data.features, data.labels, LossConfig(lam=0.5), horizon, solver, track
+        W0, data.features, data.labels, LossConfig(lam=0.5), 1.0, solver, track
     )
     layout = compact_layout(4, 3)
     if track:
@@ -283,7 +269,7 @@ def test_rk4_adapt_equals_a_run_that_copies_every_derivative(track):
         def rhs(y):
             return rhs_adapt(consts, y).copy()
 
-    end, _ = integrate(rhs, np.zeros(size), 0.0, horizon.T, solver)
+    end, _ = integrate(rhs, np.zeros(size), 0.0, 1.0, solver)
     assert_array_equal(state.s.ravel(), end[:12])
     if track:
         assert_array_equal(state.X.ravel(), end[12:])
@@ -347,7 +333,7 @@ def test_adapt_matches_weight_space_flow(lam):
     W0 = rng.normal(size=(3, 4)) * 0.4
     cfg = LossConfig(lam=lam)
     W_T, _, _ = adapt(
-        W0, data.features, data.labels, cfg, Horizon.from_T(2.0), TIGHT, track=False
+        W0, data.features, data.labels, cfg, 2.0, TIGHT, track=False
     )
     W_ref = weight_flow(W0, data, cfg, 2.0, TIGHT)
     assert_allclose(W_T, W_ref, rtol=0, atol=1e-9)
@@ -362,7 +348,7 @@ def test_adapt_tiny_horizon_stays_at_initialization():
         data.features,
         data.labels,
         LAM0,
-        Horizon.from_T(1e-12),
+        1e-12,
         SolverConfig(method="dopri5", rtol=1e-10, atol=1e-12),
         track=False,
     )
@@ -387,7 +373,7 @@ def test_fixed_step_euler_equals_gradient_descent(lam):
         data.features,
         data.labels,
         cfg,
-        Horizon.from_T(0.1),
+        0.1,
         SolverConfig(method="euler", fixed_step=0.01),
         track=False,
     )
@@ -399,7 +385,7 @@ def test_adaptive_and_small_step_euler_agree():
     rng = np.random.default_rng(4)
     data = random_set(rng, m=4, n=2, d=3)
     W0 = rng.normal(size=(2, 3)) * 0.5
-    args = (W0, data.features, data.labels, LAM0, Horizon.from_T(1.0))
+    args = (W0, data.features, data.labels, LAM0, 1.0)
     W_a, _, _ = adapt(
         *args, SolverConfig(method="dopri5", rtol=1e-10, atol=1e-12), track=False
     )
@@ -416,7 +402,7 @@ def test_tracking_does_not_perturb_the_adaptation():
     data = random_set(rng, m=4, n=2, d=3)
     W0 = rng.normal(size=(2, 3))
     solver = SolverConfig(method="rk4", fixed_step=0.02)
-    args = (W0, data.features, data.labels, LossConfig(lam=0.3), Horizon.from_T(0.5))
+    args = (W0, data.features, data.labels, LossConfig(lam=0.3), 0.5)
     W_plain, _, _ = adapt(*args, solver, track=False)
     W_tracked, state, _ = adapt(*args, solver, track=True)
     assert_array_equal(W_plain, W_tracked)
@@ -450,7 +436,7 @@ def test_structural_invariants_at_10w5s():
     episode = sample_episode(TaskGenConfig(way=10, shot=5, test_shots=15, seed=1), 0)
     phi, _ = embed_set(meta.phi_params, episode.train.features)
     labels = episode.train.labels
-    args = (meta.W0, phi, labels, LossConfig(lam=0.5), Horizon.from_T(2.0))
+    args = (meta.W0, phi, labels, LossConfig(lam=0.5), 2.0)
     _, state, _ = adapt(*args, SolverConfig(), track=True)
     assert_flow_invariants(state.s, state.X)
 
@@ -463,7 +449,7 @@ def test_structural_invariants_on_every_row_of_a_batch():
     features = np.concatenate([e.train.features for e in episodes])
     labels = np.concatenate([e.train.labels for e in episodes])
     W0 = np.random.default_rng(9).normal(size=(5, 16)) * 0.1
-    args = (W0, features, labels, LossConfig(lam=0.5), Horizon.from_T(20.0))
+    args = (W0, features, labels, LossConfig(lam=0.5), 20.0)
     _, state, _ = adapt(*args, SolverConfig(), track=True, episodes=4)
     for s, X in zip(state.s, state.X):
         assert_flow_invariants(s, X)
@@ -476,7 +462,7 @@ def test_chunked_path_looks_up_the_kernels_at_call_time(monkeypatch):
     rng = np.random.default_rng(7)
     data = random_set(rng, m=5, n=3, d=4)
     W0 = rng.normal(size=(3, 4))
-    args = (W0, data.features, data.labels, LossConfig(lam=0.5), Horizon.from_T(2.0))
+    args = (W0, data.features, data.labels, LossConfig(lam=0.5), 2.0)
     monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 1000)
     W_plain, plain, _ = adapt(*args, SolverConfig(), track=True)
     calls = {"_rate_and_curvature": 0, "tangent_rows": 0}
@@ -520,7 +506,7 @@ def test_tracked_euler_path_matches_full_shape_loop(lam):
         data.features,
         data.labels,
         LossConfig(lam=lam),
-        Horizon.from_T(h * steps),
+        h * steps,
         SolverConfig(method="euler", fixed_step=h),
         track=True,
     )
@@ -544,12 +530,11 @@ def test_trajectories_from_different_starts_contract():
         Wb = rng.normal(size=(3, 4))
         dists = [np.linalg.norm(Wa - Wb)]
         for T in (0.5, 1.0, 2.0, 4.0):
-            horizon = Horizon.from_T(T)
             Wa_T, _, _ = adapt(
-                Wa, data.features, data.labels, LAM0, horizon, solver, track=False
+                Wa, data.features, data.labels, LAM0, T, solver, track=False
             )
             Wb_T, _, _ = adapt(
-                Wb, data.features, data.labels, LAM0, horizon, solver, track=False
+                Wb, data.features, data.labels, LAM0, T, solver, track=False
             )
             dists.append(np.linalg.norm(Wa_T - Wb_T))
         for before, after in zip(dists, dists[1:]):
@@ -566,7 +551,7 @@ def test_inner_loss_decreases_along_the_flow(lam):
     losses = [inner_loss(W0, W0, data, cfg)]
     for T in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         W_T, _, _ = adapt(
-            W0, data.features, data.labels, cfg, Horizon.from_T(T), solver, track=False
+            W0, data.features, data.labels, cfg, T, solver, track=False
         )
         losses.append(inner_loss(W_T, W0, data, cfg))
     for before, after in zip(losses, losses[1:]):
@@ -585,7 +570,7 @@ def test_regularized_flow_reaches_its_stationary_point():
         data.features,
         data.labels,
         cfg,
-        Horizon.from_T(60.0),
+        60.0,
         SolverConfig(method="dopri5", rtol=1e-9, atol=1e-11),
         track=False,
     )
@@ -606,7 +591,7 @@ def test_long_horizon_state_stays_bounded():
             data.features,
             data.labels,
             LAM0,
-            Horizon.from_T(50.0),
+            50.0,
             solver,
             track=False,
         )
@@ -661,7 +646,7 @@ def test_state_size_accounting():
             data.features,
             data.labels,
             LAM0,
-            Horizon.from_T(steps * 0.01),
+            steps * 0.01,
             SolverConfig(method="euler", fixed_step=0.01),
             track=True,
         )
@@ -688,7 +673,7 @@ def test_adapt_rejects_horizon_beyond_cap():
             data.features,
             data.labels,
             LAM0,
-            Horizon.from_T(150.0),
+            150.0,
             solver,
             track=False,
         )
@@ -698,11 +683,27 @@ def test_adapt_rejects_horizon_beyond_cap():
             data.features,
             data.labels,
             LAM0,
-            Horizon.from_T(2.0),
+            2.0,
             solver,
             track=False,
             t_cap=1.0,
         )
+
+
+def test_adapt_rejects_non_positive_horizon():
+    rng = np.random.default_rng(10)
+    data = random_set(rng, m=3, n=2, d=3)
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"T={T:g} .*cap"):
+            adapt(
+                np.zeros((2, 3)),
+                data.features,
+                data.labels,
+                LAM0,
+                T,
+                SolverConfig(),
+                track=False,
+            )
 
 
 def test_adapt_rejects_nan_horizon():
@@ -716,7 +717,7 @@ def test_adapt_rejects_nan_horizon():
             data.features,
             data.labels,
             LAM0,
-            Horizon(float("nan")),
+            float("nan"),
             SolverConfig(),
             track=False,
         )
@@ -737,7 +738,7 @@ def test_adapt_rejects_oversized_state_before_allocating(monkeypatch):
                 over.features,
                 over.labels,
                 LAM0,
-                Horizon.from_T(1.0),
+                1.0,
                 solver,
                 track=False,
             )
@@ -747,7 +748,7 @@ def test_adapt_rejects_oversized_state_before_allocating(monkeypatch):
             data.features,
             data.labels,
             LAM0,
-            Horizon.from_T(1.0),
+            1.0,
             solver,
             track=True,
             memory_budget=1000,
@@ -758,7 +759,7 @@ def test_adapt_rejects_oversized_state_before_allocating(monkeypatch):
         data.features,
         data.labels,
         LAM0,
-        Horizon.from_T(0.1),
+        0.1,
         solver,
         track=False,
         memory_budget=1000,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from comln.dynamics import Horizon, adapt, compact_layout
+from comln.dynamics import adapt, compact_layout
 from comln.embedding import embed_set, init_embedding
 from comln.loss import (
     DimensionMismatchError,
@@ -74,7 +74,7 @@ def tracked_state(meta, episode, cfg, solver):
         episode.train.features,
         episode.train.labels,
         cfg,
-        Horizon(meta.log_T),
+        meta.T,
         solver,
         track=True,
     )
@@ -203,7 +203,7 @@ def test_compact_projections_match_einsum_on_adapted_5w5s_state():
         phi,
         episode.train.labels,
         cfg,
-        Horizon(meta.log_T),
+        meta.T,
         SolverConfig(),
         track=True,
     )
@@ -318,7 +318,7 @@ def test_grad_T_matches_finite_differences_in_T():
             episode.train.features,
             episode.train.labels,
             LAM0,
-            Horizon.from_T(T),
+            T,
             TIGHT,
             track=False,
         )
@@ -347,7 +347,6 @@ def test_task_bundle_scalar_identities():
     episode = small_episode(seed=12, way=3, shot=2, test_shots=3, input_dim=4)
     meta = identity_meta(12, 3, 4, 0.6)
     bundle = task_metagrads(meta, episode, LAM0, TIGHT)
-    assert bundle.grad_logT == meta.T * bundle.grad_T
     assert bundle.diag_alignment == -bundle.grad_T
     assert bundle.grad_embedding == ()
     assert 0.0 <= bundle.test_accuracy <= 1.0
@@ -363,7 +362,7 @@ def test_task_bundle_carries_the_adaptation_solver_counts():
         episode.train.features,
         episode.train.labels,
         LAM0,
-        Horizon(meta.log_T),
+        meta.T,
         TIGHT,
         track=True,
     )
@@ -417,7 +416,6 @@ def test_bundle_rejects_non_finite_entries():
             grad_phi_train=good,
             grad_phi_test=good,
             grad_T=0.0,
-            grad_logT=0.0,
             grad_embedding=(),
             outer_loss=0.0,
             test_accuracy=0.0,
@@ -428,7 +426,6 @@ def test_bundle_rejects_non_finite_entries():
             grad_phi_train=good,
             grad_phi_test=good,
             grad_T=float("inf"),
-            grad_logT=0.0,
             grad_embedding=(),
             outer_loss=0.0,
             test_accuracy=0.0,
@@ -469,8 +466,8 @@ def _default_solver_gradient_errors(way, shot, w0, T):
     pairs = [(got.grad_W0, ref.grad_W0), (got.grad_phi_train, ref.grad_phi_train)]
     for layer, ref_layer in zip(got.grad_embedding, ref.grad_embedding):
         pairs.extend(zip(layer, ref_layer))
-    # grad_logT is left out: at T = 20 the flow is nearly stationary, and
-    # its relative error needs a bound of its own.
+    # grad_T is left out: at T = 20 the flow is nearly stationary, and its
+    # relative error needs a bound of its own.
     errors = [
         np.max(np.abs(value - reference)) / np.max(np.abs(reference))
         for value, reference in pairs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from comln.dynamics import Horizon, adapt
+from comln.dynamics import adapt
 from comln.embedding import init_embedding
 from comln.loss import (
     EmbeddedSet,
@@ -94,7 +94,7 @@ def test_tape_storage_grows_linearly_while_tracked_state_does_not(steps):
         data.features,
         data.labels,
         LAM0,
-        Horizon.from_T(steps * 0.01),
+        steps * 0.01,
         SolverConfig(method="euler", fixed_step=0.01),
         track=True,
     )
@@ -116,7 +116,6 @@ def test_bptt_zero_steps_returns_outer_partials():
     assert_array_equal(out.grad_W0, V)
     assert_array_equal(out.grad_phi_test, g_test)
     assert_array_equal(out.grad_phi_train, np.zeros((6, 8)))
-    assert out.grad_logT == 0.0
 
 
 def test_bptt_single_step_matches_dense_hessian_expansion():
@@ -184,7 +183,6 @@ def test_bptt_agrees_with_euler_flow_at_matching_discretization(lam):
     assert rel(flow.grad_phi_train, oracle.grad_phi_train) <= 1e-8
     assert rel(flow.grad_phi_test, oracle.grad_phi_test) <= 1e-8
     assert rel(flow.grad_T, oracle.grad_T) <= 1e-8
-    assert rel(flow.grad_logT, oracle.grad_logT) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import comln.dynamics
 import comln.solver
-from comln.dynamics import Horizon, adapt
+from comln.dynamics import adapt
 from comln.embedding import embed_set
 from comln.loss import LossConfig
 from comln.solver import (
@@ -42,7 +42,7 @@ def _metagrad_10w5s_adapt_args():
         phi,
         episode.train.labels,
         LossConfig(lam=0.5),
-        Horizon.from_T(2.0),
+        2.0,
         SolverConfig(),
     )
 
@@ -417,7 +417,7 @@ class TestAgainstReference:
             episode.train.features,
             episode.train.labels,
             LossConfig(lam=0.5),
-            Horizon.from_T(20.0),
+            20.0,
             cfg,
             track=track,
         )
@@ -508,7 +508,7 @@ class TestTangentBlock:
             episode.train.features,
             episode.train.labels,
             LossConfig(lam=0.5),
-            Horizon.from_T(T),
+            T,
             SolverConfig(),
         )
 

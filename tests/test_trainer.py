@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import comln.dynamics
 import comln.trainer
 from comln.embedding import init_embedding
 from comln.loss import EmbeddedSet, LossConfig
@@ -125,11 +126,38 @@ def test_meta_params_validation():
         MetaParams(np.zeros((2, 4)), net, 0.0)
     with pytest.raises(ValueError):
         MetaParams(np.zeros((2, 3)), net, float("inf"))
-    with pytest.raises(ValueError, match="cap"):
-        MetaParams(np.zeros((2, 3)), net, math.log(101.0))
+    # exp(1000) overflows a float, so the cap must be checked on log T.
+    for log_T in (math.log(101.0), 1000.0, np.nextafter(LOG_T_MAX, np.inf)):
+        with pytest.raises(ValueError, match="hard cap 100"):
+            MetaParams(np.zeros((2, 3)), net, log_T)
     meta = MetaParams(np.zeros((2, 3)), net, math.log(0.5))
     assert meta.way == 2
     assert meta.T == pytest.approx(0.5, rel=1e-15)
+
+
+def test_reported_T_is_the_T_the_flow_integrated_to(monkeypatch):
+    # A log T at which math.exp and np.exp round differently, so a T taken
+    # from another exp than the flow's would show in the last place.
+    rng = np.random.default_rng(0)
+    candidates = [1.81418496680718, *rng.uniform(-3.0, 2.0, 1000)]
+    log_T = next(x for x in candidates if math.exp(x) != np.exp(x))
+    assert math.exp(log_T) != float(np.exp(log_T))
+    ends = []
+    real = comln.dynamics.integrate
+
+    def spy(rhs, y0, t0, t1, solver):
+        ends.append(t1)
+        return real(rhs, y0, t0, t1, solver)
+
+    monkeypatch.setattr(comln.dynamics, "integrate", spy)
+    initial = MetaParams(np.zeros((2, 3)), init_embedding([3], seed=0), log_T)
+    out, metrics = meta_train(
+        flat_train_config(lr=0.0, solver=SolverConfig()),
+        episode_batch(1, seed=4),
+        initial=initial,
+    )
+    assert ends == [initial.T]
+    assert metrics[0].T == ends[0] == out.T
 
 
 def test_default_meta_params_start_state():
@@ -172,16 +200,18 @@ def test_single_step_is_exact_descent():
     bundle = task_metagrads(initial, episodes[0], LAM0, EULER)
     out, metrics = meta_train(flat_train_config(lr=0.05), episodes, initial=initial)
     assert_array_equal(out.W0, initial.W0 - 0.05 * bundle.grad_W0)
-    expected_logT = initial.log_T - 0.05 * bundle.grad_logT
+    # The chain rule through log T: dL/dlog T = T dL/dT.
+    grad_logT = initial.T * bundle.grad_T
+    expected_logT = initial.log_T - 0.05 * grad_logT
     assert out.log_T == expected_logT
     row = metrics[0]
     assert row.iteration == 0
-    assert row.T == math.exp(expected_logT)
+    assert row.T == float(np.exp(expected_logT))
     assert row.outer_loss == bundle.outer_loss
     assert row.test_accuracy == bundle.test_accuracy
     assert row.grad_norm_W0 == float(np.linalg.norm(bundle.grad_W0))
     assert row.grad_norm_embedding == 0.0
-    assert row.grad_norm_logT == abs(bundle.grad_logT)
+    assert row.grad_norm_logT == abs(grad_logT)
     assert row.alignment == bundle.diag_alignment
     assert row.wall_time >= 0.0
 
@@ -299,8 +329,9 @@ def test_nesterov_steps_on_an_mlp_match_a_per_array_reference(monkeypatch):
     def spy(meta, batch, loss_cfg, solver):
         bundles = real(meta, batch, loss_cfg, solver)
         if not seen:
-            # Push log T past the cap so that the projection engages.
-            bundles = [dataclasses.replace(b, grad_logT=-10.0) for b in bundles]
+            # Push log T past the cap so that the projection engages: the
+            # log-T gradient T grad_T is about -10.
+            bundles = [dataclasses.replace(b, grad_T=-10.0 / meta.T) for b in bundles]
         seen.append((meta, bundles))
         return bundles
 
@@ -342,7 +373,7 @@ def test_nesterov_steps_on_an_mlp_match_a_per_array_reference(monkeypatch):
             g = sum(gs[i] for gs in grads) / len(bundles)
             velocity[i] = m * velocity[i] + g
             params[i] = params[i] - lr * (g + m * velocity[i])
-        g_T = sum(b.grad_logT for b in bundles) / len(bundles)
+        g_T = sum(meta.T * b.grad_T for b in bundles) / len(bundles)
         vel_T = m * vel_T + g_T
         log_T = log_T - lr * (g_T + m * vel_T)
         clamped += log_T > LOG_T_MAX
@@ -498,6 +529,15 @@ def test_checkpoint_rejects_non_finite_horizon(tmp_path):
         tmp_path, b"COMLN-CKPT v1\nN 2 d 3 log_T nan\nlayers -\n" + payload
     )
     with pytest.raises(CorruptPayloadError, match="log_T"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_log_T_past_the_cap_is_a_version_mismatch(tmp_path):
+    payload = np.zeros(6, dtype="<f8").tobytes()
+    path = write_raw(
+        tmp_path, b"COMLN-CKPT v1\nN 2 d 3 log_T 1000.0\nlayers -\n" + payload
+    )
+    with pytest.raises(VersionMismatchError, match="cap"):
         load_checkpoint(path)
 
 
