@@ -380,6 +380,9 @@ def _parse_horizons(text: str) -> List[Tuple[str, float, int]]:
                 T = float(body)
             except ValueError:
                 raise UsageError(f"bad horizon token {token!r}")
+            # Also refuses a T whose step count overflows to infinity.
+            if not math.isfinite(T * _STEPS_PER_UNIT_T):
+                raise UsageError(f"horizon {token!r} must be finite")
             steps = int(round(T * _STEPS_PER_UNIT_T))
         elif token.startswith("steps="):
             body = token[6:]

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from comln.loss import (
     DimensionMismatchError,
     EmbeddedSet,
     LossConfig,
+    block_diagonals,
     curvature_from_probs,
     softmax_rows_in_place,
 )
@@ -98,7 +99,9 @@ class TaskConstants:
     ``data`` holds ``episodes`` tasks of M rows each, stacked row by row,
     that share W0.  Each array is computed per task as for that task
     alone; with several tasks it gains a leading axis of ``episodes``, and
-    ``product`` is np.matmul over that axis, else np.dot.
+    ``product(s, out)`` writes the product of ``gram_lam`` and s into out:
+    np.matmul over that axis, else the method ``gram_lam.dot``, the product
+    np.dot makes without its Python dispatch.
 
     The rest is the head's scratch, made once per batch and overwritten by
     every evaluation: ``gram_s`` and ``lam_s``, the halves of ``products``;
@@ -133,7 +136,10 @@ class TaskConstants:
         self.episodes = len(P0)
         if self.episodes == 1:
             P0, target, gram_lam = P0[0], target[0], gram_lam[0]
-        self.product = np.dot if self.episodes == 1 else np.matmul
+        if self.episodes == 1:
+            self.product = gram_lam.dot
+        else:
+            self.product = functools.partial(np.matmul, gram_lam)
         m = P0.shape[-2]
         self.P0, self.target, self.gram_lam = P0, target, gram_lam
         self.G = gram_lam[..., :m, :]
@@ -224,8 +230,10 @@ def _row_forcing(
     Returns flat indices into an (M, hi - lo, N) array of those rows: the
     entries (i N + b, b) of X[i], which take the identity in dB[i,i], and
     the entries of z[j,j,m] and z[m,j,m]; then the flat indices of s_m and
-    s_j, which force the latter two.  For a batch of ``tasks`` they index
-    the (tasks, M, hi - lo, N) rows and the (tasks, M N) s of all of them.
+    s_j, which force the latter two, into a tracked state whose first M N
+    entries are s.  For a batch of ``tasks`` they index the (tasks, M,
+    hi - lo, N) rows and the tracked states of all of them one after
+    another.
     """
     count = hi - lo
     lane = np.arange(n)
@@ -241,7 +249,7 @@ def _row_forcing(
     indices = (eye, at_j, at_m, (k * n + lane).ravel(), (j * n + lane).ravel())
     # Task t's entries follow those of the t tasks before it.
     task = np.arange(tasks)[:, None]
-    sizes = (m * count * n,) * 3 + (m * n,) * 2
+    sizes = (m * count * n,) * 3 + (layout.size,) * 2
     indices = tuple(
         (task * size + index).ravel() for size, index in zip(sizes, indices)
     )
@@ -270,74 +278,84 @@ def _probs_and_rate(
     """Shared head of both right-hand sides at s, M N entries per task.
 
     Returns q = softmax(P0 - G s) / M by rows, in the scratch ``c.probs``
-    that the next evaluation overwrites, and ds/dt = q - Y / M - lam s in
-    the shape of s: written into ``out`` when given, else into a new array.
-    ``out`` must reshape to the shape of ``c.P0`` without a copy, as the
-    solver's stage rows do.
+    that the next evaluation overwrites, and ds/dt = q - Y / M - lam s.
+    With ``out``, s and out have the shape of ``c.P0``, as the views that
+    dopri5's kernels are bound to do, and ds/dt is written into out.
+    Without it, s need only hold the entries of ``c.P0``, and ds/dt is a
+    new array in the shape of s.
     """
-    shape = c.P0.shape
-    c.product(c.gram_lam, s.reshape(shape), c.products)
+    if out is None:
+        out = np.empty(s.shape)
+        q, _ = _probs_and_rate(c, s.reshape(c.P0.shape), out.reshape(c.P0.shape))
+        return q, out
+    c.product(s, c.products)
     np.subtract(c.P0, c.gram_s, c.probs)
     q = softmax_rows_in_place(c.probs, c.column, c.row_max, c.row_sum)
     # The residual in scratch, so that a strided ``out`` is written once.
     residual = np.subtract(q, c.target, c.residual)
-    if out is None:
-        return q, np.subtract(residual, c.lam_s).reshape(s.shape)
-    np.subtract(residual, c.lam_s, out.reshape(shape))
+    np.subtract(residual, c.lam_s, out)
     return q, out
 
 
 def rhs_adapt(
-    c: TaskConstants, flat: np.ndarray, out: np.ndarray | None = None
+    c: TaskConstants, s: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Time derivative of the adaptation coefficients s, M N entries per task,
-    in the shape of ``flat``: written into ``out`` when given, else into a
-    new array."""
-    return _probs_and_rate(c, flat, out)[1]
+    """Time derivative of the adaptation coefficients s, M N entries per task:
+    written into ``out`` when given, else into a new array, in the shapes
+    ``_probs_and_rate`` describes."""
+    return _probs_and_rate(c, s, out)[1]
 
 
 def _rate_and_curvature(
-    c: TaskConstants, s: np.ndarray, out: np.ndarray | None = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """ds/dt at s, M N entries per task, in the shape of s, and the negated
-    curvature blocks -A_i there.  ds/dt is written into ``out`` when given,
-    else into a new array."""
-    q, ds = _probs_and_rate(c, s, out)
-    return ds, curvature_from_probs(q)
-
-
-def tangent_rows(
     c: TaskConstants,
     s: np.ndarray,
-    neg_A: np.ndarray,
-    X: np.ndarray,
-    lo: int,
-    hi: int,
-    out: np.ndarray,
-) -> None:
-    """Write dX/dt for the rows X = X[:, lo:hi] of the tangent block to out.
+    out: np.ndarray | None = None,
+    neg_A: np.ndarray | None = None,
+    diagonal: np.ndarray | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """ds/dt at s, as rhs_adapt gives it, and the negated curvature blocks
+    -A_i there: written into ``neg_A`` with the view ``diagonal`` of its
+    diagonals when given (see ``curvature_from_probs``), else into a new
+    array."""
+    q, ds = _probs_and_rate(c, s, out)
+    return ds, curvature_from_probs(q, neg_A, diagonal)
 
-    ``s`` is the flat s and ``neg_A`` holds -A_i at the same state; X and
-    out have shape (M, hi - lo, N).  For a batch of tasks s, neg_A, X and
-    out have a leading axis of tasks.  This is the only place the B and z
-    equations are written down.
+
+def _row_views(s, neg_A, X, out, forcing, scratch) -> tuple:
+    """What ``tangent_rows`` reads and writes for some rows lo:hi of the
+    tangent block, made once for every evaluation that reuses them.
+
+    ``s`` is a flat vector holding the tracked states of the tasks one
+    after another, or the s of one task alone; ``neg_A`` holds -A_i at the
+    same state; ``X`` and ``out`` are those rows and their derivatives as
+    (..., M, hi - lo, N) arrays; ``forcing`` is ``_row_forcing`` of those
+    rows; ``scratch`` is a contiguous vector with room for the entries of
+    X, which every evaluation overwrites.
     """
-    m = X.shape[-3]
-    eye, at_j, at_m, s_m, s_j = _row_forcing(m, X.shape[-1], lo, hi, c.episodes)
+    lanes = X.shape[:-2] + (X.shape[-2] * X.shape[-1],)
+    Y = scratch[: X.size].reshape(X.shape)
+    return X, X.reshape(lanes), out, s, neg_A, Y, Y.reshape(lanes), Y.ravel(), forcing
+
+
+def tangent_rows(c: TaskConstants, rows: tuple) -> None:
+    """Write dX/dt for rows lo:hi of the tangent block to out, with ``rows``
+    = ``_row_views(s, neg_A, X, out, forcing, scratch)`` of those rows.
+
+    This is the only place the B and z equations are written down.
+    """
+    X, X_lanes, out, s, neg_A, Y, Y_lanes, forced, forcing = rows
+    eye, at_j, at_m, s_m, s_j = forcing
     # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
     # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].
     # The spent Y holds lam X, so no further array of the rows is made.
-    Y = c.G @ X.reshape(X.shape[:-2] + (-1,))
-    # Flat, because indexing one axis costs a fraction of indexing two.
-    forced = Y.reshape(-1)
-    # A chunk holds B rows, z rows or both; an empty index still costs.
+    np.matmul(c.G, X_lanes, out=Y_lanes)
+    # Flat, because indexing one axis costs a fraction of indexing two.  A
+    # chunk holds B rows, z rows or both; an empty index still costs.
     if eye.size:
         forced[eye] -= 1.0
     if at_j.size:
-        s = s.reshape(-1)
         forced[at_j] += s[s_m]
         forced[at_m] += s[s_j]
-    Y = Y.reshape(X.shape)
     np.matmul(Y, neg_A, out=out)
     if c.lam != 0.0:
         out -= np.multiply(X, c.lam, out=Y)
@@ -355,48 +373,76 @@ def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.nd
     shape = lead + (m, layout.rows, n)
     values = np.empty(flat.shape)
     state, rate = flat.reshape(lead + (-1,)), values.reshape(lead + (-1,))
-    _, neg_A = _rate_and_curvature(c, state[..., :mn], rate[..., :mn])
-    tangent_rows(
-        c,
-        state[..., :mn],
-        neg_A,
-        state[..., mn:].reshape(shape),
-        0,
-        layout.rows,
-        rate[..., mn:].reshape(shape),
+    _, neg_A = _rate_and_curvature(
+        c, state[..., :mn].reshape(c.P0.shape), rate[..., :mn].reshape(c.P0.shape)
     )
+    X, dX = state[..., mn:].reshape(shape), rate[..., mn:].reshape(shape)
+    forcing = _row_forcing(m, n, 0, layout.rows, c.episodes)
+    tangent_rows(c, _row_views(flat, neg_A, X, dX, forcing, np.empty(X.size)))
     return values
+
+
+def _in_turn(first: Callable[[], object], second: Callable[[], object]) -> None:
+    first()
+    second()
 
 
 def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
     """The flow of the tasks of ``c`` as dopri5 integrates it.
 
-    Its kernels are looked up by module name at each call, as rhs_full is,
-    so that rebinding either name reaches dopri5 too.
+    Its kernels are looked up by module name at bind time, as rhs_full is
+    at each call, so that rebinding either name before integrate runs
+    reaches dopri5 too.  A tracked block holds -A_i at each of the seven
+    stages, which all its bindings share: the head's kernels write them and
+    the rows' kernels of the same stage read them.
     """
-    m, n = c.P0.shape[-2:]
+    shape = c.P0.shape
+    m, n = shape[-2:]
+    mn = m * n
 
     def take(index):
         return _block(c.take(index), layout)
 
     if layout is None:
 
-        def rate(s, out):
-            rhs_adapt(c, s, out)
+        def bind(inputs, derivatives, *_):
+            rate = rhs_adapt
+            return [
+                functools.partial(rate, c, u.reshape(shape), du.reshape(shape))
+                for u, du in zip(inputs, derivatives)
+            ]
 
-        return TangentBlock(m * n, (0, 0, 0), rate, None, c.episodes, take)
+        return TangentBlock(mn, (0, 0, 0), bind, c.episodes, take)
 
-    def rate(s, out):
-        return _rate_and_curvature(c, s, out)[1]
+    neg_A = np.empty((7,) + shape + (n,))
+    diagonals = block_diagonals(neg_A)
 
-    return TangentBlock(
-        m * n,
-        (m, layout.rows, n),
-        rate,
-        lambda u, neg_A, X, lo, hi, out: tangent_rows(c, u, neg_A, X, lo, hi, out),
-        c.episodes,
-        take,
-    )
+    def bind(inputs, derivatives, lo, hi, spare, heads):
+        rate, tangent = _rate_and_curvature, tangent_rows
+        if hi > lo:
+            rows_shape = shape[:-1] + (hi - lo, n)
+            forcing = _row_forcing(m, n, lo, hi, c.episodes)
+        kernels = []
+        for i, (x, dx) in enumerate(zip(inputs, derivatives)):
+            kernel = None
+            if heads is None:
+                # The rows start with s, which the rows' forcing reads there.
+                u, du = x[..., :mn].reshape(shape), dx[..., :mn].reshape(shape)
+                kernel = functools.partial(rate, c, u, du, neg_A[i], diagonals[i])
+                s, x, dx = x.reshape(-1), x[..., mn:], dx[..., mn:]
+            else:
+                s = heads[i]
+            if hi > lo:
+                X, dX = x.reshape(rows_shape), dx.reshape(rows_shape)
+                views = _row_views(s, neg_A[i], X, dX, forcing, spare)
+                rows = functools.partial(tangent, c, views)
+                if kernel is not None:
+                    rows = functools.partial(_in_turn, kernel, rows)
+                kernel = rows
+            kernels.append(kernel)
+        return kernels
+
+    return TangentBlock(mn, (m, layout.rows, n), bind, c.episodes, take)
 
 
 def adapt(

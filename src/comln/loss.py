@@ -118,11 +118,15 @@ def softmax_rows_in_place(
     # Max-subtraction keeps exp() from overflowing on large logits.
     np.subtract(logits, np.maximum.reduce(logits, -1, None, row_max, True), logits)
     np.exp(logits, logits)
-    # np.dot on one matrix: on arrays this small it has less call overhead
-    # than np.matmul, which a stack of matrices needs to round as np.dot
-    # does on each of them.
-    product = np.dot if logits.ndim == 2 else np.matmul
-    np.divide(logits, product(logits, column, row_sum), logits)
+    # np.dot on one matrix, as the method ndarray.dot, which skips the
+    # function's Python dispatch: on arrays this small it has less call
+    # overhead than np.matmul, which a stack of matrices needs to round as
+    # np.dot does on each of them.
+    if logits.ndim == 2:
+        totals = logits.dot(column, row_sum)
+    else:
+        totals = np.matmul(logits, column, row_sum)
+    np.divide(logits, totals, logits)
     return logits
 
 
@@ -164,22 +168,33 @@ def inner_grad(
     return grad, residuals
 
 
-def curvature_from_probs(q: np.ndarray) -> np.ndarray:
+def curvature_from_probs(
+    q: np.ndarray, out: np.ndarray | None = None, diagonal: np.ndarray | None = None
+) -> np.ndarray:
     """The negated per-example blocks -A_m = (p_m p_m' - diag(p_m)) / M,
     stacked as an (..., M, N, N) array, from the (..., M, N) array q of the
     rows p_m / M of a row-stochastic p.
 
     In q the blocks are -A_m = M q_m q_m' - diag(q_m): one outer product,
     exactly symmetric, scaled by M, then the diagonal.  The flow multiplies
-    by -A_m, so it takes the sign here at no extra pass.
+    by -A_m, so it takes the sign here at no extra pass.  The blocks are
+    written into ``out`` when given, a C-ordered array of their shape whose
+    ``block_diagonals`` are ``diagonal``, else into a new array.
     """
-    m, n = q.shape[-2:]
-    # C order whatever the order of q, so the reshape below is a view.
-    blocks = np.multiply(q[..., None], q[..., None, :], order="C")
-    blocks *= m
-    # The diagonals of all blocks, as one strided view.
-    blocks.reshape(-1, n * n)[:, :: n + 1] -= q.reshape(-1, n)
+    # C order whatever the order of q, so that the diagonals are a view.
+    blocks = np.multiply(q[..., None], q[..., None, :], out, order="C")
+    blocks *= q.shape[-2]
+    if diagonal is None:
+        diagonal = block_diagonals(blocks)
+    diagonal -= q
     return blocks
+
+
+def block_diagonals(blocks: np.ndarray) -> np.ndarray:
+    """The diagonals of a C-ordered stack of (N, N) blocks, as one strided
+    (..., N) view."""
+    n = blocks.shape[-1]
+    return blocks.reshape(blocks.shape[:-2] + (n * n,))[..., :: n + 1]
 
 
 def outer_partials(

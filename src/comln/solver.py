@@ -25,8 +25,11 @@ permits instead of climbing there by factors of 5.
 An rhs may carry a ``tangent`` attribute, a TangentBlock: the state is
 then ``episodes`` independent states one after another, each a head u
 followed by a block X whose rows evolve independently once u is known.
-dopri5 then never calls the rhs itself, and the size of one episode's
-state decides the path:
+dopri5 then never calls the rhs itself.  It hands the block's ``bind`` the
+rows of its stage matrix once, and at each stage calls the zero-argument
+kernel bind returned for it, which has every view, scratch array and
+index it needs made in advance.  The size of one episode's state decides
+the path:
 
 - An episode state that fits one chunk of CHUNK_BYTES is one row of an
   episode axis.  The stage matrix is stage-major, (15, episodes, size), so
@@ -38,9 +41,10 @@ state decides the path:
   error norm, accept/reject decision, first-step growth, evaluation budget
   and stiffness, as an ODE solver under jax.vmap does in diffrax (Kidger,
   2021), not one step for the whole batch: a row takes the steps it would
-  take alone, bit for bit.  A row that reaches t1 leaves the active set,
-  and the block's ``take`` narrows its kernels to the rows left.  A plain
-  rhs is one episode on this path.
+  take alone, bit for bit.  The kernels are bound once per active set: a
+  row that reaches t1 leaves it, and the kernels of the block's ``take``
+  for the rows left are bound in their place.  A plain rhs is one episode
+  on this path.
 - A larger episode state is integrated one episode at a time.  Each step
   first takes all six stages of u, then, chunk by chunk of rows sized by
   CHUNK_BYTES, all six stages of those rows while they stay in cache,
@@ -54,7 +58,8 @@ state decides the path:
   ODEs I, II.5: only the first-same-as-last stage can be recomputed); the
   rhs is deterministic, so that stage is the one the trial overwrote, bit
   for bit.  Each step reads y and k once and writes y_new and k once, and
-  every other pass runs over one chunk.
+  every other pass runs over one chunk.  Each segment, the head alone and
+  each chunk of rows, is bound once per integration.
 
 euler and rk4 call the rhs on the whole vector, so every episode of a
 batched state takes the same fixed steps.
@@ -63,7 +68,7 @@ The rhs receives a vector that the solver reuses for later stages, so the
 rhs must not keep references to its input between calls.  It may return a
 view of its input: the solver copies each derivative into its stage
 matrix before it writes to that buffer again.  A TangentBlock's kernels
-instead write each derivative into the stage row they are given.
+instead write each derivative into the stage row they were bound to.
 
 Every right-hand-side evaluation is counted exactly, and exceeding the
 configured evaluation budget is an error rather than a silent partial
@@ -171,23 +176,26 @@ class TangentBlock:
     """Row structure of ``episodes`` states y = (u, X) one after another.
 
     Each holds the head u, its first ``head`` entries, followed by X of
-    shape ``shape`` = (lanes, rows, width) in C order.  ``rate(u, out)``
-    writes du/dt, which reads u alone, into ``out`` of the shape of u, the
-    head of a row of dopri5's stage matrix, and returns coefficients for
-    ``rows``.  ``rows(u, coefficients, X_part, lo, hi, out)`` writes
-    dX/dt for the rows X_part = X[:, lo:hi] into ``out`` of the same shape;
-    it reads nothing of X outside those rows.  ``rows`` is None when the
-    block is empty.  With one episode u has shape (head,) and X_part
-    (lanes, hi - lo, width); with A > 1 they gain a leading axis of A, one
-    row per episode.  ``take(index)`` returns the block of the episodes at
-    the positions ``index``, in that order; a block of one episode need not
-    have it.
+    shape ``shape`` = (lanes, rows, width) in C order; du/dt reads u alone,
+    and the rows X[:, lo:hi] of dX/dt read u and those rows alone.
+
+    ``bind(inputs, derivatives, lo, hi, spare, heads)`` returns seven
+    zero-argument kernels, one per stage: kernel i writes the derivative at
+    ``inputs[i]`` into ``derivatives[i]``.  Each of these 14 rows holds,
+    for each episode, u followed by the rows lo:hi of X, flat: a vector for
+    one episode, a C-ordered (A, entries) array for A > 1.  When ``heads``
+    is not None, the rows hold X[:, lo:hi] alone and ``heads`` are the
+    seven stage inputs of u of an earlier binding whose kernel runs first
+    at each stage.  ``spare`` is a contiguous vector with room for the
+    entries of X in those rows; no stage reads or writes it while a kernel
+    runs, so the kernels may use it as scratch.  ``take(index)`` returns the
+    block of the episodes at the positions ``index``, in that order; a
+    block of one episode need not have it.
     """
 
     head: int
     shape: Tuple[int, int, int]
-    rate: Callable[[np.ndarray, np.ndarray], object]
-    rows: Callable[..., None] | None
+    bind: Callable[..., List[Callable[[], object]]]
     episodes: int = 1
     take: Callable[[List[int]], "TangentBlock"] | None = None
 
@@ -241,6 +249,8 @@ _DP_WEIGHTS = np.array(
     + [[0.0, *row] + [0.0] * (7 - len(row)) for row in _DP_A[1:]]
     + [[0.0, *_DP_ERR]]
 )
+# The columns a step scales: the weight of y stays one from step to step.
+_DP_STAGE_WEIGHTS = _DP_WEIGHTS[:, 1:]
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -291,11 +301,13 @@ def _budget_error(config: SolverConfig, t: float, stats: StepStats, episode=None
     return _failure(BudgetExceededError, message, t, stats, episode)
 
 
-def _scale_error(err, y, y_new, scale, diff, config: SolverConfig) -> None:
-    """Divide the error estimate err by atol + rtol * max(|y|, |y_new|),
-    which is formed in scale with diff as scratch."""
-    np.abs(y, out=scale)
-    np.abs(y_new, out=diff)
+def _scale_error(err, ends, both, scale, diff, config: SolverConfig) -> None:
+    """Divide the error estimate err by atol + rtol * max(|y|, |y_new|).
+
+    ``ends`` stacks y over y_new; ``both`` stacks scale over diff, two rows
+    of the same shape, and the scale is formed in scale.
+    """
+    np.abs(ends, out=both)
     np.maximum(scale, diff, out=scale)
     scale *= config.rtol
     scale += config.atol
@@ -433,7 +445,10 @@ def _run_dopri5(rhs, block, y0, t0, span, config):
             # A copy, so a derivative that is a view of its input stays valid.
             out[...] = derivative
 
-        block = TangentBlock(y0.size, (0, 0, 0), rate, None)
+        def bind(inputs, derivatives, *_):
+            return [functools.partial(rate, *row) for row in zip(inputs, derivatives)]
+
+        block = TangentBlock(y0.size, (0, 0, 0), bind)
     head, (lanes, rows, width) = block.head, block.shape
     size, episodes = head + lanes * rows * width, block.episodes
     if episodes * size != y0.size:
@@ -464,7 +479,7 @@ def _run_rows(block, y0, t0, span, config):
     steps.  Returns y(t1) as an array of y0's shape, and each row's StepStats.
     """
     episodes, size = y0.shape
-    head, (lanes, rows, width) = block.head, block.shape
+    head, (_, rows, _) = block.head, block.shape
     named = episodes > 1  # whether an error names its episode
     stats = [StepStats() for _ in range(episodes)]
     out = np.empty_like(y0)
@@ -484,68 +499,68 @@ def _run_rows(block, y0, t0, span, config):
     matrix[0] = y0
 
     def arrange(matrix):
-        # The views and products over the active rows, made once per active
-        # set.  Product r forms row 8 + r of every episode: the error
-        # estimate for r = 0, the input of stage r after it.
+        # The views, products and kernels over the active rows, made once
+        # per active set.  Product r forms row 8 + r of every episode: the
+        # error estimate for r = 0, the input of stage r after it.
         active = matrix.shape[1]
-        weights = np.empty((active, 8, 8))
+        weights = np.zeros((active, 8, 8))
+        # The weight of y in each stage input; a step scales the others.
+        weights[:, 1:7, 0] = 1.0
         terms = [(7, 1, 8)] + [(s, 0, s + 1) for s in range(1, 7)]
         if active > 1 and size >= _BATCHED_MIN_SIZE:
             # One product for all episodes.
             episode = matrix.swapaxes(0, 1)
             products = [
-                (
-                    functools.partial(
-                        np.matmul,
-                        weights[:, w : w + 1, lo:hi],
-                        episode[:, lo:hi],
-                        out=episode[:, 8 + r : 9 + r],
-                    ),
+                functools.partial(
+                    np.matmul,
+                    weights[:, w : w + 1, lo:hi],
+                    episode[:, lo:hi],
+                    out=episode[:, 8 + r : 9 + r],
                 )
                 for r, (w, lo, hi) in enumerate(terms)
             ]
         else:
             # np.dot on each episode's rows, which for one row costs less
-            # per call than np.matmul.
+            # per call than np.matmul.  As the method ndarray.dot, the same
+            # product, it skips the Python dispatch of the function np.dot.
             products = [
-                tuple(
+                [
                     functools.partial(
-                        np.dot, weights[e, w, lo:hi], matrix[lo:hi, e], matrix[8 + r, e]
+                        weights[e, w, lo:hi].dot, matrix[lo:hi, e], matrix[8 + r, e]
                     )
                     for e in range(active)
-                )
+                ]
                 for r, (w, lo, hi) in enumerate(terms)
             ]
-        # The head's part of each stage input and derivative, and the
-        # block's as (lanes, rows, width) arrays, with the episode axis in
-        # front for several rows.
-        rows_of = matrix[:, 0] if active == 1 else matrix
-        inputs, derivatives = [rows_of[0], *rows_of[9:]], rows_of[1:8]
-        shape = (lanes, rows, width) if active == 1 else (active, lanes, rows, width)
-        heads = [row[..., :head] for row in inputs]
-        rates = [row[..., :head] for row in derivatives]
-        blocks = None
-        if rows:
-            blocks = [
-                (x[..., head:].reshape(shape), k[..., head:].reshape(shape))
-                for x, k in zip(inputs, derivatives)
+            products = [
+                dots[0] if active == 1 else lambda dots=dots: [dot() for dot in dots]
+                for dots in products
             ]
-        # k_1 and k_2 are spent once the error is formed.  They hold the
-        # scale atol + rtol * max(|y|, |y_new|) and a difference, then in
-        # their head parts k_6 - k_5 and y_new - u_5 for the stiffness.
+        # Each stage's input and derivative rows, with the episode axis in
+        # front for several rows.  Row 8, the error estimate, is written
+        # only after the last stage, so the kernels may use it as scratch.
+        rows_of = matrix[:, 0] if active == 1 else matrix
+        inputs, derivatives = [rows_of[0], *rows_of[9:]], list(rows_of[1:8])
+        kernels = block.bind(inputs, derivatives, 0, rows, matrix[8].reshape(-1), None)
+        # k_1 and k_2 are spent once the error is formed.  They hold |y|
+        # and |y_new|, then the scale atol + rtol * max(|y|, |y_new|), then
+        # in their head parts k_6 - k_5 and y_new - u_5 for the stiffness.
+        # An accepted step copies y_new and k_6, rows 14 and 7, to y and
+        # k_0, rows 0 and 1.
         err, pair = rows_of[8], rows_of[2:4, ..., :head]
         ends, starts = rows_of[7:15:7, ..., :head], rows_of[6:14:7, ..., :head]
+        scaling = (rows_of[0:15:14], rows_of[2:4], rows_of[2], rows_of[3])
+        scaled = weights[:, :, 1:]
 
         if active == 1:
-            w, dk, dy = weights[0], pair[0], pair[1]
+            dk, dy, scaled = pair[0], pair[1], scaled[0]
 
             def set_weights(h):
-                np.multiply(_DP_WEIGHTS, h, out=w)
-                w[1:7, 0] = 1.0
+                np.multiply(_DP_STAGE_WEIGHTS, h, out=scaled)
 
             def norms():
                 np.subtract(ends, starts, out=pair)
-                return np.dot(err, err), np.dot(dk, dk), np.dot(dy, dy)
+                return err.dot(err), dk.dot(dk), dy.dot(dy)
 
         else:
             column = np.empty((active, 1, 1))
@@ -555,18 +570,17 @@ def _run_rows(block, y0, t0, span, config):
 
             def set_weights(h):
                 column[:, 0, 0] = h
-                np.multiply(_DP_WEIGHTS, column, out=weights)
-                weights[:, 1:7, 0] = 1.0
+                np.multiply(_DP_STAGE_WEIGHTS, column, out=scaled)
 
             def norms():
                 np.subtract(ends, starts, out=pair)
                 err_sq = np.matmul(*err_rows).ravel().tolist()
                 return (err_sq, *np.matmul(*pair_rows).reshape(2, active).tolist())
 
-        used = (rows_of[0], rows_of[1], rows_of[7], rows_of[14], err, *rows_of[2:4])
-        return set_weights, products, norms, heads, rates, blocks, used
+        used = (rows_of[14], err, scaling, rows_of[0:2], rows_of[14:0:-7])
+        return set_weights, products, norms, kernels, used
 
-    set_weights, products, norms, heads, rates, blocks, used = arrange(matrix)
+    set_weights, products, norms, kernels, used = arrange(matrix)
 
     def where(i):
         # The time, StepStats and name of active row i, for an error.
@@ -578,11 +592,7 @@ def _run_rows(block, y0, t0, span, config):
         if evals >= config.max_evals:
             raise _budget_error(config, *where(0))
         evals += 1
-        u = heads[stage]
-        coefficients = block.rate(u, rates[stage])
-        if blocks is not None:
-            x, k = blocks[stage]
-            block.rows(u, coefficients, x, 0, rows, k)
+        kernels[stage]()
 
     def non_finite(values):
         # The error for the first active row with a non-finite entry in
@@ -603,27 +613,26 @@ def _run_rows(block, y0, t0, span, config):
                 h = [span - now if c else step for now, step, c in zip(t, h, clipped)]
             set_weights(h)
             for stage in range(1, 7):
-                for product in products[stage]:
-                    product()
+                products[stage]()
                 evaluate(stage)
-            y, k_first, k6, y_new, err, scale, diff = used
+            y_new, err, scaling, firsts, lasts = used
             # A finite sum proves every entry finite; only an overflowing sum
-            # needs the entry-wise check.
-            if not math.isfinite(y_new.sum()) and not np.all(np.isfinite(y_new)):
+            # needs the entry-wise check.  np.add.reduce is the sum that
+            # ndarray.sum takes, without its Python wrapper.
+            total = np.add.reduce(y_new, None)
+            if not math.isfinite(total) and not np.all(np.isfinite(y_new)):
                 raise non_finite(y_new)
-            for product in products[0]:
-                product()
-            _scale_error(err, y, y_new, scale, diff, config)
+            products[0]()
+            _scale_error(err, *scaling, config)
             err_sq, dk_sq, dy_sq = norms()
             if len(order) == 1:
                 row = stats[order[0]]
                 ok, next_h = _judge(row, h, err_sq, size, dk_sq, dy_sq)
                 if ok:
-                    y[...] = y_new
-                    k_first[...] = k6
+                    firsts[...] = lasts
                     t = span if clipped else t + h
                     if not t < span:
-                        out[order[0]] = y
+                        out[order[0]] = y_new
                         row.rhs_evals = evals
                         return out, stats
                 h = next_h
@@ -636,11 +645,9 @@ def _run_rows(block, y0, t0, span, config):
                     t[i] = span if clipped[i] else t[i] + taken
                     accepted.append(i)
             if len(accepted) == len(order):
-                y[...] = y_new
-                k_first[...] = k6
+                firsts[...] = lasts
             else:
-                matrix[0, accepted] = matrix[14, accepted]
-                matrix[1, accepted] = matrix[7, accepted]
+                matrix[0:2, accepted] = matrix[14:0:-7, accepted]
             keep = [i for i, now in enumerate(t) if now < span]
             if len(keep) < len(order):
                 for i, now in enumerate(t):
@@ -649,14 +656,14 @@ def _run_rows(block, y0, t0, span, config):
                         stats[order[i]].rhs_evals = evals
                 if not keep:
                     return out, stats
-                # The rows left, with kernels for their episodes alone.
-                matrix, block = matrix[:, keep], block.take(keep)
+                # The rows left, with kernels for their episodes alone.  take
+                # copies them C-ordered, as bind needs; matrix[:, keep] would
+                # leave each stage row strided.
+                matrix, block = matrix.take(keep, axis=1), block.take(keep)
                 order, t, h = ([values[i] for i in keep] for values in (order, t, h))
                 if len(keep) == 1:
                     (t,), (h,) = t, h
-                set_weights, products, norms, heads, rates, blocks, used = arrange(
-                    matrix
-                )
+                set_weights, products, norms, kernels, used = arrange(matrix)
     except _Misshapen as error:
         raise _failure(ValueError, str(error), *where(0)) from None
     except RuntimeWarning as warning:
@@ -687,33 +694,30 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
     for segment in segments:
         size = segment.size
         matrix = np.zeros(15 * size) if segment.head else shared[: 15 * size]
-        if segment.head:
-            buffers = (shared, matrix)
         k, u = matrix[: 8 * size].reshape(8, size), matrix[8 * size :].reshape(7, size)
-        # Row views made once, not per step: the rows, the leading rows
-        # each stage input combines, and the block's rows of each stage
-        # input and derivative as (lanes, rows, width) views.
-        views = None
-        if segment.hi > segment.lo:
-            shape = (lanes, segment.hi - segment.lo, width)
-            views = [
-                [row.reshape(shape) for row in stage_rows]
-                for stage_rows in ([k[0], *u[1:]], k[1:])
-            ]
+        # Row views and kernels made once, not per step: the rows, the
+        # leading rows each stage input combines, and the kernels of the
+        # segment's stages.  A chunk of rows reads the head's stage inputs,
+        # and may use its row u_0, free until the error is formed, as
+        # scratch.
+        inputs = [k[0], *u[1:]]
+        if segment.head:
+            buffers, heads = (shared, matrix), inputs
+        row_heads = None if segment.head else heads
+        kernels = block.bind(
+            inputs, list(k[1:]), segment.lo, segment.hi, u[0], row_heads
+        )
         leading = [k[: stage + 1] for stage in range(8)]
-        work.append((segment, list(k), list(u), leading, views))
-    # The head's part of each stage input, which every chunk of rows reads,
-    # and of each stage derivative.
-    _, k, u, _, _ = work[0]
-    heads = [k[0][:head]] + [row[:head] for row in u[1:]]
-    head_rates = [row[:head] for row in k[1:]]
-    coefficients = [None] * 7
+        scaling = (matrix.reshape(15, size)[0:15:14], k[2:4], k[2], k[3])
+        work.append((segment, list(k), list(u), leading, scaling, kernels))
     # One stage vector holds the first stage when a step starts; each chunk,
     # once it has copied its part, leaves its last stage there.
     y, y_new, k_first = np.empty(n), np.empty(n), np.empty(n)
     k_last = k_first
     y[:] = y0
-    weights = np.empty((8, 8))
+    weights = np.zeros((8, 8))
+    weights[1:7, 0] = 1.0
+    scaled = weights[:, 1:]
     stage_weights = [weights[stage, : stage + 1] for stage in range(7)]
     t = 0.0
 
@@ -723,26 +727,17 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
             return buffer[:head]
         return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
 
-    def evaluate(stage, segment, views):
+    def evaluate(stage, segment, kernels):
         if segment.head:
             if stats.rhs_evals >= config.max_evals:
                 raise _budget_error(config, t0 + t, stats, episode)
             stats.rhs_evals += 1
-            coefficients[stage] = block.rate(heads[stage], head_rates[stage])
-        if views is not None:
-            block.rows(
-                heads[stage],
-                coefficients[stage],
-                views[0][stage],
-                segment.lo,
-                segment.hi,
-                views[1][stage],
-            )
+        kernels[stage]()
 
     def first_stage():
-        for segment, k, _, _, views in work:
+        for segment, k, _, _, _, kernels in work:
             k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
-            evaluate(0, segment, views)
+            evaluate(0, segment, kernels)
             part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
 
     def non_finite():
@@ -756,34 +751,35 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
             clipped = h >= span - t
             if clipped:
                 h = span - t
-            np.multiply(_DP_WEIGHTS, h, out=weights)
-            weights[1:7, 0] = 1.0
+            np.multiply(_DP_STAGE_WEIGHTS, h, out=scaled)
             # The squared scaled error, summed over the whole state.
             err_sq = 0.0
-            for segment, k, u, leading, views in work:
+            for segment, k, u, leading, scaling, kernels in work:
                 shape = part(y, segment).shape
                 k[0].reshape(shape)[...] = part(y, segment)
                 k[1].reshape(shape)[...] = part(k_first, segment)
                 for stage in range(1, 7):
-                    np.dot(stage_weights[stage], leading[stage], out=u[stage])
-                    evaluate(stage, segment, views)
+                    stage_weights[stage].dot(leading[stage], u[stage])
+                    evaluate(stage, segment, kernels)
                 # A finite sum proves every entry finite; only an overflowing
                 # sum needs the entry-wise check.
-                if not math.isfinite(u[6].sum()) and not np.all(np.isfinite(u[6])):
+                total = np.add.reduce(u[6])
+                if not math.isfinite(total) and not np.all(np.isfinite(u[6])):
                     raise non_finite()
-                # k_1 and k_2 are spent once the error is formed; they hold the
-                # scale atol + rtol * max(|y|, |y_new|) and a difference.
-                err, scale, diff = u[0], k[2], k[3]
-                np.dot(weights[7, 1:], leading[7][1:], out=err)
-                _scale_error(err, k[0], u[6], scale, diff, config)
-                err_sq += np.dot(err, err)
+                # k_1 and k_2 are spent once the error is formed; they hold
+                # |y| and |y_new|, then the scale atol + rtol * max(|y|,
+                # |y_new|) and a difference.
+                err, diff = u[0], k[3]
+                weights[7, 1:].dot(leading[7][1:], err)
+                _scale_error(err, *scaling, config)
+                err_sq += err.dot(err)
                 if segment.head:
                     # The head's |k_6 - k_5|^2 and |y_new - u_5|^2 for the
                     # stiffness estimate.
                     np.subtract(k[7], k[6], out=diff)
-                    dk_sq = np.dot(diff, diff)
+                    dk_sq = diff.dot(diff)
                     np.subtract(u[6], u[5], out=diff)
-                    dy_sq = np.dot(diff, diff)
+                    dy_sq = diff.dot(diff)
                 part(y_new, segment)[...] = u[6].reshape(shape)
                 part(k_last, segment)[...] = k[7].reshape(shape)
             accepted, next_h = _judge(stats, h, err_sq, n, dk_sq, dy_sq)

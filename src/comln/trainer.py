@@ -116,6 +116,11 @@ class TrainConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("meta_batch_size", "iterations", "eval_every", "seed"):
+            value = getattr(self, name)
+            # A bool is an int to Python, but not a count or a seed.
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.meta_batch_size < 1:
             raise ValueError("meta_batch_size must be at least 1")
         if self.iterations < 0:

@@ -5,6 +5,7 @@ takes the steps it would take alone, and its results do not depend on which
 episodes share its batch or where it sits in it.
 """
 
+import functools
 import math
 import warnings
 
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import comln.dynamics
+import comln.solver
 from comln.dynamics import adapt
 from comln.embedding import init_embedding
 from comln.loss import LossConfig
@@ -44,10 +47,13 @@ def clock_rhs(episodes, field):
             du[:, 1] = [field(e, c, x) for e, (c, x) in zip(ids, rows)]
             out[...] = du.reshape(u.shape)
 
+        def bind(inputs, derivatives, *_):
+            return [functools.partial(rate, *row) for row in zip(inputs, derivatives)]
+
         def take(index):
             return block([ids[i] for i in index])
 
-        return TangentBlock(2, (0, 0, 0), rate, None, len(ids), take)
+        return TangentBlock(2, (0, 0, 0), bind, len(ids), take)
 
     rhs = lambda y: None  # noqa: E731
     rhs.tangent = block(list(episodes))
@@ -127,7 +133,7 @@ class TestRows:
 
     def test_fixed_steps_count_every_episode(self):
         rhs = lambda y: -y  # noqa: E731
-        rhs.tangent = TangentBlock(2, (0, 0, 0), None, None, 3)
+        rhs.tangent = TangentBlock(2, (0, 0, 0), None, 3)
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
         y, stats = integrate(rhs, np.ones(6), 0.0, 1.0, cfg)
         alone, one = integrate(lambda y: -y, np.ones(2), 0.0, 1.0, cfg)
@@ -210,6 +216,41 @@ class TestAdapt:
             assert_array_equal(W_T[e], W1)
             assert_array_equal(state.X[e], one.X)
             assert stats.episodes[e] == alone.episodes[0]
+
+    @staticmethod
+    def forcing_calls(monkeypatch):
+        """The arguments of every later ``_row_forcing`` call, in order."""
+        calls, real = [], comln.dynamics._row_forcing
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(comln.dynamics, "_row_forcing", spy)
+        return calls
+
+    def test_kernels_are_bound_once_per_active_set(self, monkeypatch):
+        # The four episodes finish after different numbers of evaluations,
+        # so the rows leave one at a time: active sets of 4, 3, 2 and 1
+        # tasks, each bound once, whose row forcing is built once.
+        calls = self.forcing_calls(monkeypatch)
+        episodes = pinned_episodes()
+        _, _, stats = adapt(W0, *stacked(episodes), LAM, 20.0, CFG, True, episodes=4)
+        assert [s.rhs_evals for s in stats.episodes] == [151, 199, 169, 157]
+        assert [args[-1] for args in calls] == [4, 3, 2, 1]
+
+    def test_chunked_episode_binds_each_chunk_once(self, monkeypatch):
+        # A 5w5s state spans the head and several chunks of rows; each
+        # chunk's row forcing is built once, whatever the evaluations.
+        calls = self.forcing_calls(monkeypatch)
+        episode = pinned_episodes(count=1, shot=5)[0]
+        _, _, stats = adapt(W0, *stacked([episode]), LAM, 2.0, CFG, True)
+        layout = comln.dynamics.compact_layout(25, 5)
+        segments = comln.solver._segments(
+            25 * 5, 25, layout.rows, 5, comln.solver.CHUNK_BYTES
+        )
+        assert len(segments) > 2 and stats.rhs_evals > 6
+        assert [args[2:4] for args in calls] == [(s.lo, s.hi) for s in segments[1:]]
 
     def test_a_split_that_does_not_divide_is_refused(self):
         features, labels = stacked(pinned_episodes(count=2))

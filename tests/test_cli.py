@@ -193,6 +193,25 @@ def test_non_finite_settings_exit_2(tmp_path, capsys, command, overrides):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "train.meta_batch_size=NaN",
+        "train.iterations=1.5",
+        "train.eval_every=2.0",
+        "train.seed=true",
+    ],
+)
+def test_non_integer_counts_exit_2(tmp_path, capsys, override):
+    # Each passed the old comparisons and died in meta_train with a TypeError.
+    out = str(tmp_path / "run")
+    argv = ["train", "--config", write_config(tmp_path), "--out", out]
+    assert cli.main(argv + ["--set", override]) == 2
+    name = override.split("=")[0].split(".")[1]
+    message = f"invalid configuration: {name} must be an integer"
+    assert message in capsys.readouterr().err
+
+
 def test_reruns_are_deterministic_apart_from_wall_time(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -365,6 +384,14 @@ def test_bench_rejects_bad_horizon_tokens(tmp_path, capsys):
     )
     assert code == 2
     assert "K=10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["T=nan", "T=inf", "T=-inf", "T=1e308"])
+def test_bench_rejects_non_finite_horizons(tmp_path, capsys, token):
+    # float() parses these, and each step count would raise converting to int.
+    argv = ["bench", "--mode", "memory", "--horizons", token]
+    assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 2
+    assert f"horizon {token!r} must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -457,8 +457,9 @@ def test_structural_invariants_on_every_row_of_a_batch():
 
 def test_chunked_path_looks_up_the_kernels_at_call_time(monkeypatch):
     # The kernels are rebound by module name once adapt has built its
-    # right-hand side, as a tracer switched on mid-run would.  The chunked
-    # dopri5 path reaches the new bindings and its result does not change.
+    # right-hand side, as a tracer switched on mid-run would.  integrate
+    # binds the kernels when it is called, so the chunked dopri5 path
+    # reaches the new bindings, and its result does not change.
     rng = np.random.default_rng(7)
     data = random_set(rng, m=5, n=3, d=4)
     W0 = rng.normal(size=(3, 4))

@@ -1,5 +1,6 @@
 """Tests for the ODE solver on one-dimensional float64 vectors."""
 
+import functools
 import tracemalloc
 import warnings
 
@@ -29,6 +30,31 @@ def _state(values):
 
 def _decay(y):
     return -y
+
+
+def _row_block(head, shape, rate, rows):
+    """A TangentBlock of one episode from a head kernel rate(u, out) and a
+    row kernel rows(u, X, lo, hi, out) on (lanes, hi - lo, width) views."""
+    lanes, _, width = shape
+
+    def bind(inputs, derivatives, lo, hi, spare, heads):
+        kernels = []
+        for i, (x, dx) in enumerate(zip(inputs, derivatives)):
+            calls = []
+            if heads is None:
+                u = x[:head]
+                calls.append(functools.partial(rate, u, dx[:head]))
+                x, dx = x[head:], dx[head:]
+            else:
+                u = heads[i]
+            if hi > lo:
+                part = (lanes, hi - lo, width)
+                X, out = x.reshape(part), dx.reshape(part)
+                calls.append(functools.partial(rows, u, X, lo, hi, out))
+            kernels.append(lambda calls=calls: [call() for call in calls])
+        return kernels
+
+    return TangentBlock(head, shape, bind)
 
 
 def _metagrad_10w5s_adapt_args():
@@ -595,13 +621,13 @@ class TestTangentBlock:
         # rows of the second chunk turn infinite from t = 0.3 on.  Steps of
         # 0.01 and about 0.24 are accepted; the third trial's stage inputs
         # pass t = 0.3.
-        def rows(u, coefficients, X, lo, hi, out):
+        def rows(u, X, lo, hi, out):
             np.negative(X, out=out)
             if lo > 0 and u[0] >= 0.3:
                 out[...] = np.inf
 
         rhs = lambda y: None
-        rhs.tangent = TangentBlock(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
+        rhs.tangent = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
         monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
         assert len(comln.solver._segments(1, 1, 8, 2, 64)) == 3
         y0 = np.concatenate(([0.0], np.ones(16)))
@@ -715,12 +741,12 @@ class TestStiffness:
         def rate(u, out):
             np.multiply(u, -lam, out=out)
 
-        def rows(u, coefficients, X, lo, hi, out):
+        def rows(u, X, lo, hi, out):
             np.multiply(X, -lam, out=out)
             out += u
 
         rhs = lambda y: None  # noqa: E731
-        rhs.tangent = TangentBlock(2, (1, 3, 2), rate, rows)
+        rhs.tangent = _row_block(2, (1, 3, 2), rate, rows)
         if chunk_bytes is not None:
             monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
             assert len(comln.solver._segments(2, 1, 3, 2, chunk_bytes)) == 4

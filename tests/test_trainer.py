@@ -118,6 +118,26 @@ def test_train_config_rejects_bad_values():
         TrainConfig(momentum=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("meta_batch_size", float("nan")),
+        ("meta_batch_size", 4.0),
+        ("iterations", 1.5),
+        ("eval_every", "10"),
+        ("seed", True),
+    ],
+)
+def test_train_config_requires_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(meta_batch_size=np.int64(2), iterations=np.int32(3))
+    assert (cfg.meta_batch_size, cfg.iterations) == (2, 3)
+
+
 def test_meta_params_validation():
     net = init_embedding([3], seed=0)
     with pytest.raises(ValueError):
