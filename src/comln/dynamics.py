@@ -363,23 +363,18 @@ def tangent_rows(c: TaskConstants, rows: tuple) -> None:
 
 def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.ndarray:
     """Time derivative of the tracked state (s, X) in the compact layout, of
-    every task of ``c`` one after another."""
+    every task of ``c`` one after another: one evaluation of a stage kernel
+    of ``_block(c, layout)``."""
     if flat.shape != (c.episodes * layout.size,):
         raise ValueError("rhs_full requires a tracked state; use rhs_adapt")
-    m, n, mn = layout.m, layout.n, layout.m * layout.n
+    m, n = layout.m, layout.n
     if c.P0.shape[-2:] != (m, n) or c.G.shape[-2:] != (m, m):
         raise DimensionMismatchError("per-task constants do not match the layout")
-    lead = c.P0.shape[:-2]
-    shape = lead + (m, layout.rows, n)
-    values = np.empty(flat.shape)
-    state, rate = flat.reshape(lead + (-1,)), values.reshape(lead + (-1,))
-    _, neg_A = _rate_and_curvature(
-        c, state[..., :mn].reshape(c.P0.shape), rate[..., :mn].reshape(c.P0.shape)
-    )
-    X, dX = state[..., mn:].reshape(shape), rate[..., mn:].reshape(shape)
-    forcing = _row_forcing(m, n, 0, layout.rows, c.episodes)
-    tangent_rows(c, _row_views(flat, neg_A, X, dX, forcing, np.empty(X.size)))
-    return values
+    state = flat.reshape(c.P0.shape[:-2] + (-1,))
+    values = np.empty(state.shape)
+    bind = _block(c, layout).bind
+    bind([state], [values], 0, layout.rows, np.empty(flat.size), None)[0]()
+    return values.reshape(-1)
 
 
 def _in_turn(first: Callable[[], object], second: Callable[[], object]) -> None:
@@ -388,13 +383,13 @@ def _in_turn(first: Callable[[], object], second: Callable[[], object]) -> None:
 
 
 def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
-    """The flow of the tasks of ``c`` as dopri5 integrates it.
+    """The flow of the tasks of ``c`` as the solver integrates it.
 
-    Its kernels are looked up by module name at bind time, as rhs_full is
-    at each call, so that rebinding either name before integrate runs
-    reaches dopri5 too.  A tracked block holds -A_i at each of the seven
-    stages, which all its bindings share: the head's kernels write them and
-    the rows' kernels of the same stage read them.
+    Its kernels are looked up by module name at bind time, so that
+    rebinding one before integrate runs reaches every method.  A tracked
+    block holds -A_i at each of the seven stages, which all its bindings
+    share: the head's kernels write them and the rows' kernels of the same
+    stage read them.
     """
     shape = c.P0.shape
     m, n = shape[-2:]
@@ -500,24 +495,9 @@ def adapt(
             f"budget is {memory_budget}"
         )
 
-    consts = TaskConstants(W0, data, cfg, count)
     layout = compact_layout(m, n) if track else None
-
-    if track:
-
-        def rhs(flat: np.ndarray) -> np.ndarray:
-            return rhs_full(consts, flat, layout)
-
-    else:
-
-        def rhs(flat: np.ndarray) -> np.ndarray:
-            return rhs_adapt(consts, flat)
-
-    # dopri5 reads the block from the rhs; euler and rk4 call the rhs.  As
-    # an attribute the block survives wrappers made with functools.wraps,
-    # which copy it.
-    rhs.tangent = _block(consts, layout)
-    end, stats = integrate(rhs, np.zeros(flat_entries), 0.0, T, solver)
+    system = _block(TaskConstants(W0, data, cfg, count), layout)
+    end, stats = integrate(system, np.zeros(flat_entries), 0.0, T, solver)
     lead = () if episodes is None else (count,)
     states = end.reshape(count, -1)
     s = states[:, : m * n].reshape(lead + (m, n))

@@ -1,11 +1,17 @@
 """ODE integration on one-dimensional float64 state vectors.
 
-Integrates autonomous systems dy/dt = rhs(y) from t0 to t1 with either a
+Integrates autonomous systems dy/dt = f(y) from t0 to t1 with either a
 fixed-step scheme (explicit Euler, classic fourth-order Runge-Kutta) or the
 Dormand-Prince 5(4) embedded pair with adaptive step size.  The state is a
 single one-dimensional float64 vector; what its entries mean is the
-caller's business, except that a TangentBlock (below) may cut it into the
-states of several independent episodes.
+caller's business, except that the system, a TangentBlock, cuts it into
+``episodes`` independent states one after another, each a head u followed
+by a block X whose rows evolve independently once u is known.  A plain rhs
+is the block of one episode whose head is the whole state.  Every method
+hands the block's ``bind`` its stage buffers once, and at each stage calls
+the zero-argument kernel bind returned for it, which has every view,
+scratch array and index it needs made in advance and writes the
+derivative into its stage buffer.
 
 Dormand-Prince has the first-same-as-last property: its seventh stage is
 the derivative at the new state, so an accepted step hands it to the next
@@ -22,14 +28,8 @@ SUNDIALS allows (eta_max1): on a short horizon that start is far more
 accurate than asked, and the next step goes straight to the size accuracy
 permits instead of climbing there by factors of 5.
 
-An rhs may carry a ``tangent`` attribute, a TangentBlock: the state is
-then ``episodes`` independent states one after another, each a head u
-followed by a block X whose rows evolve independently once u is known.
-dopri5 then never calls the rhs itself.  It hands the block's ``bind`` the
-rows of its stage matrix once, and at each stage calls the zero-argument
-kernel bind returned for it, which has every view, scratch array and
-index it needs made in advance.  The size of one episode's state decides
-the path:
+dopri5 binds the rows of its stage matrix.  The size of one episode's state
+decides the path:
 
 - An episode state that fits one chunk of CHUNK_BYTES is one row of an
   episode axis.  The stage matrix is stage-major, (15, episodes, size), so
@@ -43,8 +43,7 @@ the path:
   2021), not one step for the whole batch: a row takes the steps it would
   take alone, bit for bit.  The kernels are bound once per active set: a
   row that reaches t1 leaves it, and the kernels of the block's ``take``
-  for the rows left are bound in their place.  A plain rhs is one episode
-  on this path.
+  for the rows left are bound in their place.
 - A larger episode state is integrated one episode at a time.  Each step
   first takes all six stages of u, then, chunk by chunk of rows sized by
   CHUNK_BYTES, all six stages of those rows while they stay in cache,
@@ -61,14 +60,13 @@ the path:
   every other pass runs over one chunk.  Each segment, the head alone and
   each chunk of rows, is bound once per integration.
 
-euler and rk4 call the rhs on the whole vector, so every episode of a
-batched state takes the same fixed steps.
+euler and rk4 bind the whole state once per integration, an (episodes,
+size) array for several episodes, and step it in place, so every episode
+takes the same fixed steps.
 
-The rhs receives a vector that the solver reuses for later stages, so the
-rhs must not keep references to its input between calls.  It may return a
-view of its input: the solver copies each derivative into its stage
-matrix before it writes to that buffer again.  A TangentBlock's kernels
-instead write each derivative into the stage row they were bound to.
+A plain rhs receives a vector that the solver reuses for later stages, so
+it must not keep references to its input between calls.  It may return a
+view of its input: its kernel copies the derivative into the stage buffer.
 
 Every right-hand-side evaluation is counted exactly, and exceeding the
 configured evaluation budget is an error rather than a silent partial
@@ -179,13 +177,14 @@ class TangentBlock:
     shape ``shape`` = (lanes, rows, width) in C order; du/dt reads u alone,
     and the rows X[:, lo:hi] of dX/dt read u and those rows alone.
 
-    ``bind(inputs, derivatives, lo, hi, spare, heads)`` returns seven
-    zero-argument kernels, one per stage: kernel i writes the derivative at
-    ``inputs[i]`` into ``derivatives[i]``.  Each of these 14 rows holds,
-    for each episode, u followed by the rows lo:hi of X, flat: a vector for
-    one episode, a C-ordered (A, entries) array for A > 1.  When ``heads``
+    ``bind(inputs, derivatives, lo, hi, spare, heads)`` returns one
+    zero-argument kernel per stage, up to seven: kernel i writes the
+    derivative at ``inputs[i]`` into ``derivatives[i]``.  Each of these
+    buffers holds, for each episode, u followed by the rows lo:hi of X,
+    flat: a vector for one episode, a C-ordered (A, entries) array for
+    A > 1; inputs may share a buffer.  When ``heads``
     is not None, the rows hold X[:, lo:hi] alone and ``heads`` are the
-    seven stage inputs of u of an earlier binding whose kernel runs first
+    stage inputs of u of an earlier binding whose kernel runs first
     at each stage.  ``spare`` is a contiguous vector with room for the
     entries of X in those rows; no stage reads or writes it while a kernel
     runs, so the kernels may use it as scratch.  ``take(index)`` returns the
@@ -287,13 +286,8 @@ def _failure(error, message: str, t: float, stats: StepStats, episode=None):
     return exc
 
 
-def _shape_message(derivative, shape) -> str:
-    # Refused, not broadcast: a derivative of another size is a bug in rhs.
-    return f"rhs returned shape {np.shape(derivative)} for a state of shape {shape}"
-
-
 class _Misshapen(Exception):
-    """A plain rhs returned a derivative of another shape; dopri5 adds where."""
+    """A plain rhs returned a derivative of another shape; the method adds where."""
 
 
 def _budget_error(config: SolverConfig, t: float, stats: StepStats, episode=None):
@@ -352,26 +346,25 @@ def _totals(rows) -> StepStats:
 
 
 def integrate(
-    rhs: Callable[[np.ndarray], np.ndarray],
+    system: TangentBlock | Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     t0: float,
     t1: float,
     config: SolverConfig,
 ) -> Tuple[np.ndarray, StepStats]:
-    """Integrate dy/dt = rhs(y) from t0 to t1 and return (y(t1), stats).
+    """Integrate dy/dt = f(y) from t0 to t1 and return (y(t1), stats).
 
     ``y0`` is a one-dimensional float64 vector and is not modified; the
-    returned y(t1) is a new vector of the same size.  ``rhs`` must be a pure
-    function mapping such a vector to the vector of its derivatives, and
-    must not keep references to its input.  An ``rhs.tangent`` TangentBlock
-    describing the same derivative lets dopri5 integrate its episodes as
-    rows or its rows in chunks; y0 then holds its episodes one after
-    another.  Raises ValueError for a y0 that is not one-dimensional, for
-    non-finite or reversed times, for a derivative whose shape is not that
-    of its state and for a tangent block that does not fill y0,
-    BudgetExceededError if the run would need more rhs evaluations than
-    ``config.max_evals`` for an episode and NonFiniteStateError if the
-    initial or any intermediate state is not finite.
+    returned y(t1) is a new vector of the same size.  ``system`` is the
+    TangentBlock of f, whose episodes y0 holds one after another, or f
+    itself as a plain rhs: a pure function mapping such a vector to the
+    vector of its derivatives, which keeps no reference to its input.
+    Raises ValueError for a y0 that is not one-dimensional, for non-finite
+    or reversed times, for a derivative whose shape is not that of its
+    state and for a block that does not fill y0, BudgetExceededError if the
+    run would need more evaluations than ``config.max_evals`` for an
+    episode and NonFiniteStateError if the initial or any intermediate
+    state is not finite.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 1:
@@ -383,72 +376,12 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise NonFiniteStateError(f"initial state contains NaN or Inf at t={t0:.6g}")
 
-    block = getattr(rhs, "tangent", None)
-    episodes = block.episodes if block is not None else 1
-    span = t1 - t0
-    if span == 0.0:
-        return y0.copy(), _totals([StepStats() for _ in range(episodes)])
-    if config.method == "dopri5":
-        return _run_dopri5(rhs, block, y0, t0, span, config)
-
-    step = config.fixed_step
-    stats = StepStats()
-    # Every episode takes the same steps, so the first one names a failure.
-    row = 0 if episodes > 1 else None
-
-    def f(values: np.ndarray) -> np.ndarray:
-        t = t0 + stats.accepted_steps * step
-        if stats.rhs_evals >= config.max_evals:
-            raise _budget_error(config, t, stats, row)
-        stats.rhs_evals += 1
-        derivative = rhs(values)
-        if np.shape(derivative) != y0.shape:
-            raise _failure(ValueError, _shape_message(derivative, y0.shape), t, stats, row)
-        return derivative
-
-    one_step = _euler_step if config.method == "euler" else _rk4_step
-    n = _fixed_step_count(span, step)
-    y = y0.copy()
-    for k in range(n):
-        # Final step is shortened to land exactly on the end time.
-        h = span - k * step if k == n - 1 else step
-        y = one_step(f, y, h)
-        if not np.all(np.isfinite(y)):
-            finite = np.isfinite(y.reshape(episodes, -1)).all(axis=1)
-            message = f"state became non-finite at step {k + 1}"
-            t = t0 + stats.accepted_steps * step
-            bad = int(np.argmin(finite)) if row is not None else None
-            raise _failure(NonFiniteStateError, message, t, stats, bad)
-        stats.accepted_steps += 1
-    return y, _totals([replace(stats) for _ in range(episodes)])
-
-
-def _euler_step(f, y, h):
-    return y + h * f(y)
-
-
-def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _run_dopri5(rhs, block, y0, t0, span, config):
-    if block is None:
-        # A plain rhs is one episode: a head of n entries with an empty block.
-        def rate(u, out):
-            derivative = rhs(u)
-            if np.shape(derivative) != u.shape:
-                raise _Misshapen(_shape_message(derivative, u.shape))
-            # A copy, so a derivative that is a view of its input stays valid.
-            out[...] = derivative
-
-        def bind(inputs, derivatives, *_):
-            return [functools.partial(rate, *row) for row in zip(inputs, derivatives)]
-
-        block = TangentBlock(y0.size, (0, 0, 0), bind)
+    # A block is told from a plain rhs by its bind, not by its type: a copy
+    # of a block made with functools.wraps, as a tracer makes, is a function
+    # that carries the block's fields.
+    block = system
+    if getattr(system, "bind", None) is None:
+        block = _plain_block(system, y0.size)
     head, (lanes, rows, width) = block.head, block.shape
     size, episodes = head + lanes * rows * width, block.episodes
     if episodes * size != y0.size:
@@ -456,17 +389,96 @@ def _run_dopri5(rhs, block, y0, t0, span, config):
             f"{episodes} episode(s) of a tangent block {block.shape} after "
             f"{head} entries does not fill a state of shape ({y0.size},)"
         )
-    states = y0.reshape(episodes, size)
+    span = t1 - t0
+    if span == 0.0:
+        return y0.copy(), _totals([StepStats() for _ in range(episodes)])
+    run = _run_dopri5 if config.method == "dopri5" else _run_fixed
+    return run(block, y0.reshape(episodes, size), t0, span, config)
+
+
+def _plain_block(rhs, n: int) -> TangentBlock:
+    """A plain rhs as the block of one episode: a head of n entries, no rows."""
+
+    def rate(u, out):
+        derivative = rhs(u)
+        # Refused, not broadcast: a derivative of another size is a bug in rhs.
+        if np.shape(derivative) != u.shape:
+            message = f"rhs returned shape {np.shape(derivative)} for a state"
+            raise _Misshapen(f"{message} of shape {u.shape}")
+        # A copy, so a derivative that is a view of its input stays valid.
+        out[...] = derivative
+
+    def bind(inputs, derivatives, *_):
+        return [functools.partial(rate, *row) for row in zip(inputs, derivatives)]
+
+    return TangentBlock(n, (0, 0, 0), bind)
+
+
+def _run_fixed(block, states, t0, span, config):
+    """euler or rk4 on the rows of states, bound once and stepped in place.
+
+    Returns y(t1) as a vector.  Every episode takes the same steps, so the
+    first one names a failure.
+    """
+    episodes, rk4 = len(states), config.method == "rk4"
+    row = 0 if episodes > 1 else None
+    stats, step = StepStats(), config.fixed_step
+    y = (states if episodes > 1 else states[0]).copy()
+    # The stage derivatives k_1..k_4, k_1 alone for euler, and the one input
+    # that rk4's later stages share.
+    k, u = list(np.empty((4 if rk4 else 1,) + y.shape)), np.empty_like(y)
+    inputs = [y, u, u, u] if rk4 else [y]
+    kernels = block.bind(inputs, k, 0, block.shape[1], np.empty(y.size), None)
+
+    def evaluate(stage):
+        if stats.rhs_evals >= config.max_evals:
+            raise _budget_error(config, t, stats, row)
+        stats.rhs_evals += 1
+        kernels[stage]()
+
+    t, n = t0, _fixed_step_count(span, step)
+    try:
+        for i in range(n):
+            # Final step is shortened to land exactly on the end time.
+            h = span - i * step if i == n - 1 else step
+            # In place, in the operation order of y + h k for euler, and for
+            # rk4 of y + (a h) k for each stage input and of
+            # y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4).
+            evaluate(0)
+            if rk4:
+                for stage, weight in enumerate((0.5 * h, 0.5 * h, h), 1):
+                    np.multiply(k[stage - 1], weight, out=u)
+                    u += y
+                    evaluate(stage)
+                k[0] += np.multiply(k[1], 2.0, out=k[1])
+                k[0] += np.multiply(k[2], 2.0, out=k[2])
+                k[0] += k[3]
+            k[0] *= h / 6.0 if rk4 else h
+            y += k[0]
+            if not np.all(np.isfinite(y)):
+                finite = np.isfinite(y.reshape(episodes, -1)).all(axis=1)
+                message = f"state became non-finite at step {i + 1}"
+                bad = int(np.argmin(finite)) if row is not None else None
+                raise _failure(NonFiniteStateError, message, t, stats, bad)
+            stats.accepted_steps += 1
+            t = t0 + stats.accepted_steps * step
+    except _Misshapen as error:
+        raise _failure(ValueError, str(error), t, stats, row) from None
+    return y.reshape(-1), _totals([replace(stats) for _ in range(episodes)])
+
+
+def _run_dopri5(block, states, t0, span, config):
+    head, (lanes, rows, width) = block.head, block.shape
     if len(_segments(head, lanes, rows, width, CHUNK_BYTES)) == 1:
         y, stats = _run_rows(block, states, t0, span, config)
         return y.reshape(-1), _totals(stats)
     # One episode at a time, each in three state-sized vectors.
-    stats = [StepStats() for _ in range(episodes)]
-    if episodes == 1:
+    stats = [StepStats() for _ in states]
+    if len(states) == 1:
         y = _run_chunked(block, states[0], t0, span, config, stats[0])
         return y, _totals(stats)
-    y = np.empty((episodes, size))
-    for episode in range(episodes):
+    y = np.empty(states.shape)
+    for episode in range(len(states)):
         one = block.take([episode])
         y[episode] = _run_chunked(
             one, states[episode], t0, span, config, stats[episode], episode

@@ -130,10 +130,16 @@ class TrainConfig:
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.lr_schedule is not None:
-            normalized = tuple(
-                (int(it), float(mult)) for it, mult in self.lr_schedule
-            )
-            object.__setattr__(self, "lr_schedule", normalized)
+            normalized = []
+            for it, mult in self.lr_schedule:
+                whole = isinstance(it, (int, np.integer)) and not isinstance(it, bool)
+                if not (whole and it >= 0 and 0 <= float(mult) < math.inf):
+                    raise ValueError(
+                        f"lr_schedule pair {(it, mult)} needs an integer milestone "
+                        ">= 0 and a finite multiplier >= 0"
+                    )
+                normalized.append((int(it), float(mult)))
+            object.__setattr__(self, "lr_schedule", tuple(normalized))
 
 
 @dataclass

@@ -33,11 +33,11 @@ LAM = LossConfig(lam=0.5)
 CFG = SolverConfig()
 
 
-def clock_rhs(episodes, field):
+def clock_block(episodes, field):
     """A batch of states (c, x), c' = 1 and x' = field(e, c, x) for episode e.
 
-    dopri5 reads only the block; ``take`` keeps the episode numbers, so a
-    narrowed block evaluates the same fields.
+    ``take`` keeps the episode numbers, so a narrowed block evaluates the
+    same fields.
     """
 
     def block(ids):
@@ -55,9 +55,7 @@ def clock_rhs(episodes, field):
 
         return TangentBlock(2, (0, 0, 0), bind, len(ids), take)
 
-    rhs = lambda y: None  # noqa: E731
-    rhs.tangent = block(list(episodes))
-    return rhs
+    return block(list(episodes))
 
 
 def decay(rates):
@@ -75,12 +73,12 @@ class TestRows:
     RATES = {0: 0.5, 1: 3.0, 2: 40.0, 3: 7.0}
 
     def alone(self, e, field):
-        return integrate(clock_rhs([e], field), start([e]), 0.0, 2.0, CFG)
+        return integrate(clock_block([e], field), start([e]), 0.0, 2.0, CFG)
 
     def test_each_row_takes_the_steps_it_takes_alone(self):
         ids = [0, 1, 2, 3]
         field = decay(self.RATES)
-        y, stats = integrate(clock_rhs(ids, field), start(ids), 0.0, 2.0, CFG)
+        y, stats = integrate(clock_block(ids, field), start(ids), 0.0, 2.0, CFG)
         rows = y.reshape(4, 2)
         for r, e in enumerate(ids):
             y_e, alone = self.alone(e, field)
@@ -97,8 +95,8 @@ class TestRows:
     def test_a_row_does_not_depend_on_its_mates_or_position(self):
         field = decay(self.RATES)
         ids = [0, 1, 3]
-        first, _ = integrate(clock_rhs(ids, field), start(ids), 0.0, 2.0, CFG)
-        second, _ = integrate(clock_rhs([3, 2], field), start([3, 2]), 0.0, 2.0, CFG)
+        first, _ = integrate(clock_block(ids, field), start(ids), 0.0, 2.0, CFG)
+        second, _ = integrate(clock_block([3, 2], field), start([3, 2]), 0.0, 2.0, CFG)
         assert_array_equal(first.reshape(3, 2)[2], second.reshape(2, 2)[0])
 
     def test_budget_error_names_the_row_that_ran_out(self):
@@ -108,7 +106,7 @@ class TestRows:
         assert counts[2] > max(counts[:2] + counts[3:])
         cfg = SolverConfig(max_evals=max(counts[:2] + counts[3:]))
         with pytest.raises(BudgetExceededError) as info:
-            integrate(clock_rhs(range(4), field), start(range(4)), 0.0, 2.0, cfg)
+            integrate(clock_block(range(4), field), start(range(4)), 0.0, 2.0, cfg)
         assert info.value.episode == 2
         message = f"budget of {cfg.max_evals} exhausted in episode 2 at t="
         assert message in str(info.value)
@@ -124,7 +122,7 @@ class TestRows:
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
             with pytest.raises(NonFiniteStateError) as info:
-                integrate(clock_rhs(range(3), field), start(range(3)), 0.0, 1.0, CFG)
+                integrate(clock_block(range(3), field), start(range(3)), 0.0, 1.0, CFG)
         assert info.value.episode == 1
         assert str(info.value) == (
             "state became non-finite during a trial step in episode 1 "
@@ -132,14 +130,47 @@ class TestRows:
         )
 
     def test_fixed_steps_count_every_episode(self):
-        rhs = lambda y: -y  # noqa: E731
-        rhs.tangent = TangentBlock(2, (0, 0, 0), None, 3)
+        def bind(inputs, derivatives, *_):
+            return [
+                functools.partial(np.negative, x, out=dx)
+                for x, dx in zip(inputs, derivatives)
+            ]
+
+        block = TangentBlock(2, (0, 0, 0), bind, 3)
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
-        y, stats = integrate(rhs, np.ones(6), 0.0, 1.0, cfg)
+        y, stats = integrate(block, np.ones(6), 0.0, 1.0, cfg)
         alone, one = integrate(lambda y: -y, np.ones(2), 0.0, 1.0, cfg)
         assert_array_equal(y.reshape(3, 2), np.tile(alone, (3, 1)))
         assert stats.episodes == (one.episodes[0],) * 3
         assert (stats.rhs_evals, stats.accepted_steps) == (3 * 40, 3 * 10)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_fixed_steps_bind_once_per_integrate_call(self, method):
+        # Each bind hands over one kernel per stage of a step, bound to
+        # buffers of the whole batch that every step reuses.
+        ids = [0, 1, 2]
+        real, calls = clock_block(ids, decay(self.RATES)), []
+
+        def spy(inputs, derivatives, *rest):
+            calls.append((np.shape(inputs[0]), len(inputs)))
+            return real.bind(inputs, derivatives, *rest)
+
+        block = TangentBlock(2, (0, 0, 0), spy, 3)
+        cfg = SolverConfig(method=method, fixed_step=0.1)
+        _, stats = integrate(block, start(ids), 0.0, 1.0, cfg)
+        assert stats.accepted_steps == 3 * 10
+        assert calls == [((3, 2), 1 if method == "euler" else 4)]
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_fixed_step_batch_equals_each_episode_alone(self, method):
+        ids = [0, 1, 2, 3]
+        field = decay(self.RATES)
+        cfg = SolverConfig(method=method, fixed_step=0.01)
+        y, stats = integrate(clock_block(ids, field), start(ids), 0.0, 0.5, cfg)
+        for r, e in enumerate(ids):
+            y_e, alone = integrate(clock_block([e], field), start([e]), 0.0, 0.5, cfg)
+            assert_array_equal(y.reshape(4, 2)[r], y_e)
+            assert stats.episodes[r] == alone.episodes[0]
 
 
 def pinned_episodes(count=4, way=5, shot=1, seed=9):

@@ -172,6 +172,17 @@ def test_lr_schedule_override_is_normalized_or_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "schedule", ["[[0, NaN]]", "[[1.7, 0.1]]", "[[-3, 0.1]]", "[[1, Infinity]]"]
+)
+def test_bad_lr_schedule_exits_2_before_training(tmp_path, capsys, schedule):
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path), "--out", str(out)]
+    assert cli.main(argv + ["--set", f"train.lr_schedule={schedule}"]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
     "command, overrides",
     [
         ("train", ["loss.lam=NaN"]),

@@ -57,6 +57,22 @@ def _row_block(head, shape, rate, rows):
     return TangentBlock(head, shape, bind)
 
 
+def _rhs_of(system):
+    """integrate's first argument as a plain rhs: a plain rhs as it is, and a
+    TangentBlock of one episode through one stage bound to fresh buffers at
+    each call."""
+    if getattr(system, "bind", None) is None:
+        return system
+
+    def rhs(y):
+        out = np.empty(y.shape)
+        (kernel,) = system.bind([y], [out], 0, system.shape[1], np.empty(y.size), None)
+        kernel()
+        return out
+
+    return rhs
+
+
 def _metagrad_10w5s_adapt_args():
     """adapt's arguments for the metagrad-10w5s benchmark task at T = 2."""
     meta = default_meta_params(10, 16, seed=0, hidden_dims=(64, 32))
@@ -401,9 +417,10 @@ class TestAgainstReference:
                 h = h * min(max(0.9 * err_norm**-0.2, 0.2), most)
         return y, accepted, rejected
 
-    def check_against_reference(self, rhs, y0, span, cfg):
+    def check_against_reference(self, system, y0, span, cfg):
+        rhs = _rhs_of(system)
         y_ref, accepted, rejected = self.reference_dopri5(rhs, y0, span, cfg)
-        y, stats = integrate(rhs, y0, 0.0, span, cfg)
+        y, stats = integrate(system, y0, 0.0, span, cfg)
         assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
         assert stats.rhs_evals == 1 + 6 * (accepted + rejected)
         rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
@@ -432,9 +449,9 @@ class TestAgainstReference:
         W0 = np.random.default_rng(11).normal(size=(5, 16)) * 0.1
         captured = {}
 
-        def capture(rhs, y0, t0, t1, config):
-            captured.update(rhs=rhs, y0=y0, span=t1 - t0)
-            return integrate(rhs, y0, t0, t1, config)
+        def capture(system, y0, t0, t1, config):
+            captured.update(system=system, y0=y0, span=t1 - t0)
+            return integrate(system, y0, t0, t1, config)
 
         monkeypatch.setattr(comln.dynamics, "integrate", capture)
         cfg = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8)
@@ -448,7 +465,7 @@ class TestAgainstReference:
             track=track,
         )
         self.check_against_reference(
-            captured["rhs"], captured["y0"], captured["span"], cfg
+            captured["system"], captured["y0"], captured["span"], cfg
         )
 
 
@@ -510,25 +527,24 @@ class TestTangentBlock:
     """dopri5 on the tracked flow, its tangent block cut into row chunks."""
 
     @staticmethod
-    def captured_rhs(monkeypatch, *args):
-        # The right-hand side and y0 that adapt(*args, track=True) hands to
-        # integrate, the rhs with its block.
+    def captured_block(monkeypatch, *args):
+        # The block and y0 that adapt(*args, track=True) hands to integrate.
         captured = {}
 
-        def capture(rhs, y0, t0, t1, config):
-            captured.update(rhs=rhs, y0=y0)
-            return integrate(rhs, y0, t0, t1, config)
+        def capture(block, y0, t0, t1, config):
+            captured.update(block=block, y0=y0)
+            return integrate(block, y0, t0, t1, config)
 
         with monkeypatch.context() as patch:
             patch.setattr(comln.dynamics, "integrate", capture)
             adapt(*args, track=True)
-        return captured["rhs"], captured["y0"]
+        return captured["block"], captured["y0"]
 
     @classmethod
-    def tracked_rhs(cls, monkeypatch, way, shot, T):
+    def tracked_block(cls, monkeypatch, way, shot, T):
         episode = sample_episode(TaskGenConfig(way=way, shot=shot, seed=5), 0)
         W0 = np.random.default_rng(5).normal(size=(way, 16)) * 0.1
-        return cls.captured_rhs(
+        return cls.captured_block(
             monkeypatch,
             W0,
             episode.train.features,
@@ -543,8 +559,7 @@ class TestTangentBlock:
         self, monkeypatch, way, shot, chunk_bytes
     ):
         m, n = way * shot, way
-        rhs, y0 = self.tracked_rhs(monkeypatch, way, shot, 20.0)
-        block = rhs.tangent
+        block, y0 = self.tracked_block(monkeypatch, way, shot, 20.0)
         monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
         segments = comln.solver._segments(
             block.head, *block.shape, comln.solver.CHUNK_BYTES
@@ -555,8 +570,8 @@ class TestTangentBlock:
         assert any(lo > m * n for lo in bounds)
 
         cfg = SolverConfig()
-        y, stats = integrate(rhs, y0, 0.0, 20.0, cfg)
-        y_ref, accepted, rejected, _ = matrix_dopri5(rhs, y0, 20.0, cfg)
+        y, stats = integrate(block, y0, 0.0, 20.0, cfg)
+        y_ref, accepted, rejected, _ = matrix_dopri5(_rhs_of(block), y0, 20.0, cfg)
         assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
         # A rejected step evaluates the first stage again, which its trial
         # overwrote with the last one.  5w1s here takes 24 + 1 steps.
@@ -564,21 +579,44 @@ class TestTangentBlock:
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
     def test_one_chunk_matches_the_matrix_loop_bit_for_bit(self, monkeypatch):
-        rhs, y0 = self.tracked_rhs(monkeypatch, 5, 1, 20.0)
-        block = rhs.tangent
+        block, y0 = self.tracked_block(monkeypatch, 5, 1, 20.0)
         segments = comln.solver._segments(
             block.head, *block.shape, comln.solver.CHUNK_BYTES
         )
         assert len(segments) == 1
-        y, stats = integrate(rhs, y0, 0.0, 20.0, SolverConfig())
-        y_ref, accepted, rejected, _ = matrix_dopri5(rhs, y0, 20.0, SolverConfig())
+        y, stats = integrate(block, y0, 0.0, 20.0, SolverConfig())
+        y_ref, accepted, rejected, _ = matrix_dopri5(
+            _rhs_of(block), y0, 20.0, SolverConfig()
+        )
         assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
         assert np.array_equal(y, y_ref)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(),
+            SolverConfig(method="euler", fixed_step=0.05),
+            SolverConfig(method="rk4", fixed_step=0.1),
+        ],
+    )
+    def test_a_wrapped_copy_of_the_block_integrates_as_the_block(
+        self, monkeypatch, cfg
+    ):
+        # A tracer hands integrate a functools.wraps copy of its first
+        # argument: a function, not a TangentBlock, that carries the block's
+        # fields.
+        block, y0 = self.tracked_block(monkeypatch, 5, 1, 2.0)
+        copy = functools.wraps(block)(lambda *args: block(*args))
+        assert not isinstance(copy, TangentBlock)
+        y, stats = integrate(block, y0, 0.0, 2.0, cfg)
+        y_copy, stats_copy = integrate(copy, y0, 0.0, 2.0, cfg)
+        assert np.array_equal(y_copy, y)
+        assert stats_copy == stats
+
     def test_block_that_does_not_fill_the_state_rejected(self, monkeypatch):
-        rhs, y0 = self.tracked_rhs(monkeypatch, 5, 1, 1.0)
+        block, y0 = self.tracked_block(monkeypatch, 5, 1, 1.0)
         with pytest.raises(ValueError, match="does not fill"):
-            integrate(rhs, np.append(y0, 0.0), 0.0, 1.0, SolverConfig())
+            integrate(block, np.append(y0, 0.0), 0.0, 1.0, SolverConfig())
 
     def test_chunked_state_takes_three_state_vectors(self, monkeypatch):
         # The metagrad-10w5s state: 888,000 entries, M = 50 lanes of N = 10,
@@ -586,8 +624,8 @@ class TestTangentBlock:
         # starts, so the peak counts what integrate allocates: y, y_new and
         # one stage vector, the chunks' shared 15-row matrix, and per-call
         # temporaries.
-        rhs, y0 = self.captured_rhs(monkeypatch, *_metagrad_10w5s_adapt_args())
-        head, (lanes, rows, width) = rhs.tangent.head, rhs.tangent.shape
+        block, y0 = self.captured_block(monkeypatch, *_metagrad_10w5s_adapt_args())
+        head, (lanes, rows, width) = block.head, block.shape
         segments = comln.solver._segments(
             head, lanes, rows, width, comln.solver.CHUNK_BYTES
         )
@@ -608,7 +646,7 @@ class TestTangentBlock:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            integrate(rhs, y0, 0.0, 2.0, SolverConfig())
+            integrate(block, y0, 0.0, 2.0, SolverConfig())
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -626,8 +664,7 @@ class TestTangentBlock:
             if lo > 0 and u[0] >= 0.3:
                 out[...] = np.inf
 
-        rhs = lambda y: None
-        rhs.tangent = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
+        block = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
         monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
         assert len(comln.solver._segments(1, 1, 8, 2, 64)) == 3
         y0 = np.concatenate(([0.0], np.ones(16)))
@@ -638,7 +675,7 @@ class TestTangentBlock:
             with warnings.catch_warnings():
                 warnings.simplefilter(action, RuntimeWarning)
                 with pytest.raises(NonFiniteStateError) as info:
-                    integrate(rhs, y0, 0.0, 1.0, SolverConfig())
+                    integrate(block, y0, 0.0, 1.0, SolverConfig())
             assert str(info.value) == (
                 "state became non-finite during a trial step "
                 "at t=0.247614 after 2 accepted and 0 rejected steps"
@@ -745,8 +782,7 @@ class TestStiffness:
             np.multiply(X, -lam, out=out)
             out += u
 
-        rhs = lambda y: None  # noqa: E731
-        rhs.tangent = _row_block(2, (1, 3, 2), rate, rows)
+        block = _row_block(2, (1, 3, 2), rate, rows)
         if chunk_bytes is not None:
             monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
             assert len(comln.solver._segments(2, 1, 3, 2, chunk_bytes)) == 4
@@ -761,7 +797,7 @@ class TestStiffness:
 
         monkeypatch.setattr(comln.solver, "_judge", spy)
         y0 = _state([1.0, -2.0, 0.5, 0.25, -1.0, 2.0, 0.0, 1.5])
-        _, stats = integrate(rhs, y0, 0.0, 2.0, SolverConfig())
+        _, stats = integrate(block, y0, 0.0, 2.0, SolverConfig())
         assert len(accepted_steps) == stats.accepted_steps
         assert stats.stiffness == pytest.approx(lam * max(accepted_steps), rel=1e-9)
 

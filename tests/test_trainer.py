@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,29 @@ def test_train_config_rejects_bad_values():
 def test_train_config_requires_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "schedule, match",
+    [
+        (((1.7, 0.1),), "pair (1.7, 0.1)"),
+        (((True, 0.1),), "pair (True, 0.1)"),
+        (((-3, 0.1),), "pair (-3, 0.1)"),
+        (((1, math.nan),), "pair (1, nan)"),
+        (((1, math.inf),), "pair (1, inf)"),
+        (((1, -0.1),), "pair (1, -0.1)"),
+        (((1.7, math.nan), (-3, math.inf)), "pair (1.7, nan)"),
+    ],
+)
+def test_train_config_rejects_bad_lr_schedules(schedule, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        TrainConfig(lr_schedule=schedule)
+
+
+def test_train_config_normalizes_lr_schedules():
+    cfg = TrainConfig(lr_schedule=((np.int64(0), 1), (5, 0.0)))
+    assert cfg.lr_schedule == ((0, 1.0), (5, 0.0))
+    assert all(type(it) is int and type(m) is float for it, m in cfg.lr_schedule)
 
 
 def test_train_config_takes_numpy_integers():
