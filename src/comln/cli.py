@@ -300,7 +300,8 @@ def _cmd_grad_check(args) -> int:
     probe_solver = SolverConfig(method="dopri5", rtol=1e-12, atol=1e-14)
     euler_solver = SolverConfig(method="euler", fixed_step=alpha)
 
-    worst = {name: (0.0, 0.0, -1) for name in _CHECK_COMPONENTS}
+    # Each component's (error vs FD, error vs BPTT, seed), one per seed.
+    found = {name: [] for name in _CHECK_COMPONENTS}
     for s in range(args.seeds):
         episode = sample_episode(
             dataclasses.replace(task_cfg, seed=task_cfg.seed + s), 0
@@ -327,13 +328,13 @@ def _cmd_grad_check(args) -> int:
         for name in _CHECK_COMPONENTS:
             fd_err = _relative_error(flow_parts[name], fd_parts[name])
             bptt_err = _relative_error(step_parts[name], bptt_parts[name])
-            old_fd, old_bptt, _ = worst[name]
-            if max(fd_err / _FD_LIMIT, bptt_err / _BPTT_LIMIT) > max(
-                old_fd / _FD_LIMIT, old_bptt / _BPTT_LIMIT
-            ):
-                worst[name] = (fd_err, bptt_err, s)
-            elif worst[name][2] < 0:
-                worst[name] = (fd_err, bptt_err, s)
+            found[name].append((fd_err, bptt_err, s))
+    # The seed whose errors come nearest their limits; as a strict > would,
+    # max keeps the first of equal scores.
+    worst = {
+        name: max(rows, key=lambda r: max(r[0] / _FD_LIMIT, r[1] / _BPTT_LIMIT))
+        for name, rows in found.items()
+    }
 
     print(
         f"gradient check over {args.seeds} seed(s): "

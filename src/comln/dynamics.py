@@ -273,21 +273,15 @@ def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _probs_and_rate(
-    c: TaskConstants, s: np.ndarray, out: np.ndarray | None = None
+    c: TaskConstants, s: np.ndarray, out: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shared head of both right-hand sides at s, M N entries per task.
 
-    Returns q = softmax(P0 - G s) / M by rows, in the scratch ``c.probs``
-    that the next evaluation overwrites, and ds/dt = q - Y / M - lam s.
-    With ``out``, s and out have the shape of ``c.P0``, as the views that
-    dopri5's kernels are bound to do, and ds/dt is written into out.
-    Without it, s need only hold the entries of ``c.P0``, and ds/dt is a
-    new array in the shape of s.
+    s and out have the shape of ``c.P0``, as the views that the kernels are
+    bound to do.  Returns q = softmax(P0 - G s) / M by rows, in the scratch
+    ``c.probs`` that the next evaluation overwrites, and ds/dt =
+    q - Y / M - lam s, written into out.
     """
-    if out is None:
-        out = np.empty(s.shape)
-        q, _ = _probs_and_rate(c, s.reshape(c.P0.shape), out.reshape(c.P0.shape))
-        return q, out
     c.product(s, c.products)
     np.subtract(c.P0, c.gram_s, c.probs)
     q = softmax_rows_in_place(c.probs, c.column, c.row_max, c.row_sum)
@@ -297,26 +291,22 @@ def _probs_and_rate(
     return q, out
 
 
-def rhs_adapt(
-    c: TaskConstants, s: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Time derivative of the adaptation coefficients s, M N entries per task:
-    written into ``out`` when given, else into a new array, in the shapes
-    ``_probs_and_rate`` describes."""
+def rhs_adapt(c: TaskConstants, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Time derivative of the adaptation coefficients s, M N entries per task,
+    written into ``out``, in the shapes ``_probs_and_rate`` describes."""
     return _probs_and_rate(c, s, out)[1]
 
 
 def _rate_and_curvature(
     c: TaskConstants,
     s: np.ndarray,
-    out: np.ndarray | None = None,
-    neg_A: np.ndarray | None = None,
-    diagonal: np.ndarray | None = None,
+    out: np.ndarray,
+    neg_A: np.ndarray,
+    diagonal: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """ds/dt at s, as rhs_adapt gives it, and the negated curvature blocks
-    -A_i there: written into ``neg_A`` with the view ``diagonal`` of its
-    diagonals when given (see ``curvature_from_probs``), else into a new
-    array."""
+    -A_i there, written into ``neg_A`` with the view ``diagonal`` of its
+    diagonals (see ``curvature_from_probs``)."""
     q, ds = _probs_and_rate(c, s, out)
     return ds, curvature_from_probs(q, neg_A, diagonal)
 

@@ -34,16 +34,16 @@ decides the path:
 - An episode state that fits one chunk of CHUNK_BYTES is one row of an
   episode axis.  The stage matrix is stage-major, (15, episodes, size), so
   y, y_new, every stage and the error estimate of all rows are each one
-  contiguous (episodes, size) array, and the step controller's ufuncs run
+  contiguous (episodes, size) array, and the error scaling's ufuncs run
   on them.  Each stage input of all rows is one batched product with
   per-row weights, which rounds as np.dot on that row alone, and the block
   evaluates all rows in one call.  Every row keeps its own t, h,
   error norm, accept/reject decision, first-step growth, evaluation budget
   and stiffness, as an ODE solver under jax.vmap does in diffrax (Kidger,
   2021), not one step for the whole batch: a row takes the steps it would
-  take alone, bit for bit.  The kernels are bound once per active set: a
-  row that reaches t1 leaves it, and the kernels of the block's ``take``
-  for the rows left are bound in their place.
+  take alone, bit for bit, and a single episode is a batch of one row.
+  The kernels are bound once per active set: after a step in which a row
+  reaches t1, those of the block's ``take`` of the rows left are bound.
 - A larger episode state is integrated one episode at a time.  Each step
   first takes all six stages of u, then, chunk by chunk of rows sized by
   CHUNK_BYTES, all six stages of those rows while they stay in cache,
@@ -271,6 +271,11 @@ def _fixed_step_count(span: float, step: float) -> int:
     return max(n, 1)
 
 
+def _first_step(span: float) -> float:
+    # dopri5's first trial step: span/100, at least 1e-8 and at most span.
+    return min(max(span / 100.0, 1e-8), span)
+
+
 def _failure(error, message: str, t: float, stats: StepStats, episode=None):
     """``error`` with the message, the time reached and the step counts.
 
@@ -495,12 +500,10 @@ def _run_rows(block, y0, t0, span, config):
     named = episodes > 1  # whether an error names its episode
     stats = [StepStats() for _ in range(episodes)]
     out = np.empty_like(y0)
-    # The episode each active row integrates, and the rows' times and next
-    # steps: floats while one row is active, else lists of one per row.
+    # The episode each active row integrates, its time, and its next step,
+    # clipped to land on t1: one entry per active row.
     order = list(range(episodes))
-    t, h = 0.0, min(max(span / 100.0, 1e-8), span)
-    if named:
-        t, h = [t] * episodes, [h] * episodes
+    t, h = [0.0] * episodes, [_first_step(span)] * episodes
     evals = 0  # evaluations of every active row: they move in lockstep
     # Stage-major: matrix[r] holds row r of the stage matrix of every active
     # episode, contiguous.  Rows 0-7 are y and the derivatives k_0..k_6;
@@ -516,8 +519,10 @@ def _run_rows(block, y0, t0, span, config):
         # error estimate for r = 0, the input of stage r after it.
         active = matrix.shape[1]
         weights = np.zeros((active, 8, 8))
-        # The weight of y in each stage input; a step scales the others.
+        # The weight of y in each stage input; each row's step scales the
+        # others.
         weights[:, 1:7, 0] = 1.0
+        np.multiply(_DP_STAGE_WEIGHTS, np.reshape(h, (-1, 1, 1)), out=weights[:, :, 1:])
         terms = [(7, 1, 8)] + [(s, 0, s + 1) for s in range(1, 7)]
         if active > 1 and size >= _BATCHED_MIN_SIZE:
             # One product for all episodes.
@@ -559,45 +564,23 @@ def _run_rows(block, y0, t0, span, config):
         # in their head parts k_6 - k_5 and y_new - u_5 for the stiffness.
         # An accepted step copies y_new and k_6, rows 14 and 7, to y and
         # k_0, rows 0 and 1.
-        err, pair = rows_of[8], rows_of[2:4, ..., :head]
         ends, starts = rows_of[7:15:7, ..., :head], rows_of[6:14:7, ..., :head]
+        differences = (ends, starts, rows_of[2:4, ..., :head])
         scaling = (rows_of[0:15:14], rows_of[2:4], rows_of[2], rows_of[3])
-        scaled = weights[:, :, 1:]
+        # Each row's StepStats, its weights that a step scales, and the
+        # views whose squares it is judged by: its error and two differences.
+        views = (matrix[8], matrix[2, :, :head], matrix[3, :, :head])
+        row_stats = [stats[episode] for episode in order]
+        judged = list(zip(row_stats, weights[:, :, 1:], *views))
+        firsts, lasts = rows_of[0:2], rows_of[14:0:-7]
+        used = (rows_of[14], rows_of[8], scaling, differences, firsts, lasts)
+        return products, kernels, judged, used
 
-        if active == 1:
-            dk, dy, scaled = pair[0], pair[1], scaled[0]
-
-            def set_weights(h):
-                np.multiply(_DP_STAGE_WEIGHTS, h, out=scaled)
-
-            def norms():
-                np.subtract(ends, starts, out=pair)
-                return err.dot(err), dk.dot(dk), dy.dot(dy)
-
-        else:
-            column = np.empty((active, 1, 1))
-            # Each row's squares as products of (1, n) and (n, 1) views.
-            err_rows = (err[:, None, :], err[:, :, None])
-            pair_rows = (pair[..., None, :], pair[..., :, None])
-
-            def set_weights(h):
-                column[:, 0, 0] = h
-                np.multiply(_DP_STAGE_WEIGHTS, column, out=scaled)
-
-            def norms():
-                np.subtract(ends, starts, out=pair)
-                err_sq = np.matmul(*err_rows).ravel().tolist()
-                return (err_sq, *np.matmul(*pair_rows).reshape(2, active).tolist())
-
-        used = (rows_of[14], err, scaling, rows_of[0:2], rows_of[14:0:-7])
-        return set_weights, products, norms, kernels, used
-
-    set_weights, products, norms, kernels, used = arrange(matrix)
+    products, kernels, judged, used = arrange(matrix)
 
     def where(i):
         # The time, StepStats and name of active row i, for an error.
-        now = t if len(order) == 1 else t[i]
-        return t0 + now, stats[order[i]], order[i] if named else None
+        return t0 + t[i], stats[order[i]], order[i] if named else None
 
     def evaluate(stage):
         nonlocal evals
@@ -616,18 +599,10 @@ def _run_rows(block, y0, t0, span, config):
     try:
         evaluate(0)
         while True:
-            if len(order) == 1:
-                clipped = h >= span - t
-                if clipped:
-                    h = span - t
-            else:
-                clipped = [step >= span - now for now, step in zip(t, h)]
-                h = [span - now if c else step for now, step, c in zip(t, h, clipped)]
-            set_weights(h)
             for stage in range(1, 7):
                 products[stage]()
                 evaluate(stage)
-            y_new, err, scaling, firsts, lasts = used
+            y_new, err, scaling, differences, firsts, lasts = used
             # A finite sum proves every entry finite; only an overflowing sum
             # needs the entry-wise check.  np.add.reduce is the sum that
             # ndarray.sum takes, without its Python wrapper.
@@ -636,46 +611,39 @@ def _run_rows(block, y0, t0, span, config):
                 raise non_finite(y_new)
             products[0]()
             _scale_error(err, *scaling, config)
-            err_sq, dk_sq, dy_sq = norms()
-            if len(order) == 1:
-                row = stats[order[0]]
-                ok, next_h = _judge(row, h, err_sq, size, dk_sq, dy_sq)
+            np.subtract(*differences)
+            accepted, done = [], []
+            for i, (taken, (row, scaled, e, dk, dy)) in enumerate(zip(h, judged)):
+                ok, step = _judge(row, taken, e.dot(e), size, dk.dot(dk), dy.dot(dy))
                 if ok:
-                    firsts[...] = lasts
-                    t = span if clipped else t + h
-                    if not t < span:
-                        out[order[0]] = y_new
-                        row.rhs_evals = evals
-                        return out, stats
-                h = next_h
-                continue
-            accepted = []
-            for i, taken in enumerate(h):
-                row = stats[order[i]]
-                ok, h[i] = _judge(row, taken, err_sq[i], size, dk_sq[i], dy_sq[i])
-                if ok:
-                    t[i] = span if clipped[i] else t[i] + taken
+                    # A step clipped to span - t lands on t1, whatever t + h is.
+                    t[i] = span if taken == span - t[i] else t[i] + taken
                     accepted.append(i)
+                    if not t[i] < span:
+                        done.append(i)
+                # The next step, clipped to land on t1, scales the weights.
+                h[i] = min(step, span - t[i])
+                np.multiply(_DP_STAGE_WEIGHTS, h[i], out=scaled)
             if len(accepted) == len(order):
                 firsts[...] = lasts
-            else:
+            elif accepted:
                 matrix[0:2, accepted] = matrix[14:0:-7, accepted]
+            if not done:
+                continue
+            # The episodes of the rows that reached t1 are done, and the
+            # rows left form the next active set.
+            for i in done:
+                out[order[i]] = matrix[0, i]
+                stats[order[i]].rhs_evals = evals
             keep = [i for i, now in enumerate(t) if now < span]
-            if len(keep) < len(order):
-                for i, now in enumerate(t):
-                    if not now < span:
-                        out[order[i]] = matrix[0, i]
-                        stats[order[i]].rhs_evals = evals
-                if not keep:
-                    return out, stats
-                # The rows left, with kernels for their episodes alone.  take
-                # copies them C-ordered, as bind needs; matrix[:, keep] would
-                # leave each stage row strided.
-                matrix, block = matrix.take(keep, axis=1), block.take(keep)
-                order, t, h = ([values[i] for i in keep] for values in (order, t, h))
-                if len(keep) == 1:
-                    (t,), (h,) = t, h
-                set_weights, products, norms, kernels, used = arrange(matrix)
+            if not keep:
+                return out, stats
+            # Kernels for the episodes left alone.  take copies their rows
+            # C-ordered, as bind needs; matrix[:, keep] would leave each
+            # stage row strided.
+            matrix, block = matrix.take(keep, axis=1), block.take(keep)
+            order, t, h = ([values[i] for i in keep] for values in (order, t, h))
+            products, kernels, judged, used = arrange(matrix)
     except _Misshapen as error:
         raise _failure(ValueError, str(error), *where(0)) from None
     except RuntimeWarning as warning:
@@ -756,7 +724,7 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
         message = "state became non-finite during a trial step"
         return _failure(NonFiniteStateError, message, t0 + t, stats, episode)
 
-    h = min(max(span / 100.0, 1e-8), span)
+    h = _first_step(span)
     try:
         first_stage()
         while t < span:

@@ -14,13 +14,13 @@ from comln.dynamics import (
     adapt,
     compact_layout,
     reconstruct_W,
-    rhs_adapt,
     rhs_full,
 )
 from comln.loss import (
     DimensionMismatchError,
     EmbeddedSet,
     LossConfig,
+    block_diagonals,
     inner_grad,
     inner_loss,
 )
@@ -46,6 +46,18 @@ def weight_flow(W0, data, cfg, T, solver):
 
     end, _ = integrate(rhs, W0.ravel(), 0.0, T, solver)
     return end.reshape(W0.shape)
+
+
+def head(consts, s):
+    """ds/dt, the negated curvature blocks -A_i and q = p / M at s, each a
+    new array, with ds/dt in the shape of s: what a tracked block's head
+    kernel writes into its buffers."""
+    shape = consts.P0.shape
+    ds, neg_A = np.empty(shape), np.empty(shape + shape[-1:])
+    comln.dynamics._rate_and_curvature(
+        consts, np.reshape(s, shape), ds, neg_A, block_diagonals(neg_A)
+    )
+    return ds.reshape(np.shape(s)), neg_A, consts.probs.copy()
 
 
 def state_to_flat(s, B, z):
@@ -125,7 +137,7 @@ def test_rhs_adapt_at_origin_matches_uniform_residuals():
     # With W0 = 0 every softmax is uniform, so the residual rows are
     # (1/N - y) and ds = residual / M exactly.
     data = EmbeddedSet(np.eye(2), np.eye(2))
-    ds = rhs_adapt(TaskConstants(np.zeros((2, 2)), data, LAM0), np.zeros(4))
+    ds, _, _ = head(TaskConstants(np.zeros((2, 2)), data, LAM0), np.zeros(4))
     assert_array_equal(ds, [-0.25, 0.25, 0.25, -0.25])
 
 
@@ -137,7 +149,7 @@ def test_rhs_adapt_saturated_probabilities_decay_is_exactly_proximal():
     W0 = np.array([[1e4, -1e4], [-1e4, 1e4]])
     s = np.array([[1e-3, -2e-3], [5e-4, 0.0]])
     cfg = LossConfig(lam=0.7)
-    ds = rhs_adapt(TaskConstants(W0, EmbeddedSet(phi, labels), cfg), s.ravel())
+    ds, _, _ = head(TaskConstants(W0, EmbeddedSet(phi, labels), cfg), s.ravel())
     assert_array_equal(ds, -0.7 * s.ravel())
 
 
@@ -195,7 +207,7 @@ def test_shared_head_matches_reconstructed_weights(lam):
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         expected = ((p - data.labels) / m - lam * s).ravel()
-        assert_allclose(rhs_adapt(consts, s.ravel()), expected, rtol=0, atol=1e-13)
+        assert_allclose(head(consts, s.ravel())[0], expected, rtol=0, atol=1e-13)
         flat = np.concatenate([s.ravel(), rng.normal(size=layout.size - m * n)])
         ds = rhs_full(consts, flat, layout)[: m * n]
         assert_allclose(ds, expected, rtol=0, atol=1e-13)
@@ -211,7 +223,7 @@ def test_right_hand_sides_stay_finite_at_large_logits():
     top = 1.0 / (1.0 + np.exp(-1.0))
     expected = np.array([top - 1.0, 1.0 - top, top, -top]) / 2
     with np.errstate(all="raise"):
-        ds = rhs_adapt(consts, np.zeros(4))
+        ds, _, _ = head(consts, np.zeros(4))
         full = rhs_full(consts, np.zeros(layout.size), layout)
     assert_allclose(ds, expected, rtol=0, atol=1e-15)
     assert np.all(np.isfinite(full))
@@ -226,25 +238,24 @@ def flow_task(seed, m=5, n=4, d=3, lam=0.5):
 
 
 def test_consecutive_evaluations_return_fresh_arrays():
-    # The head writes into per-task scratch; what it hands out must not be
-    # scratch, nor change when the next evaluation runs.
+    # The head works in per-task scratch that every evaluation overwrites;
+    # what a bound kernel writes into its stage's buffer must not change
+    # when another stage's kernel runs, and must equal what a binding of
+    # its own writes, so no kernel reads what an earlier one left behind.
     rng, _, _, consts = flow_task(40)
-    first, second = rng.normal(size=(2, 20))
-    scratch = [a for a in vars(consts).values() if isinstance(a, np.ndarray)]
-    ds = rhs_adapt(consts, first)
-    kept = ds.copy()
-    later = rhs_adapt(consts, second)
-    assert not np.shares_memory(ds, later)
-    assert_array_equal(ds, kept)
-    rate, neg_A = comln.dynamics._rate_and_curvature(consts, first)
-    kept = rate.copy(), neg_A.copy()
-    results = comln.dynamics._rate_and_curvature(consts, second)
-    for value in (ds, later, rate, neg_A, *results):
-        assert not any(np.shares_memory(value, array) for array in scratch)
-    for value in (rate, neg_A):
-        assert not any(np.shares_memory(value, other) for other in results)
-    assert_array_equal(rate, kept[0])
-    assert_array_equal(neg_A, kept[1])
+    for layout in (None, compact_layout(5, 4)):
+        block = comln.dynamics._block(consts, layout)
+        size, rows = (20, 0) if layout is None else (layout.size, layout.rows)
+        inputs = rng.normal(size=(2, size))
+        values = np.empty((2, size))
+        kernels = block.bind(list(inputs), list(values), 0, rows, np.empty(size), None)
+        kernels[0]()
+        kept = values[0].copy()
+        kernels[1]()
+        assert_array_equal(values[0], kept)
+        alone = np.empty(size)
+        block.bind([inputs[1]], [alone], 0, rows, np.empty(size), None)[0]()
+        assert_array_equal(values[1], alone)
 
 
 @pytest.mark.parametrize("track", [False, True])
@@ -267,7 +278,7 @@ def test_rk4_adapt_equals_a_run_that_copies_every_derivative(track):
         size = 12
 
         def rhs(y):
-            return rhs_adapt(consts, y).copy()
+            return head(consts, y)[0]
 
     end, _ = integrate(rhs, np.zeros(size), 0.0, 1.0, solver)
     assert_array_equal(state.s.ravel(), end[:12])
@@ -284,7 +295,7 @@ def test_head_probabilities_match_the_textbook_softmax_at_large_logits():
     data = EmbeddedSet(np.eye(5), np.eye(4)[[0, 1, 2, 3, 0]])
     consts = TaskConstants(logits.T, data, LossConfig(lam=0.5))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        q, _ = comln.dynamics._probs_and_rate(consts, np.zeros((5, 4)))
+        _, _, q = head(consts, np.zeros((5, 4)))
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     textbook = shifted / shifted.sum(axis=1, keepdims=True)
     assert np.all(np.isfinite(q))
@@ -294,7 +305,7 @@ def test_head_probabilities_match_the_textbook_softmax_at_large_logits():
 def test_negated_curvature_blocks_are_symmetric_and_annihilate_ones():
     rng, _, _, consts = flow_task(43)
     for _ in range(5):
-        _, neg_A = comln.dynamics._rate_and_curvature(consts, rng.normal(size=20))
+        _, neg_A, _ = head(consts, rng.normal(size=20))
         assert_array_equal(neg_A, neg_A.transpose(0, 2, 1))
         assert np.abs(neg_A.sum(axis=2)).max() <= 1e-15
 
@@ -577,7 +588,7 @@ def test_regularized_flow_reaches_its_stationary_point():
     )
     grad, _ = inner_grad(W_T, W0, data, cfg)
     assert np.linalg.norm(grad) <= 1e-6
-    ds = rhs_adapt(TaskConstants(W0, data, cfg), state.s.ravel())
+    ds, _, _ = head(TaskConstants(W0, data, cfg), state.s.ravel())
     assert np.linalg.norm(ds) <= 1e-6
 
 
