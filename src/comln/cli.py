@@ -417,6 +417,8 @@ _BENCH_HEADER = (
 
 
 def _cmd_bench(args) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     horizons = _parse_horizons(args.horizons)
     task_cfg = TaskGenConfig(
         way=3, shot=2, test_shots=3, input_dim=8, seed=args.seed

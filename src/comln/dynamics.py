@@ -136,7 +136,6 @@ class TaskConstants:
         self.episodes = len(P0)
         if self.episodes == 1:
             P0, target, gram_lam = P0[0], target[0], gram_lam[0]
-        if self.episodes == 1:
             self.product = gram_lam.dot
         else:
             self.product = functools.partial(np.matmul, gram_lam)
@@ -360,7 +359,7 @@ def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.nd
     m, n = layout.m, layout.n
     if c.P0.shape[-2:] != (m, n) or c.G.shape[-2:] != (m, m):
         raise DimensionMismatchError("per-task constants do not match the layout")
-    state = flat.reshape(c.P0.shape[:-2] + (-1,))
+    state = flat.reshape(c.episodes, -1)
     values = np.empty(state.shape)
     bind = _block(c, layout).bind
     bind([state], [values], 0, layout.rows, np.empty(flat.size), None)[0]()
@@ -373,37 +372,30 @@ def _in_turn(first: Callable[[], object], second: Callable[[], object]) -> None:
 
 
 def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
-    """The flow of the tasks of ``c`` as the solver integrates it.
+    """The flow of the tasks of ``c`` as the solver integrates it: the head s,
+    then the rows of X in ``layout``, or no rows when layout is None.
 
     Its kernels are looked up by module name at bind time, so that
-    rebinding one before integrate runs reaches every method.  A tracked
-    block holds -A_i at each of the seven stages, which all its bindings
-    share: the head's kernels write them and the rows' kernels of the same
-    stage read them.
+    rebinding one before integrate runs reaches every method: the head's is
+    rhs_adapt with no rows, else _rate_and_curvature.  A tracked block holds
+    -A_i at each of the seven stages, which all its bindings share: the
+    head's kernels write them and the rows' kernels of the same stage read
+    them.
     """
     shape = c.P0.shape
     m, n = shape[-2:]
     mn = m * n
+    # What each stage's head kernel writes besides ds/dt, and the rows of X.
+    curvature, rows = [()] * 7, 0
+    if layout is not None:
+        neg_A = np.empty((7,) + shape + (n,))
+        curvature, rows = list(zip(neg_A, block_diagonals(neg_A))), layout.rows
 
     def take(index):
         return _block(c.take(index), layout)
 
-    if layout is None:
-
-        def bind(inputs, derivatives, *_):
-            rate = rhs_adapt
-            return [
-                functools.partial(rate, c, u.reshape(shape), du.reshape(shape))
-                for u, du in zip(inputs, derivatives)
-            ]
-
-        return TangentBlock(mn, (0, 0, 0), bind, c.episodes, take)
-
-    neg_A = np.empty((7,) + shape + (n,))
-    diagonals = block_diagonals(neg_A)
-
     def bind(inputs, derivatives, lo, hi, spare, heads):
-        rate, tangent = _rate_and_curvature, tangent_rows
+        rate, tangent = (_rate_and_curvature if layout else rhs_adapt), tangent_rows
         if hi > lo:
             rows_shape = shape[:-1] + (hi - lo, n)
             forcing = _row_forcing(m, n, lo, hi, c.episodes)
@@ -411,23 +403,22 @@ def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
         for i, (x, dx) in enumerate(zip(inputs, derivatives)):
             kernel = None
             if heads is None:
-                # The rows start with s, which the rows' forcing reads there.
-                u, du = x[..., :mn].reshape(shape), dx[..., :mn].reshape(shape)
-                kernel = functools.partial(rate, c, u, du, neg_A[i], diagonals[i])
-                s, x, dx = x.reshape(-1), x[..., mn:], dx[..., mn:]
-            else:
-                s = heads[i]
+                u, du = x[:, :mn].reshape(shape), dx[:, :mn].reshape(shape)
+                kernel = functools.partial(rate, c, u, du, *curvature[i])
+                x, dx = x[:, mn:], dx[:, mn:]
             if hi > lo:
+                # The forcing reads s flat, in the states or the heads.
+                s = (inputs if heads is None else heads)[i].reshape(-1)
                 X, dX = x.reshape(rows_shape), dx.reshape(rows_shape)
                 views = _row_views(s, neg_A[i], X, dX, forcing, spare)
-                rows = functools.partial(tangent, c, views)
+                sweep = functools.partial(tangent, c, views)
                 if kernel is not None:
-                    rows = functools.partial(_in_turn, kernel, rows)
-                kernel = rows
+                    sweep = functools.partial(_in_turn, kernel, sweep)
+                kernel = sweep
             kernels.append(kernel)
         return kernels
 
-    return TangentBlock(mn, (m, layout.rows, n), bind, c.episodes, take)
+    return TangentBlock(mn, (m, rows, n), bind, c.episodes, take)
 
 
 def adapt(

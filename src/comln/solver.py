@@ -6,12 +6,12 @@ Dormand-Prince 5(4) embedded pair with adaptive step size.  The state is a
 single one-dimensional float64 vector; what its entries mean is the
 caller's business, except that the system, a TangentBlock, cuts it into
 ``episodes`` independent states one after another, each a head u followed
-by a block X whose rows evolve independently once u is known.  A plain rhs
-is the block of one episode whose head is the whole state.  Every method
-hands the block's ``bind`` its stage buffers once, and at each stage calls
-the zero-argument kernel bind returned for it, which has every view,
-scratch array and index it needs made in advance and writes the
-derivative into its stage buffer.
+by a block X, possibly of no rows, whose rows evolve independently once u
+is known.  A plain rhs is the block of one episode whose head is the whole
+state.  Every method hands the block's ``bind`` its stage buffers once,
+one row per episode, and at each stage calls the zero-argument kernel bind
+returned for it, which has every view, scratch array and index it needs
+made in advance and writes the derivative into its stage buffer.
 
 Dormand-Prince has the first-same-as-last property: its seventh stage is
 the derivative at the new state, so an accepted step hands it to the next
@@ -58,11 +58,10 @@ decides the path:
   rhs is deterministic, so that stage is the one the trial overwrote, bit
   for bit.  Each step reads y and k once and writes y_new and k once, and
   every other pass runs over one chunk.  Each segment, the head alone and
-  each chunk of rows, is bound once per integration.
+  each chunk of rows, is bound once per integration, as a batch of one.
 
-euler and rk4 bind the whole state once per integration, an (episodes,
-size) array for several episodes, and step it in place, so every episode
-takes the same fixed steps.
+euler and rk4 bind the whole state once per integration and step it in
+place, so every episode takes the same fixed steps.
 
 A plain rhs receives a vector that the solver reuses for later stages, so
 it must not keep references to its input between calls.  It may return a
@@ -134,7 +133,10 @@ class SolverConfig:
         step = 0.0 if self.fixed_step is None else self.fixed_step
         if not all(math.isfinite(x) for x in (self.rtol, self.atol, step)):
             raise ValueError("fixed_step, rtol and atol must be finite")
-        if self.max_evals < 1:
+        evals = self.max_evals  # a NaN fails every comparison; a bool is an int
+        if not isinstance(evals, (int, np.integer)) or isinstance(evals, bool):
+            raise ValueError(f"max_evals must be an integer, not {evals!r}")
+        if evals < 1:
             raise ValueError("max_evals must be at least 1")
 
 
@@ -179,13 +181,12 @@ class TangentBlock:
 
     ``bind(inputs, derivatives, lo, hi, spare, heads)`` returns one
     zero-argument kernel per stage, up to seven: kernel i writes the
-    derivative at ``inputs[i]`` into ``derivatives[i]``.  Each of these
-    buffers holds, for each episode, u followed by the rows lo:hi of X,
-    flat: a vector for one episode, a C-ordered (A, entries) array for
-    A > 1; inputs may share a buffer.  When ``heads``
-    is not None, the rows hold X[:, lo:hi] alone and ``heads`` are the
-    stage inputs of u of an earlier binding whose kernel runs first
-    at each stage.  ``spare`` is a contiguous vector with room for the
+    derivative at ``inputs[i]`` into ``derivatives[i]``.  Each buffer is a
+    C-ordered (episodes, entries) array whose row e holds episode e's u and
+    then its rows lo:hi of X; inputs may share a buffer.  When ``heads`` is
+    not None, the rows hold X[:, lo:hi] alone and ``heads`` are the stage
+    inputs of u, in the same form, of an earlier binding whose kernel runs
+    first at each stage.  ``spare`` is a contiguous vector with room for the
     entries of X in those rows; no stage reads or writes it while a kernel
     runs, so the kernels may use it as scratch.  ``take(index)`` returns the
     block of the episodes at the positions ``index``, in that order; a
@@ -413,8 +414,8 @@ def _plain_block(rhs, n: int) -> TangentBlock:
         # A copy, so a derivative that is a view of its input stays valid.
         out[...] = derivative
 
-    def bind(inputs, derivatives, *_):
-        return [functools.partial(rate, *row) for row in zip(inputs, derivatives)]
+    def bind(inputs, outs, *_):
+        return [functools.partial(rate, x[0], out[0]) for x, out in zip(inputs, outs)]
 
     return TangentBlock(n, (0, 0, 0), bind)
 
@@ -428,7 +429,7 @@ def _run_fixed(block, states, t0, span, config):
     episodes, rk4 = len(states), config.method == "rk4"
     row = 0 if episodes > 1 else None
     stats, step = StepStats(), config.fixed_step
-    y = (states if episodes > 1 else states[0]).copy()
+    y = states.copy()
     # The stage derivatives k_1..k_4, k_1 alone for euler, and the one input
     # that rk4's later stages share.
     k, u = list(np.empty((4 if rk4 else 1,) + y.shape)), np.empty_like(y)
@@ -461,9 +462,8 @@ def _run_fixed(block, states, t0, span, config):
             k[0] *= h / 6.0 if rk4 else h
             y += k[0]
             if not np.all(np.isfinite(y)):
-                finite = np.isfinite(y.reshape(episodes, -1)).all(axis=1)
                 message = f"state became non-finite at step {i + 1}"
-                bad = int(np.argmin(finite)) if row is not None else None
+                bad = None if row is None else int(np.argmin(np.isfinite(y).all(1)))
                 raise _failure(NonFiniteStateError, message, t, stats, bad)
             stats.accepted_steps += 1
             t = t0 + stats.accepted_steps * step
@@ -475,8 +475,7 @@ def _run_fixed(block, states, t0, span, config):
 def _run_dopri5(block, states, t0, span, config):
     head, (lanes, rows, width) = block.head, block.shape
     if len(_segments(head, lanes, rows, width, CHUNK_BYTES)) == 1:
-        y, stats = _run_rows(block, states, t0, span, config)
-        return y.reshape(-1), _totals(stats)
+        return _run_rows(block, states, t0, span, config)
     # One episode at a time, each in three state-sized vectors.
     stats = [StepStats() for _ in states]
     if len(states) == 1:
@@ -493,7 +492,7 @@ def _run_dopri5(block, states, t0, span, config):
 
 def _run_rows(block, y0, t0, span, config):
     """dopri5 on the rows of y0, one episode state each, every row in its own
-    steps.  Returns y(t1) as an array of y0's shape, and each row's StepStats.
+    steps.  Returns y(t1) as a vector, and the StepStats of the rows.
     """
     episodes, size = y0.shape
     head, (_, rows, _) = block.head, block.shape
@@ -528,12 +527,14 @@ def _run_rows(block, y0, t0, span, config):
             # One product for all episodes.
             episode = matrix.swapaxes(0, 1)
             products = [
-                functools.partial(
-                    np.matmul,
-                    weights[:, w : w + 1, lo:hi],
-                    episode[:, lo:hi],
-                    out=episode[:, 8 + r : 9 + r],
-                )
+                [
+                    functools.partial(
+                        np.matmul,
+                        weights[:, w : w + 1, lo:hi],
+                        episode[:, lo:hi],
+                        out=episode[:, 8 + r : 9 + r],
+                    )
+                ]
                 for r, (w, lo, hi) in enumerate(terms)
             ]
         else:
@@ -549,31 +550,26 @@ def _run_rows(block, y0, t0, span, config):
                 ]
                 for r, (w, lo, hi) in enumerate(terms)
             ]
-            products = [
-                dots[0] if active == 1 else lambda dots=dots: [dot() for dot in dots]
-                for dots in products
-            ]
-        # Each stage's input and derivative rows, with the episode axis in
-        # front for several rows.  Row 8, the error estimate, is written
-        # only after the last stage, so the kernels may use it as scratch.
-        rows_of = matrix[:, 0] if active == 1 else matrix
-        inputs, derivatives = [rows_of[0], *rows_of[9:]], list(rows_of[1:8])
+        # Each stage's input and derivative rows, (active, size) arrays.  Row
+        # 8, the error estimate, is written only after the last stage, so the
+        # kernels may use it as scratch.
+        inputs, derivatives = [matrix[0], *matrix[9:]], list(matrix[1:8])
         kernels = block.bind(inputs, derivatives, 0, rows, matrix[8].reshape(-1), None)
         # k_1 and k_2 are spent once the error is formed.  They hold |y|
         # and |y_new|, then the scale atol + rtol * max(|y|, |y_new|), then
         # in their head parts k_6 - k_5 and y_new - u_5 for the stiffness.
         # An accepted step copies y_new and k_6, rows 14 and 7, to y and
         # k_0, rows 0 and 1.
-        ends, starts = rows_of[7:15:7, ..., :head], rows_of[6:14:7, ..., :head]
-        differences = (ends, starts, rows_of[2:4, ..., :head])
-        scaling = (rows_of[0:15:14], rows_of[2:4], rows_of[2], rows_of[3])
+        ends, starts = matrix[7:15:7, :, :head], matrix[6:14:7, :, :head]
+        differences = (ends, starts, matrix[2:4, :, :head])
+        scaling = (matrix[0:15:14], matrix[2:4], matrix[2], matrix[3])
         # Each row's StepStats, its weights that a step scales, and the
         # views whose squares it is judged by: its error and two differences.
         views = (matrix[8], matrix[2, :, :head], matrix[3, :, :head])
         row_stats = [stats[episode] for episode in order]
         judged = list(zip(row_stats, weights[:, :, 1:], *views))
-        firsts, lasts = rows_of[0:2], rows_of[14:0:-7]
-        used = (rows_of[14], rows_of[8], scaling, differences, firsts, lasts)
+        firsts, lasts = matrix[0:2], matrix[14:0:-7]
+        used = (matrix[14], matrix[8], scaling, differences, firsts, lasts)
         return products, kernels, judged, used
 
     products, kernels, judged, used = arrange(matrix)
@@ -600,7 +596,8 @@ def _run_rows(block, y0, t0, span, config):
         evaluate(0)
         while True:
             for stage in range(1, 7):
-                products[stage]()
+                for product in products[stage]:
+                    product()
                 evaluate(stage)
             y_new, err, scaling, differences, firsts, lasts = used
             # A finite sum proves every entry finite; only an overflowing sum
@@ -609,7 +606,8 @@ def _run_rows(block, y0, t0, span, config):
             total = np.add.reduce(y_new, None)
             if not math.isfinite(total) and not np.all(np.isfinite(y_new)):
                 raise non_finite(y_new)
-            products[0]()
+            for product in products[0]:
+                product()
             _scale_error(err, *scaling, config)
             np.subtract(*differences)
             accepted, done = [], []
@@ -637,7 +635,7 @@ def _run_rows(block, y0, t0, span, config):
                 stats[order[i]].rhs_evals = evals
             keep = [i for i, now in enumerate(t) if now < span]
             if not keep:
-                return out, stats
+                return out.reshape(-1), _totals(stats)
             # Kernels for the episodes left alone.  take copies their rows
             # C-ordered, as bind needs; matrix[:, keep] would leave each
             # stage row strided.
@@ -677,15 +675,15 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
         k, u = matrix[: 8 * size].reshape(8, size), matrix[8 * size :].reshape(7, size)
         # Row views and kernels made once, not per step: the rows, the
         # leading rows each stage input combines, and the kernels of the
-        # segment's stages.  A chunk of rows reads the head's stage inputs,
-        # and may use its row u_0, free until the error is formed, as
-        # scratch.
-        inputs = [k[0], *u[1:]]
+        # segment's stages, bound to (1, size) views.  A chunk of rows reads
+        # the head's stage inputs, and may use its row u_0, free until the
+        # error is formed, as scratch.
+        inputs = [k[0:1], *u[1:, None]]
         if segment.head:
             buffers, heads = (shared, matrix), inputs
         row_heads = None if segment.head else heads
         kernels = block.bind(
-            inputs, list(k[1:]), segment.lo, segment.hi, u[0], row_heads
+            inputs, list(k[1:, None]), segment.lo, segment.hi, u[0], row_heads
         )
         leading = [k[: stage + 1] for stage in range(8)]
         scaling = (matrix.reshape(15, size)[0:15:14], k[2:4], k[2], k[3])

@@ -89,6 +89,12 @@ class TaskGenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("way", "shot", "test_shots", "input_dim", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.way < 2:
             raise ValueError("need at least two classes")
         if min(self.shot, self.test_shots, self.input_dim) < 1:

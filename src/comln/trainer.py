@@ -121,6 +121,8 @@ class TrainConfig:
             # A bool is an int to Python, but not a count or a seed.
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.meta_batch_size < 1:
             raise ValueError("meta_batch_size must be at least 1")
         if self.iterations < 0:

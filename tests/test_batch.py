@@ -5,6 +5,7 @@ takes the steps it would take alone, and its results do not depend on which
 episodes share its batch or where it sits in it.
 """
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -278,6 +279,45 @@ class TestAdapt:
         )
         assert len(segments) > 2 and stats.rhs_evals > 6
         assert [args[2:4] for args in calls] == [(s.lo, s.hi) for s in segments[1:]]
+
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize(
+        "method, shot",
+        [("euler", 1), ("rk4", 1), ("dopri5", 1), ("dopri5", 5)],
+        ids=["euler", "rk4", "dopri5-rows", "dopri5-5w5s"],
+    )
+    def test_bind_receives_one_row_per_episode(
+        self, monkeypatch, method, shot, count, track
+    ):
+        # Every binding of the flow, of the whole batch or of a block that
+        # take narrowed it to, gets (episodes, entries) buffers; so does a
+        # chunk of tangent rows, whose heads are those of its episode.
+        calls, real = [], comln.dynamics._block
+
+        def spied(c, layout):
+            block = real(c, layout)
+
+            def bind(inputs, derivatives, lo, hi, spare, heads):
+                buffers = inputs + derivatives + list(heads or [])
+                calls.append((block.episodes, [np.shape(b) for b in buffers], heads))
+                return block.bind(inputs, derivatives, lo, hi, spare, heads)
+
+            return dataclasses.replace(block, bind=bind)
+
+        monkeypatch.setattr(comln.dynamics, "_block", spied)
+        if method == "dopri5":
+            solver, T = CFG, 2.0
+        else:
+            solver, T = SolverConfig(method=method, fixed_step=0.05), 0.5
+        episodes = pinned_episodes(count=count, shot=shot)
+        adapt(W0, *stacked(episodes), LAM, T, solver, track, episodes=count)
+        for episodes, shapes, _ in calls:
+            assert all(len(shape) == 2 and shape[0] == episodes for shape in shapes)
+        chunked = any(heads is not None for *_, heads in calls)
+        assert chunked == (shot == 5 and track)
+        # A chunked batch is integrated one episode at a time.
+        assert calls[0][0] == (1 if chunked else count)
 
     def test_a_split_that_does_not_divide_is_refused(self):
         features, labels = stacked(pinned_episodes(count=2))

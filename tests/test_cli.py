@@ -193,6 +193,11 @@ def test_bad_lr_schedule_exits_2_before_training(tmp_path, capsys, schedule):
         ("train", ["solver.atol=NaN"]),
         ("gen-tasks", ["tasks.noise_std=NaN"]),
         ("gen-tasks", ["tasks.class_spread=Infinity"]),
+        # Negative seeds ended in a ValueError traceback from numpy's
+        # generator, or in "training failed" and exit 1.
+        ("train", ["train.seed=-1"]),
+        ("train", ["tasks.seed=-1"]),
+        ("gen-tasks", ["tasks.seed=-3"]),
     ],
 )
 def test_non_finite_settings_exit_2(tmp_path, capsys, command, overrides):
@@ -211,10 +216,17 @@ def test_non_finite_settings_exit_2(tmp_path, capsys, command, overrides):
         "train.iterations=1.5",
         "train.eval_every=2.0",
         "train.seed=true",
+        "solver.max_evals=NaN",
+        "solver.max_evals=2.5",
+        "solver.max_evals=true",
+        "tasks.way=2.5",
+        "tasks.shot=1.0",
+        "tasks.seed=0.5",
     ],
 )
 def test_non_integer_counts_exit_2(tmp_path, capsys, override):
-    # Each passed the old comparisons and died in meta_train with a TypeError.
+    # Each passed the old comparisons and died in meta_train with a TypeError,
+    # or, for a NaN budget, trained with no budget at all.
     out = str(tmp_path / "run")
     argv = ["train", "--config", write_config(tmp_path), "--out", out]
     assert cli.main(argv + ["--set", override]) == 2
@@ -403,6 +415,13 @@ def test_bench_rejects_non_finite_horizons(tmp_path, capsys, token):
     argv = ["bench", "--mode", "memory", "--horizons", token]
     assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 2
     assert f"horizon {token!r} must be finite" in capsys.readouterr().err
+
+
+def test_bench_rejects_a_negative_seed(tmp_path, capsys):
+    # It ended in a ValueError traceback from numpy's generator.
+    argv = ["bench", "--mode", "memory", "--horizons", "steps=10", "--seed", "-1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

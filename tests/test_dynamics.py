@@ -248,14 +248,16 @@ def test_consecutive_evaluations_return_fresh_arrays():
         size, rows = (20, 0) if layout is None else (layout.size, layout.rows)
         inputs = rng.normal(size=(2, size))
         values = np.empty((2, size))
-        kernels = block.bind(list(inputs), list(values), 0, rows, np.empty(size), None)
+        kernels = block.bind(
+            list(inputs[:, None]), list(values[:, None]), 0, rows, np.empty(size), None
+        )
         kernels[0]()
         kept = values[0].copy()
         kernels[1]()
         assert_array_equal(values[0], kept)
-        alone = np.empty(size)
-        block.bind([inputs[1]], [alone], 0, rows, np.empty(size), None)[0]()
-        assert_array_equal(values[1], alone)
+        alone = np.empty((1, size))
+        block.bind([inputs[1:]], [alone], 0, rows, np.empty(size), None)[0]()
+        assert_array_equal(values[1], alone[0])
 
 
 @pytest.mark.parametrize("track", [False, True])

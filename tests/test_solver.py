@@ -34,19 +34,21 @@ def _decay(y):
 
 def _row_block(head, shape, rate, rows):
     """A TangentBlock of one episode from a head kernel rate(u, out) and a
-    row kernel rows(u, X, lo, hi, out) on (lanes, hi - lo, width) views."""
+    row kernel rows(u, X, lo, hi, out) on (lanes, hi - lo, width) views of
+    the (1, entries) buffers bind receives."""
     lanes, _, width = shape
 
     def bind(inputs, derivatives, lo, hi, spare, heads):
         kernels = []
         for i, (x, dx) in enumerate(zip(inputs, derivatives)):
             calls = []
+            x, dx = x[0], dx[0]
             if heads is None:
                 u = x[:head]
                 calls.append(functools.partial(rate, u, dx[:head]))
                 x, dx = x[head:], dx[head:]
             else:
-                u = heads[i]
+                u = heads[i][0]
             if hi > lo:
                 part = (lanes, hi - lo, width)
                 X, out = x.reshape(part), dx.reshape(part)
@@ -59,16 +61,16 @@ def _row_block(head, shape, rate, rows):
 
 def _rhs_of(system):
     """integrate's first argument as a plain rhs: a plain rhs as it is, and a
-    TangentBlock of one episode through one stage bound to fresh buffers at
-    each call."""
+    TangentBlock of one episode through one stage bound to fresh (1, entries)
+    buffers at each call."""
     if getattr(system, "bind", None) is None:
         return system
 
     def rhs(y):
-        out = np.empty(y.shape)
-        (kernel,) = system.bind([y], [out], 0, system.shape[1], np.empty(y.size), None)
+        x, out = y.reshape(1, -1), np.empty((1, y.size))
+        (kernel,) = system.bind([x], [out], 0, system.shape[1], np.empty(y.size), None)
         kernel()
-        return out
+        return out[0]
 
     return rhs
 
