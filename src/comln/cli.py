@@ -502,15 +502,14 @@ def _cmd_adjoint_demo(args) -> int:
         eigenvalues = np.array([float(x) for x in args.eigs.split(",")])
     except ValueError:
         raise UsageError(f"--eigs {args.eigs!r} must be comma-separated numbers")
-    try:
-        spec = QuadraticSpec(eigenvalues, np.ones(eigenvalues.size), args.T)
-    except ValueError as exc:
-        raise UsageError(f"invalid demo settings: {exc}")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-
     solver = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8)
-    report = adjoint_instability_demo(spec, solver, samples=args.samples)
+    try:
+        spec = QuadraticSpec(eigenvalues, np.ones(eigenvalues.size), args.T)
+        report = adjoint_instability_demo(spec, solver, samples=args.samples)
+    except (ValueError, ArithmeticError) as exc:
+        raise UsageError(f"invalid demo settings: {exc}")
 
     print(f"forward terminal error   {report.forward_err:.6e}")
     print(f"backward recovery error  {report.backward_err:.6e}")

@@ -17,6 +17,8 @@ vector.  The outer (test) loss is always plain unregularized cross-entropy.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -25,6 +27,24 @@ import numpy as np
 
 class DimensionMismatchError(ValueError):
     """Array shapes passed to an operation do not agree."""
+
+
+def is_kind(value, kind: str) -> bool:
+    """Whether a config value is ``kind``, numpy scalars included: a bool is
+    an int to Python, but here "a bool" only, never a count or a real."""
+    flag = isinstance(value, (bool, np.bool_))
+    if kind == "a bool" or flag:
+        return flag and kind == "a bool"
+    if kind == "an integer":
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and abs(value) < math.inf
+
+
+def check_kind(kind: str, config, *names: str) -> None:
+    """Raise ValueError unless the fields ``names`` of ``config`` are ``kind``."""
+    for name in names:
+        if not is_kind(getattr(config, name), kind):
+            raise ValueError(f"{name} must be {kind}, not {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +109,9 @@ class LossConfig:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("proximal weight lam must be finite and non-negative")
+        check_kind("a finite real number", self, "lam")
+        if self.lam < 0:
+            raise ValueError("proximal weight lam must be non-negative")
 
 
 def _check_W(W: np.ndarray, data: EmbeddedSet) -> np.ndarray:

@@ -438,10 +438,10 @@ class QuadraticSpec:
         w0 = np.asarray(self.w0, dtype=np.float64)
         if eig.ndim != 1 or w0.shape != eig.shape:
             raise ValueError("eigenvalues and w0 must be vectors of equal length")
-        if not (eig > 0).all():
-            raise ValueError("curvature eigenvalues must be positive")
-        if not self.T > 0:
-            raise ValueError("horizon T must be positive")
+        if not ((eig > 0) & (eig < np.inf)).all():
+            raise ValueError("curvature eigenvalues must be positive and finite")
+        if not 0 < self.T < np.inf:
+            raise ValueError("horizon T must be positive and finite")
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "w0", w0)
 

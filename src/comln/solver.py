@@ -58,7 +58,7 @@ decides the path:
   rhs is deterministic, so that stage is the one the trial overwrote, bit
   for bit.  Each step reads y and k once and writes y_new and k once, and
   every other pass runs over one chunk.  Each segment, the head alone and
-  each chunk of rows, is bound once per integration, as a batch of one.
+  each chunk of rows, is bound once per episode, as a batch of one.
 
 euler and rk4 bind the whole state once per integration and step it in
 place, so every episode takes the same fixed steps.
@@ -67,15 +67,16 @@ A plain rhs receives a vector that the solver reuses for later stages, so
 it must not keep references to its input between calls.  It may return a
 view of its input: its kernel copies the derivative into the stage buffer.
 
-Every right-hand-side evaluation is counted exactly, and exceeding the
-configured evaluation budget is an error rather than a silent partial
-result.  Budget and non-finite errors name the time reached and the
-accepted and rejected step counts, and for a state of several episodes
-the episode row.  A numpy warning made an error by a warnings filter, which
-a stage that turned non-finite raises from the next stage product, becomes
-the same NonFiniteStateError; a caller's np.errstate still rules inside
-the rhs.  All arithmetic is in float64 and fully deterministic: identical
-inputs produce bit-identical outputs and step statistics.
+Every right-hand-side evaluation is counted exactly, and the budget is
+checked once per step, for all its evaluations: exceeding it is an error,
+not a silent partial result.  Budget and non-finite errors name the time
+and step counts a check at every evaluation would, and for a state of
+several episodes the episode row.  Every method turns a numpy warning
+made an error by a filter, which the arithmetic after a stage that turned
+non-finite raises, into the same NonFiniteStateError; a caller's
+np.errstate still rules inside the rhs.  All arithmetic is in float64 and
+fully deterministic: identical inputs produce bit-identical outputs and
+step statistics.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
+
+from comln.loss import check_kind
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,19 +127,16 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in ("euler", "rk4", "dopri5"):
             raise ValueError(f"unknown method {self.method!r}")
+        step = () if self.fixed_step is None else ("fixed_step",)
+        check_kind("a finite real number", self, "rtol", "atol", *step)
+        check_kind("an integer", self, "max_evals")
         if self.method in ("euler", "rk4"):
             if self.fixed_step is None or self.fixed_step <= 0:
                 raise ValueError(f"{self.method} requires a positive fixed_step")
         else:
             if self.rtol <= 0 or self.atol <= 0:
                 raise ValueError("dopri5 requires positive rtol and atol")
-        step = 0.0 if self.fixed_step is None else self.fixed_step
-        if not all(math.isfinite(x) for x in (self.rtol, self.atol, step)):
-            raise ValueError("fixed_step, rtol and atol must be finite")
-        evals = self.max_evals  # a NaN fails every comparison; a bool is an int
-        if not isinstance(evals, (int, np.integer)) or isinstance(evals, bool):
-            raise ValueError(f"max_evals must be an integer, not {evals!r}")
-        if evals < 1:
+        if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
 
 
@@ -277,12 +277,11 @@ def _first_step(span: float) -> float:
     return min(max(span / 100.0, 1e-8), span)
 
 
-def _failure(error, message: str, t: float, stats: StepStats, episode=None):
-    """``error`` with the message, the time reached and the step counts.
-
-    ``episode`` is the row of a batched state it happened in, named in the
-    message and kept on the exception; None for a single state.
-    """
+def _failure(error, message: str, t: float, stats: StepStats, episode, episodes):
+    """``error`` with the message, the time reached and the step counts,
+    and ``episode``, its row in a batch of ``episodes`` states: named and
+    kept on the exception for a batch of several, else None."""
+    episode = episode if episodes > 1 else None
     row = "" if episode is None else f"in episode {episode} "
     exc = error(
         f"{message} {row}at t={t:.6g} after {stats.accepted_steps} accepted "
@@ -292,13 +291,56 @@ def _failure(error, message: str, t: float, stats: StepStats, episode=None):
     return exc
 
 
+def _spend(config: SolverConfig, evals: int, more: int, where) -> int:
+    """``evals`` + ``more``, the evaluations after a step of ``more``, or
+    the BudgetExceededError of active row 0 if that exceeds the budget."""
+    if evals + more > config.max_evals:
+        message = f"rhs evaluation budget of {config.max_evals} exhausted"
+        raise _failure(BudgetExceededError, message, *where(0))
+    return evals + more
+
+
 class _Misshapen(Exception):
     """A plain rhs returned a derivative of another shape; the method adds where."""
 
 
-def _budget_error(config: SolverConfig, t: float, stats: StepStats, episode=None):
-    message = f"rhs evaluation budget of {config.max_evals} exhausted"
-    return _failure(BudgetExceededError, message, t, stats, episode)
+class _NonFinite(Exception):
+    """A step's own check found its values not finite; the method adds where."""
+
+
+def _check_finite(values) -> None:
+    """Raise _NonFinite(values) if an entry of ``values`` is NaN or Inf.
+
+    A finite sum, np.add.reduce without ndarray.sum's wrapper, proves every
+    entry finite; only an overflowing sum, which a filter may make an
+    error, needs the entry-wise check."""
+    try:
+        total = np.add.reduce(values, None)
+    except RuntimeWarning:
+        total = math.inf
+    if not math.isfinite(total) and not np.isfinite(values).all():
+        raise _NonFinite(values)
+
+
+def _located(caught, message: str, where, stored):
+    """The located error for ``caught``, which stopped a method's steps.
+
+    ``where(row)`` is the time, StepStats, episode and batch size of active
+    row ``row``; ``stored`` holds the method's arrays, active rows along the
+    axis before the last.  A warning while all are finite is raised again."""
+    if isinstance(caught, _Misshapen):
+        error = _failure(ValueError, str(caught), *where(0))
+    else:
+        arrays = caught.args if isinstance(caught, _NonFinite) else stored
+        finite = np.logical_and.reduce(
+            [np.isfinite(a).all(-1).reshape(-1, a.shape[-2]).all(0) for a in arrays]
+        )
+        if finite.all():
+            raise caught
+        error = _failure(NonFiniteStateError, message, *where(int(np.argmin(finite))))
+    # Setting the cause also hides the context; only a warning is shown.
+    error.__cause__ = caught if isinstance(caught, RuntimeWarning) else None
+    return error
 
 
 def _scale_error(err, ends, both, scale, diff, config: SolverConfig) -> None:
@@ -369,8 +411,9 @@ def integrate(
     or reversed times, for a derivative whose shape is not that of its
     state and for a block that does not fill y0, BudgetExceededError if the
     run would need more evaluations than ``config.max_evals`` for an
-    episode and NonFiniteStateError if the initial or any intermediate
-    state is not finite.
+    episode, checked before each step, and NonFiniteStateError if the
+    initial or any intermediate state is not finite, also where a warnings
+    filter makes numpy's warning of a non-finite stage an error.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 1:
@@ -398,7 +441,9 @@ def integrate(
     span = t1 - t0
     if span == 0.0:
         return y0.copy(), _totals([StepStats() for _ in range(episodes)])
-    run = _run_dopri5 if config.method == "dopri5" else _run_fixed
+    run = _run_rows if config.method == "dopri5" else _run_fixed
+    if run is _run_rows and len(_segments(head, lanes, rows, width, CHUNK_BYTES)) > 1:
+        run = _run_chunked
     return run(block, y0.reshape(episodes, size), t0, span, config)
 
 
@@ -424,70 +469,48 @@ def _run_fixed(block, states, t0, span, config):
     """euler or rk4 on the rows of states, bound once and stepped in place.
 
     Returns y(t1) as a vector.  Every episode takes the same steps, so the
-    first one names a failure.
+    first one names a budget or shape failure.
     """
     episodes, rk4 = len(states), config.method == "rk4"
-    row = 0 if episodes > 1 else None
     stats, step = StepStats(), config.fixed_step
     y = states.copy()
     # The stage derivatives k_1..k_4, k_1 alone for euler, and the one input
-    # that rk4's later stages share.
-    k, u = list(np.empty((4 if rk4 else 1,) + y.shape)), np.empty_like(y)
+    # that rk4's later stages share.  Zeros, so that a warning meets only
+    # values a step wrote.
+    k, u = np.zeros((4 if rk4 else 1,) + y.shape), np.zeros_like(y)
     inputs = [y, u, u, u] if rk4 else [y]
-    kernels = block.bind(inputs, k, 0, block.shape[1], np.empty(y.size), None)
-
-    def evaluate(stage):
-        if stats.rhs_evals >= config.max_evals:
-            raise _budget_error(config, t, stats, row)
-        stats.rhs_evals += 1
-        kernels[stage]()
-
+    kernels = block.bind(inputs, list(k), 0, block.shape[1], np.empty(y.size), None)
     t, n = t0, _fixed_step_count(span, step)
+
+    def where(row):
+        return t, stats, row, episodes
+
     try:
         for i in range(n):
+            stats.rhs_evals = _spend(config, stats.rhs_evals, len(kernels), where)
             # Final step is shortened to land exactly on the end time.
             h = span - i * step if i == n - 1 else step
             # In place, in the operation order of y + h k for euler, and for
             # rk4 of y + (a h) k for each stage input and of
             # y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4).
-            evaluate(0)
+            kernels[0]()
             if rk4:
                 for stage, weight in enumerate((0.5 * h, 0.5 * h, h), 1):
                     np.multiply(k[stage - 1], weight, out=u)
                     u += y
-                    evaluate(stage)
+                    kernels[stage]()
                 k[0] += np.multiply(k[1], 2.0, out=k[1])
                 k[0] += np.multiply(k[2], 2.0, out=k[2])
                 k[0] += k[3]
             k[0] *= h / 6.0 if rk4 else h
             y += k[0]
-            if not np.all(np.isfinite(y)):
-                message = f"state became non-finite at step {i + 1}"
-                bad = None if row is None else int(np.argmin(np.isfinite(y).all(1)))
-                raise _failure(NonFiniteStateError, message, t, stats, bad)
+            _check_finite(y)
             stats.accepted_steps += 1
             t = t0 + stats.accepted_steps * step
-    except _Misshapen as error:
-        raise _failure(ValueError, str(error), t, stats, row) from None
+    except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
+        message = f"state became non-finite at step {stats.accepted_steps + 1}"
+        raise _located(caught, message, where, (y, u, k))
     return y.reshape(-1), _totals([replace(stats) for _ in range(episodes)])
-
-
-def _run_dopri5(block, states, t0, span, config):
-    head, (lanes, rows, width) = block.head, block.shape
-    if len(_segments(head, lanes, rows, width, CHUNK_BYTES)) == 1:
-        return _run_rows(block, states, t0, span, config)
-    # One episode at a time, each in three state-sized vectors.
-    stats = [StepStats() for _ in states]
-    if len(states) == 1:
-        y = _run_chunked(block, states[0], t0, span, config, stats[0])
-        return y, _totals(stats)
-    y = np.empty(states.shape)
-    for episode in range(len(states)):
-        one = block.take([episode])
-        y[episode] = _run_chunked(
-            one, states[episode], t0, span, config, stats[episode], episode
-        )
-    return y.reshape(-1), _totals(stats)
 
 
 def _run_rows(block, y0, t0, span, config):
@@ -496,19 +519,18 @@ def _run_rows(block, y0, t0, span, config):
     """
     episodes, size = y0.shape
     head, (_, rows, _) = block.head, block.shape
-    named = episodes > 1  # whether an error names its episode
     stats = [StepStats() for _ in range(episodes)]
     out = np.empty_like(y0)
     # The episode each active row integrates, its time, and its next step,
     # clipped to land on t1: one entry per active row.
     order = list(range(episodes))
     t, h = [0.0] * episodes, [_first_step(span)] * episodes
-    evals = 0  # evaluations of every active row: they move in lockstep
+    evals = 1  # evaluations of every active row: they move in lockstep
     # Stage-major: matrix[r] holds row r of the stage matrix of every active
     # episode, contiguous.  Rows 0-7 are y and the derivatives k_0..k_6;
     # rows 8-14 are free, then the inputs of stages 1..6, the last of which
-    # is the candidate y_new.  Zeros, so that the warning handler below
-    # meets only values a step wrote.
+    # is the candidate y_new.  Zeros, so that a warning meets only values a
+    # step wrote.
     matrix = np.zeros((15, episodes, size))
     matrix[0] = y0
 
@@ -575,37 +597,19 @@ def _run_rows(block, y0, t0, span, config):
     products, kernels, judged, used = arrange(matrix)
 
     def where(i):
-        # The time, StepStats and name of active row i, for an error.
-        return t0 + t[i], stats[order[i]], order[i] if named else None
-
-    def evaluate(stage):
-        nonlocal evals
-        if evals >= config.max_evals:
-            raise _budget_error(config, *where(0))
-        evals += 1
-        kernels[stage]()
-
-    def non_finite(values):
-        # The error for the first active row with a non-finite entry in
-        # values, whose axis before the last runs over the active rows.
-        finite = np.isfinite(values.reshape(-1, len(order), size)).all(axis=(0, 2))
-        message = "state became non-finite during a trial step"
-        return _failure(NonFiniteStateError, message, *where(int(np.argmin(finite))))
+        return t0 + t[i], stats[order[i]], order[i], episodes
 
     try:
-        evaluate(0)
+        # The first stage, which every budget allows.
+        kernels[0]()
         while True:
+            evals = _spend(config, evals, 6, where)
             for stage in range(1, 7):
                 for product in products[stage]:
                     product()
-                evaluate(stage)
+                kernels[stage]()
             y_new, err, scaling, differences, firsts, lasts = used
-            # A finite sum proves every entry finite; only an overflowing sum
-            # needs the entry-wise check.  np.add.reduce is the sum that
-            # ndarray.sum takes, without its Python wrapper.
-            total = np.add.reduce(y_new, None)
-            if not math.isfinite(total) and not np.all(np.isfinite(y_new)):
-                raise non_finite(y_new)
+            _check_finite(y_new)
             for product in products[0]:
                 product()
             _scale_error(err, *scaling, config)
@@ -642,62 +646,33 @@ def _run_rows(block, y0, t0, span, config):
             matrix, block = matrix.take(keep, axis=1), block.take(keep)
             order, t, h = ([values[i] for i in keep] for values in (order, t, h))
             products, kernels, judged, used = arrange(matrix)
-    except _Misshapen as error:
-        raise _failure(ValueError, str(error), *where(0)) from None
-    except RuntimeWarning as warning:
-        # Under a filter that makes numpy's warnings errors, a stage that
-        # turned non-finite raises from the next product, before the step's
-        # own check.  A warning with every stored value finite is not ours.
-        if np.all(np.isfinite(matrix)):
-            raise
-        raise non_finite(matrix) from warning
+    except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
+        message = "state became non-finite during a trial step"
+        raise _located(caught, message, where, (matrix,))
 
 
-def _run_chunked(block, y0, t0, span, config, stats, episode=None):
-    """dopri5 on one state whose tangent block spans several chunks of rows.
-
-    Returns y(t1); ``episode`` is the row of a batched state y0 came from,
-    which errors name.
-    """
-    n = y0.size
+def _run_chunked(block, states, t0, span, config):
+    """dopri5 on each row of states in turn, its tangent block cut into
+    chunks of rows.  Returns y(t1) as a vector, and the StepStats."""
+    episodes, n = states.shape
     head, (lanes, rows, width) = block.head, block.shape
     segments = _segments(head, lanes, rows, width, CHUNK_BYTES)
     # Every segment works in a contiguous (15, size) matrix.  Its rows k
     # are y and the derivatives k_0..k_6; its rows u are free, then the
     # inputs of stages 1..6, the last of which is the candidate y_new.
-    # The chunks of rows share one matrix.  Zeros, so that the warning
-    # handler below meets only values a step wrote.
+    # The head has its own matrix and the chunks of rows share one.  Zeros,
+    # so that a warning meets only values a step wrote.
+    own = np.zeros(15 * head)
     shared = np.zeros(15 * max(segment.size for segment in segments[1:]))
-    work = []
-    for segment in segments:
-        size = segment.size
-        matrix = np.zeros(15 * size) if segment.head else shared[: 15 * size]
-        k, u = matrix[: 8 * size].reshape(8, size), matrix[8 * size :].reshape(7, size)
-        # Row views and kernels made once, not per step: the rows, the
-        # leading rows each stage input combines, and the kernels of the
-        # segment's stages, bound to (1, size) views.  A chunk of rows reads
-        # the head's stage inputs, and may use its row u_0, free until the
-        # error is formed, as scratch.
-        inputs = [k[0:1], *u[1:, None]]
-        if segment.head:
-            buffers, heads = (shared, matrix), inputs
-        row_heads = None if segment.head else heads
-        kernels = block.bind(
-            inputs, list(k[1:, None]), segment.lo, segment.hi, u[0], row_heads
-        )
-        leading = [k[: stage + 1] for stage in range(8)]
-        scaling = (matrix.reshape(15, size)[0:15:14], k[2:4], k[2], k[3])
-        work.append((segment, list(k), list(u), leading, scaling, kernels))
-    # One stage vector holds the first stage when a step starts; each chunk,
-    # once it has copied its part, leaves its last stage there.
-    y, y_new, k_first = np.empty(n), np.empty(n), np.empty(n)
-    k_last = k_first
-    y[:] = y0
+    # Each episode starts with y in its row of out.  One stage vector, fsal,
+    # holds the first stage when a step starts; each chunk, once it has
+    # copied its part, leaves its last stage there.
+    out, spare, fsal = np.empty_like(states), np.empty(n), np.empty(n)
     weights = np.zeros((8, 8))
     weights[1:7, 0] = 1.0
     scaled = weights[:, 1:]
     stage_weights = [weights[stage, : stage + 1] for stage in range(7)]
-    t = 0.0
+    stats = [StepStats() for _ in range(episodes)]
 
     def part(buffer, segment):
         # Where a segment sits in a state-sized vector.
@@ -705,77 +680,85 @@ def _run_chunked(block, y0, t0, span, config, stats, episode=None):
             return buffer[:head]
         return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
 
-    def evaluate(stage, segment, kernels):
-        if segment.head:
-            if stats.rhs_evals >= config.max_evals:
-                raise _budget_error(config, t0 + t, stats, episode)
-            stats.rhs_evals += 1
-        kernels[stage]()
+    def where(_):
+        return t0 + t, counts, episode, episodes
 
-    def first_stage():
-        for segment, k, _, _, _, kernels in work:
-            k[0].reshape(part(y, segment).shape)[...] = part(y, segment)
-            evaluate(0, segment, kernels)
-            part(k_first, segment)[...] = k[1].reshape(part(y, segment).shape)
-
-    def non_finite():
-        message = "state became non-finite during a trial step"
-        return _failure(NonFiniteStateError, message, t0 + t, stats, episode)
-
-    h = _first_step(span)
-    try:
-        first_stage()
-        while t < span:
-            clipped = h >= span - t
-            if clipped:
-                h = span - t
-            np.multiply(_DP_STAGE_WEIGHTS, h, out=scaled)
-            # The squared scaled error, summed over the whole state.
-            err_sq = 0.0
-            for segment, k, u, leading, scaling, kernels in work:
-                shape = part(y, segment).shape
-                k[0].reshape(shape)[...] = part(y, segment)
-                k[1].reshape(shape)[...] = part(k_first, segment)
-                for stage in range(1, 7):
-                    stage_weights[stage].dot(leading[stage], u[stage])
-                    evaluate(stage, segment, kernels)
-                # A finite sum proves every entry finite; only an overflowing
-                # sum needs the entry-wise check.
-                total = np.add.reduce(u[6])
-                if not math.isfinite(total) and not np.all(np.isfinite(u[6])):
-                    raise non_finite()
-                # k_1 and k_2 are spent once the error is formed; they hold
-                # |y| and |y_new|, then the scale atol + rtol * max(|y|,
-                # |y_new|) and a difference.
-                err, diff = u[0], k[3]
-                weights[7, 1:].dot(leading[7][1:], err)
-                _scale_error(err, *scaling, config)
-                err_sq += err.dot(err)
-                if segment.head:
-                    # The head's |k_6 - k_5|^2 and |y_new - u_5|^2 for the
-                    # stiffness estimate.
-                    np.subtract(k[7], k[6], out=diff)
-                    dk_sq = diff.dot(diff)
-                    np.subtract(u[6], u[5], out=diff)
-                    dy_sq = diff.dot(diff)
-                part(y_new, segment)[...] = u[6].reshape(shape)
-                part(k_last, segment)[...] = k[7].reshape(shape)
-            accepted, next_h = _judge(stats, h, err_sq, n, dk_sq, dy_sq)
-            if accepted:
-                y, y_new = y_new, y
-                t = span if clipped else t + h
-            else:
-                # The trial left its last stage where the first stage was.
-                # The rhs is deterministic, so this restores it bit for bit.
-                first_stage()
-            h = next_h
-    except RuntimeWarning as warning:
-        # As in _run_rows: a stage that turned non-finite, caught by a
-        # filter that makes numpy's warnings errors.
-        if all(np.isfinite(buffer).all() for buffer in buffers):
-            raise
-        raise non_finite() from warning
-    return y
+    for episode, counts in enumerate(stats):
+        one = block if episodes == 1 else block.take([episode])
+        work, heads = [], None
+        for segment in segments:
+            size = segment.size
+            matrix = (own if segment.head else shared)[: 15 * size].reshape(15, size)
+            k, u = matrix[:8], matrix[8:]
+            # Row views and kernels made once per episode, not per step: the
+            # rows, the leading rows each stage input combines, and the
+            # kernels of the segment's stages, bound to (1, size) views.  A
+            # chunk of rows reads the head's stage inputs, and may use its
+            # row u_0, free until the error is formed, as scratch.
+            inputs = [k[0:1], *u[1:, None]]
+            kernels = one.bind(
+                inputs, list(k[1:, None]), segment.lo, segment.hi, u[0], heads
+            )
+            heads = heads or inputs
+            leading = [k[: stage + 1] for stage in range(8)]
+            scaling = (matrix[0:15:14], k[2:4], k[2], k[3])
+            work.append((segment, list(k), list(u), leading, scaling, kernels))
+        y, y_new = out[episode], spare
+        y[...] = states[episode]
+        # Whether k must first take the first stage at y: at the start and
+        # after a rejected step, whose trial left its last stage there.
+        t, h, fresh = 0.0, _first_step(span), True
+        try:
+            while t < span:
+                more = 7 if fresh else 6
+                counts.rhs_evals = _spend(config, counts.rhs_evals, more, where)
+                if fresh:
+                    for segment, k, _, _, _, kernels in work:
+                        shape = part(y, segment).shape
+                        k[0].reshape(shape)[...] = part(y, segment)
+                        kernels[0]()
+                        part(fsal, segment)[...] = k[1].reshape(shape)
+                clipped = h >= span - t
+                if clipped:
+                    h = span - t
+                np.multiply(_DP_STAGE_WEIGHTS, h, out=scaled)
+                # The squared scaled error, summed over the whole state.
+                err_sq = 0.0
+                for segment, k, u, leading, scaling, kernels in work:
+                    shape = part(y, segment).shape
+                    k[0].reshape(shape)[...] = part(y, segment)
+                    k[1].reshape(shape)[...] = part(fsal, segment)
+                    for stage in range(1, 7):
+                        stage_weights[stage].dot(leading[stage], u[stage])
+                        kernels[stage]()
+                    _check_finite(u[6][None])
+                    # k_1 and k_2 are spent once the error is formed; they
+                    # hold |y| and |y_new|, then the scale atol + rtol *
+                    # max(|y|, |y_new|) and a difference.
+                    err, diff = u[0], k[3]
+                    weights[7, 1:].dot(leading[7][1:], err)
+                    _scale_error(err, *scaling, config)
+                    err_sq += err.dot(err)
+                    if segment.head:
+                        # The head's |k_6 - k_5|^2 and |y_new - u_5|^2 for
+                        # the stiffness estimate.
+                        np.subtract(k[7], k[6], out=diff)
+                        dk_sq = diff.dot(diff)
+                        np.subtract(u[6], u[5], out=diff)
+                        dy_sq = diff.dot(diff)
+                    part(y_new, segment)[...] = u[6].reshape(shape)
+                    part(fsal, segment)[...] = k[7].reshape(shape)
+                accepted, next_h = _judge(counts, h, err_sq, n, dk_sq, dy_sq)
+                if accepted:
+                    y, y_new = y_new, y
+                    t = span if clipped else t + h
+                h, fresh = next_h, not accepted
+        except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
+            message = "state became non-finite during a trial step"
+            raise _located(caught, message, where, (own[None], shared[None]))
+        if y is spare:
+            out[episode] = y
+    return out.reshape(-1), _totals(stats)
 
 
 class _Segment(NamedTuple):

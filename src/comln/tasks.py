@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from comln.loss import EmbeddedSet
+from comln.loss import EmbeddedSet, check_kind
 
 
 class EpisodeFileError(ValueError):
@@ -89,20 +89,16 @@ class TaskGenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("way", "shot", "test_shots", "input_dim", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        check_kind("an integer", self, "way", "shot", "test_shots", "input_dim", "seed")
+        check_kind("a finite real number", self, "class_spread", "noise_std")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.way < 2:
             raise ValueError("need at least two classes")
         if min(self.shot, self.test_shots, self.input_dim) < 1:
             raise ValueError("shot, test_shots and input_dim must be positive")
-        if not (0 < self.class_spread < np.inf and 0 <= self.noise_std < np.inf):
-            raise ValueError(
-                "class_spread must be positive, noise_std >= 0, both finite"
-            )
+        if self.class_spread <= 0 or self.noise_std < 0:
+            raise ValueError("class_spread must be positive and noise_std >= 0")
 
 
 def sample_episode(cfg: TaskGenConfig, episode_index: int) -> Episode:

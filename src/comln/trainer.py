@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_T_CAP, adapt
 from .embedding import ACTIVATIONS, EmbeddingParams, Layer, embed_set, init_embedding
-from .loss import EmbeddedSet, LossConfig, outer_loss
+from .loss import EmbeddedSet, LossConfig, check_kind, is_kind, outer_loss
 # task_metagrads is looked up here by the benchmark's tracer (bench/tracer.py).
 from .metagrad import TaskFailure, batch_metagrads, task_metagrads  # noqa: F401
 from .solver import SolverConfig
@@ -101,7 +101,8 @@ class MetaParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Outer-loop settings; ``lr_schedule`` pairs are (iteration, multiplier)."""
+    """Outer-loop settings; ``lr_schedule`` pairs are (iteration, multiplier)
+    and ``eval_every`` is the checkpoint cadence in iterations, 0 for none."""
 
     meta_batch_size: int = 4
     iterations: int = 2000
@@ -116,26 +117,25 @@ class TrainConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("meta_batch_size", "iterations", "eval_every", "seed"):
-            value = getattr(self, name)
-            # A bool is an int to Python, but not a count or a seed.
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        counts = ("meta_batch_size", "iterations", "eval_every", "seed")
+        check_kind("an integer", self, *counts)
+        check_kind("a finite real number", self, "lr", "momentum")
+        check_kind("a bool", self, "nesterov")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.meta_batch_size < 1:
             raise ValueError("meta_batch_size must be at least 1")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if not 0 <= self.lr < math.inf:
-            raise ValueError("learning rate must be finite and non-negative")
+        if self.lr < 0:
+            raise ValueError("learning rate must be non-negative")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.lr_schedule is not None:
             normalized = []
             for it, mult in self.lr_schedule:
-                whole = isinstance(it, (int, np.integer)) and not isinstance(it, bool)
-                if not (whole and it >= 0 and 0 <= float(mult) < math.inf):
+                whole = is_kind(it, "an integer") and it >= 0
+                if not (whole and is_kind(mult, "a finite real number") and mult >= 0):
                     raise ValueError(
                         f"lr_schedule pair {(it, mult)} needs an integer milestone "
                         ">= 0 and a finite multiplier >= 0"

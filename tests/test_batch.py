@@ -32,6 +32,9 @@ from comln.trainer import MetaParams, TrainConfig, meta_train
 
 LAM = LossConfig(lam=0.5)
 CFG = SolverConfig()
+EULER = SolverConfig(method="euler", fixed_step=0.1)
+RK4 = SolverConfig(method="rk4", fixed_step=0.1)
+DOPRI5_WHERE = "during a trial step in episode 1 at t=0.262878 after 2"
 
 
 def clock_block(episodes, field):
@@ -112,22 +115,58 @@ class TestRows:
         message = f"budget of {cfg.max_evals} exhausted in episode 2 at t="
         assert message in str(info.value)
 
-    @pytest.mark.parametrize("action", ["ignore", "error"])
-    def test_non_finite_row_is_named_whatever_the_warning_filter(self, action):
-        # Row 1's x turns infinite once its clock passes 0.3.  With numpy's
-        # warnings made errors, the stage products after it raise first;
-        # either way the caller gets the error that names the row.
+    @pytest.mark.parametrize(
+        "cfg, where, action",
+        [
+            (CFG, DOPRI5_WHERE, "ignore"),
+            (CFG, DOPRI5_WHERE, "error"),
+            (EULER, "at step 5 in episode 1 at t=0.4 after 4", "ignore"),
+            (EULER, "at step 5 in episode 1 at t=0.4 after 4", "error"),
+            # Stage 2 of the fourth step reads the clock past 0.33 and stage
+            # 3 an infinite x, so rk4 sums +inf and -inf.
+            (RK4, "at step 4 in episode 1 at t=0.3 after 3", "ignore"),
+            (RK4, "at step 4 in episode 1 at t=0.3 after 3", "error"),
+        ],
+        ids=[
+            "ignore",
+            "error",
+            "euler-ignore",
+            "euler-error",
+            "rk4-ignore",
+            "rk4-error",
+        ],
+    )
+    def test_non_finite_row_is_named_whatever_the_warning_filter(
+        self, cfg, where, action
+    ):
+        # Row 1's x' turns +inf once its clock passes 0.33, and -inf once x
+        # is not finite.  With numpy's warnings made errors, the arithmetic
+        # that combines them raises first; either way the caller gets the
+        # error that names the row.
         def field(e, c, x):
-            return math.inf if e == 1 and c >= 0.3 else -x
+            if e == 1 and c >= 0.33:
+                return math.inf if math.isfinite(x) else -math.inf
+            return -x
 
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
             with pytest.raises(NonFiniteStateError) as info:
-                integrate(clock_block(range(3), field), start(range(3)), 0.0, 1.0, CFG)
+                integrate(clock_block(range(3), field), start(range(3)), 0.0, 1.0, cfg)
         assert info.value.episode == 1
         assert str(info.value) == (
-            "state became non-finite during a trial step in episode 1 "
-            "at t=0.262878 after 2 accepted and 0 rejected steps"
+            f"state became non-finite {where} accepted and 0 rejected steps"
+        )
+
+    def test_fixed_step_budget_error_names_episode_0(self):
+        # Every episode takes the same steps, so the first one names it.
+        cfg = SolverConfig(method="euler", fixed_step=0.1, max_evals=4)
+        block = clock_block(range(3), decay(self.RATES))
+        with pytest.raises(BudgetExceededError) as info:
+            integrate(block, start(range(3)), 0.0, 1.0, cfg)
+        assert info.value.episode == 0
+        assert str(info.value) == (
+            "rhs evaluation budget of 4 exhausted in episode 0 "
+            "at t=0.4 after 4 accepted and 0 rejected steps"
         )
 
     def test_fixed_steps_count_every_episode(self):
@@ -244,6 +283,18 @@ class TestAdapt:
             assert_array_equal(W_T[e], W1)
             assert_array_equal(state.X[e], one.X)
             assert stats.episodes[e] == alone.episodes[0]
+
+    def test_a_chunked_batch_names_the_episode_that_ran_out(self):
+        # Alone, episode 0 takes 37 evaluations and episode 1 takes 43.
+        episodes = pinned_episodes(count=2, shot=5)
+        cfg = SolverConfig(max_evals=37)
+        with pytest.raises(BudgetExceededError) as info:
+            adapt(W0, *stacked(episodes), LAM, 2.0, cfg, True, episodes=2)
+        assert info.value.episode == 1
+        assert str(info.value) == (
+            "rhs evaluation budget of 37 exhausted in episode 1 "
+            "at t=1.62246 after 6 accepted and 0 rejected steps"
+        )
 
     @staticmethod
     def forcing_calls(monkeypatch):

@@ -198,6 +198,13 @@ def test_bad_lr_schedule_exits_2_before_training(tmp_path, capsys, schedule):
         ("train", ["train.seed=-1"]),
         ("train", ["tasks.seed=-1"]),
         ("gen-tasks", ["tasks.seed=-3"]),
+        # A bool for a real setting ran it at 1.0 or 0.0, and any string
+        # for nesterov, "no" included, turned Nesterov momentum on.
+        ("train", ["solver.rtol=true"]),
+        ("train", ["loss.lam=true"]),
+        ("train", ["train.lr=true"]),
+        ("train", ["train.nesterov=no"]),
+        ("gen-tasks", ["tasks.noise_std=false"]),
     ],
 )
 def test_non_finite_settings_exit_2(tmp_path, capsys, command, overrides):
@@ -458,6 +465,23 @@ def test_adjoint_demo_rejects_non_numeric_eigs(tmp_path, capsys):
     code = cli.main(["adjoint-demo", "--eigs", "a,b", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "eigs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--T", "inf"], "horizon T"),
+        (["--eigs", "1,inf"], "curvature eigenvalues"),
+        # Finite, but the backward run overflows.
+        (["--T", "1e308"], "state became non-finite"),
+    ],
+)
+def test_adjoint_demo_rejects_non_finite_settings(tmp_path, capsys, flags, message):
+    # Each ended in a traceback from the solver and exit 1.
+    out = tmp_path / "x"
+    assert cli.main(["adjoint-demo", *flags, "--out", str(out)]) == 2
+    assert f"invalid demo settings: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -299,8 +299,8 @@ class TestIntegrate:
             # norm about 1e-11), so the next one grows about 130-fold, within
             # the first-step bound, and is clipped to the 0.99 left.  The
             # first evaluation and the six of the first step spend 7 of the
-            # 10; the second step runs out at its fourth stage, from t=0.01
-            # after one accepted step.
+            # 10, so the second step, which needs six more, is not started:
+            # the budget runs out at t=0.01 after one accepted step.
             (SolverConfig(method="dopri5", max_evals=10), "t=0.01 after 1"),
         ],
     )
@@ -334,6 +334,23 @@ class TestIntegrate:
         with pytest.raises(NonFiniteStateError) as info:
             integrate(cliff, _state([0.0]), 0.0, 1.0, cfg)
         assert str(info.value) == f"{message} accepted and 0 rejected steps"
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(),
+            SolverConfig(method="euler", fixed_step=0.1),
+            SolverConfig(method="rk4", fixed_step=0.1),
+        ],
+    )
+    def test_finite_state_whose_sum_overflows_integrates(self, cfg):
+        # The step's check sums the state; three entries of 1e308 overflow
+        # that sum, and with numpy's warnings made errors the overflow
+        # raised RuntimeWarning out of dopri5.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y, _ = integrate(np.zeros_like, np.full(3, 1e308), 0.0, 1.0, cfg)
+        assert np.array_equal(y, np.full(3, 1e308))
 
     @pytest.mark.parametrize(
         "cfg, expected",
@@ -684,6 +701,34 @@ class TestTangentBlock:
             )
             assert info.value.episode is None
 
+    @pytest.mark.parametrize(
+        "max_evals, where",
+        [
+            # Mid-run, in the sixth accepted step.
+            (40, "t=0.0385616 after 5"),
+            # The first trial, of 0.03, is rejected after 1 + 6 evaluations,
+            # so a budget of 7 runs out at the first stage evaluated again.
+            (7, "t=0 after 0"),
+        ],
+    )
+    def test_chunked_budget_error_says_where(self, monkeypatch, max_evals, where):
+        # The head is a clock, t' = 1, and the rows relax fast towards it,
+        # X' = t - 30 X.
+        def rows(u, X, lo, hi, out):
+            np.multiply(X, -30.0, out=out)
+            out += u[0]
+
+        block = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
+        monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
+        y0 = np.concatenate(([0.0], np.ones(16)))
+        with pytest.raises(BudgetExceededError) as info:
+            integrate(block, y0, 0.0, 3.0, SolverConfig(max_evals=max_evals))
+        assert str(info.value) == (
+            f"rhs evaluation budget of {max_evals} exhausted "
+            f"at {where} accepted and 1 rejected steps"
+        )
+        assert info.value.episode is None
+
 
 class TestFirstStep:
     """The growth allowed right after the first step."""
@@ -710,8 +755,8 @@ class TestFirstStep:
         # An empty state has no error.  At the true bound the second step,
         # 1e4 times 1, is clipped to the 99 left.  With the bound lowered to
         # 2 the steps are 1, 2 and then 5 times the last, 10, 50 and the 37
-        # left.  A budget of 1 + 6 k evaluations runs out at the first stage
-        # of step k + 1, so it names the time after k steps.
+        # left.  A budget of 1 + 6 k evaluations runs out before step k + 1,
+        # so it names the time after k steps.
         empty = lambda y: y
         _, stats = integrate(empty, np.zeros(0), 0.0, 100.0, SolverConfig())
         assert stats.accepted_steps == 2
