@@ -49,15 +49,8 @@ from .dynamics import (
     adapt,
 )
 from .embedding import init_embedding
-from .loss import EmbeddedSet, LossConfig, inner_grad, outer_partials
-from .metagrad import (
-    MetaGradients,
-    coupling_matrix,
-    grad_T,
-    project_W0,
-    project_phi,
-    task_metagrads,
-)
+from .loss import LossConfig
+from .metagrad import MetaGradients, projections, task_metagrads
 from .oracles import (
     QuadraticSpec,
     adjoint_instability_demo,
@@ -425,7 +418,7 @@ def _cmd_bench(args) -> int:
     )
     episode = sample_episode(task_cfg, 0)
     train_set = episode.train
-    test_set = EmbeddedSet(episode.test.features, episode.test.labels)
+    test_set = episode.test
     rng = np.random.default_rng(args.seed)
     W0 = rng.normal(size=(task_cfg.way, task_cfg.input_dim)) * 0.3
     loss_cfg = LossConfig(lam=0.0)
@@ -450,12 +443,7 @@ def _cmd_bench(args) -> int:
             )
         except MemoryBudgetError:
             return [method, token, T, steps, "", "", "budget-exceeded", ""]
-        V, _ = outer_partials(W_T, test_set)
-        C, D = coupling_matrix(V, state.X, train_set.features)
-        project_W0(V, C, train_set.features)
-        project_phi(V, state.s, C, D, train_set.features, W0)
-        g_inner, _ = inner_grad(W_T, W0, train_set, loss_cfg)
-        grad_T(V, g_inner)
+        projections(W_T, state.s, state.X, W0, train_set, test_set, loss_cfg)
         wall = time.perf_counter() - started
         return [method, token, T, steps, state.nbytes, stats.rhs_evals, "", wall]
 

@@ -190,7 +190,7 @@ def inner_grad(
 
 
 def curvature_from_probs(
-    q: np.ndarray, out: np.ndarray | None = None, diagonal: np.ndarray | None = None
+    q: np.ndarray, out: np.ndarray, diagonal: np.ndarray
 ) -> np.ndarray:
     """The negated per-example blocks -A_m = (p_m p_m' - diag(p_m)) / M,
     stacked as an (..., M, N, N) array, from the (..., M, N) array q of the
@@ -199,14 +199,11 @@ def curvature_from_probs(
     In q the blocks are -A_m = M q_m q_m' - diag(q_m): one outer product,
     exactly symmetric, scaled by M, then the diagonal.  The flow multiplies
     by -A_m, so it takes the sign here at no extra pass.  The blocks are
-    written into ``out`` when given, a C-ordered array of their shape whose
-    ``block_diagonals`` are ``diagonal``, else into a new array.
+    written into ``out``, a C-ordered array of their shape whose
+    ``block_diagonals`` are ``diagonal``, and returned.
     """
-    # C order whatever the order of q, so that the diagonals are a view.
-    blocks = np.multiply(q[..., None], q[..., None, :], out, order="C")
+    blocks = np.multiply(q[..., None], q[..., None, :], out)
     blocks *= q.shape[-2]
-    if diagonal is None:
-        diagonal = block_diagonals(blocks)
     diagonal -= q
     return blocks
 

@@ -32,6 +32,7 @@ increasing T helps exactly when the two point the same way.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
@@ -172,32 +173,45 @@ def batch_metagrads(
     gradients in the embeddings of each split through the network.  The
     direct outer partial for train embeddings is zero because the two
     splits are disjoint, so ``grad_phi_train`` is the projection alone.
+    A failing episode raises TaskFailure with its index.
+    """
+    bundles = []
+    for i, head in enumerate(_adapt_episodes(meta, episodes, cfg, solver, True)):
+        try:
+            bundles.append(_bundle(meta, cfg, *head))
+        except Exception as exc:
+            raise TaskFailure(i, exc) from exc
+    return bundles
 
-    The train splits of one size adapt together, stacked, in one
-    ``adapt`` call, in which each episode still takes the solver steps it
-    would take alone; the embeddings and labels of all splits are checked
-    once, together.  A failing episode raises TaskFailure with its index.
+
+_Adapted = namedtuple("_Adapted", "W_T s X stats train test embedded")
+
+
+def _adapt_episodes(
+    meta: "MetaParams",
+    episodes: Sequence[Episode],
+    cfg: LossConfig,
+    solver: SolverConfig,
+    track: bool,
+) -> List[_Adapted]:
+    """Each episode's adapted head, in order: W(T), s, X (None untracked),
+    StepStats, the checked train and test sets, and both embed_set results.
+
+    The train splits of one size adapt together in one ``adapt`` call, in
+    which each episode still takes the solver steps it would take alone.  A
+    failing episode raises TaskFailure with its index.
     """
     params = meta.phi_params
     embedded = []
     for i, episode in enumerate(episodes):
         try:
-            if episode.train.dim != params.input_dim:
-                raise DimensionMismatchError(
-                    f"episode inputs have dim {episode.train.dim}, "
-                    f"embedding expects {params.input_dim}"
-                )
             if meta.W0.shape != (episode.way, params.output_dim):
                 raise DimensionMismatchError(
                     f"W0 has shape {meta.W0.shape}, expected "
                     f"{(episode.way, params.output_dim)}"
                 )
-            embedded.append(
-                (
-                    embed_set(params, episode.train.features),
-                    embed_set(params, episode.test.features),
-                )
-            )
+            pair = (episode.train, episode.test)
+            embedded.append([embed_set(params, split.features) for split in pair])
         except Exception as exc:
             raise TaskFailure(i, exc) from exc
     # Every train split, then every test split, as one checked set.
@@ -218,47 +232,52 @@ def batch_metagrads(
     sizes: dict = {}
     for i, episode in enumerate(episodes):
         sizes.setdefault(episode.train.count, []).append(i)
-    T = meta.T
-    bundles: List[MetaGradients] = [None] * len(episodes)
+    adapted: List[_Adapted] = [None] * len(episodes)
     for tasks in sizes.values():
         try:
             W_T, state, stats = adapt(
                 meta.W0,
                 np.concatenate([train_sets[i].features for i in tasks]),
                 np.concatenate([train_sets[i].labels for i in tasks]),
-                cfg,
-                T,
-                solver,
-                track=True,
-                episodes=len(tasks),
+                cfg, meta.T, solver, track=track, episodes=len(tasks),
             )
         except Exception as exc:
             # A solver error names the row it happened in; others hold for
             # every task of this size, and name the first.
             raise TaskFailure(tasks[getattr(exc, "episode", None) or 0], exc) from exc
         for row, i in enumerate(tasks):
-            try:
-                bundles[i] = _bundle(
-                    meta, cfg, W_T[row], state.s[row], state.X[row],
-                    stats.episodes[row], train_sets[i], test_sets[i], embedded[i],
-                )
-            except Exception as exc:
-                raise TaskFailure(i, exc) from exc
-    return bundles
+            adapted[i] = _Adapted(
+                W_T[row], state.s[row], state.X[row] if track else None,
+                stats.episodes[row], train_sets[i], test_sets[i], embedded[i],
+            )
+    return adapted
 
 
-def _bundle(meta, cfg, W_T, s, X, stats, train, test, embedded):
-    """One episode's MetaGradients from its adapted state and embeddings."""
-    (_, train_tape), (_, test_tape) = embedded
+def projections(W_T, s, X, W0, train, test, cfg):
+    """(grad_W0, grad_phi_train, grad_phi_test, grad_T) of one episode from
+    the outer partial at its W(T) and its tracked state (s, X)."""
     phi_train = train.features
     V, g_phi_test = outer_partials(W_T, test)
     C, D = coupling_matrix(V, X, phi_train)
     g_W0 = project_W0(V, C, phi_train)
-    g_phi_train = project_phi(V, s, C, D, phi_train, meta.W0)
+    g_phi_train = project_phi(V, s, C, D, phi_train, W0)
+    g_inner, _ = inner_grad(W_T, W0, train, cfg)
+    return g_W0, g_phi_train, g_phi_test, grad_T(V, g_inner)
 
-    g_inner, _ = inner_grad(W_T, meta.W0, train, cfg)
-    g_T = grad_T(V, g_inner)
 
+def score(W_T: np.ndarray, test: EmbeddedSet) -> Tuple[float, float]:
+    """(accuracy, outer loss) of W(T) on the test set; ties go to the lowest class."""
+    predictions = np.argmax(test.features @ W_T.T, axis=1)
+    truth = np.argmax(test.labels, axis=1)
+    return float(np.mean(predictions == truth)), float(outer_loss(W_T, test))
+
+
+def _bundle(meta, cfg, W_T, s, X, stats, train, test, embedded):
+    """One episode's MetaGradients from its adapted head."""
+    g_W0, g_phi_train, g_phi_test, g_T = projections(
+        W_T, s, X, meta.W0, train, test, cfg
+    )
+    (_, train_tape), (_, test_tape) = embedded
     emb_grads = [
         (train_w + test_w, train_b + test_b)
         for (train_w, train_b), (test_w, test_b) in zip(
@@ -266,17 +285,15 @@ def _bundle(meta, cfg, W_T, s, X, stats, train, test, embedded):
             backward(meta.phi_params, test_tape, g_phi_test),
         )
     ]
-
-    predictions = np.argmax(test.features @ W_T.T, axis=1)
-    truth = np.argmax(test.labels, axis=1)
+    accuracy, loss = score(W_T, test)
     return MetaGradients(
         grad_W0=g_W0,
         grad_phi_train=g_phi_train,
         grad_phi_test=g_phi_test,
         grad_T=g_T,
         grad_embedding=tuple(emb_grads),
-        outer_loss=float(outer_loss(W_T, test)),
-        test_accuracy=float(np.mean(predictions == truth)),
+        outer_loss=loss,
+        test_accuracy=accuracy,
         rhs_evals=stats.rhs_evals,
         rejected_steps=stats.rejected_steps,
         stiffness=stats.stiffness,

@@ -498,6 +498,10 @@ def adjoint_instability_demo(
     are recorded on a uniform time grid for plotting.
     """
     eig, w0, T = spec.eigenvalues, spec.w0, spec.T
+    # Past log(max float) the backward amplification exp(lambda T) overflows.
+    growth, limit = float(eig.max()) * T, np.log(np.finfo(float).max)
+    if growth > limit:
+        raise ValueError(f"largest eigenvalue x T = {growth:g} exceeds {limit:.2f}")
     pieces = max(int(samples), 1)
     grid = np.linspace(0.0, T, pieces + 1)
 

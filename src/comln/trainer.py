@@ -32,11 +32,12 @@ from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_T_CAP, adapt
-from .embedding import ACTIVATIONS, EmbeddingParams, Layer, embed_set, init_embedding
-from .loss import EmbeddedSet, LossConfig, check_kind, is_kind, outer_loss
-# task_metagrads is looked up here by the benchmark's tracer (bench/tracer.py).
-from .metagrad import TaskFailure, batch_metagrads, task_metagrads  # noqa: F401
+from .dynamics import DEFAULT_T_CAP
+from .embedding import ACTIVATIONS, EmbeddingParams, Layer, init_embedding
+from .loss import LossConfig, check_kind, is_kind
+from .metagrad import TaskFailure, _adapt_episodes, batch_metagrads, score
+# The benchmark's tracer (bench/tracer.py) looks these names up here.
+from .metagrad import adapt, embed_set, outer_loss, task_metagrads  # noqa: F401
 from .solver import SolverConfig
 from .tasks import Episode
 
@@ -127,6 +128,8 @@ class TrainConfig:
             raise ValueError("meta_batch_size must be at least 1")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be non-negative")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
         if not 0 <= self.momentum < 1:
@@ -368,25 +371,15 @@ def meta_test(
 ) -> Tuple[float, float]:
     """Adapt on the train split (no tracking) and score the test split.
 
-    Predictions are the argmax of W(T) phi; ties resolve to the lowest
-    class index.  Returns (accuracy, outer loss).
+    A meta-batch of one through ``batch_metagrads``' pipeline, untracked; a
+    failure raises its own exception.  Returns (accuracy, outer loss); the
+    prediction is the argmax of W(T) phi, ties going to the lowest class.
     """
-    phi_train, _ = embed_set(meta.phi_params, episode.train.features)
-    phi_test, _ = embed_set(meta.phi_params, episode.test.features)
-    W_T, _, _ = adapt(
-        meta.W0,
-        phi_train,
-        episode.train.labels,
-        cfg,
-        meta.T,
-        solver,
-        track=False,
-    )
-    predictions = np.argmax(phi_test @ W_T.T, axis=1)
-    truth = np.argmax(episode.test.labels, axis=1)
-    accuracy = float(np.mean(predictions == truth))
-    loss = float(outer_loss(W_T, EmbeddedSet(phi_test, episode.test.labels)))
-    return accuracy, loss
+    try:
+        (head,) = _adapt_episodes(meta, [episode], cfg, solver, False)
+    except TaskFailure as failure:
+        raise failure.__cause__ from None
+    return score(head.W_T, head.test)
 
 
 def save_checkpoint(meta: MetaParams, path: str) -> None:

@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 
 import comln.cli as cli
 import comln.dynamics
+import comln.oracles
 from comln.tasks import TaskGenConfig, load_episodes, sample_episode
 from comln.trainer import INITIAL_T, load_checkpoint
 
@@ -205,6 +206,8 @@ def test_bad_lr_schedule_exits_2_before_training(tmp_path, capsys, schedule):
         ("train", ["train.lr=true"]),
         ("train", ["train.nesterov=no"]),
         ("gen-tasks", ["tasks.noise_std=false"]),
+        # Was kept and read as 0, no checkpoints, without a word.
+        ("train", ["train.eval_every=-1"]),
     ],
 )
 def test_non_finite_settings_exit_2(tmp_path, capsys, command, overrides):
@@ -356,6 +359,27 @@ def test_bench_memory_table(tmp_path, capsys):
     assert "state_bytes" in capsys.readouterr().out
 
 
+def test_bench_memory_rows(tmp_path, monkeypatch):
+    # Every column but wall_time; each flow row also projects its state.
+    projected = []
+    real = cli.projections
+    monkeypatch.setattr(
+        cli, "projections", lambda *a: projected.append(a) or real(*a)
+    )
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--mode", "memory", "--horizons", "steps=10,T=1"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert [row[:-1] for row in read_csv(out)[1:]] == [
+        ["comln-euler", "steps=10", "0.1", "10", "5760", "10", ""],
+        ["comln-dopri5", "steps=10", "0.1", "10", "5760", "13", ""],
+        ["bptt", "steps=10", "0.1", "10", "3552", "10", ""],
+        ["comln-euler", "T=1", "1.0", "100", "5760", "100", ""],
+        ["comln-dopri5", "T=1", "1.0", "100", "5760", "25", ""],
+        ["bptt", "T=1", "1.0", "100", "33792", "100", ""],
+    ]
+    assert len(projected) == 4
+
+
 def test_bench_integrates_to_the_requested_T(tmp_path, monkeypatch):
     ends = []
     real = comln.dynamics.integrate
@@ -473,7 +497,7 @@ def test_adjoint_demo_rejects_non_numeric_eigs(tmp_path, capsys):
         (["--T", "inf"], "horizon T"),
         (["--eigs", "1,inf"], "curvature eigenvalues"),
         # Finite, but the backward run overflows.
-        (["--T", "1e308"], "state became non-finite"),
+        (["--T", "1e308"], "largest eigenvalue x T = inf exceeds 709.78"),
     ],
 )
 def test_adjoint_demo_rejects_non_finite_settings(tmp_path, capsys, flags, message):
@@ -481,6 +505,20 @@ def test_adjoint_demo_rejects_non_finite_settings(tmp_path, capsys, flags, messa
     out = tmp_path / "x"
     assert cli.main(["adjoint-demo", *flags, "--out", str(out)]) == 2
     assert f"invalid demo settings: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adjoint_demo_refuses_an_overflowing_run_before_integrating(
+    tmp_path, capsys, monkeypatch
+):
+    # dopri5 crept along at its stability limit for seconds, then overflowed.
+    calls = []
+    monkeypatch.setattr(comln.oracles, "integrate", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x"
+    assert cli.main(["adjoint-demo", "--eigs", "1e5,1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid demo settings: largest eigenvalue x T = 500000 exceeds" in err
+    assert calls == []
     assert not out.exists()
 
 

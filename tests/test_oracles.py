@@ -11,7 +11,6 @@ from comln.embedding import init_embedding
 from comln.loss import (
     EmbeddedSet,
     LossConfig,
-    curvature_from_probs,
     inner_grad,
     outer_loss,
     outer_partials,
@@ -32,6 +31,7 @@ from comln.oracles import (
 from comln.solver import SolverConfig
 from comln.tasks import TaskGenConfig, sample_episode
 from comln.trainer import MetaParams
+from test_loss import negated_curvature
 
 LAM0 = LossConfig(lam=0.0)
 RTOL6 = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8)
@@ -128,7 +128,7 @@ def test_bptt_single_step_matches_dense_hessian_expansion():
     W1, _ = inner_grad(meta.W0, meta.W0, data, LAM0)
     W1 = meta.W0 - alpha * W1
     V, _ = outer_partials(W1, EmbeddedSet(episode.test.features, episode.test.labels))
-    A = -curvature_from_probs(
+    A = -negated_curvature(
         np.stack([softmax_probs(meta.W0, phi) for phi in data.features]) / data.count
     )
     nd = meta.W0.size

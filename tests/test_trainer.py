@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import comln.dynamics
 import comln.trainer
-from comln.embedding import init_embedding
-from comln.loss import EmbeddedSet, LossConfig
+from comln.embedding import embed_set, init_embedding
+from comln.loss import DimensionMismatchError, EmbeddedSet, LossConfig, outer_loss
 from comln.metagrad import task_metagrads
 from comln.solver import SolverConfig
 from comln.tasks import Episode, TaskGenConfig, sample_episode
@@ -117,6 +117,8 @@ def test_train_config_rejects_bad_values():
         TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
+    with pytest.raises(ValueError, match="eval_every"):
+        TrainConfig(eval_every=-5)
 
 
 @pytest.mark.parametrize(
@@ -463,6 +465,47 @@ def test_meta_test_agrees_with_tracked_evaluation():
     accuracy, loss = meta_test(meta, episode, LAM0, RK4)
     assert accuracy == bundle.test_accuracy
     assert loss == bundle.outer_loss
+
+
+def embed_adapt_score(meta, episode, cfg, solver):
+    """The reference: embed both splits, adapt one episode alone, untracked,
+    then take the argmax accuracy and the outer loss."""
+    phi_train, _ = embed_set(meta.phi_params, episode.train.features)
+    phi_test, _ = embed_set(meta.phi_params, episode.test.features)
+    W_T, _, _ = comln.dynamics.adapt(
+        meta.W0, phi_train, episode.train.labels, cfg, meta.T, solver, track=False
+    )
+    predictions = np.argmax(phi_test @ W_T.T, axis=1)
+    accuracy = float(np.mean(predictions == np.argmax(episode.test.labels, axis=1)))
+    return accuracy, outer_loss(W_T, EmbeddedSet(phi_test, episode.test.labels))
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8),
+        SolverConfig(method="euler", fixed_step=0.01),
+    ],
+    ids=["dopri5", "euler"],
+)
+def test_meta_test_equals_embed_adapt_score(solver):
+    base = default_meta_params(5, 16, seed=0, hidden_dims=(64, 32))
+    W0 = np.random.default_rng(5).normal(size=base.W0.shape) * 0.1
+    meta = MetaParams(W0, base.phi_params, math.log(20.0))
+    cfg = LossConfig(lam=0.5)
+    for i in range(4):
+        episode = sample_episode(TaskGenConfig(seed=6), i)
+        expected = embed_adapt_score(meta, episode, cfg, solver)
+        assert meta_test(meta, episode, cfg, solver) == expected
+
+
+def test_meta_test_raises_a_dimension_mismatch_itself():
+    episode = episode_batch(1)[0]
+    with pytest.raises(DimensionMismatchError, match="do not have input_dim 4"):
+        meta_test(default_meta_params(2, 4), episode, LAM0, EULER)
+    net = init_embedding([3], seed=0)
+    with pytest.raises(DimensionMismatchError, match="W0 has shape"):
+        meta_test(MetaParams(np.zeros((3, 3)), net, 0.0), episode, LAM0, EULER)
 
 
 # ---------------------------------------------------------------------------
