@@ -440,10 +440,11 @@ def adapt(
     must satisfy 0 < T <= ``t_cap``, a task holds at most ``DEFAULT_M_CAP``
     examples, and the augmented state must fit ``memory_budget`` bytes
     before anything is allocated.  The budget bounds the state, not the
-    integrator: dopri5 holds three state-sized vectors plus chunk scratch of
-    15 chunk-sized vectors (about 15 * ``solver.CHUNK_BYTES``), or one
-    matrix of 15 state-sized rows for an untracked state or one within a
-    chunk.
+    integrator: on a state of several chunks dopri5 holds two state-sized
+    vectors plus, for each thread that sweeps chunks, a matrix of 15
+    chunk-sized rows (about 15 * ``solver.CHUNK_BYTES``), and it takes seven
+    evaluations per step; an untracked state or one within a chunk takes one
+    matrix of 15 state-sized rows.
 
     With ``episodes`` = E, phi_train (E M, d) and labels (E M, N) hold the
     train splits of E tasks of M examples each, stacked row by row, which

@@ -14,12 +14,13 @@ returned for it, which has every view, scratch array and index it needs
 made in advance and writes the derivative into its stage buffer.
 
 Dormand-Prince has the first-same-as-last property: its seventh stage is
-the derivative at the new state, so an accepted step hands it to the next
-step as its first stage.  A dopri5 run therefore costs, for each episode
-of the state, one evaluation plus six per step, accepted or rejected, plus
-one per rejected step of a chunked state (see below).  Every stage input
-and the error estimate is a single matrix-vector product over a stage
-matrix whose rows are y and the seven stages.
+the derivative at the new state, so an accepted step may hand it to the
+next step as its first stage.  The episode rows use it, so a run costs
+each of their episodes one evaluation plus six per step, accepted or
+rejected.  A chunked state does not keep it and evaluates all seven
+stages at every step (see below).  Every stage input and the error
+estimate is a single matrix-vector product over a stage matrix whose rows
+are y and the seven stages.
 
 dopri5 starts with the step span/100 and scales the step after every
 trial by 0.9 err^(-1/5), kept within [0.2, 5].  Only after a first step
@@ -45,20 +46,26 @@ decides the path:
   The kernels are bound once per active set: after a step in which a row
   reaches t1, those of the block's ``take`` of the rows left are bound.
 - A larger episode state is integrated one episode at a time.  Each step
-  first takes all six stages of u, then, chunk by chunk of rows sized by
-  CHUNK_BYTES, all six stages of those rows while they stay in cache,
-  adding each chunk's share to the whole-vector error norm.  The state
-  then lives in three state-sized vectors: y, the candidate y_new and one
-  stage vector k.  k holds the first stage when a step starts; each chunk
-  copies its part into its stage matrix and, as the sweep leaves it,
-  writes its last stage there.  An accepted step swaps y and y_new by
-  reference and finds the next first stage in k.  A rejected step
-  evaluates the first stage at y again (Hairer, Norsett & Wanner, Solving
-  ODEs I, II.5: only the first-same-as-last stage can be recomputed); the
-  rhs is deterministic, so that stage is the one the trial overwrote, bit
-  for bit.  Each step reads y and k once and writes y_new and k once, and
-  every other pass runs over one chunk.  Each segment, the head alone and
-  each chunk of rows, is bound once per episode, as a batch of one.
+  first takes all seven stages of u, whose kernels write what the rows
+  read, then, chunk by chunk of rows sized by CHUNK_BYTES, all seven stages
+  of those rows while they stay in cache, each chunk in a 15-row matrix of
+  its own size; the chunk's first stage is evaluated at its part of y.  The
+  squared scaled errors of u and of the chunks are summed in segment order
+  into the whole-vector error norm.  The state then lives in two
+  state-sized vectors, y and the candidate y_new: each step reads y once
+  and writes y_new once, an accepted step swaps them by reference, and
+  every other pass runs over one chunk.  Evaluating the first stage anew,
+  as every step after a rejected one must (Hairer, Norsett & Wanner,
+  Solving ODEs I, II.5), gives bit for bit the stage first-same-as-last
+  would have handed on, since the rhs is deterministic; it costs one
+  evaluation per step and saves a third state-sized vector.  The chunks of
+  a step are cut into one contiguous group per thread, one thread for each
+  CPU this process may run on (os.sched_getaffinity) and at most one per
+  chunk: the calling thread sweeps the first group, a thread pool the
+  others, each group in its own chunk matrix and each thread with its BLAS
+  held to one thread.  Where numpy's OpenBLAS cannot be held so, one
+  thread sweeps them all.  Each segment, the head alone and each chunk of
+  rows, is bound once per episode, as a batch of one.
 
 euler and rk4 bind the whole state once per integration and step it in
 place, so every episode takes the same fixed steps.
@@ -74,16 +81,20 @@ and step counts a check at every evaluation would, and for a state of
 several episodes the episode row.  Every method turns a numpy warning
 made an error by a filter, which the arithmetic after a stage that turned
 non-finite raises, into the same NonFiniteStateError; a caller's
-np.errstate still rules inside the rhs.  All arithmetic is in float64 and
-fully deterministic: identical inputs produce bit-identical outputs and
-step statistics.
+np.errstate still rules inside the rhs, on every thread.  All arithmetic
+is in float64 and fully deterministic: identical inputs produce
+bit-identical outputs and step statistics, whatever the number of threads.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
@@ -149,6 +160,11 @@ class StepStats:
     holds each episode's own StepStats in order; every integrate() call
     fills it, with one entry for a single state.
 
+    ``rhs_evals`` counts every evaluation of an episode: a dopri5 step,
+    accepted or rejected, takes six after one at the start on the episode
+    rows and seven on a chunked state, and a fixed step one (euler) or four
+    (rk4).
+
     ``stiffness`` is the largest h rho over accepted dopri5 steps, with
     rho = |k_7 - k_6| / |y_7 - y_6| the Hairer-Wanner estimate of the
     dominant eigenvalue from the last two stages (Solving ODEs II, IV.2),
@@ -200,12 +216,12 @@ class TangentBlock:
     take: Callable[[List[int]], "TangentBlock"] | None = None
 
 
-# dopri5 forms all six stages of one chunk of tangent rows before the next,
-# in chunks whose state-sized vectors take about this many bytes (whole rows,
-# so up to one row more), so the chunk's fifteen stage and input vectors
-# stay in a core's L2 cache.  On a
-# Xeon with 2 MB of L2 per core, 96-256 KiB ran a 10w5s task equally fast
-# and 16 KiB about 1.9 times slower.
+# dopri5 forms all seven stages of one chunk of tangent rows before the
+# next, in chunks whose state-sized vectors take about this many bytes (whole
+# rows, so up to one row more), so the chunk's fifteen stage and input
+# vectors stay in the L2 cache of the core that sweeps it.  On a Xeon with
+# 2 MB of L2 per core, 96-256 KiB ran a 10w5s task equally fast and 16 KiB
+# about 1.9 times slower.
 CHUNK_BYTES = 1 << 17
 
 # Episode rows of at least this many entries share one np.matmul per stage
@@ -356,21 +372,58 @@ def _scale_error(err, ends, both, scale, diff, config: SolverConfig) -> None:
     err /= scale
 
 
-def _judge(stats: StepStats, h: float, err_sq, n: int, dk_sq, dy_sq):
+def _squares(values) -> Tuple[float, float]:
+    """The squared norm of ``values`` as (total, scale), the norm being
+    scale * sqrt(total).
+
+    The plain sum values.dot(values) with scale 1.0 where it is finite,
+    else, as BLAS dnrm2 scales (Blue, ACM TOMS 1978), the sum for
+    values / max|v| with that largest magnitude: the squares of a finite
+    state near the largest float overflow before the state does.  An
+    overflow that a filter or a caller's np.errstate makes an error is met
+    as one that only warns."""
+    try:
+        total = values.dot(values)
+    except (RuntimeWarning, FloatingPointError):
+        total = math.inf
+    if math.isfinite(total):
+        return total, 1.0
+    scale = float(np.abs(values).max())
+    # A NaN or Inf entry is judged as it is.
+    if not 0.0 < scale < math.inf:
+        return total, 1.0
+    with np.errstate(under="ignore"):
+        unit = values / scale
+    return unit.dot(unit), scale
+
+
+def _sum_squares(parts) -> Tuple[float, float]:
+    """The (total, scale) of ``_squares`` for a vector cut into pieces whose
+    own are ``parts``, summed in their order."""
+    scale = max(part_scale for _, part_scale in parts)
+    total = 0.0
+    for part, part_scale in parts:
+        total += part if part_scale == scale else part * (part_scale / scale) ** 2
+    return total, scale
+
+
+def _judge(stats: StepStats, h: float, err, n: int, dk, dy):
     """Count a dopri5 trial of step h in ``stats`` and choose the next step.
 
-    ``err_sq`` is the squared scaled error summed over the n entries of the
-    state, ``dk_sq`` and ``dy_sq`` the squares |k_6 - k_5|^2 and
-    |y_new - u_5|^2 of the stiffness estimate.  Returns whether the trial
-    was accepted, and the next step.
+    ``err`` is the squared scaled error over the n entries of the state,
+    ``dk`` and ``dy`` the squares |k_6 - k_5|^2 and |y_new - u_5|^2 of the
+    stiffness estimate, each as the (total, scale) of ``_squares``.
+    Returns whether the trial was accepted, and the next step.
     """
+    (err_sq, err_scale), (dk_sq, dk_scale), (dy_sq, dy_scale) = err, dk, dy
     # An empty state has no error; its steps grow until they reach t1.
-    err_norm = math.sqrt(err_sq / n) if n else 0.0
+    err_norm = err_scale * math.sqrt(err_sq / n) if n else 0.0
     accepted = err_norm <= 1.0
     if accepted:
         stats.accepted_steps += 1
         if dy_sq > 0.0:
-            stats.stiffness = max(stats.stiffness, h * math.sqrt(dk_sq / dy_sq))
+            rho = dk_scale / dy_scale * math.sqrt(dk_sq / dy_sq)
+            stats.stiffness = max(stats.stiffness, h * rho)
     else:
         stats.rejected_steps += 1
     # Holds once: right after a first step accepted without a rejection.
@@ -411,9 +464,10 @@ def integrate(
     or reversed times, for a derivative whose shape is not that of its
     state and for a block that does not fill y0, BudgetExceededError if the
     run would need more evaluations than ``config.max_evals`` for an
-    episode, checked before each step, and NonFiniteStateError if the
-    initial or any intermediate state is not finite, also where a warnings
-    filter makes numpy's warning of a non-finite stage an error.
+    episode, checked before each step for all its evaluations (seven for a
+    dopri5 step of a chunked state, see StepStats), and NonFiniteStateError
+    if the initial or any intermediate state is not finite, also where a
+    warnings filter makes numpy's warning of a non-finite stage an error.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 1:
@@ -616,7 +670,9 @@ def _run_rows(block, y0, t0, span, config):
             np.subtract(*differences)
             accepted, done = [], []
             for i, (taken, (row, scaled, e, dk, dy)) in enumerate(zip(h, judged)):
-                ok, step = _judge(row, taken, e.dot(e), size, dk.dot(dk), dy.dot(dy))
+                ok, step = _judge(
+                    row, taken, _squares(e), size, _squares(dk), _squares(dy)
+                )
                 if ok:
                     # A step clipped to span - t lands on t1, whatever t + h is.
                     t[i] = span if taken == span - t[i] else t[i] + taken
@@ -653,21 +709,24 @@ def _run_rows(block, y0, t0, span, config):
 
 def _run_chunked(block, states, t0, span, config):
     """dopri5 on each row of states in turn, its tangent block cut into
-    chunks of rows.  Returns y(t1) as a vector, and the StepStats."""
+    chunks of rows that ``_workers`` threads sweep.  Returns y(t1) as a
+    vector, and the StepStats."""
     episodes, n = states.shape
     head, (lanes, rows, width) = block.head, block.shape
     segments = _segments(head, lanes, rows, width, CHUNK_BYTES)
+    chunks = segments[1:]
+    # One contiguous group of chunks per thread, in segment order.
+    workers = _workers(len(chunks))
+    bounds = [len(chunks) * g // workers for g in range(workers + 1)]
     # Every segment works in a contiguous (15, size) matrix.  Its rows k
     # are y and the derivatives k_0..k_6; its rows u are free, then the
     # inputs of stages 1..6, the last of which is the candidate y_new.
-    # The head has its own matrix and the chunks of rows share one.  Zeros,
-    # so that a warning meets only values a step wrote.
+    # The head has its own matrix and the chunks of each group share one.
+    # Zeros, so that a warning meets only values a step wrote.
     own = np.zeros(15 * head)
-    shared = np.zeros(15 * max(segment.size for segment in segments[1:]))
-    # Each episode starts with y in its row of out.  One stage vector, fsal,
-    # holds the first stage when a step starts; each chunk, once it has
-    # copied its part, leaves its last stage there.
-    out, spare, fsal = np.empty_like(states), np.empty(n), np.empty(n)
+    largest = max(segment.size for segment in chunks)
+    shared = [np.zeros(15 * largest) for _ in range(workers)]
+    out, spare = np.empty_like(states), np.empty(n)
     weights = np.zeros((8, 8))
     weights[1:7, 0] = 1.0
     scaled = weights[:, 1:]
@@ -680,85 +739,173 @@ def _run_chunked(block, states, t0, span, config):
             return buffer[:head]
         return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
 
+    def bind(one, segment, buffer, heads):
+        # Row views and kernels made once per episode, not per step: the
+        # rows, the leading rows each stage input combines, and the kernels
+        # of the segment's stages, bound to (1, size) views.  A chunk of
+        # rows reads the head's stage inputs, and may use its row u_0, free
+        # until the error is formed, as scratch.
+        matrix = buffer[: 15 * segment.size].reshape(15, segment.size)
+        k, u = matrix[:8], matrix[8:]
+        inputs = [k[0:1], *u[1:, None]]
+        derivatives = list(k[1:, None])
+        kernels = one.bind(inputs, derivatives, segment.lo, segment.hi, u[0], heads)
+        leading = [k[: stage + 1] for stage in range(8)]
+        scaling = (matrix[0:15:14], k[2:4], k[2], k[3])
+        return segment, list(k), list(u), leading, scaling, kernels, inputs
+
+    def sweep(work, y, y_new):
+        # The seven stages of each segment of work in turn, while its rows
+        # stay in cache; returns the squares of their scaled errors.
+        squares = []
+        for segment, k, u, leading, scaling, kernels, _ in work:
+            shape = part(y, segment).shape
+            k[0].reshape(shape)[...] = part(y, segment)
+            kernels[0]()
+            for stage in range(1, 7):
+                stage_weights[stage].dot(leading[stage], u[stage])
+                kernels[stage]()
+            _check_finite(u[6][None])
+            # k_1 and k_2 are spent once the error is formed; they hold |y|
+            # and |y_new|, then the scale atol + rtol * max(|y|, |y_new|)
+            # and a difference.
+            err = u[0]
+            weights[7, 1:].dot(leading[7][1:], err)
+            _scale_error(err, *scaling, config)
+            squares.append(_squares(err))
+            part(y_new, segment)[...] = u[6].reshape(shape)
+        return squares
+
     def where(_):
         return t0 + t, counts, episode, episodes
 
     for episode, counts in enumerate(stats):
         one = block if episodes == 1 else block.take([episode])
-        work, heads = [], None
-        for segment in segments:
-            size = segment.size
-            matrix = (own if segment.head else shared)[: 15 * size].reshape(15, size)
-            k, u = matrix[:8], matrix[8:]
-            # Row views and kernels made once per episode, not per step: the
-            # rows, the leading rows each stage input combines, and the
-            # kernels of the segment's stages, bound to (1, size) views.  A
-            # chunk of rows reads the head's stage inputs, and may use its
-            # row u_0, free until the error is formed, as scratch.
-            inputs = [k[0:1], *u[1:, None]]
-            kernels = one.bind(
-                inputs, list(k[1:, None]), segment.lo, segment.hi, u[0], heads
-            )
-            heads = heads or inputs
-            leading = [k[: stage + 1] for stage in range(8)]
-            scaling = (matrix[0:15:14], k[2:4], k[2], k[3])
-            work.append((segment, list(k), list(u), leading, scaling, kernels))
+        first = bind(one, segments[0], own, None)
+        _, k, u, *_, heads = first
+        groups = [
+            [bind(one, segment, buffer, heads) for segment in chunks[lo:hi]]
+            for buffer, lo, hi in zip(shared, bounds, bounds[1:])
+        ]
         y, y_new = out[episode], spare
         y[...] = states[episode]
-        # Whether k must first take the first stage at y: at the start and
-        # after a rejected step, whose trial left its last stage there.
-        t, h, fresh = 0.0, _first_step(span), True
+        t, h = 0.0, _first_step(span)
         try:
             while t < span:
-                more = 7 if fresh else 6
-                counts.rhs_evals = _spend(config, counts.rhs_evals, more, where)
-                if fresh:
-                    for segment, k, _, _, _, kernels in work:
-                        shape = part(y, segment).shape
-                        k[0].reshape(shape)[...] = part(y, segment)
-                        kernels[0]()
-                        part(fsal, segment)[...] = k[1].reshape(shape)
+                counts.rhs_evals = _spend(config, counts.rhs_evals, 7, where)
                 clipped = h >= span - t
                 if clipped:
                     h = span - t
                 np.multiply(_DP_STAGE_WEIGHTS, h, out=scaled)
-                # The squared scaled error, summed over the whole state.
-                err_sq = 0.0
-                for segment, k, u, leading, scaling, kernels in work:
-                    shape = part(y, segment).shape
-                    k[0].reshape(shape)[...] = part(y, segment)
-                    k[1].reshape(shape)[...] = part(fsal, segment)
-                    for stage in range(1, 7):
-                        stage_weights[stage].dot(leading[stage], u[stage])
-                        kernels[stage]()
-                    _check_finite(u[6][None])
-                    # k_1 and k_2 are spent once the error is formed; they
-                    # hold |y| and |y_new|, then the scale atol + rtol *
-                    # max(|y|, |y_new|) and a difference.
-                    err, diff = u[0], k[3]
-                    weights[7, 1:].dot(leading[7][1:], err)
-                    _scale_error(err, *scaling, config)
-                    err_sq += err.dot(err)
-                    if segment.head:
-                        # The head's |k_6 - k_5|^2 and |y_new - u_5|^2 for
-                        # the stiffness estimate.
-                        np.subtract(k[7], k[6], out=diff)
-                        dk_sq = diff.dot(diff)
-                        np.subtract(u[6], u[5], out=diff)
-                        dy_sq = diff.dot(diff)
-                    part(y_new, segment)[...] = u[6].reshape(shape)
-                    part(fsal, segment)[...] = k[7].reshape(shape)
-                accepted, next_h = _judge(counts, h, err_sq, n, dk_sq, dy_sq)
+                # The head first: its kernels write what the rows read.
+                squares = sweep([first], y, y_new)
+                # The head's |k_6 - k_5|^2 and |y_new - u_5|^2 for the
+                # stiffness estimate.
+                diff = k[3]
+                dk = _squares(np.subtract(k[7], k[6], out=diff))
+                dy = _squares(np.subtract(u[6], u[5], out=diff))
+                # Every chunk on one BLAS thread, however many threads sweep:
+                # BLAS on several threads may round a product otherwise.
+                if workers == 1:
+                    squares += _one_blas_thread(sweep, groups[0], y, y_new)
+                else:
+                    squares += _in_parallel(sweep, groups, y, y_new)
+                # Summed in segment order, whatever the threads.
+                err = _sum_squares(squares)
+                accepted, next_h = _judge(counts, h, err, n, dk, dy)
                 if accepted:
                     y, y_new = y_new, y
                     t = span if clipped else t + h
-                h, fresh = next_h, not accepted
+                h = next_h
         except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
             message = "state became non-finite during a trial step"
-            raise _located(caught, message, where, (own[None], shared[None]))
+            matrices = [own[None]] + [buffer[None] for buffer in shared]
+            raise _located(caught, message, where, matrices)
         if y is spare:
             out[episode] = y
     return out.reshape(-1), _totals(stats)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_threads_local():
+    """OpenBLAS's openblas_set_num_threads_local(n) in the library bundled
+    with numpy, which sets the BLAS threads of the calling thread alone and
+    returns the count it had; None where numpy bundles no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+        return setter
+    return None
+
+
+def _workers(chunks: int) -> int:
+    """The threads that sweep the ``chunks`` chunks of a step: one per CPU
+    this process may run on, at most one per chunk, and one alone where
+    BLAS cannot be held to one thread in each or the CPUs are not known."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or _blas_threads_local() is None:
+        return 1
+    return min(len(affinity(0)), chunks)
+
+
+# The threads that sweep all groups of chunks but the first, made at the
+# first threaded sweep; a thread is added only while none is idle.  A child
+# forked after that has none of its threads, so it makes its own.
+_pool = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _one_blas_thread(sweep, *args):
+    """sweep(*args) with the calling thread's BLAS held to one thread where
+    it can be."""
+    setter = _blas_threads_local()
+    if setter is None:
+        return sweep(*args)
+    before = setter(1)
+    try:
+        return sweep(*args)
+    finally:
+        setter(before)
+
+
+def _in_parallel(sweep, groups, *args) -> list:
+    """sweep(group, *args) for every group, concatenated in group order: the
+    first on the calling thread, the others on the pool, each with one BLAS
+    thread and in a copy of the caller's context, so that its np.errstate
+    holds.  Returns once all are done; an error is raised then, the first
+    group's that has one."""
+    # Imported here: the episode rows, euler and rk4 never sweep on threads,
+    # and their runs do not pay for the import.
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(thread_name_prefix="comln-chunks")
+    futures = [
+        _pool.submit(
+            contextvars.copy_context().run, _one_blas_thread, sweep, group, *args
+        )
+        for group in groups[1:]
+    ]
+    try:
+        results = _one_blas_thread(sweep, groups[0], *args)
+    finally:
+        wait(futures)
+    for future in futures:
+        results += future.result()
+    return results
 
 
 class _Segment(NamedTuple):
@@ -774,7 +921,7 @@ def _segments(head, lanes, rows, width, chunk_bytes):
 
     A block whose rows fit ``chunk_bytes`` forms one segment with the head.
     A larger one is cut into near-equal chunks of whole rows, each after a
-    segment of the head alone, whose six stages come first.
+    segment of the head alone, whose seven stages come first.
     """
     row_bytes = 8 * lanes * width
     count = min(rows, -(-rows * row_bytes // chunk_bytes)) if row_bytes else 0

@@ -29,6 +29,7 @@ from comln.solver import (
 )
 from comln.tasks import TaskGenConfig, sample_episode
 from comln.trainer import MetaParams, TrainConfig, meta_train
+from test_solver import _sweep_with
 
 LAM = LossConfig(lam=0.5)
 CFG = SolverConfig()
@@ -284,17 +285,37 @@ class TestAdapt:
             assert_array_equal(state.X[e], one.X)
             assert stats.episodes[e] == alone.episodes[0]
 
-    def test_a_chunked_batch_names_the_episode_that_ran_out(self):
-        # Alone, episode 0 takes 37 evaluations and episode 1 takes 43.
+    def test_a_chunked_batch_names_the_episode_that_ran_out(self, monkeypatch):
+        # Alone, episode 0 takes 42 evaluations and episode 1 takes 49.
         episodes = pinned_episodes(count=2, shot=5)
-        cfg = SolverConfig(max_evals=37)
-        with pytest.raises(BudgetExceededError) as info:
-            adapt(W0, *stacked(episodes), LAM, 2.0, cfg, True, episodes=2)
-        assert info.value.episode == 1
-        assert str(info.value) == (
-            "rhs evaluation budget of 37 exhausted in episode 1 "
-            "at t=1.62246 after 6 accepted and 0 rejected steps"
-        )
+        cfg = SolverConfig(max_evals=42)
+        for workers in (1, 2):
+            _sweep_with(monkeypatch, workers)
+            with pytest.raises(BudgetExceededError) as info:
+                adapt(W0, *stacked(episodes), LAM, 2.0, cfg, True, episodes=2)
+            assert info.value.episode == 1
+            assert str(info.value) == (
+                "rhs evaluation budget of 42 exhausted in episode 1 "
+                "at t=1.62246 after 6 accepted and 0 rejected steps"
+            )
+
+    def test_a_chunked_batch_does_not_depend_on_the_threads(self, monkeypatch):
+        # Each 5w5s episode's chunks swept by one, two and three threads.
+        # OpenBLAS on two threads rounds some chunk products of these
+        # episodes unlike one thread, so every sweep, even a lone one, holds
+        # its BLAS to one thread.
+        episodes = pinned_episodes(count=2, shot=5, seed=5)
+        results = []
+        for workers in (1, 2, 3):
+            _sweep_with(monkeypatch, workers)
+            args = (LAM, 20.0, CFG, True)
+            results.append(adapt(W0, *stacked(episodes), *args, episodes=2))
+        (W1, one, stats), *others = results
+        for W_T, state, other in others:
+            assert_array_equal(W_T, W1)
+            assert_array_equal(state.s, one.s)
+            assert_array_equal(state.X, one.X)
+            assert other == stats
 
     @staticmethod
     def forcing_calls(monkeypatch):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -472,6 +473,21 @@ def test_adjoint_demo_blocks_share_the_time_grid(tmp_path, capsys):
     assert len(forward) == len(backward) == 26
     assert [r[1] for r in forward] == [r[1] for r in backward]
     assert forward[0][2:] == ["1.0", "1.0"]
+
+
+def test_adjoint_demo_recovers_a_start_near_the_largest_float(tmp_path, capsys):
+    # lambda T = 705 is under the 709.78 bound, so the backward run stays
+    # finite, but the squares of its state overflow: dopri5's norms raised
+    # RuntimeWarning with numpy's warnings made errors, and the recovery
+    # error read inf.
+    out = tmp_path / "adjoint.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["adjoint-demo", "--eigs", "141,1", "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    backward = float(lines[1].split()[-1])
+    assert 1e290 < backward < math.inf
 
 
 def test_adjoint_demo_near_zero_horizon_is_harmless(tmp_path, capsys):

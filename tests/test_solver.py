@@ -1,6 +1,9 @@
 """Tests for the ODE solver on one-dimensional float64 vectors."""
 
 import functools
+import math
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -30,6 +33,10 @@ def _state(values):
 
 def _decay(y):
     return -y
+
+
+def _decay_into(y, out):
+    np.negative(y, out=out)
 
 
 def _row_block(head, shape, rate, rows):
@@ -73,6 +80,13 @@ def _rhs_of(system):
         return out[0]
 
     return rhs
+
+
+def _sweep_with(monkeypatch, workers):
+    """Run the chunked dopri5 path as on a host whose affinity mask holds
+    ``workers`` CPUs: each step's chunks are then swept by that many threads,
+    at most one per chunk."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
 
 
 def _metagrad_10w5s_adapt_args():
@@ -352,6 +366,51 @@ class TestIntegrate:
             y, _ = integrate(np.zeros_like, np.full(3, 1e308), 0.0, 1.0, cfg)
         assert np.array_equal(y, np.full(3, 1e308))
 
+    @pytest.mark.parametrize("chunk_bytes", [None, 64])
+    def test_state_whose_squares_overflow_takes_the_steps_of_a_smaller_one(
+        self, monkeypatch, chunk_bytes
+    ):
+        # y' = -y from 2^1000 and from 2^500: a power of two scales every
+        # stage and error exactly, so both take the same steps.  The squares
+        # of the larger state's stiffness differences overflow; with
+        # numpy's warnings made errors that raised RuntimeWarning out of
+        # dopri5, and else the estimate read inf / inf.  With 64-byte
+        # chunks the state is the head and two chunks of rows.
+        rows = lambda u, X, lo, hi, out: _decay_into(X, out)
+        block = _row_block(1, (1, 8, 2), _decay_into, rows)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
+            assert len(comln.solver._segments(1, 1, 8, 2, chunk_bytes)) == 3
+        runs = []
+        for start in (2.0**1000, 2.0**500):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error", RuntimeWarning)
+                y0 = np.full(17, start)
+                runs.append(integrate(block, y0, 0.0, 1.0, SolverConfig()))
+        (y_big, big), (y_small, small) = runs
+        assert np.array_equal(y_big, y_small * 2.0**500)
+        assert (big.rhs_evals, big.accepted_steps, big.rejected_steps) == (
+            small.rhs_evals,
+            small.accepted_steps,
+            small.rejected_steps,
+        )
+        assert big.stiffness == pytest.approx(small.stiffness, rel=1e-14)
+
+    def test_squares_of_pieces_scale_only_where_they_overflow(self):
+        pieces = [np.array([3.0, -4.0]), np.array([1e200, 1e200]), np.array([0.5])]
+        # numpy warns of the overflow of the plain sum; made an error, it
+        # takes the same path.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            squares = [comln.solver._squares(piece) for piece in pieces]
+        # Finite sums are the plain ones, added in order.
+        assert squares[0] == (25.0, 1.0) and squares[2] == (0.25, 1.0)
+        assert comln.solver._sum_squares([squares[0], squares[2]]) == (25.25, 1.0)
+        total, scale = comln.solver._sum_squares(squares)
+        assert scale == 1e200
+        norm = math.hypot(*np.concatenate(pieces))
+        assert scale * math.sqrt(total) == pytest.approx(norm, rel=1e-15)
+
     @pytest.mark.parametrize(
         "cfg, expected",
         [
@@ -592,9 +651,9 @@ class TestTangentBlock:
         y, stats = integrate(block, y0, 0.0, 20.0, cfg)
         y_ref, accepted, rejected, _ = matrix_dopri5(_rhs_of(block), y0, 20.0, cfg)
         assert (stats.accepted_steps, stats.rejected_steps) == (accepted, rejected)
-        # A rejected step evaluates the first stage again, which its trial
-        # overwrote with the last one.  5w1s here takes 24 + 1 steps.
-        assert stats.rhs_evals == 1 + 6 * (accepted + rejected) + rejected
+        # Every chunked step, accepted or rejected, evaluates all seven
+        # stages, its first at y.  5w1s here takes 24 + 1 steps.
+        assert stats.rhs_evals == 7 * (accepted + rejected)
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
     def test_one_chunk_matches_the_matrix_loop_bit_for_bit(self, monkeypatch):
@@ -637,12 +696,12 @@ class TestTangentBlock:
         with pytest.raises(ValueError, match="does not fill"):
             integrate(block, np.append(y0, 0.0), 0.0, 1.0, SolverConfig())
 
-    def test_chunked_state_takes_three_state_vectors(self, monkeypatch):
+    def test_chunked_state_takes_two_state_vectors(self, monkeypatch):
         # The metagrad-10w5s state: 888,000 entries, M = 50 lanes of N = 10,
         # cut into the head and 55 chunks.  y0 is made before tracing
-        # starts, so the peak counts what integrate allocates: y, y_new and
-        # one stage vector, the chunks' shared 15-row matrix, and per-call
-        # temporaries.
+        # starts, so the peak counts what integrate allocates: y and y_new,
+        # one 15-row chunk matrix for each thread that sweeps chunks, and
+        # per-call temporaries.
         block, y0 = self.captured_block(monkeypatch, *_metagrad_10w5s_adapt_args())
         head, (lanes, rows, width) = block.head, block.shape
         segments = comln.solver._segments(
@@ -652,26 +711,29 @@ class TestTangentBlock:
         # CHUNK_BYTES: 132,000 bytes here.
         chunk = 8 * max(segment.size for segment in segments[1:])
         assert chunk <= comln.solver.CHUNK_BYTES + 8 * lanes * width
-        temporaries = (
-            15 * head * 8  # the head's own stage matrix
-            + 7 * lanes * width * width * 8  # -A_i of each of seven stages
-            + chunk  # a chunk's Gram product in the rows
-            + (1 << 20)  # row views and other bookkeeping, 0.3 MB measured
-        )
-        bound = 3 * y0.nbytes + 15 * chunk + temporaries
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            integrate(block, y0, 0.0, 2.0, SolverConfig())
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
+        for workers in (1, 2):
+            _sweep_with(monkeypatch, workers)
+            temporaries = (
+                15 * head * 8  # the head's own stage matrix
+                + 7 * lanes * width * width * 8  # -A_i of each of seven stages
+                + workers * chunk  # a chunk's Gram product in each thread
+                + (1 << 20)  # row views and other bookkeeping, 0.3 MB measured
+            )
+            bound = 2 * y0.nbytes + workers * 15 * chunk + temporaries
+            tracing = tracemalloc.is_tracing()
             if not tracing:
-                tracemalloc.stop()
-        # Measured 24.07 MB; a fourth state vector adds 7.1 MB.
-        assert peak <= bound
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                integrate(block, y0, 0.0, 2.0, SolverConfig())
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            # Measured 17.05 MB with one thread and 19.04 MB with two; a
+            # third state vector adds 7.1 MB.
+            assert peak <= bound
 
     def test_non_finite_rows_in_a_later_chunk_say_where(self, monkeypatch):
         # The head is a clock, t' = 1; every row decays, X' = -X, but the
@@ -689,25 +751,38 @@ class TestTangentBlock:
         y0 = np.concatenate(([0.0], np.ones(16)))
         # Stage inputs that combine infinities are NaN, and numpy warns of
         # them.  Made errors, those warnings raise from the stage products
-        # before the chunk's own check; the caller gets the same error.
-        for action in ("ignore", "error"):
-            with warnings.catch_warnings():
-                warnings.simplefilter(action, RuntimeWarning)
-                with pytest.raises(NonFiniteStateError) as info:
+        # before the chunk's own check; the caller gets the same error,
+        # whether the second chunk runs on the calling thread or another.
+        # A caller's np.errstate holds on both threads.
+        raised = set()
+        for workers in (1, 2):
+            _sweep_with(monkeypatch, workers)
+            for action in ("ignore", "error"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action, RuntimeWarning)
+                    with pytest.raises(NonFiniteStateError) as info:
+                        integrate(block, y0, 0.0, 1.0, SolverConfig())
+                assert str(info.value) == (
+                    "state became non-finite during a trial step "
+                    "at t=0.247614 after 2 accepted and 0 rejected steps"
+                )
+                assert info.value.episode is None
+            with np.errstate(all="raise"):
+                with pytest.raises(ArithmeticError) as info:
                     integrate(block, y0, 0.0, 1.0, SolverConfig())
-            assert str(info.value) == (
-                "state became non-finite during a trial step "
-                "at t=0.247614 after 2 accepted and 0 rejected steps"
-            )
-            assert info.value.episode is None
+            raised.add(type(info.value))
+        # One type on both threads: with numpy's OpenBLAS, FloatingPointError
+        # from the first stage product after the rows turned infinite.
+        assert len(raised) == 1
 
     @pytest.mark.parametrize(
         "max_evals, where",
         [
-            # Mid-run, in the sixth accepted step.
-            (40, "t=0.0385616 after 5"),
-            # The first trial, of 0.03, is rejected after 1 + 6 evaluations,
-            # so a budget of 7 runs out at the first stage evaluated again.
+            # Mid-run: six steps of seven evaluations each, the first of
+            # them rejected, and the seventh step would need 49.
+            (42, "t=0.0385616 after 5"),
+            # The first trial, of 0.03, is rejected after its seven
+            # evaluations, so a budget of 7 runs out before the second.
             (7, "t=0 after 0"),
         ],
     )
@@ -721,13 +796,36 @@ class TestTangentBlock:
         block = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
         monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
         y0 = np.concatenate(([0.0], np.ones(16)))
-        with pytest.raises(BudgetExceededError) as info:
-            integrate(block, y0, 0.0, 3.0, SolverConfig(max_evals=max_evals))
-        assert str(info.value) == (
-            f"rhs evaluation budget of {max_evals} exhausted "
-            f"at {where} accepted and 1 rejected steps"
-        )
-        assert info.value.episode is None
+        for workers in (1, 2):
+            _sweep_with(monkeypatch, workers)
+            with pytest.raises(BudgetExceededError) as info:
+                integrate(block, y0, 0.0, 3.0, SolverConfig(max_evals=max_evals))
+            assert str(info.value) == (
+                f"rhs evaluation budget of {max_evals} exhausted "
+                f"at {where} accepted and 1 rejected steps"
+            )
+            assert info.value.episode is None
+
+    def test_the_threads_do_not_change_the_result(self, monkeypatch):
+        # The metagrad-10w5s task, its 55 chunks swept by one, two and three
+        # threads: three are more than a 2-core host has, and a short
+        # switch interval hands the interpreter between them often.
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                _sweep_with(monkeypatch, workers)
+                results.append(adapt(*_metagrad_10w5s_adapt_args(), track=True))
+        finally:
+            sys.setswitchinterval(interval)
+        (W1, one, stats), *others = results
+        assert stats.rhs_evals == 7 * stats.accepted_steps
+        for W_T, state, other in others:
+            assert np.array_equal(W_T, W1)
+            assert np.array_equal(state.s, one.s)
+            assert np.array_equal(state.X, one.X)
+            assert other == stats
 
 
 class TestFirstStep:
@@ -800,7 +898,7 @@ class TestFirstStep:
         # accuracy limits it, about 0.8.  The bound of 5 took 5 steps.
         _, _, stats = adapt(*_metagrad_10w5s_adapt_args(), track=True)
         assert (stats.accepted_steps, stats.rejected_steps) == (4, 0)
-        assert stats.rhs_evals == 25
+        assert stats.rhs_evals == 28
 
 
 class TestStiffness:
