@@ -13,15 +13,6 @@ one row per episode, and at each stage calls the zero-argument kernel bind
 returned for it, which has every view, scratch array and index it needs
 made in advance and writes the derivative into its stage buffer.
 
-Dormand-Prince has the first-same-as-last property: its seventh stage is
-the derivative at the new state, so an accepted step may hand it to the
-next step as its first stage.  The episode rows use it, so a run costs
-each of their episodes one evaluation plus six per step, accepted or
-rejected.  A chunked state does not keep it and evaluates all seven
-stages at every step (see below).  Every stage input and the error
-estimate is a single matrix-vector product over a stage matrix whose rows
-are y and the seven stages.
-
 dopri5 starts with the step span/100 and scales the step after every
 trial by 0.9 err^(-1/5), kept within [0.2, 5].  Only after a first step
 accepted with no rejection before it may the step grow by up to 1e4, as
@@ -29,43 +20,43 @@ SUNDIALS allows (eta_max1): on a short horizon that start is far more
 accurate than asked, and the next step goes straight to the size accuracy
 permits instead of climbing there by factors of 5.
 
-dopri5 binds the rows of its stage matrix.  The size of one episode's state
-decides the path:
+dopri5 walks a state in segments: a state that fits one chunk of
+CHUNK_BYTES is one segment, a larger one the head u alone, whose kernels
+write what the rows read, then chunks of whole rows of X.  A step forms
+every stage of a segment, while its rows stay in cache, before the next.
+Each segment has a stage-major matrix (15, active episodes, size), so y,
+y_new, every stage and the error estimate of all episodes are each one
+contiguous array.  Every stage input and the error estimate is one product
+over the rows y, k_0..k_6 with per-episode weights, which rounds as np.dot
+on that episode alone.  Every episode keeps its own t, h, error norm,
+accept/reject decision, first-step growth, evaluation budget and
+stiffness, as an ODE solver under jax.vmap does in diffrax (Kidger, 2021),
+not one step for the whole batch: it takes the steps it would take alone,
+bit for bit.  The squared scaled errors of the segments are summed in
+segment order into the whole-vector norm, and the kernels are bound once
+per active set of episodes.
 
-- An episode state that fits one chunk of CHUNK_BYTES is one row of an
-  episode axis.  The stage matrix is stage-major, (15, episodes, size), so
-  y, y_new, every stage and the error estimate of all rows are each one
-  contiguous (episodes, size) array, and the error scaling's ufuncs run
-  on them.  Each stage input of all rows is one batched product with
-  per-row weights, which rounds as np.dot on that row alone, and the block
-  evaluates all rows in one call.  Every row keeps its own t, h,
-  error norm, accept/reject decision, first-step growth, evaluation budget
-  and stiffness, as an ODE solver under jax.vmap does in diffrax (Kidger,
-  2021), not one step for the whole batch: a row takes the steps it would
-  take alone, bit for bit, and a single episode is a batch of one row.
-  The kernels are bound once per active set: after a step in which a row
-  reaches t1, those of the block's ``take`` of the rows left are bound.
-- A larger episode state is integrated one episode at a time.  Each step
-  first takes all seven stages of u, whose kernels write what the rows
-  read, then, chunk by chunk of rows sized by CHUNK_BYTES, all seven stages
-  of those rows while they stay in cache, each chunk in a 15-row matrix of
-  its own size; the chunk's first stage is evaluated at its part of y.  The
-  squared scaled errors of u and of the chunks are summed in segment order
-  into the whole-vector error norm.  The state then lives in two
-  state-sized vectors, y and the candidate y_new: each step reads y once
-  and writes y_new once, an accepted step swaps them by reference, and
-  every other pass runs over one chunk.  Evaluating the first stage anew,
-  as every step after a rejected one must (Hairer, Norsett & Wanner,
-  Solving ODEs I, II.5), gives bit for bit the stage first-same-as-last
-  would have handed on, since the rhs is deterministic; it costs one
-  evaluation per step and saves a third state-sized vector.  The chunks of
-  a step are cut into one contiguous group per thread, one thread for each
-  CPU this process may run on (os.sched_getaffinity) and at most one per
-  chunk: the calling thread sweeps the first group, a thread pool the
-  others, each group in its own chunk matrix and each thread with its BLAS
-  held to one thread.  Where numpy's OpenBLAS cannot be held so, one
-  thread sweeps them all.  Each segment, the head alone and each chunk of
-  rows, is bound once per episode, as a batch of one.
+The segment count decides where y lives.  A state of one segment keeps y
+and k_0 of every episode in its matrix.  Dormand-Prince has the
+first-same-as-last property: its seventh stage is the derivative at the
+new state, so an accepted step hands it to the next step as its first,
+and an episode costs one evaluation plus six per step, accepted or
+rejected.  After a step in which an episode reaches t1, the kernels of the
+block's ``take`` of the episodes left are bound.  A state of several
+segments is integrated one episode at a time in two state-sized vectors,
+y and the candidate y_new: each step reads y once and writes y_new once,
+an accepted step swaps them by reference, and every other pass runs over
+one chunk.  Its first stage is evaluated anew at every step, as every step
+after a rejected one must (Hairer, Norsett & Wanner, Solving ODEs I,
+II.5); since the rhs is deterministic, that gives bit for bit the stage
+first-same-as-last would have handed on, and the seventh evaluation of
+each step saves a third state-sized vector.  The chunks of a step are cut
+into one contiguous group per thread, one thread for each CPU this
+process may run on (os.sched_getaffinity) and at most one per chunk: the
+calling thread sweeps the first group, a thread pool the others, each
+group in its own chunk matrix and each thread with its BLAS held to one
+thread.  Where numpy's OpenBLAS cannot be held so, one thread sweeps them
+all.
 
 euler and rk4 bind the whole state once per integration and step it in
 place, so every episode takes the same fixed steps.
@@ -161,9 +152,9 @@ class StepStats:
     fills it, with one entry for a single state.
 
     ``rhs_evals`` counts every evaluation of an episode: a dopri5 step,
-    accepted or rejected, takes six after one at the start on the episode
-    rows and seven on a chunked state, and a fixed step one (euler) or four
-    (rk4).
+    accepted or rejected, takes six after one at the start on a state of
+    one segment and seven on a chunked state, and a fixed step one (euler)
+    or four (rk4).
 
     ``stiffness`` is the largest h rho over accepted dopri5 steps, with
     rho = |k_7 - k_6| / |y_7 - y_6| the Hairer-Wanner estimate of the
@@ -495,9 +486,7 @@ def integrate(
     span = t1 - t0
     if span == 0.0:
         return y0.copy(), _totals([StepStats() for _ in range(episodes)])
-    run = _run_rows if config.method == "dopri5" else _run_fixed
-    if run is _run_rows and len(_segments(head, lanes, rows, width, CHUNK_BYTES)) > 1:
-        run = _run_chunked
+    run = _run_dopri5 if config.method == "dopri5" else _run_fixed
     return run(block, y0.reshape(episodes, size), t0, span, config)
 
 
@@ -567,171 +556,34 @@ def _run_fixed(block, states, t0, span, config):
     return y.reshape(-1), _totals([replace(stats) for _ in range(episodes)])
 
 
-def _run_rows(block, y0, t0, span, config):
-    """dopri5 on the rows of y0, one episode state each, every row in its own
-    steps.  Returns y(t1) as a vector, and the StepStats of the rows.
+def _run_dopri5(block, states, t0, span, config):
+    """dopri5 on the rows of states, one episode state each, every episode in
+    its own steps.  Returns y(t1) as a vector, and the StepStats of the rows.
     """
-    episodes, size = y0.shape
-    head, (_, rows, _) = block.head, block.shape
-    stats = [StepStats() for _ in range(episodes)]
-    out = np.empty_like(y0)
-    # The episode each active row integrates, its time, and its next step,
-    # clipped to land on t1: one entry per active row.
-    order = list(range(episodes))
-    t, h = [0.0] * episodes, [_first_step(span)] * episodes
-    evals = 1  # evaluations of every active row: they move in lockstep
-    # Stage-major: matrix[r] holds row r of the stage matrix of every active
-    # episode, contiguous.  Rows 0-7 are y and the derivatives k_0..k_6;
-    # rows 8-14 are free, then the inputs of stages 1..6, the last of which
-    # is the candidate y_new.  Zeros, so that a warning meets only values a
-    # step wrote.
-    matrix = np.zeros((15, episodes, size))
-    matrix[0] = y0
-
-    def arrange(matrix):
-        # The views, products and kernels over the active rows, made once
-        # per active set.  Product r forms row 8 + r of every episode: the
-        # error estimate for r = 0, the input of stage r after it.
-        active = matrix.shape[1]
-        weights = np.zeros((active, 8, 8))
-        # The weight of y in each stage input; each row's step scales the
-        # others.
-        weights[:, 1:7, 0] = 1.0
-        np.multiply(_DP_STAGE_WEIGHTS, np.reshape(h, (-1, 1, 1)), out=weights[:, :, 1:])
-        terms = [(7, 1, 8)] + [(s, 0, s + 1) for s in range(1, 7)]
-        if active > 1 and size >= _BATCHED_MIN_SIZE:
-            # One product for all episodes.
-            episode = matrix.swapaxes(0, 1)
-            products = [
-                [
-                    functools.partial(
-                        np.matmul,
-                        weights[:, w : w + 1, lo:hi],
-                        episode[:, lo:hi],
-                        out=episode[:, 8 + r : 9 + r],
-                    )
-                ]
-                for r, (w, lo, hi) in enumerate(terms)
-            ]
-        else:
-            # np.dot on each episode's rows, which for one row costs less
-            # per call than np.matmul.  As the method ndarray.dot, the same
-            # product, it skips the Python dispatch of the function np.dot.
-            products = [
-                [
-                    functools.partial(
-                        weights[e, w, lo:hi].dot, matrix[lo:hi, e], matrix[8 + r, e]
-                    )
-                    for e in range(active)
-                ]
-                for r, (w, lo, hi) in enumerate(terms)
-            ]
-        # Each stage's input and derivative rows, (active, size) arrays.  Row
-        # 8, the error estimate, is written only after the last stage, so the
-        # kernels may use it as scratch.
-        inputs, derivatives = [matrix[0], *matrix[9:]], list(matrix[1:8])
-        kernels = block.bind(inputs, derivatives, 0, rows, matrix[8].reshape(-1), None)
-        # k_1 and k_2 are spent once the error is formed.  They hold |y|
-        # and |y_new|, then the scale atol + rtol * max(|y|, |y_new|), then
-        # in their head parts k_6 - k_5 and y_new - u_5 for the stiffness.
-        # An accepted step copies y_new and k_6, rows 14 and 7, to y and
-        # k_0, rows 0 and 1.
-        ends, starts = matrix[7:15:7, :, :head], matrix[6:14:7, :, :head]
-        differences = (ends, starts, matrix[2:4, :, :head])
-        scaling = (matrix[0:15:14], matrix[2:4], matrix[2], matrix[3])
-        # Each row's StepStats, its weights that a step scales, and the
-        # views whose squares it is judged by: its error and two differences.
-        views = (matrix[8], matrix[2, :, :head], matrix[3, :, :head])
-        row_stats = [stats[episode] for episode in order]
-        judged = list(zip(row_stats, weights[:, :, 1:], *views))
-        firsts, lasts = matrix[0:2], matrix[14:0:-7]
-        used = (matrix[14], matrix[8], scaling, differences, firsts, lasts)
-        return products, kernels, judged, used
-
-    products, kernels, judged, used = arrange(matrix)
-
-    def where(i):
-        return t0 + t[i], stats[order[i]], order[i], episodes
-
-    try:
-        # The first stage, which every budget allows.
-        kernels[0]()
-        while True:
-            evals = _spend(config, evals, 6, where)
-            for stage in range(1, 7):
-                for product in products[stage]:
-                    product()
-                kernels[stage]()
-            y_new, err, scaling, differences, firsts, lasts = used
-            _check_finite(y_new)
-            for product in products[0]:
-                product()
-            _scale_error(err, *scaling, config)
-            np.subtract(*differences)
-            accepted, done = [], []
-            for i, (taken, (row, scaled, e, dk, dy)) in enumerate(zip(h, judged)):
-                ok, step = _judge(
-                    row, taken, _squares(e), size, _squares(dk), _squares(dy)
-                )
-                if ok:
-                    # A step clipped to span - t lands on t1, whatever t + h is.
-                    t[i] = span if taken == span - t[i] else t[i] + taken
-                    accepted.append(i)
-                    if not t[i] < span:
-                        done.append(i)
-                # The next step, clipped to land on t1, scales the weights.
-                h[i] = min(step, span - t[i])
-                np.multiply(_DP_STAGE_WEIGHTS, h[i], out=scaled)
-            if len(accepted) == len(order):
-                firsts[...] = lasts
-            elif accepted:
-                matrix[0:2, accepted] = matrix[14:0:-7, accepted]
-            if not done:
-                continue
-            # The episodes of the rows that reached t1 are done, and the
-            # rows left form the next active set.
-            for i in done:
-                out[order[i]] = matrix[0, i]
-                stats[order[i]].rhs_evals = evals
-            keep = [i for i, now in enumerate(t) if now < span]
-            if not keep:
-                return out.reshape(-1), _totals(stats)
-            # Kernels for the episodes left alone.  take copies their rows
-            # C-ordered, as bind needs; matrix[:, keep] would leave each
-            # stage row strided.
-            matrix, block = matrix.take(keep, axis=1), block.take(keep)
-            order, t, h = ([values[i] for i in keep] for values in (order, t, h))
-            products, kernels, judged, used = arrange(matrix)
-    except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
-        message = "state became non-finite during a trial step"
-        raise _located(caught, message, where, (matrix,))
-
-
-def _run_chunked(block, states, t0, span, config):
-    """dopri5 on each row of states in turn, its tangent block cut into
-    chunks of rows that ``_workers`` threads sweep.  Returns y(t1) as a
-    vector, and the StepStats."""
-    episodes, n = states.shape
+    episodes, size = states.shape
     head, (lanes, rows, width) = block.head, block.shape
     segments = _segments(head, lanes, rows, width, CHUNK_BYTES)
     chunks = segments[1:]
+    # One segment keeps y and k_0 of every episode in its stage matrix;
+    # several hold one episode at a time in y and y_new.
+    fsal = not chunks
+    batches = [list(range(episodes))] if fsal else [[e] for e in range(episodes)]
     # One contiguous group of chunks per thread, in segment order.
-    workers = _workers(len(chunks))
-    bounds = [len(chunks) * g // workers for g in range(workers + 1)]
-    # Every segment works in a contiguous (15, size) matrix.  Its rows k
-    # are y and the derivatives k_0..k_6; its rows u are free, then the
-    # inputs of stages 1..6, the last of which is the candidate y_new.
-    # The head has its own matrix and the chunks of each group share one.
+    workers = _workers(len(chunks)) if chunks else 0
+    bounds = [len(chunks) * g // max(workers, 1) for g in range(workers + 1)]
+    # Stage-major: matrix[r] holds row r of a segment of every active
+    # episode, contiguous.  Rows 0-7 are y and the derivatives k_0..k_6;
+    # rows 8-14 are free, then the inputs of stages 1..6, the last of which
+    # is the candidate y_new.  The chunks of a group share one matrix.
     # Zeros, so that a warning meets only values a step wrote.
-    own = np.zeros(15 * head)
-    largest = max(segment.size for segment in chunks)
-    shared = [np.zeros(15 * largest) for _ in range(workers)]
-    out, spare = np.empty_like(states), np.empty(n)
-    weights = np.zeros((8, 8))
-    weights[1:7, 0] = 1.0
-    scaled = weights[:, 1:]
-    stage_weights = [weights[stage, : stage + 1] for stage in range(7)]
+    matrices = [np.zeros((15, len(batches[0]), segments[0].size))]
+    largest = max((segment.size for segment in chunks), default=0)
+    for lo, hi in zip(bounds, bounds[1:]):
+        shared = np.zeros(15 * largest)
+        for chunk in chunks[lo:hi]:
+            matrices.append(shared[: 15 * chunk.size].reshape(15, 1, chunk.size))
     stats = [StepStats() for _ in range(episodes)]
+    out, spare = np.empty_like(states), np.empty(size if chunks else 0)
 
     def part(buffer, segment):
         # Where a segment sits in a state-sized vector.
@@ -739,90 +591,172 @@ def _run_chunked(block, states, t0, span, config):
             return buffer[:head]
         return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
 
-    def bind(one, segment, buffer, heads):
-        # Row views and kernels made once per episode, not per step: the
-        # rows, the leading rows each stage input combines, and the kernels
-        # of the segment's stages, bound to (1, size) views.  A chunk of
-        # rows reads the head's stage inputs, and may use its row u_0, free
-        # until the error is formed, as scratch.
-        matrix = buffer[: 15 * segment.size].reshape(15, segment.size)
-        k, u = matrix[:8], matrix[8:]
-        inputs = [k[0:1], *u[1:, None]]
-        derivatives = list(k[1:, None])
-        kernels = one.bind(inputs, derivatives, segment.lo, segment.hi, u[0], heads)
-        leading = [k[: stage + 1] for stage in range(8)]
-        scaling = (matrix[0:15:14], k[2:4], k[2], k[3])
-        return segment, list(k), list(u), leading, scaling, kernels, inputs
+    def arrange(active, matrices):
+        # The views, products and kernels over the active rows, made once
+        # per active set.  Product r forms row 8 + r of every episode: the
+        # error estimate for r = 0, the input of stage r after it.
+        count = matrices[0].shape[1]
+        weights = np.zeros((count, 8, 8))
+        # The weight of y in each stage input; each row's step scales the
+        # others.
+        weights[:, 1:7, 0] = 1.0
+        np.multiply(_DP_STAGE_WEIGHTS, np.reshape(h, (-1, 1, 1)), out=weights[:, :, 1:])
+        terms = [(7, 1, 8)] + [(s, 0, s + 1) for s in range(1, 7)]
+        work, heads = [], None
+        for segment, matrix in zip(segments, matrices):
+            if count > 1 and segment.size >= _BATCHED_MIN_SIZE:
+                # One product for all episodes.
+                episode = matrix.swapaxes(0, 1)
+                products = [
+                    [
+                        functools.partial(
+                            np.matmul,
+                            weights[:, w : w + 1, lo:hi],
+                            episode[:, lo:hi],
+                            out=episode[:, 8 + r : 9 + r],
+                        )
+                    ]
+                    for r, (w, lo, hi) in enumerate(terms)
+                ]
+            else:
+                # np.dot on each episode's rows, which for one row costs less
+                # per call than np.matmul.  As the method ndarray.dot, the
+                # same product, it skips the Python dispatch of np.dot.
+                products = [
+                    [
+                        functools.partial(
+                            weights[e, w, lo:hi].dot, matrix[lo:hi, e], matrix[8 + r, e]
+                        )
+                        for e in range(count)
+                    ]
+                    for r, (w, lo, hi) in enumerate(terms)
+                ]
+            # Each stage's input and derivative rows, (active, size) arrays.
+            # Row 8, the error estimate, is written only after the last
+            # stage, so the kernels may use it as scratch.  A chunk of rows
+            # reads the stage inputs of the head.
+            inputs, scratch = [matrix[0], *matrix[9:]], matrix[8].reshape(-1)
+            lo, hi = segment.lo, segment.hi
+            kernels = active.bind(inputs, list(matrix[1:8]), lo, hi, scratch, heads)
+            heads = inputs if segment.head else heads
+            # k_1 and k_2 are spent once the error is formed.  They hold |y|
+            # and |y_new|, then the scale atol + rtol * max(|y|, |y_new|).
+            scaling = (matrix[8], matrix[0:15:14], matrix[2:4], matrix[2], matrix[3])
+            y_rows = (matrix[0], matrix[14])
+            work.append((segment, products, kernels, y_rows, scaling, list(matrix[8])))
+        # After every sweep, the head parts of k_1 and k_2 in the first
+        # segment take k_6 - k_5 and y_new - u_5 for the stiffness.  An
+        # accepted step on one segment copies y_new and k_6, rows 14 and 7,
+        # to y and k_0, rows 0 and 1.
+        first = matrices[0]
+        ends, starts = first[7:15:7, :, :head], first[6:14:7, :, :head]
+        differences = (ends, starts, first[2:4, :, :head])
+        # Each row's StepStats, its weights that a step scales, and the two
+        # differences whose squares it is judged by, besides its error.
+        views = (weights[:, :, 1:], first[2, :, :head], first[3, :, :head])
+        judged = list(zip([stats[episode] for episode in order], *views))
+        groups = [work[1 + lo : 1 + hi] for lo, hi in zip(bounds, bounds[1:])]
+        return work[:1], groups, differences, judged, (first[0:2], first[14:0:-7])
 
     def sweep(work, y, y_new):
-        # The seven stages of each segment of work in turn, while its rows
-        # stay in cache; returns the squares of their scaled errors.
+        # All stages of each segment of work in turn, while its rows stay in
+        # cache; returns the squares of each row's scaled error.
         squares = []
-        for segment, k, u, leading, scaling, kernels, _ in work:
-            shape = part(y, segment).shape
-            k[0].reshape(shape)[...] = part(y, segment)
-            kernels[0]()
+        for segment, products, kernels, (start, last), scaling, errors in work:
+            if y is not None:
+                # The segment's part of y, whose first stage is evaluated anew.
+                shape = part(y, segment).shape
+                start.reshape(shape)[...] = part(y, segment)
+                kernels[0]()
             for stage in range(1, 7):
-                stage_weights[stage].dot(leading[stage], u[stage])
+                for product in products[stage]:
+                    product()
                 kernels[stage]()
-            _check_finite(u[6][None])
-            # k_1 and k_2 are spent once the error is formed; they hold |y|
-            # and |y_new|, then the scale atol + rtol * max(|y|, |y_new|)
-            # and a difference.
-            err = u[0]
-            weights[7, 1:].dot(leading[7][1:], err)
-            _scale_error(err, *scaling, config)
-            squares.append(_squares(err))
-            part(y_new, segment)[...] = u[6].reshape(shape)
+            _check_finite(last)
+            for product in products[0]:
+                product()
+            _scale_error(*scaling, config)
+            squares += map(_squares, errors)
+            if y is not None:
+                part(y_new, segment)[...] = last.reshape(shape)
         return squares
 
-    def where(_):
-        return t0 + t, counts, episode, episodes
+    def where(i):
+        return t0 + t[i], stats[order[i]], order[i], episodes
 
-    for episode, counts in enumerate(stats):
-        one = block if episodes == 1 else block.take([episode])
-        first = bind(one, segments[0], own, None)
-        _, k, u, *_, heads = first
-        groups = [
-            [bind(one, segment, buffer, heads) for segment in chunks[lo:hi]]
-            for buffer, lo, hi in zip(shared, bounds, bounds[1:])
-        ]
-        y, y_new = out[episode], spare
-        y[...] = states[episode]
-        t, h = 0.0, _first_step(span)
-        try:
-            while t < span:
-                counts.rhs_evals = _spend(config, counts.rhs_evals, 7, where)
-                clipped = h >= span - t
-                if clipped:
-                    h = span - t
-                np.multiply(_DP_STAGE_WEIGHTS, h, out=scaled)
-                # The head first: its kernels write what the rows read.
-                squares = sweep([first], y, y_new)
-                # The head's |k_6 - k_5|^2 and |y_new - u_5|^2 for the
-                # stiffness estimate.
-                diff = k[3]
-                dk = _squares(np.subtract(k[7], k[6], out=diff))
-                dy = _squares(np.subtract(u[6], u[5], out=diff))
-                # Every chunk on one BLAS thread, however many threads sweep:
-                # BLAS on several threads may round a product otherwise.
-                if workers == 1:
-                    squares += _one_blas_thread(sweep, groups[0], y, y_new)
-                else:
+    try:
+        for order in batches:
+            active = block if len(order) == episodes else block.take(order)
+            # The time of each active row, and its next step, clipped to land
+            # on t1.
+            t, h = [0.0] * len(order), [_first_step(span)] * len(order)
+            lead, groups, differences, judged, fsal_rows = arrange(active, matrices)
+            # evals counts the evaluations of every active row: they move in
+            # lockstep.  One segment evaluates its first stage, which every
+            # budget allows, once: its kernels are lead[0][2].
+            if fsal:
+                y = y_new = None
+                matrices[0][0] = states
+                lead[0][2][0]()
+                evals = 1
+            else:
+                y, y_new, evals = out[order[0]], spare, 0
+                y[...] = states[order[0]]
+            while True:
+                evals = _spend(config, evals, 6 if fsal else 7, where)
+                squares = sweep(lead, y, y_new)
+                if groups:
+                    # Every chunk on one BLAS thread, however many threads
+                    # sweep: BLAS on several threads may round a product
+                    # otherwise.
                     squares += _in_parallel(sweep, groups, y, y_new)
-                # Summed in segment order, whatever the threads.
-                err = _sum_squares(squares)
-                accepted, next_h = _judge(counts, h, err, n, dk, dy)
-                if accepted:
-                    y, y_new = y_new, y
-                    t = span if clipped else t + h
-                h = next_h
-        except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
-            message = "state became non-finite during a trial step"
-            matrices = [own[None]] + [buffer[None] for buffer in shared]
-            raise _located(caught, message, where, matrices)
-        if y is spare:
-            out[episode] = y
+                # The squares of several segments are summed in segment
+                # order, whatever the threads.
+                errors = squares if fsal else [_sum_squares(squares)]
+                np.subtract(*differences)
+                accepted, done = [], []
+                for i, (taken, err, (row, scaled, dk, dy)) in enumerate(
+                    zip(h, errors, judged)
+                ):
+                    ok, step = _judge(row, taken, err, size, _squares(dk), _squares(dy))
+                    if ok:
+                        # A step clipped to span - t lands on t1, whatever t + h is.
+                        t[i] = span if taken == span - t[i] else t[i] + taken
+                        accepted.append(i)
+                        if not t[i] < span:
+                            done.append(i)
+                    # The next step, clipped to land on t1, scales the weights.
+                    h[i] = min(step, span - t[i])
+                    np.multiply(_DP_STAGE_WEIGHTS, h[i], out=scaled)
+                if not fsal:
+                    if accepted:
+                        y, y_new = y_new, y
+                elif len(accepted) == len(order):
+                    fsal_rows[0][...] = fsal_rows[1]
+                elif accepted:
+                    matrices[0][0:2, accepted] = matrices[0][14:0:-7, accepted]
+                if not done:
+                    continue
+                # The episodes of the rows that reached t1 are done, and the
+                # rows left form the next active set.
+                for i in done:
+                    stats[order[i]].rhs_evals = evals
+                    if fsal:
+                        out[order[i]] = matrices[0][0, i]
+                    elif y is spare:
+                        out[order[i]] = y
+                keep = [i for i, now in enumerate(t) if now < span]
+                if not keep:
+                    break
+                # Kernels for the episodes left alone.  take copies their rows
+                # C-ordered, as bind needs; matrix[:, keep] would leave each
+                # stage row strided.
+                matrices, active = [matrices[0].take(keep, axis=1)], active.take(keep)
+                order, t, h = ([values[i] for i in keep] for values in (order, t, h))
+                lead, groups, differences, judged, fsal_rows = arrange(active, matrices)
+    except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
+        message = "state became non-finite during a trial step"
+        raise _located(caught, message, where, matrices)
     return out.reshape(-1), _totals(stats)
 
 
@@ -884,10 +818,11 @@ def _in_parallel(sweep, groups, *args) -> list:
     """sweep(group, *args) for every group, concatenated in group order: the
     first on the calling thread, the others on the pool, each with one BLAS
     thread and in a copy of the caller's context, so that its np.errstate
-    holds.  Returns once all are done; an error is raised then, the first
-    group's that has one."""
-    # Imported here: the episode rows, euler and rk4 never sweep on threads,
-    # and their runs do not pay for the import.
+    holds; a lone group makes no pool.  Returns once all are done; an error
+    is raised then, the first group's that has one."""
+    if len(groups) == 1:
+        return _one_blas_thread(sweep, groups[0], *args)
+    # Imported here: work that needs no thread does not pay for the import.
     from concurrent.futures import ThreadPoolExecutor, wait
 
     global _pool

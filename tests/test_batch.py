@@ -29,7 +29,7 @@ from comln.solver import (
 )
 from comln.tasks import TaskGenConfig, sample_episode
 from comln.trainer import MetaParams, TrainConfig, meta_train
-from test_solver import _sweep_with
+from test_solver import _row_block, _sweep_with
 
 LAM = LossConfig(lam=0.5)
 CFG = SolverConfig()
@@ -61,6 +61,23 @@ def clock_block(episodes, field):
         return TangentBlock(2, (0, 0, 0), bind, len(ids), take)
 
     return block(list(episodes))
+
+
+def chunked_clock_block(episodes, rows):
+    """A batch of states (c, X), c' = 1 and X of shape (1, 8, 2) with
+    X' = rows(e, c, X, lo, hi, out) on rows lo:hi for episode e.
+
+    Only a block of one episode binds, as a chunked state is integrated
+    one episode at a time; ``take`` keeps the episode numbers.
+    """
+    ids = list(episodes)
+    rate = lambda u, out: out.fill(1.0)
+    one = _row_block(1, (1, 8, 2), rate, functools.partial(rows, ids[0]))
+
+    def take(index):
+        return chunked_clock_block([ids[i] for i in index], rows)
+
+    return dataclasses.replace(one, episodes=len(ids), take=take)
 
 
 def decay(rates):
@@ -157,6 +174,35 @@ class TestRows:
         assert str(info.value) == (
             f"state became non-finite {where} accepted and 0 rejected steps"
         )
+
+    def test_a_chunked_batch_names_the_episode_that_turned_non_finite(
+        self, monkeypatch
+    ):
+        # Every row decays, X' = -X, but episode 1's rows of the second chunk
+        # turn infinite once its clock reaches 0.3.  Episode 0 reaches t1;
+        # episode 1 fails in the trial step whose stage inputs pass 0.3,
+        # whether the second chunk runs on the calling thread or another.
+        def rows(e, c, X, lo, hi, out):
+            np.negative(X, out=out)
+            if e == 1 and lo > 0 and c[0] >= 0.3:
+                out[...] = np.inf
+
+        monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
+        assert len(comln.solver._segments(1, 1, 8, 2, 64)) == 3
+        block = chunked_clock_block(range(2), rows)
+        y0 = np.tile(np.concatenate(([0.0], np.ones(16))), 2)
+        for workers in (1, 2):
+            _sweep_with(monkeypatch, workers)
+            for action in ("ignore", "error"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action, RuntimeWarning)
+                    with pytest.raises(NonFiniteStateError) as info:
+                        integrate(block, y0, 0.0, 1.0, CFG)
+                assert info.value.episode == 1
+                assert str(info.value) == (
+                    "state became non-finite during a trial step in episode 1 "
+                    "at t=0.247614 after 2 accepted and 0 rejected steps"
+                )
 
     def test_fixed_step_budget_error_names_episode_0(self):
         # Every episode takes the same steps, so the first one names it.

@@ -4,6 +4,7 @@ import functools
 import math
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -826,6 +827,39 @@ class TestTangentBlock:
             assert np.array_equal(state.s, one.s)
             assert np.array_equal(state.X, one.X)
             assert other == stats
+
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(),
+            SolverConfig(method="euler", fixed_step=0.05),
+            SolverConfig(method="rk4", fixed_step=0.1),
+        ],
+        ids=["dopri5", "euler", "rk4"],
+    )
+    def test_work_that_needs_no_thread_starts_none(self, monkeypatch, cfg):
+        # A tracked batch of four 5w1s episodes, each one segment, and a
+        # chunked state on a host of one CPU, swept by the calling thread
+        # alone: neither makes the pool nor starts a thread.
+        monkeypatch.setattr(comln.solver, "_pool", None)
+        _sweep_with(monkeypatch, 1)
+        task = TaskGenConfig(way=5, shot=1, seed=5)
+        episodes = [sample_episode(task, i) for i in range(4)]
+        features = np.concatenate([e.train.features for e in episodes])
+        labels = np.concatenate([e.train.labels for e in episodes])
+        W0 = np.random.default_rng(5).normal(size=(5, 16)) * 0.1
+        rows = lambda u, X, lo, hi, out: np.negative(X, out=out)
+        block = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
+        threads = threading.active_count()
+        adapt(W0, features, labels, LossConfig(lam=0.5), 2.0, cfg, True, episodes=4)
+        assert comln.solver._pool is None
+        assert threading.active_count() == threads
+        monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
+        assert len(comln.solver._segments(1, 1, 8, 2, 64)) == 3
+        integrate(block, np.concatenate(([0.0], np.ones(16))), 0.0, 1.0, cfg)
+        assert comln.solver._pool is None
+        assert threading.active_count() == threads
 
 
 class TestFirstStep:
