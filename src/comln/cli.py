@@ -23,7 +23,11 @@ LossConfig, SolverConfig, and TrainConfig; ``train.lam`` and
 are therefore not accepted inside ``train``.  Unknown sections or keys
 are rejected.  Any value can be overridden on the command line with
 ``--set section.key=value`` (the value is parsed as JSON when possible,
-else taken as a string).
+else taken as a string).  ``train``, ``grad-check`` and ``gen-tasks`` read
+their settings through ``read_settings`` alone: the command's defaults,
+then the file, then every ``--set`` in order, then ``train --iterations``,
+which so wins over ``--set train.iterations``.  Only the sections that a
+command reads are built, in the order above.
 
 Exit codes: 0 on success, 1 when a check fails or training aborts, 2 on
 usage errors such as a missing config file or an unknown key.
@@ -82,8 +86,7 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_SECTIONS = ("tasks", "loss", "solver", "train")
-_SECTION_TYPES = {
+_SECTIONS = {
     "tasks": TaskGenConfig,
     "loss": LossConfig,
     "solver": SolverConfig,
@@ -95,7 +98,7 @@ _TRAIN_EXCLUDED = ("lam", "solver")
 
 
 def _section_keys(section: str) -> Tuple[str, ...]:
-    names = tuple(f.name for f in dataclasses.fields(_SECTION_TYPES[section]))
+    names = tuple(f.name for f in dataclasses.fields(_SECTIONS[section]))
     if section == "train":
         names = tuple(n for n in names if n not in _TRAIN_EXCLUDED)
     return names
@@ -146,38 +149,29 @@ def apply_overrides(config: Dict[str, dict], pairs: Sequence[str]) -> None:
         config[section][key] = parsed
 
 
-def build_configs(
-    config: Dict[str, dict], default_checkpoint: Optional[str] = None
-) -> Tuple[TaskGenConfig, LossConfig, SolverConfig, TrainConfig]:
-    """Instantiate the four config objects, surfacing bad values as usage errors."""
+def read_settings(args, defaults: Dict[str, dict], after: Sequence[str] = ()) -> list:
+    """The sections that ``defaults`` names, built in file order, each over
+    its ``defaults``: the --config file, then every --set in order, then the
+    section.key=value pairs of ``after``.  The first bad value is a UsageError."""
+    config = load_config_file(args.config)
+    apply_overrides(config, [*args.set, *after])
+    built: Dict[str, object] = {}
     try:
-        tasks = TaskGenConfig(**config["tasks"])
-        loss = LossConfig(**config["loss"])
-        solver = SolverConfig(**config["solver"])
-        train_kwargs = dict(config["train"])
-        if train_kwargs.get("checkpoint_path") is None:
-            train_kwargs["checkpoint_path"] = default_checkpoint
-        train = TrainConfig(**train_kwargs, lam=loss.lam, solver=solver)
+        for section in (name for name in _SECTIONS if name in defaults):
+            values = {**defaults[section], **config[section]}
+            if section == "train":
+                values.update(lam=built["loss"].lam, solver=built["solver"])
+            built[section] = _SECTIONS[section](**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}")
-    return tasks, loss, solver, train
+    return list(built.values())
 
 
-def resolved_config_dict(
-    tasks: TaskGenConfig,
-    loss: LossConfig,
-    solver: SolverConfig,
-    train: TrainConfig,
-) -> Dict[str, dict]:
-    """Full final settings, shaped so the result is itself a valid config."""
-    train_dict = dataclasses.asdict(train)
-    for name in _TRAIN_EXCLUDED:
-        train_dict.pop(name)
+def resolved_config_dict(*settings) -> Dict[str, dict]:
+    """The final settings of all four sections, in file order, as a valid config."""
     return {
-        "tasks": dataclasses.asdict(tasks),
-        "loss": dataclasses.asdict(loss),
-        "solver": dataclasses.asdict(solver),
-        "train": train_dict,
+        section: {key: getattr(value, key) for key in _section_keys(section)}
+        for section, value in zip(_SECTIONS, settings)
     }
 
 
@@ -199,15 +193,16 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
 
 def _cmd_train(args) -> int:
-    config = load_config_file(args.config)
-    apply_overrides(config, args.set)
-    if args.iterations is not None:
-        config["train"]["iterations"] = args.iterations
+    # Before the settings, so that a run refused for a bad value leaves it too.
     os.makedirs(args.out, exist_ok=True)
-    default_checkpoint = os.path.join(args.out, "checkpoint.bin")
-    tasks_cfg, loss_cfg, solver_cfg, train_cfg = build_configs(
-        config, default_checkpoint
+    after = [] if args.iterations is None else [f"train.iterations={args.iterations}"]
+    tasks_cfg, loss_cfg, solver_cfg, train_cfg = read_settings(
+        args, dict.fromkeys(_SECTIONS, {}), after
     )
+    # Unset or an explicit null: the run directory's checkpoint.
+    default_checkpoint = os.path.join(args.out, "checkpoint.bin")
+    if train_cfg.checkpoint_path is None:
+        train_cfg = dataclasses.replace(train_cfg, checkpoint_path=default_checkpoint)
 
     resolved_path = os.path.join(args.out, "resolved_config.json")
     _write_json(
@@ -276,15 +271,8 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
 def _cmd_grad_check(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
-    config = load_config_file(args.config)
-    apply_overrides(config, args.set)
-    task_base = dict(way=3, shot=1, test_shots=2, input_dim=5, seed=0)
-    task_base.update(config["tasks"])
-    try:
-        task_cfg = TaskGenConfig(**task_base)
-        loss_cfg = LossConfig(**config["loss"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid configuration: {exc}")
+    small = dict(way=3, shot=1, test_shots=2, input_dim=5, seed=0)
+    task_cfg, loss_cfg = read_settings(args, {"tasks": small, "loss": {}})
 
     T = 0.5
     alpha = 1.0 / _STEPS_PER_UNIT_T
@@ -421,7 +409,7 @@ def _cmd_bench(args) -> int:
     test_set = episode.test
     rng = np.random.default_rng(args.seed)
     W0 = rng.normal(size=(task_cfg.way, task_cfg.input_dim)) * 0.3
-    loss_cfg = LossConfig(lam=0.0)
+    loss_cfg = LossConfig()
     alpha = 1.0 / _STEPS_PER_UNIT_T
     bptt_meta = MetaParams(
         W0, init_embedding([task_cfg.input_dim], seed=0), math.log(0.05)
@@ -460,7 +448,7 @@ def _cmd_bench(args) -> int:
         return ["bptt", token, T, steps, tape.nbytes, steps, "", wall]
 
     euler = SolverConfig(method="euler", fixed_step=alpha)
-    dopri = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8)
+    dopri = SolverConfig()
     rows = []
     for token, T, steps in horizons:
         rows.append(flow_row("comln-euler", euler, token, T, steps))
@@ -492,7 +480,7 @@ def _cmd_adjoint_demo(args) -> int:
         raise UsageError(f"--eigs {args.eigs!r} must be comma-separated numbers")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-    solver = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-8)
+    solver = SolverConfig()
     try:
         spec = QuadraticSpec(eigenvalues, np.ones(eigenvalues.size), args.T)
         report = adjoint_instability_demo(spec, solver, samples=args.samples)
@@ -523,12 +511,7 @@ def _cmd_adjoint_demo(args) -> int:
 def _cmd_gen_tasks(args) -> int:
     if args.count < 0:
         raise UsageError("--count must be non-negative")
-    config = load_config_file(args.config)
-    apply_overrides(config, args.set)
-    try:
-        task_cfg = TaskGenConfig(**config["tasks"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid configuration: {exc}")
+    (task_cfg,) = read_settings(args, {"tasks": {}})
     episodes = [sample_episode(task_cfg, i) for i in range(args.count)]
     write_episodes(args.out, episodes)
     print(
@@ -550,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_set(p):
+    def add_settings(p):
+        p.add_argument("--config", help="JSON config file")
         p.add_argument(
             "--set",
             action="append",
@@ -560,20 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     train = sub.add_parser("train", help="run meta-training")
-    train.add_argument("--config", help="JSON config file")
+    add_settings(train)
     train.add_argument("--out", default="run", help="output directory")
     train.add_argument(
         "--iterations", type=int, default=None, help="override train.iterations"
     )
-    add_set(train)
     train.set_defaults(func=_cmd_train)
 
     check = sub.add_parser(
         "grad-check", help="compare meta-gradients against the oracles"
     )
-    check.add_argument("--config", help="JSON config file")
+    add_settings(check)
     check.add_argument("--seeds", type=int, default=3, help="instances to check")
-    add_set(check)
     check.set_defaults(func=_cmd_grad_check)
 
     bench = sub.add_parser("bench", help="memory and runtime scaling table")
@@ -603,10 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=_cmd_adjoint_demo)
 
     gen = sub.add_parser("gen-tasks", help="write synthetic episodes to a file")
-    gen.add_argument("--config", help="JSON config file")
+    add_settings(gen)
     gen.add_argument("--out", required=True, help="episode file path")
     gen.add_argument("--count", type=int, default=100, help="episodes to write")
-    add_set(gen)
     gen.set_defaults(func=_cmd_gen_tasks)
 
     return parser

@@ -151,22 +151,23 @@ def softmax_rows_in_place(
     return logits
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _residuals(W: np.ndarray, data: EmbeddedSet) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals p_m - y_m of a checked W on ``data``, and the gradient
+    (p - y)' phi / M of the mean cross-entropy."""
+    probs = softmax_rows_in_place(data.features @ W.T, np.ones((data.way, 1)))
+    residuals = probs - data.labels
+    return residuals, residuals.T @ data.features / data.count
 
 
 def inner_loss(
     W: np.ndarray, W0: np.ndarray, data: EmbeddedSet, cfg: LossConfig
 ) -> float:
     """Mean cross-entropy on ``data`` plus the proximal penalty."""
-    W = _check_W(W, data)
     W0 = _check_W(W0, data)
-    logp = _log_softmax_rows(data.features @ W.T)
-    ce = -float(np.sum(data.labels * logp)) / data.count
+    ce = outer_loss(W, data)
     if cfg.lam == 0.0:
         return ce
-    diff = W - W0
+    diff = _check_W(W, data) - W0
     return ce + 0.5 * cfg.lam * float(np.sum(diff * diff))
 
 
@@ -181,9 +182,7 @@ def inner_grad(
     """
     W = _check_W(W, data)
     W0 = _check_W(W0, data)
-    probs = softmax_rows_in_place(data.features @ W.T, np.ones((data.way, 1)))
-    residuals = probs - data.labels
-    grad = residuals.T @ data.features / data.count
+    residuals, grad = _residuals(W, data)
     if cfg.lam != 0.0:
         grad = grad + cfg.lam * (W - W0)
     return grad, residuals
@@ -225,15 +224,14 @@ def outer_partials(
     the m-th test embedding, (p_m - y_m)' W_T / M_test.
     """
     W_T = _check_W(W_T, test)
-    probs = softmax_rows_in_place(test.features @ W_T.T, np.ones((test.way, 1)))
-    residuals = probs - test.labels
-    V = residuals.T @ test.features / test.count
-    G_phi_test = residuals @ W_T / test.count
-    return V, G_phi_test
+    residuals, V = _residuals(W_T, test)
+    return V, residuals @ W_T / test.count
 
 
 def outer_loss(W_T: np.ndarray, test: EmbeddedSet) -> float:
     """Unregularized cross-entropy of W(T) on the test set."""
     W_T = _check_W(W_T, test)
-    logp = _log_softmax_rows(test.features @ W_T.T)
+    logits = test.features @ W_T.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -float(np.sum(test.labels * logp)) / test.count

@@ -684,6 +684,11 @@ def _run_dopri5(block, states, t0, span, config):
     def where(i):
         return t0 + t[i], stats[order[i]], order[i], episodes
 
+    # Every chunk on one BLAS thread, however many threads sweep: BLAS on
+    # several threads may round a product otherwise.  The pool's threads
+    # hold theirs to one as they start.
+    setter = _blas_threads_local() if chunks else None
+    before = None if setter is None else setter(1)
     try:
         for order in batches:
             active = block if len(order) == episodes else block.take(order)
@@ -706,9 +711,6 @@ def _run_dopri5(block, states, t0, span, config):
                 evals = _spend(config, evals, 6 if fsal else 7, where)
                 squares = sweep(lead, y, y_new)
                 if groups:
-                    # Every chunk on one BLAS thread, however many threads
-                    # sweep: BLAS on several threads may round a product
-                    # otherwise.
                     squares += _in_parallel(sweep, groups, y, y_new)
                 # The squares of several segments are summed in segment
                 # order, whatever the threads.
@@ -757,6 +759,9 @@ def _run_dopri5(block, states, t0, span, config):
     except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
         message = "state became non-finite during a trial step"
         raise _located(caught, message, where, matrices)
+    finally:
+        if setter is not None:
+            setter(before)
     return out.reshape(-1), _totals(stats)
 
 
@@ -801,41 +806,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _one_blas_thread(sweep, *args):
-    """sweep(*args) with the calling thread's BLAS held to one thread where
-    it can be."""
-    setter = _blas_threads_local()
-    if setter is None:
-        return sweep(*args)
-    before = setter(1)
-    try:
-        return sweep(*args)
-    finally:
-        setter(before)
-
-
 def _in_parallel(sweep, groups, *args) -> list:
     """sweep(group, *args) for every group, concatenated in group order: the
-    first on the calling thread, the others on the pool, each with one BLAS
-    thread and in a copy of the caller's context, so that its np.errstate
-    holds; a lone group makes no pool.  Returns once all are done; an error
-    is raised then, the first group's that has one."""
+    first on the calling thread, the others on the pool, each in a copy of the
+    caller's context, so that its np.errstate holds; a lone group makes no
+    pool.  Every sweeping thread's BLAS is held to one thread: the pool's from
+    its start, the caller's by the caller.  Returns once all are done; an
+    error is raised then, the first group's that has one."""
     if len(groups) == 1:
-        return _one_blas_thread(sweep, groups[0], *args)
+        return sweep(groups[0], *args)
     # Imported here: work that needs no thread does not pay for the import.
     from concurrent.futures import ThreadPoolExecutor, wait
 
     global _pool
     if _pool is None:
-        _pool = ThreadPoolExecutor(thread_name_prefix="comln-chunks")
-    futures = [
-        _pool.submit(
-            contextvars.copy_context().run, _one_blas_thread, sweep, group, *args
+        _pool = ThreadPoolExecutor(
+            thread_name_prefix="comln-chunks",
+            initializer=_blas_threads_local(),
+            initargs=(1,),
         )
+    futures = [
+        _pool.submit(contextvars.copy_context().run, sweep, group, *args)
         for group in groups[1:]
     ]
     try:
-        results = _one_blas_thread(sweep, groups[0], *args)
+        results = sweep(groups[0], *args)
     finally:
         wait(futures)
     for future in futures:

@@ -283,6 +283,23 @@ def test_resolved_config_is_itself_a_valid_config(tmp_path):
     assert first == second
 
 
+def test_iterations_flag_wins_over_a_set_of_train_iterations(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path), "--out", str(out)]
+    assert cli.main(argv + ["--iterations", "2", "--set", "train.iterations=5"]) == 0
+    assert "trained 2 iterations" in capsys.readouterr().out
+    assert len(read_csv(out / "metrics.csv")) == 3
+
+
+def test_an_explicit_null_checkpoint_path_means_the_run_directory(tmp_path):
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path), "--out", str(out)]
+    assert cli.main(argv + ["--set", "train.checkpoint_path=null"]) == 0
+    assert load_checkpoint(str(out / "checkpoint.bin")).way == 2
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["train"]["checkpoint_path"] == str(out / "checkpoint.bin")
+
+
 def test_missing_subcommand_is_a_usage_error():
     assert cli.main([]) == 2
 
@@ -302,6 +319,25 @@ def test_grad_check_single_seed_prints_one_row_per_component(capsys):
     assert len(component_rows) == len(cli._CHECK_COMPONENTS)
     for row in component_rows:
         assert row.rstrip().endswith("ok")
+
+
+def test_grad_check_reads_tasks_over_its_small_defaults_then_loss(capsys):
+    argv = ["grad-check", "--seeds", "1", "--set", "tasks.way=4"]
+    assert cli.main(argv + ["--set", "loss.lam=0.5"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith("way 4, shot 1, dim 5, T 0.5, lam 0.5")
+
+
+@pytest.mark.parametrize("command", ["grad-check", "gen-tasks"])
+def test_a_command_builds_only_the_sections_it_reads(tmp_path, command):
+    # Neither reads the solver or train section, so values that would not
+    # build there are not refused.
+    argv = [command, "--set", "solver.method=euler", "--set", "train.lr=-5"]
+    if command == "grad-check":
+        argv += ["--seeds", "1"]
+    else:
+        argv += ["--count", "1", "--out", str(tmp_path / "x.ep")]
+    assert cli.main(argv) == 0
 
 
 def test_grad_check_catches_a_planted_sign_error(capsys, monkeypatch):
@@ -488,6 +524,17 @@ def test_adjoint_demo_recovers_a_start_near_the_largest_float(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     backward = float(lines[1].split()[-1])
     assert 1e290 < backward < math.inf
+
+
+def test_adjoint_demo_near_the_largest_float_warns_nothing(tmp_path):
+    # Under numpy's default filter the overflow of dopri5's squared norms,
+    # which the solver scales away, still printed a RuntimeWarning.
+    out = tmp_path / "adjoint.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["adjoint-demo", "--eigs", "141,1", "--out", str(out)])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
 
 
 def test_adjoint_demo_near_zero_horizon_is_harmless(tmp_path, capsys):
