@@ -68,7 +68,6 @@ from .trainer import (
     MetaParams,
     MetricsRow,
     TrainConfig,
-    default_meta_params,
     meta_train,
     save_checkpoint,
 )
@@ -200,28 +199,22 @@ def _cmd_train(args) -> int:
         args, dict.fromkeys(_SECTIONS, {}), after
     )
     # Unset or an explicit null: the run directory's checkpoint.
-    default_checkpoint = os.path.join(args.out, "checkpoint.bin")
     if train_cfg.checkpoint_path is None:
-        train_cfg = dataclasses.replace(train_cfg, checkpoint_path=default_checkpoint)
+        checkpoint_path = os.path.join(args.out, "checkpoint.bin")
+        train_cfg = dataclasses.replace(train_cfg, checkpoint_path=checkpoint_path)
 
     resolved_path = os.path.join(args.out, "resolved_config.json")
     _write_json(
         resolved_path, resolved_config_dict(tasks_cfg, loss_cfg, solver_cfg, train_cfg)
     )
 
-    initial = default_meta_params(
-        tasks_cfg.way, tasks_cfg.input_dim, seed=train_cfg.seed
-    )
     try:
-        final, metrics = meta_train(
-            train_cfg, episode_stream(tasks_cfg), initial=initial
-        )
+        final, metrics = meta_train(train_cfg, episode_stream(tasks_cfg))
     except (RuntimeError, ValueError) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 1
 
-    checkpoint_path = train_cfg.checkpoint_path or default_checkpoint
-    save_checkpoint(final, checkpoint_path)
+    save_checkpoint(final, train_cfg.checkpoint_path)
     metrics_path = os.path.join(args.out, "metrics.csv")
     _write_csv(metrics_path, MetricsRow.FIELDS, [row.as_row() for row in metrics])
 
@@ -233,7 +226,7 @@ def _cmd_train(args) -> int:
             f"accuracy {last.test_accuracy:.4f}"
         )
     print(f"wrote {metrics_path}")
-    print(f"wrote {checkpoint_path}")
+    print(f"wrote {train_cfg.checkpoint_path}")
     print(f"wrote {resolved_path}")
     return 0
 

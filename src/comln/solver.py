@@ -53,10 +53,10 @@ first-same-as-last would have handed on, and the seventh evaluation of
 each step saves a third state-sized vector.  The chunks of a step are cut
 into one contiguous group per thread, one thread for each CPU this
 process may run on (os.sched_getaffinity) and at most one per chunk: the
-calling thread sweeps the first group, a thread pool the others, each
-group in its own chunk matrix and each thread with its BLAS held to one
-thread.  Where numpy's OpenBLAS cannot be held so, one thread sweeps them
-all.
+calling thread sweeps the first group, threads started for the step the
+others and end with it, each group in its own chunk matrix and each
+thread with its BLAS held to one thread.  Where numpy's OpenBLAS cannot be
+held so, one thread sweeps them all.
 
 euler and rk4 bind the whole state once per integration and step it in
 place, so every episode takes the same fixed steps.
@@ -685,8 +685,8 @@ def _run_dopri5(block, states, t0, span, config):
         return t0 + t[i], stats[order[i]], order[i], episodes
 
     # Every chunk on one BLAS thread, however many threads sweep: BLAS on
-    # several threads may round a product otherwise.  The pool's threads
-    # hold theirs to one as they start.
+    # several threads may round a product otherwise.  The threads a step
+    # starts hold theirs to one as they start.
     setter = _blas_threads_local() if chunks else None
     before = None if setter is None else setter(1)
     try:
@@ -791,48 +791,29 @@ def _workers(chunks: int) -> int:
     return min(len(affinity(0)), chunks)
 
 
-# The threads that sweep all groups of chunks but the first, made at the
-# first threaded sweep; a thread is added only while none is idle.  A child
-# forked after that has none of its threads, so it makes its own.
-_pool = None
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _in_parallel(sweep, groups, *args) -> list:
     """sweep(group, *args) for every group, concatenated in group order: the
-    first on the calling thread, the others on the pool, each in a copy of the
-    caller's context, so that its np.errstate holds; a lone group makes no
-    pool.  Every sweeping thread's BLAS is held to one thread: the pool's from
-    its start, the caller's by the caller.  Returns once all are done; an
-    error is raised then, the first group's that has one."""
+    first on the calling thread, each other on a thread of this call's own,
+    in a copy of the caller's context, so that its np.errstate holds; a lone
+    group starts no thread.  Every sweeping thread's BLAS is held to one
+    thread: the new threads' from their start, the caller's by the caller.
+    All threads have ended when it returns or raises the first group's error."""
     if len(groups) == 1:
         return sweep(groups[0], *args)
     # Imported here: work that needs no thread does not pay for the import.
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(
-            thread_name_prefix="comln-chunks",
-            initializer=_blas_threads_local(),
-            initargs=(1,),
-        )
-    futures = [
-        _pool.submit(contextvars.copy_context().run, sweep, group, *args)
-        for group in groups[1:]
-    ]
-    try:
+    with ThreadPoolExecutor(
+        len(groups) - 1,
+        initializer=_blas_threads_local(),
+        initargs=(1,),
+        thread_name_prefix="comln-chunks",
+    ) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, sweep, group, *args)
+            for group in groups[1:]
+        ]
         results = sweep(groups[0], *args)
-    finally:
-        wait(futures)
     for future in futures:
         results += future.result()
     return results

@@ -186,28 +186,23 @@ def load_episodes(path) -> Iterator[Episode]:
         header = fh.readline()
         fields = header.decode("ascii", errors="replace").split()
         if len(fields) != 7 or fields[0] != "COMLN-EP" or fields[1] != "1":
-            fh.close()
             raise MalformedHeaderError(
                 f"not a COMLN-EP 1 header: {header[:40]!r}", 0
             )
         try:
             count, way, shot, k_test, dim = (int(f) for f in fields[2:])
         except ValueError:
-            fh.close()
             raise MalformedHeaderError(
                 f"non-integer header fields: {header[:40]!r}", 0
             ) from None
         if count < 0 or min(way, shot, k_test, dim) < 0:
-            fh.close()
             raise MalformedHeaderError("negative header fields", 0)
         if count > 0 and (way < 2 or min(shot, k_test, dim) < 1):
-            fh.close()
             raise MalformedHeaderError(
                 "header dimensions too small for a non-empty file", 0
             )
     except Exception:
-        if not fh.closed:
-            fh.close()
+        fh.close()
         raise
     return _read_episodes(fh, len(header), count, way, shot, k_test, dim)
 
@@ -217,9 +212,7 @@ def _read_episodes(fh, offset, count, way, shot, k_test, dim):
         for _ in range(count):
             train, offset = _read_block(fh, offset, way, shot, dim)
             test, offset = _read_block(fh, offset, way, k_test, dim)
-            episode = Episode(train, test, way, shot)
-            episode.validate_balance()
-            yield episode
+            yield Episode(train, test, way, shot)
     finally:
         fh.close()
 

@@ -134,6 +134,9 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
+        path = self.checkpoint_path
+        if path == "" or not isinstance(path, (str, type(None))):
+            raise ValueError(f"checkpoint_path must be null or a path, not {path!r}")
         if self.lr_schedule is not None:
             normalized = []
             for it, mult in self.lr_schedule:

@@ -17,9 +17,9 @@ from numpy.testing import assert_array_equal
 import comln.dynamics
 import comln.solver
 from comln.dynamics import adapt
-from comln.embedding import init_embedding
+from comln.embedding import EmbeddingParams, Layer, init_embedding
 from comln.loss import LossConfig
-from comln.metagrad import batch_metagrads, task_metagrads
+from comln.metagrad import TaskFailure, batch_metagrads, task_metagrads
 from comln.solver import (
     BudgetExceededError,
     NonFiniteStateError,
@@ -518,3 +518,23 @@ class TestMetaBatch:
         assert isinstance(info.value.__cause__, BudgetExceededError)
         for other in (0, 1, 3):
             assert f"task {other}" not in message and f"episode {other}" not in message
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_a_non_finite_embedding_names_its_task(self, split):
+        # A network of positive weights sends inputs near the largest float
+        # to infinite embeddings; the third episode's split holds such inputs.
+        layers = (
+            Layer(np.ones((4, 16)), np.zeros(4), "relu"),
+            Layer(np.ones((3, 4)), np.zeros(3), "identity"),
+        )
+        net = EmbeddingParams(layers, 16, 3)
+        meta = MetaParams(np.zeros((5, 3)), net, math.log(2.0))
+        episodes = pinned_episodes(count=3)
+        large = getattr(episodes[2], split)
+        large = dataclasses.replace(large, features=np.full_like(large.features, 1e308))
+        episodes[2] = dataclasses.replace(episodes[2], **{split: large})
+        with np.errstate(over="ignore"):
+            with pytest.raises(TaskFailure) as info:
+                batch_metagrads(meta, episodes, LAM, CFG)
+        assert info.value.task == 2
+        assert str(info.value.__cause__) == "features must be finite"

@@ -300,6 +300,33 @@ def test_an_explicit_null_checkpoint_path_means_the_run_directory(tmp_path):
     assert resolved["train"]["checkpoint_path"] == str(out / "checkpoint.bin")
 
 
+@pytest.mark.parametrize("value", ["1", "true", '""'])
+def test_a_checkpoint_path_that_is_no_path_exits_2(tmp_path, capsys, value):
+    # 1 and true would name file descriptor 1, stdout, and "" no file.
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(tmp_path), "--out", str(out)]
+    assert cli.main(argv + ["--set", f"train.checkpoint_path={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "invalid configuration: checkpoint_path must be null or a path"
+    assert message in captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_a_failing_run_exits_1_after_writing_its_settings(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--iterations", "1", "--set", "solver.max_evals=1"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "training failed: meta-training aborted: iteration 0, task 0: rhs "
+        "evaluation budget of 1 exhausted in episode 0 at t=0 after 0 accepted "
+        "and 0 rejected steps\n"
+    )
+    assert [path.name for path in out.iterdir()] == ["resolved_config.json"]
+
+
 def test_missing_subcommand_is_a_usage_error():
     assert cli.main([]) == 2
 

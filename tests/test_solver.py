@@ -90,6 +90,19 @@ def _sweep_with(monkeypatch, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
 
 
+def _count_thread_starts(monkeypatch):
+    """The list to which every threading.Thread started from now on adds
+    itself."""
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
 def _metagrad_10w5s_adapt_args():
     """adapt's arguments for the metagrad-10w5s benchmark task at T = 2."""
     meta = default_meta_params(10, 16, seed=0, hidden_dims=(64, 32))
@@ -841,24 +854,36 @@ class TestTangentBlock:
     def test_work_that_needs_no_thread_starts_none(self, monkeypatch, cfg):
         # A tracked batch of four 5w1s episodes, each one segment, and a
         # chunked state on a host of one CPU, swept by the calling thread
-        # alone: neither makes the pool nor starts a thread.
-        monkeypatch.setattr(comln.solver, "_pool", None)
+        # alone: neither starts a thread.
+        started = _count_thread_starts(monkeypatch)
         _sweep_with(monkeypatch, 1)
         task = TaskGenConfig(way=5, shot=1, seed=5)
         episodes = [sample_episode(task, i) for i in range(4)]
         features = np.concatenate([e.train.features for e in episodes])
         labels = np.concatenate([e.train.labels for e in episodes])
         W0 = np.random.default_rng(5).normal(size=(5, 16)) * 0.1
+        adapt(W0, features, labels, LossConfig(lam=0.5), 2.0, cfg, True, episodes=4)
+        assert started == []
         rows = lambda u, X, lo, hi, out: np.negative(X, out=out)
         block = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
-        threads = threading.active_count()
-        adapt(W0, features, labels, LossConfig(lam=0.5), 2.0, cfg, True, episodes=4)
-        assert comln.solver._pool is None
-        assert threading.active_count() == threads
         monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
         assert len(comln.solver._segments(1, 1, 8, 2, 64)) == 3
         integrate(block, np.concatenate(([0.0], np.ones(16))), 0.0, 1.0, cfg)
-        assert comln.solver._pool is None
+        assert started == []
+
+    def test_the_threads_of_a_step_end_with_it(self, monkeypatch):
+        # A chunked state on a host of two CPUs: each dopri5 step sweeps its
+        # second chunk on a thread of its own, and none is left running once
+        # integrate returns.
+        started = _count_thread_starts(monkeypatch)
+        _sweep_with(monkeypatch, 2)
+        rows = lambda u, X, lo, hi, out: np.negative(X, out=out)
+        block = _row_block(1, (1, 8, 2), lambda u, out: out.fill(1.0), rows)
+        monkeypatch.setattr(comln.solver, "CHUNK_BYTES", 64)
+        y0 = np.concatenate(([0.0], np.ones(16)))
+        threads = threading.active_count()
+        _, stats = integrate(block, y0, 0.0, 1.0, SolverConfig())
+        assert len(started) == stats.accepted_steps + stats.rejected_steps > 0
         assert threading.active_count() == threads
 
 
