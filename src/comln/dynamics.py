@@ -43,15 +43,22 @@ dopri5 integrates the block in chunks of rows (``solver.TangentBlock``),
 which rests on two facts.  ds/dt never reads X.  And once s is known,
 every row X[:, r, :] evolves on its own: G mixes only across the examples
 i and A_i only across the N lanes, and the forcing of a row reads s
-alone.  ``tangent_rows`` is the one place the X equation is written; on
-all K rows it is one (M x M)(M x K N) Gram product, the forcing added in
-place, and one batched product with the A_i: O(M^3 N^2 + M^4 N / 2 +
-M^2 N^3) multiply-adds after the Gram matrix is cached.
+alone.  ``tangent_rows`` is the one place the X equation is written, but
+for its decay (below); on all K rows it is one (M x M)(M x K N) Gram
+product, the forcing added in place, and one batched product with the
+A_i: O(M^3 N^2 + M^4 N / 2 + M^2 N^3) multiply-adds after the Gram matrix
+is cached.
 
-The proximal weight lam enters both sensitivity equations as a plain
-linear decay term outside the curvature product: the lam I block of the
-loss Hessian acts directly on each basis coefficient, exactly as in the
-B equation.  All equations reduce to the unregularized ones at lam = 0.
+The proximal weight lam enters every equation as the same plain linear
+decay -lam u outside the curvature product: the lam I block of the loss
+Hessian acts directly on each basis coefficient.  So a tracked flow
+writes it once per kernel, as one pass over the contiguous stage row the
+kernel is bound to (``_decay``): s and X of every task on one segment,
+the head or one chunk of rows on the chunked path; the head and
+``tangent_rows`` leave it out.  The untracked head subtracts the lam s
+that the Gram product gives with G s.  Every entry rounds as
+fl(fl(g) - fl(lam u)) either way.  All equations reduce to the
+unregularized ones at lam = 0, where no decay is bound.
 
 ``adapt`` hands out s and X as views of the integrator's final vector.
 The projections in ``metagrad`` read X as it is, one contraction for both
@@ -105,9 +112,9 @@ class TaskConstants:
 
     The rest is the head's scratch, made once per batch and overwritten by
     every evaluation: ``gram_s`` and ``lam_s``, the halves of ``products``;
-    ``probs``, the logits and then p / M; ``residual``, p / M - Y / M; the
-    (M, 1) ``row_max`` and ``row_sum``.  So one TaskConstants serves one
-    integration at a time, and no array an evaluation returns is scratch.
+    ``probs``, the logits and then p / M; the (M, 1) ``row_max`` and
+    ``row_sum``.  So one TaskConstants serves one integration at a time,
+    and no array an evaluation returns is scratch.
     """
 
     def __init__(
@@ -145,7 +152,6 @@ class TaskConstants:
         self.products = np.empty(gram_lam.shape[:-1] + P0.shape[-1:])
         self.gram_s, self.lam_s = self.products[..., :m, :], self.products[..., m:, :]
         self.probs = np.empty(P0.shape)
-        self.residual = np.empty(P0.shape)
         self.row_max = np.empty(P0.shape[:-1] + (1,))
         self.row_sum = np.empty(P0.shape[:-1] + (1,))
 
@@ -271,29 +277,28 @@ def reconstruct_W(W0: np.ndarray, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return W0 - np.swapaxes(s, -1, -2) @ phi
 
 
-def _probs_and_rate(
-    c: TaskConstants, s: np.ndarray, out: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _probs_and_rate(c: TaskConstants, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Shared head of both right-hand sides at s, M N entries per task.
 
     s and out have the shape of ``c.P0``, as the views that the kernels are
     bound to do.  Returns q = softmax(P0 - G s) / M by rows, in the scratch
-    ``c.probs`` that the next evaluation overwrites, and ds/dt =
-    q - Y / M - lam s, written into out.
+    ``c.probs`` that the next evaluation overwrites, and writes q - Y / M,
+    ds/dt but for the decay -lam s, into out.
     """
     c.product(s, c.products)
     np.subtract(c.P0, c.gram_s, c.probs)
     q = softmax_rows_in_place(c.probs, c.column, c.row_max, c.row_sum)
-    # The residual in scratch, so that a strided ``out`` is written once.
-    residual = np.subtract(q, c.target, c.residual)
-    np.subtract(residual, c.lam_s, out)
-    return q, out
+    np.subtract(q, c.target, out)
+    return q
 
 
 def rhs_adapt(c: TaskConstants, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Time derivative of the adaptation coefficients s, M N entries per task,
-    written into ``out``, in the shapes ``_probs_and_rate`` describes."""
-    return _probs_and_rate(c, s, out)[1]
+    written into ``out``, in the shapes ``_probs_and_rate`` describes: the
+    head less the lam s of the Gram product."""
+    _probs_and_rate(c, s, out)
+    out -= c.lam_s
+    return out
 
 
 def _rate_and_curvature(
@@ -303,11 +308,12 @@ def _rate_and_curvature(
     neg_A: np.ndarray,
     diagonal: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """ds/dt at s, as rhs_adapt gives it, and the negated curvature blocks
-    -A_i there, written into ``neg_A`` with the view ``diagonal`` of its
+    """The tracked head at s: q - Y / M written into out, to which the
+    block's decay kernel adds -lam s, and the negated curvature blocks -A_i
+    there, written into ``neg_A`` with the view ``diagonal`` of its
     diagonals (see ``curvature_from_probs``)."""
-    q, ds = _probs_and_rate(c, s, out)
-    return ds, curvature_from_probs(q, neg_A, diagonal)
+    q = _probs_and_rate(c, s, out)
+    return out, curvature_from_probs(q, neg_A, diagonal)
 
 
 def _row_views(s, neg_A, X, out, forcing, scratch) -> tuple:
@@ -327,16 +333,18 @@ def _row_views(s, neg_A, X, out, forcing, scratch) -> tuple:
 
 
 def tangent_rows(c: TaskConstants, rows: tuple) -> None:
-    """Write dX/dt for rows lo:hi of the tangent block to out, with ``rows``
-    = ``_row_views(s, neg_A, X, out, forcing, scratch)`` of those rows.
+    """Write dX/dt + lam X for rows lo:hi of the tangent block to out, with
+    ``rows`` = ``_row_views(s, neg_A, X, out, forcing, scratch)`` of those
+    rows.
 
-    This is the only place the B and z equations are written down.
+    This is the only place the B and z equations are written down; the
+    block's ``_decay`` kernel subtracts their decay lam X afterwards.
     """
     X, X_lanes, out, s, neg_A, Y, Y_lanes, forced, forcing = rows
     eye, at_j, at_m, s_m, s_j = forcing
     # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
-    # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].
-    # The spent Y holds lam X, so no further array of the rows is made.
+    # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].  The
+    # decay -lam X[i] is the block's to subtract.
     np.matmul(c.G, X_lanes, out=Y_lanes)
     # Flat, because indexing one axis costs a fraction of indexing two.  A
     # chunk holds B rows, z rows or both; an empty index still costs.
@@ -346,8 +354,12 @@ def tangent_rows(c: TaskConstants, rows: tuple) -> None:
         forced[at_j] += s[s_m]
         forced[at_m] += s[s_j]
     np.matmul(Y, neg_A, out=out)
-    if c.lam != 0.0:
-        out -= np.multiply(X, c.lam, out=Y)
+
+
+def _decay(lam: float, u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out -= lam u, with lam u formed in ``scratch``: one pass over the
+    contiguous stage row of a tracked binding."""
+    out -= np.multiply(u, lam, out=scratch)
 
 
 def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.ndarray:
@@ -366,9 +378,9 @@ def rhs_full(c: TaskConstants, flat: np.ndarray, layout: CompactLayout) -> np.nd
     return values.reshape(-1)
 
 
-def _in_turn(first: Callable[[], object], second: Callable[[], object]) -> None:
-    first()
-    second()
+def _in_turn(*kernels: Callable[[], object]) -> None:
+    for kernel in kernels:
+        kernel()
 
 
 def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
@@ -380,7 +392,8 @@ def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
     rhs_adapt with no rows, else _rate_and_curvature.  A tracked block holds
     -A_i at each of the seven stages, which all its bindings share: the
     head's kernels write them and the rows' kernels of the same stage read
-    them.
+    them.  Each stage kernel of a tracked binding at lam != 0 ends in
+    _decay over the whole row it is bound to, with ``spare`` as scratch.
     """
     shape = c.P0.shape
     m, n = shape[-2:]
@@ -396,25 +409,29 @@ def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
 
     def bind(inputs, derivatives, lo, hi, spare, heads):
         rate, tangent = (_rate_and_curvature if layout else rhs_adapt), tangent_rows
+        decay = layout is not None and c.lam != 0.0
         if hi > lo:
             rows_shape = shape[:-1] + (hi - lo, n)
             forcing = _row_forcing(m, n, lo, hi, c.episodes)
         kernels = []
-        for i, (x, dx) in enumerate(zip(inputs, derivatives)):
-            kernel = None
+        for i, (row, d_row) in enumerate(zip(inputs, derivatives)):
+            parts, x, dx = [], row, d_row
             if heads is None:
                 u, du = x[:, :mn].reshape(shape), dx[:, :mn].reshape(shape)
-                kernel = functools.partial(rate, c, u, du, *curvature[i])
+                parts.append(functools.partial(rate, c, u, du, *curvature[i]))
                 x, dx = x[:, mn:], dx[:, mn:]
             if hi > lo:
                 # The forcing reads s flat, in the states or the heads.
                 s = (inputs if heads is None else heads)[i].reshape(-1)
                 X, dX = x.reshape(rows_shape), dx.reshape(rows_shape)
                 views = _row_views(s, neg_A[i], X, dX, forcing, spare)
-                sweep = functools.partial(tangent, c, views)
-                if kernel is not None:
-                    sweep = functools.partial(_in_turn, kernel, sweep)
-                kernel = sweep
+                parts.append(functools.partial(tangent, c, views))
+            if decay:
+                scratch = spare[: row.size].reshape(row.shape)
+                parts.append(functools.partial(_decay, c.lam, row, d_row, scratch))
+            kernel = parts[0]
+            if len(parts) > 1:
+                kernel = functools.partial(_in_turn, *parts)
             kernels.append(kernel)
         return kernels
 

@@ -193,11 +193,11 @@ class TangentBlock:
     then its rows lo:hi of X; inputs may share a buffer.  When ``heads`` is
     not None, the rows hold X[:, lo:hi] alone and ``heads`` are the stage
     inputs of u, in the same form, of an earlier binding whose kernel runs
-    first at each stage.  ``spare`` is a contiguous vector with room for the
-    entries of X in those rows; no stage reads or writes it while a kernel
-    runs, so the kernels may use it as scratch.  ``take(index)`` returns the
-    block of the episodes at the positions ``index``, in that order; a
-    block of one episode need not have it.
+    first at each stage.  ``spare`` is a contiguous vector with room for a
+    whole bound buffer, every episode's row; no stage reads or writes it
+    while a kernel runs, so the kernels may use it as scratch.
+    ``take(index)`` returns the block of the episodes at the positions
+    ``index``, in that order; a block of one episode need not have it.
     """
 
     head: int

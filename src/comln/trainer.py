@@ -156,9 +156,10 @@ class MetricsRow:
 
     ``rhs_evals`` and ``rejected_steps`` sum the adaptation solver's counts
     over the meta-batch, so they show why one iteration costs more than
-    another; ``stiffness`` is the largest ``StepStats.stiffness`` in the
-    meta-batch, which nears 3.3 where stability rather than accuracy caps
-    the steps.
+    another, and ``max_rhs_evals``, the largest count of one task, shows
+    whether one slow task did; ``stiffness`` is the largest
+    ``StepStats.stiffness`` in the meta-batch, which nears 3.3 where
+    stability rather than accuracy caps the steps.
     """
 
     iteration: int
@@ -171,6 +172,7 @@ class MetricsRow:
     alignment: float
     stiffness: float
     rhs_evals: int
+    max_rhs_evals: int
     rejected_steps: int
     wall_time: float
 
@@ -350,6 +352,7 @@ def meta_train(
                 grad_norm_logT=abs(float(grad[-1])),
                 alignment=float(np.mean([x.diag_alignment for x in bundles])),
                 rhs_evals=sum(x.rhs_evals for x in bundles),
+                max_rhs_evals=max(x.rhs_evals for x in bundles),
                 rejected_steps=sum(x.rejected_steps for x in bundles),
                 stiffness=max(x.stiffness for x in bundles),
                 wall_time=time.perf_counter() - started,

@@ -5,10 +5,14 @@ takes the steps it would take alone, and its results do not depend on which
 episodes share its batch or where it sits in it.
 """
 
+import ctypes
 import dataclasses
 import functools
+import hashlib
 import math
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +456,97 @@ class TestAdapt:
             assert_array_equal(W_T[e], W1)
             assert_array_equal(state.X[e], one.X)
             assert stats.episodes[e] == alone.episodes[0]
+
+
+def blas_build():
+    """numpy's version and the build and core string of the OpenBLAS it
+    bundles, which decide how every product of the flow rounds."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        library = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+            config = getattr(library, name, None)
+            if config is not None:
+                config.restype, config.argtypes = ctypes.c_char_p, []
+                return np.__version__, config().decode()
+    return np.__version__, None
+
+
+# The build the digests of TestPinned were computed with: numpy 2.4.6 on an
+# AVX-512 Xeon, one BLAS thread.
+PINNED_BUILD = (
+    "2.4.6",
+    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX "
+    "MAX_THREADS=64",
+)
+
+
+class TestPinned:
+    @pytest.mark.parametrize(
+        "track, chunk_bytes, digest",
+        [
+            (True, None, "cc03466fbb5e511ab76f9d628014db6672d6a8dfb42be743a5ad6281dd0abb4e"),
+            (True, 1000, "c993e73e7a7f67e47b09ae70559f89d114db64255d45c68cffda9f3b38919b54"),
+            (False, None, "73d39d15e3883f0e6756985bd5471baa24aee9e5f2a4e0629207af011adeaff2"),
+        ],
+        ids=["tracked", "tracked-chunked", "untracked"],
+    )
+    def test_outputs_and_step_stats_are_pinned(
+        self, monkeypatch, track, chunk_bytes, digest
+    ):
+        # The sha256 of W(T), s, X and the StepStats of three 5w1s episodes
+        # at lam = 0.5 and T = 20 under dopri5, on one segment and, with
+        # 1000-byte chunks, on the chunked path.  Every entry of the flow
+        # rounds as fl(fl(g) - fl(lam u)) whichever kernel subtracts the
+        # decay, so a change of where it is written moves no bit.
+        if blas_build() != PINNED_BUILD:
+            pytest.skip(f"digests computed with numpy and OpenBLAS {PINNED_BUILD}")
+        if chunk_bytes is not None:
+            monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
+        episodes = pinned_episodes(count=3)
+        W_T, state, stats = adapt(
+            W0, *stacked(episodes), LAM, 20.0, CFG, track, episodes=3
+        )
+        sha = hashlib.sha256()
+        for array in (W_T, state.s, state.X):
+            if array is not None:
+                sha.update(array.tobytes())
+        sha.update(repr(stats).encode())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "chunk_bytes", [None, 1000], ids=["one-segment", "chunked"]
+    )
+    def test_lam_zero_binds_one_kernel_fewer_per_stage(self, monkeypatch, chunk_bytes):
+        # At lam = 0.5 every stage kernel of a tracked binding ends in one
+        # decay over its whole row: the head and rows of one segment, or the
+        # head alone and each chunk of rows.  At lam = 0 none is bound, and
+        # an untracked flow takes lam s from its Gram product instead.
+        if chunk_bytes is not None:
+            monkeypatch.setattr(comln.solver, "CHUNK_BYTES", chunk_bytes)
+        calls = Counter()
+        for name in ("_rate_and_curvature", "tangent_rows", "_decay", "rhs_adapt"):
+            real = getattr(comln.dynamics, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(comln.dynamics, name, spy)
+        data = stacked(pinned_episodes(count=3))
+        counts = {}
+        for lam, track in ((0.5, True), (0.0, True), (0.5, False)):
+            calls.clear()
+            adapt(W0, *data, LossConfig(lam=lam), 2.0, CFG, track, episodes=3)
+            counts[lam, track] = dict(calls)
+        decayed = counts[0.5, True]
+        heads, rows = decayed["_rate_and_curvature"], decayed["tangent_rows"]
+        if chunk_bytes is None:
+            assert decayed["_decay"] == heads == rows
+        else:
+            assert rows > heads and decayed["_decay"] == heads + rows
+        assert "_decay" not in counts[0.0, True] and counts[0.0, True]["tangent_rows"]
+        assert "_decay" not in counts[0.5, False] and counts[0.5, False]["rhs_adapt"]
 
 
 def meta_at(T, way=5, dim=16, seed=9):

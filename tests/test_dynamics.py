@@ -49,13 +49,14 @@ def weight_flow(W0, data, cfg, T, solver):
 
 
 def head(consts, s):
-    """ds/dt, the negated curvature blocks -A_i and q = p / M at s, each a
-    new array, with ds/dt in the shape of s: what a tracked block's head
-    kernel writes into its buffers."""
+    """ds/dt as rhs_adapt gives it, and the negated curvature blocks -A_i
+    and q = p / M at s that a tracked block's head kernel writes, each a new
+    array, with ds/dt in the shape of s."""
     shape = consts.P0.shape
-    ds, neg_A = np.empty(shape), np.empty(shape + shape[-1:])
+    ds, rate, neg_A = np.empty(shape), np.empty(shape), np.empty(shape + shape[-1:])
+    comln.dynamics.rhs_adapt(consts, np.reshape(s, shape), ds)
     comln.dynamics._rate_and_curvature(
-        consts, np.reshape(s, shape), ds, neg_A, block_diagonals(neg_A)
+        consts, np.reshape(s, shape), rate, neg_A, block_diagonals(neg_A)
     )
     return ds.reshape(np.shape(s)), neg_A, consts.probs.copy()
 

@@ -12,6 +12,7 @@ from comln.loss import (
     DimensionMismatchError,
     EmbeddedSet,
     LossConfig,
+    inner_grad,
     outer_loss,
     outer_partials,
 )
@@ -452,22 +453,42 @@ DEFAULT_SOLVER_GRAD_RTOL = 2e-5
 SHORT_HORIZON_GRAD_RTOL = 3e-4
 
 
-def _default_solver_gradient_errors(way, shot, w0, T):
-    """The relative error of each gradient of the default solver against
-    rtol 1e-12 / atol 1e-14, and the default solver's bundle."""
-    episode = sample_episode(TaskGenConfig(way=way, shot=shot, seed=3), 0)
+# |T grad_T| is at most T ||V|| ||grad L(W(T))||, V the outer partial at W(T)
+# and grad L the inner gradient there.  At T = 20 the flow is nearly
+# stationary, so T grad_T is about 1e-6 and its error no fraction of itself.
+# The default solver's error on T grad_T against the tight reference, over
+# the reference's T ||V|| ||grad L(W(T))||, measured 1.4e-2 to 3.9e-2 on the
+# twelve 5w1s instances of the test (episodes 0-5, each W0); the bound
+# leaves that a factor of 2.  The ratio is no constant of the flow: at 5w5s
+# (episodes 0-5) it measured 4.8e-2 to 2.0, and with the identity backbone
+# at 5w1s (episodes 0-9) 7.4e-3 to 2.3, where the error of W(T) itself, not
+# grad L, sets the error.  So the bound holds for these instances only.
+LOG_T_GRAD_RTOL = 8e-2
+
+TIGHT_REFERENCE = SolverConfig(rtol=1e-12, atol=1e-14)
+
+
+def _instance(way, shot, w0, T, index=0):
+    """Meta-parameters with the 16-64-32 backbone and episode ``index``."""
+    episode = sample_episode(TaskGenConfig(way=way, shot=shot, seed=3), index)
     W0 = np.zeros((way, 32))
     if w0 == "random":
         W0 = np.random.default_rng(5).normal(size=(way, 32)) * 0.1
-    meta = MetaParams(W0, init_embedding([16, 64, 32], seed=0), math.log(T))
+    return MetaParams(W0, init_embedding([16, 64, 32], seed=0), math.log(T)), episode
+
+
+def _default_solver_gradient_errors(way, shot, w0, T):
+    """The relative error of each gradient of the default solver against
+    rtol 1e-12 / atol 1e-14, and the default solver's bundle."""
+    meta, episode = _instance(way, shot, w0, T)
     cfg = LossConfig(lam=0.5)
     got = task_metagrads(meta, episode, cfg, SolverConfig())
-    ref = task_metagrads(meta, episode, cfg, SolverConfig(rtol=1e-12, atol=1e-14))
+    ref = task_metagrads(meta, episode, cfg, TIGHT_REFERENCE)
     pairs = [(got.grad_W0, ref.grad_W0), (got.grad_phi_train, ref.grad_phi_train)]
     for layer, ref_layer in zip(got.grad_embedding, ref.grad_embedding):
         pairs.extend(zip(layer, ref_layer))
     # grad_T is left out: at T = 20 the flow is nearly stationary, and its
-    # relative error needs a bound of its own.
+    # error has a bound of its own (LOG_T_GRAD_RTOL).
     errors = [
         np.max(np.abs(value - reference)) / np.max(np.abs(reference))
         for value, reference in pairs
@@ -490,3 +511,21 @@ def test_default_solver_gradients_match_tight_reference_at_short_horizon(w0):
     assert got.rejected_steps == 0
     for error in errors:
         assert error <= SHORT_HORIZON_GRAD_RTOL
+
+
+@pytest.mark.parametrize("w0", ["zero", "random"])
+def test_default_solver_log_T_gradient_matches_tight_reference(w0):
+    cfg = LossConfig(lam=0.5)
+    for index in range(6):
+        meta, episode = _instance(5, 1, w0, 20.0, index)
+        got = task_metagrads(meta, episode, cfg, SolverConfig())
+        ref = task_metagrads(meta, episode, cfg, TIGHT_REFERENCE)
+        train, _ = embed_set(meta.phi_params, episode.train.features)
+        test, _ = embed_set(meta.phi_params, episode.test.features)
+        labels = episode.train.labels
+        W_T, _, _ = adapt(meta.W0, train, labels, cfg, meta.T, TIGHT_REFERENCE, False)
+        V, _ = outer_partials(W_T, EmbeddedSet(test, episode.test.labels))
+        g, _ = inner_grad(W_T, meta.W0, EmbeddedSet(train, labels), cfg)
+        scale = meta.T * np.linalg.norm(V) * np.linalg.norm(g)
+        error = abs(meta.T * got.grad_T - meta.T * ref.grad_T)
+        assert error <= LOG_T_GRAD_RTOL * scale

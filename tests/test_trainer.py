@@ -285,6 +285,20 @@ def test_metrics_sum_solver_counts_over_the_meta_batch():
     assert metrics[0].rejected_steps == 0
 
 
+def test_metrics_record_the_largest_task_evaluation_count():
+    # dopri5 at T = 1: each task of the meta-batch of three takes its own
+    # steps, and the row records the largest count beside the sum.
+    episodes = episode_batch(3, seed=6)
+    start = default_meta_params(2, 3)
+    initial = MetaParams(start.W0, start.phi_params, 0.0)
+    cfg = flat_train_config(meta_batch_size=3, solver=SolverConfig())
+    bundles = [task_metagrads(initial, ep, LAM0, cfg.solver) for ep in episodes]
+    _, metrics = meta_train(cfg, episodes, initial=initial)
+    assert [b.rhs_evals for b in bundles] == [67, 55, 55]
+    assert metrics[0].max_rhs_evals == 67
+    assert metrics[0].rhs_evals == 177
+
+
 def test_metrics_record_the_largest_stiffness_of_the_meta_batch():
     episodes = episode_batch(2, seed=6)
     initial = default_meta_params(2, 3)
@@ -431,9 +445,10 @@ def test_nesterov_steps_on_an_mlp_match_a_per_array_reference(monkeypatch):
 def test_metrics_row_field_order():
     assert MetricsRow.FIELDS[0] == "iteration"
     assert MetricsRow.FIELDS[-1] == "wall_time"
-    assert MetricsRow.FIELDS[-3:-1] == ("rhs_evals", "rejected_steps")
-    row = MetricsRow(3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 1.5, 43, 2, 0.01)
-    assert row.as_row() == [3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 1.5, 43, 2, 0.01]
+    counts = ("rhs_evals", "max_rhs_evals", "rejected_steps")
+    assert MetricsRow.FIELDS[-4:-1] == counts
+    values = [3, 0.5, 0.75, 0.05, 1.0, 0.0, 0.1, 0.2, 1.5, 43, 17, 2, 0.01]
+    assert MetricsRow(*values).as_row() == values
 
 
 # ---------------------------------------------------------------------------
