@@ -10,7 +10,9 @@ Subcommands:
                     print a per-component error table.
 * ``bench``         record tracked state bytes and wall time for the
                     constant-memory path and the unrolling oracle over a
-                    list of horizons, as CSV.
+                    list of horizons, as CSV.  It calls ``adapt`` with no
+                    horizon cap and its own memory budget, and projects
+                    through ``metagrad.projections``.
 * ``adjoint-demo``  integrate a small quadratic flow forward and then
                     backward in time and report how badly the reversal
                     loses the starting point.
@@ -393,6 +395,8 @@ _BENCH_HEADER = (
 def _cmd_bench(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
+    if args.budget < 1:
+        raise UsageError("--budget must be at least 1")
     horizons = _parse_horizons(args.horizons)
     task_cfg = TaskGenConfig(
         way=3, shot=2, test_shots=3, input_dim=8, seed=args.seed

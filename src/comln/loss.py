@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
@@ -80,18 +79,6 @@ class EmbeddedSet:
     @property
     def count(self) -> int:
         return self.features.shape[0]
-
-    def split(self, counts: Sequence[int]) -> List["EmbeddedSet"]:
-        """Consecutive runs of ``counts`` rows, as sets that are not checked
-        again: they are views of this checked one."""
-        bounds = np.cumsum([0, *counts])
-        parts = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            part = object.__new__(EmbeddedSet)
-            object.__setattr__(part, "features", self.features[lo:hi])
-            object.__setattr__(part, "labels", self.labels[lo:hi])
-            parts.append(part)
-        return parts
 
     @property
     def dim(self) -> int:

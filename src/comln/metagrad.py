@@ -184,7 +184,7 @@ def batch_metagrads(
     return bundles
 
 
-_Adapted = namedtuple("_Adapted", "W_T s X stats train test embedded")
+_Adapted = namedtuple("_Adapted", "W_T s X stats train test tapes")
 
 
 def _adapt_episodes(
@@ -195,14 +195,14 @@ def _adapt_episodes(
     track: bool,
 ) -> List[_Adapted]:
     """Each episode's adapted head, in order: W(T), s, X (None untracked),
-    StepStats, the checked train and test sets, and both embed_set results.
+    StepStats, the checked train and test sets, and their embed_set tapes.
 
     The train splits of one size adapt together in one ``adapt`` call, in
     which each episode still takes the solver steps it would take alone.  A
     failing episode raises TaskFailure with its index.
     """
     params = meta.phi_params
-    embedded = []
+    sets, tapes = [], []
     for i, episode in enumerate(episodes):
         try:
             if meta.W0.shape != (episode.way, params.output_dim):
@@ -210,24 +210,15 @@ def _adapt_episodes(
                     f"W0 has shape {meta.W0.shape}, expected "
                     f"{(episode.way, params.output_dim)}"
                 )
-            pair = (episode.train, episode.test)
-            embedded.append([embed_set(params, split.features) for split in pair])
+            episode_sets, episode_tapes = [], []
+            for split in (episode.train, episode.test):
+                phi, tape = embed_set(params, split.features)
+                episode_sets.append(EmbeddedSet(phi, split.labels))
+                episode_tapes.append(tape)
         except Exception as exc:
             raise TaskFailure(i, exc) from exc
-    # Every train split, then every test split, as one checked set.
-    order = [pair[0] for pair in embedded] + [pair[1] for pair in embedded]
-    splits = [e.train for e in episodes] + [e.test for e in episodes]
-    features = np.concatenate([phi for phi, _ in order])
-    labels = np.concatenate([split.labels for split in splits])
-    try:
-        sets = EmbeddedSet(features, labels).split([len(phi) for phi, _ in order])
-    except ValueError as exc:
-        # Each episode's labels were checked when it was made, so one of the
-        # embeddings is not finite.
-        finite = [np.isfinite(phi).all() for phi, _ in order]
-        bad = finite.index(False) % len(episodes) if not all(finite) else 0
-        raise TaskFailure(bad, exc) from exc
-    train_sets, test_sets = sets[: len(episodes)], sets[len(episodes) :]
+        sets.append(episode_sets)
+        tapes.append(episode_tapes)
 
     sizes: dict = {}
     for i, episode in enumerate(episodes):
@@ -237,8 +228,8 @@ def _adapt_episodes(
         try:
             W_T, state, stats = adapt(
                 meta.W0,
-                np.concatenate([train_sets[i].features for i in tasks]),
-                np.concatenate([train_sets[i].labels for i in tasks]),
+                np.concatenate([sets[i][0].features for i in tasks]),
+                np.concatenate([sets[i][0].labels for i in tasks]),
                 cfg, meta.T, solver, track=track, episodes=len(tasks),
             )
         except Exception as exc:
@@ -248,7 +239,7 @@ def _adapt_episodes(
         for row, i in enumerate(tasks):
             adapted[i] = _Adapted(
                 W_T[row], state.s[row], state.X[row] if track else None,
-                stats.episodes[row], train_sets[i], test_sets[i], embedded[i],
+                stats.episodes[row], *sets[i], tapes[i],
             )
     return adapted
 
@@ -272,12 +263,12 @@ def score(W_T: np.ndarray, test: EmbeddedSet) -> Tuple[float, float]:
     return float(np.mean(predictions == truth)), float(outer_loss(W_T, test))
 
 
-def _bundle(meta, cfg, W_T, s, X, stats, train, test, embedded):
+def _bundle(meta, cfg, W_T, s, X, stats, train, test, tapes):
     """One episode's MetaGradients from its adapted head."""
     g_W0, g_phi_train, g_phi_test, g_T = projections(
         W_T, s, X, meta.W0, train, test, cfg
     )
-    (_, train_tape), (_, test_tape) = embedded
+    train_tape, test_tape = tapes
     emb_grads = [
         (train_w + test_w, train_b + test_b)
         for (train_w, train_b), (test_w, test_b) in zip(

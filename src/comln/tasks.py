@@ -132,46 +132,35 @@ def episode_stream(cfg: TaskGenConfig, start: int = 0) -> Iterator[Episode]:
 
 
 def write_episodes(path, episodes: Iterable[Episode]) -> None:
-    """Write episodes as a COMLN-EP v1 file."""
+    """Write episodes as a COMLN-EP v1 file, checking every one before
+    ``path`` is opened: a rejected list leaves ``path`` as it was."""
     episodes = list(episodes)
-    if not episodes:
-        with open(path, "wb") as fh:
-            fh.write(b"COMLN-EP 1 0 0 0 0 0\n")
-        return
-    first = episodes[0]
-    way, shot = first.way, first.shot
-    k_test, dim = first.test_shots, first.train.dim
-    header = f"COMLN-EP 1 {len(episodes)} {way} {shot} {k_test} {dim}\n".encode()
+    shape = (0, 0, 0, 0)
+    if episodes:
+        first = episodes[0]
+        shape = (first.way, first.shot, first.test_shots, first.train.dim)
+    header = f"COMLN-EP 1 {len(episodes)} {' '.join(map(str, shape))}\n".encode()
+    offset = len(header)
+    for i, ep in enumerate(episodes):
+        if (ep.way, ep.shot, ep.test_shots, ep.train.dim) != shape:
+            raise DimensionInconsistencyError(
+                f"episode {i} dimensions disagree with the first episode", offset
+            )
+        try:
+            ep.validate_balance()
+        except ValueError as exc:
+            raise DimensionInconsistencyError(f"episode {i}: {exc}", offset) from exc
+        offset += (ep.train.count + ep.test.count) * (8 * shape[3] + 2)
     with open(path, "wb") as fh:
         fh.write(header)
-        offset = len(header)
-        for i, ep in enumerate(episodes):
-            if (ep.way, ep.shot, ep.test_shots, ep.train.dim) != (
-                way,
-                shot,
-                k_test,
-                dim,
-            ):
-                raise DimensionInconsistencyError(
-                    f"episode {i} dimensions disagree with the first episode",
-                    offset,
-                )
-            try:
-                ep.validate_balance()
-            except ValueError as exc:
-                raise DimensionInconsistencyError(
-                    f"episode {i}: {exc}", offset
-                ) from exc
-            offset += _write_block(fh, ep.train)
-            offset += _write_block(fh, ep.test)
+        for ep in episodes:
+            _write_block(fh, ep.train)
+            _write_block(fh, ep.test)
 
 
-def _write_block(fh, data: EmbeddedSet) -> int:
-    feats = np.ascontiguousarray(data.features, dtype="<f8")
-    idx = np.argmax(data.labels, axis=1).astype("<u2")
-    fh.write(feats.tobytes())
-    fh.write(idx.tobytes())
-    return feats.nbytes + idx.nbytes
+def _write_block(fh, data: EmbeddedSet) -> None:
+    fh.write(np.ascontiguousarray(data.features, dtype="<f8").tobytes())
+    fh.write(np.argmax(data.labels, axis=1).astype("<u2").tobytes())
 
 
 def load_episodes(path) -> Iterator[Episode]:
@@ -213,6 +202,10 @@ def _read_episodes(fh, offset, count, way, shot, k_test, dim):
             train, offset = _read_block(fh, offset, way, shot, dim)
             test, offset = _read_block(fh, offset, way, k_test, dim)
             yield Episode(train, test, way, shot)
+        if fh.read(1):
+            raise DimensionInconsistencyError(
+                f"data past the {count} episodes the header declares", offset
+            )
     finally:
         fh.close()
 

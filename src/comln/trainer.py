@@ -103,7 +103,9 @@ class MetaParams:
 @dataclass(frozen=True)
 class TrainConfig:
     """Outer-loop settings; ``lr_schedule`` pairs are (iteration, multiplier)
-    and ``eval_every`` is the checkpoint cadence in iterations, 0 for none."""
+    and ``eval_every`` is the checkpoint cadence in iterations, 0 for none.
+    ``seed`` seeds the default network, the identity, which draws no random
+    numbers: today every seed trains the same run."""
 
     meta_batch_size: int = 4
     iterations: int = 2000

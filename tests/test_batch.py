@@ -633,3 +633,22 @@ class TestMetaBatch:
                 batch_metagrads(meta, episodes, LAM, CFG)
         assert info.value.task == 2
         assert str(info.value.__cause__) == "features must be finite"
+
+    def test_the_first_faulty_episode_is_named(self):
+        # Episode 0's test split and episode 2's train split both embed to
+        # infinity; the failure names episode 0, the first in episode order.
+        layers = (
+            Layer(np.ones((4, 16)), np.zeros(4), "relu"),
+            Layer(np.ones((3, 4)), np.zeros(3), "identity"),
+        )
+        meta = MetaParams(np.zeros((5, 3)), EmbeddingParams(layers, 16, 3), 0.0)
+        episodes = pinned_episodes(count=3)
+        for e, split in ((0, "test"), (2, "train")):
+            large = getattr(episodes[e], split)
+            large = dataclasses.replace(large, features=np.full_like(large.features, 1e308))
+            episodes[e] = dataclasses.replace(episodes[e], **{split: large})
+        with np.errstate(over="ignore"):
+            with pytest.raises(TaskFailure) as info:
+                batch_metagrads(meta, episodes, LAM, CFG)
+        assert info.value.task == 0
+        assert str(info.value.__cause__) == "features must be finite"

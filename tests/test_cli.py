@@ -519,6 +519,18 @@ def test_bench_rejects_a_negative_seed(tmp_path, capsys):
     assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_bench_rejects_a_budget_below_one(tmp_path, capsys, budget):
+    # It exited 0 with every row marked budget-exceeded.
+    out = tmp_path / "b"
+    argv = ["bench", "--mode", "memory", "--horizons", "steps=10", "--budget", budget]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget must be at least 1" in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # adjoint-demo
 

@@ -130,6 +130,15 @@ class TestFileFormat:
             list(load_episodes(path))
         assert err.value.offset > 0
 
+    def test_payload_past_the_declared_count(self, tmp_path):
+        path = tmp_path / "long.ep"
+        write_episodes(path, [sample_episode(CFG, i) for i in range(3)])
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header.replace(b"EP 1 3", b"EP 1 2") + b"\n" + payload)
+        with pytest.raises(DimensionInconsistencyError) as err:
+            list(load_episodes(path))
+        assert err.value.offset == len(header) + 1 + 2 * len(payload) // 3
+
     def test_unbalanced_labels_hit_dimension_check(self, tmp_path):
         # Header declares k=2 of a 2-way task (M=4) but the label block
         # holds three of class 0 and one of class 1: k*N disagrees with
@@ -164,12 +173,26 @@ class TestFileFormat:
         bad = Episode(EmbeddedSet(feats, labels), EmbeddedSet(feats, labels), 2, 2)
         with pytest.raises(DimensionInconsistencyError):
             write_episodes(tmp_path / "bad.ep", [bad])
+        assert not (tmp_path / "bad.ep").exists()
+        kept = tmp_path / "kept.ep"
+        write_episodes(kept, [sample_episode(CFG, 0)])
+        before = kept.read_bytes()
+        with pytest.raises(DimensionInconsistencyError):
+            write_episodes(kept, [sample_episode(CFG, 1), bad])
+        assert kept.read_bytes() == before
 
     def test_writer_rejects_mixed_dimensions(self, tmp_path):
         a = sample_episode(CFG, 0)
         b = sample_episode(TaskGenConfig(way=3, shot=1, test_shots=2, input_dim=4), 0)
         with pytest.raises(DimensionInconsistencyError):
             write_episodes(tmp_path / "mix.ep", [a, b])
+        assert not (tmp_path / "mix.ep").exists()
+        kept = tmp_path / "kept.ep"
+        write_episodes(kept, [b])
+        before = kept.read_bytes()
+        with pytest.raises(DimensionInconsistencyError):
+            write_episodes(kept, [a, sample_episode(CFG, 1), b])
+        assert kept.read_bytes() == before
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.ep", tmp_path / "b.ep"
