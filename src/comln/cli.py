@@ -110,13 +110,15 @@ def load_config_file(path: Optional[str]) -> Dict[str, dict]:
     merged: Dict[str, dict] = {name: {} for name in _SECTIONS}
     if path is None:
         return merged
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}")
+    except FileNotFoundError:
+        raise UsageError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     for section, body in raw.items():

@@ -10,10 +10,15 @@ line ``COMLN-EP 1 <count> <N> <k> <k_test> <d>`` followed, per episode, by
 little-endian binary blocks in (train features f64, train label indices
 u16, test features f64, test label indices u16) order.  The float payload
 round-trips bit-exactly.
+
+Sampled episodes share their labels: every split with the same (way,
+examples per class) holds one read-only one-hot matrix, so a write into
+sampled labels raises ``ValueError``.  Loaded episodes own their labels.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -106,7 +111,9 @@ def sample_episode(cfg: TaskGenConfig, episode_index: int) -> Episode:
 
     Each class gets a prototype drawn from N(0, class_spread^2 I); every
     example is its prototype plus N(0, noise_std^2 I) noise.  Examples are
-    laid out class-major, so labels are balanced by construction.
+    laid out class-major, so labels are balanced by construction.  The
+    labels are one read-only array shared by every split of the same shape;
+    writing into them raises ``ValueError``.
     """
     rng = np.random.default_rng((cfg.seed, episode_index))
     prototypes = rng.normal(size=(cfg.way, cfg.input_dim)) * cfg.class_spread
@@ -119,8 +126,16 @@ def _scatter(rng, prototypes, per_class, noise_std) -> EmbeddedSet:
     way, dim = prototypes.shape
     noise = rng.normal(size=(way * per_class, dim)) * noise_std
     features = np.repeat(prototypes, per_class, axis=0) + noise
+    return EmbeddedSet(features, _class_major_labels(way, per_class))
+
+
+@functools.lru_cache(maxsize=16)
+def _class_major_labels(way: int, per_class: int) -> np.ndarray:
+    """The one-hot labels of ``per_class`` examples per class laid out
+    class-major, built once per shape and shared read-only."""
     labels = np.eye(way)[np.repeat(np.arange(way), per_class)]
-    return EmbeddedSet(features, labels)
+    labels.setflags(write=False)
+    return labels
 
 
 def episode_stream(cfg: TaskGenConfig, start: int = 0) -> Iterator[Episode]:

@@ -106,6 +106,19 @@ def test_train_missing_config_names_the_path(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(path) in err
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     config = write_config(tmp_path, train={"iterations": 1, "bogus": 5})
     assert cli.main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 2

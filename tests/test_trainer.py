@@ -14,7 +14,7 @@ from comln.embedding import embed_set, init_embedding
 from comln.loss import DimensionMismatchError, EmbeddedSet, LossConfig, outer_loss
 from comln.metagrad import task_metagrads
 from comln.solver import SolverConfig
-from comln.tasks import Episode, TaskGenConfig, sample_episode
+from comln.tasks import Episode, TaskGenConfig, episode_stream, sample_episode
 from comln.trainer import (
     INITIAL_T,
     LOG_T_MAX,
@@ -376,6 +376,32 @@ def test_horizon_stays_positive_through_training():
     )
     assert out.T > 0.0
     assert all(row.T > 0.0 for row in metrics)
+
+
+def test_learning_the_horizon_does_not_depend_on_the_solver_tolerance():
+    # The first 100 iterations of the acceptance fixture (criterion 7),
+    # under its 300-iteration schedule, at the default tolerances and at
+    # rtol 1e-8.  T climbs from 0.05 to about 20 in both.  Measured with
+    # numpy 2.4.6: the T trajectories differ by at most 7.9e-5 (relative),
+    # and the runs take 0.75 s and 1.22 s.
+    def horizons(rtol, atol):
+        cfg = TrainConfig(
+            meta_batch_size=4,
+            iterations=100,
+            lr=0.1,
+            momentum=0.9,
+            nesterov=True,
+            lr_schedule=default_lr_schedule(300),
+            lam=0.5,
+            solver=SolverConfig(method="dopri5", rtol=rtol, atol=atol),
+            eval_every=0,
+        )
+        _, metrics = meta_train(cfg, episode_stream(TaskGenConfig()))
+        return np.array([row.T for row in metrics])
+
+    default, tight = horizons(1e-6, 1e-8), horizons(1e-8, 1e-10)
+    assert tight[-1] > 19.0
+    assert np.max(np.abs(default - tight) / tight) <= 2e-4
 
 
 def layer_arrays(meta):
