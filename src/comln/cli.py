@@ -32,7 +32,8 @@ which so wins over ``--set train.iterations``.  Only the sections that a
 command reads are built, in the order above.
 
 Exit codes: 0 on success, 1 when a check fails or training aborts, 2 on
-usage errors such as a missing config file or an unknown key.
+usage errors such as a missing config file, an unknown key or an output
+the command cannot write.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .oracles import (
     adjoint_instability_demo,
     bptt_metagrads,
     finite_diff_metagrads,
-    unroll_gradient_descent,
 )
 from .solver import SolverConfig
 from .tasks import TaskGenConfig, episode_stream, sample_episode, write_episodes
@@ -437,14 +437,14 @@ def _cmd_bench(args) -> int:
     def bptt_row(token, T, steps):
         n, d = W0.shape
         m = train_set.count
+        # The bytes of the UnrollTape that bptt_metagrads builds.
         predicted = 8 * ((steps + 1) * n * d + steps * m * n)
         if predicted > args.budget:
             return ["bptt", token, T, steps, predicted, "", "budget-exceeded", ""]
-        tape = unroll_gradient_descent(W0, train_set, loss_cfg, alpha, steps)
         started = time.perf_counter()
         bptt_metagrads(bptt_meta, episode, loss_cfg, alpha, steps)
         wall = time.perf_counter() - started
-        return ["bptt", token, T, steps, tape.nbytes, steps, "", wall]
+        return ["bptt", token, T, steps, predicted, steps, "", wall]
 
     euler = SolverConfig(method="euler", fixed_step=alpha)
     dopri = SolverConfig()
@@ -486,10 +486,6 @@ def _cmd_adjoint_demo(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(f"invalid demo settings: {exc}")
 
-    print(f"forward terminal error   {report.forward_err:.6e}")
-    print(f"backward recovery error  {report.backward_err:.6e}")
-    print(f"backward/forward ratio   {report.ratio:.6e}")
-
     header = ["trajectory", "t"] + [f"w_{i}" for i in range(eigenvalues.size)]
     rows = []
     for label, states in (
@@ -498,7 +494,12 @@ def _cmd_adjoint_demo(args) -> int:
     ):
         for t, w in zip(report.ts, states):
             rows.append([label, t, *w])
+    # Before the report, so that a refused output prints nothing.
     _write_csv(args.out, header, rows)
+
+    print(f"forward terminal error   {report.forward_err:.6e}")
+    print(f"backward recovery error  {report.backward_err:.6e}")
+    print(f"backward/forward ratio   {report.ratio:.6e}")
     print(f"wrote {args.out}")
     return 0
 
@@ -602,6 +603,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Reading --config is a UsageError, so what is left is an output.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -292,13 +292,12 @@ def _probs_and_rate(c: TaskConstants, s: np.ndarray, out: np.ndarray) -> np.ndar
     return q
 
 
-def rhs_adapt(c: TaskConstants, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+def rhs_adapt(c: TaskConstants, s: np.ndarray, out: np.ndarray) -> None:
     """Time derivative of the adaptation coefficients s, M N entries per task,
     written into ``out``, in the shapes ``_probs_and_rate`` describes: the
     head less the lam s of the Gram product."""
     _probs_and_rate(c, s, out)
     out -= c.lam_s
-    return out
 
 
 def _rate_and_curvature(
@@ -307,40 +306,28 @@ def _rate_and_curvature(
     out: np.ndarray,
     neg_A: np.ndarray,
     diagonal: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> None:
     """The tracked head at s: q - Y / M written into out, to which the
     block's decay kernel adds -lam s, and the negated curvature blocks -A_i
     there, written into ``neg_A`` with the view ``diagonal`` of its
     diagonals (see ``curvature_from_probs``)."""
-    q = _probs_and_rate(c, s, out)
-    return out, curvature_from_probs(q, neg_A, diagonal)
+    curvature_from_probs(_probs_and_rate(c, s, out), neg_A, diagonal)
 
 
-def _row_views(s, neg_A, X, out, forcing, scratch) -> tuple:
-    """What ``tangent_rows`` reads and writes for some rows lo:hi of the
-    tangent block, made once for every evaluation that reuses them.
+def tangent_rows(
+    c: TaskConstants, s, neg_A, X_lanes, Y_lanes, Y, forced, forcing, out
+) -> None:
+    """Write dX/dt + lam X for rows lo:hi of the tangent block into ``out``.
 
-    ``s`` is a flat vector holding the tracked states of the tasks one
-    after another, or the s of one task alone; ``neg_A`` holds -A_i at the
-    same state; ``X`` and ``out`` are those rows and their derivatives as
-    (..., M, hi - lo, N) arrays; ``forcing`` is ``_row_forcing`` of those
-    rows; ``scratch`` is a contiguous vector with room for the entries of
-    X, which every evaluation overwrites.
-    """
-    lanes = X.shape[:-2] + (X.shape[-2] * X.shape[-1],)
-    Y = scratch[: X.size].reshape(X.shape)
-    return X, X.reshape(lanes), out, s, neg_A, Y, Y.reshape(lanes), Y.ravel(), forcing
-
-
-def tangent_rows(c: TaskConstants, rows: tuple) -> None:
-    """Write dX/dt + lam X for rows lo:hi of the tangent block to out, with
-    ``rows`` = ``_row_views(s, neg_A, X, out, forcing, scratch)`` of those
-    rows.
+    ``s`` holds the tracked states of the tasks, or their heads, flat;
+    ``neg_A`` holds -A_i there; ``X_lanes`` holds the rows as
+    (..., M, (hi - lo) N) and ``out`` their derivatives as (..., M, hi - lo,
+    N); ``Y_lanes``, ``Y`` and ``forced`` are one scratch in those shapes and
+    flat; ``forcing`` is ``_row_forcing`` of the rows.
 
     This is the only place the B and z equations are written down; the
     block's ``_decay`` kernel subtracts their decay lam X afterwards.
     """
-    X, X_lanes, out, s, neg_A, Y, Y_lanes, forced, forcing = rows
     eye, at_j, at_m, s_m, s_j = forcing
     # dX[i] = Y[i] (-A_i) - lam X[i] with Y[i] = sum_k G[i,k] X[k] + forcing:
     # -I in the B[i,i] rows, s_m at i = j and s_j at i = m in z[i,j,m].  The
@@ -411,7 +398,12 @@ def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
         rate, tangent = (_rate_and_curvature if layout else rhs_adapt), tangent_rows
         decay = layout is not None and c.lam != 0.0
         if hi > lo:
+            # Made once for every evaluation: the rows' shapes, and their
+            # scratch Y at the head of ``spare`` by lanes, by rows and flat.
             rows_shape = shape[:-1] + (hi - lo, n)
+            lanes = shape[:-1] + ((hi - lo) * n,)
+            forced = spare[: np.prod(rows_shape)]
+            Y = (forced.reshape(lanes), forced.reshape(rows_shape), forced)
             forcing = _row_forcing(m, n, lo, hi, c.episodes)
         kernels = []
         for i, (row, d_row) in enumerate(zip(inputs, derivatives)):
@@ -423,9 +415,10 @@ def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
             if hi > lo:
                 # The forcing reads s flat, in the states or the heads.
                 s = (inputs if heads is None else heads)[i].reshape(-1)
-                X, dX = x.reshape(rows_shape), dx.reshape(rows_shape)
-                views = _row_views(s, neg_A[i], X, dX, forcing, spare)
-                parts.append(functools.partial(tangent, c, views))
+                parts.append(functools.partial(
+                    tangent, c, s, neg_A[i], x.reshape(lanes), *Y, forcing,
+                    dx.reshape(rows_shape),
+                ))
             if decay:
                 scratch = spare[: row.size].reshape(row.shape)
                 parts.append(functools.partial(_decay, c.lam, row, d_row, scratch))

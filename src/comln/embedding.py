@@ -42,11 +42,11 @@ class Layer:
 
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """Ordered layers of the extractor; empty means the identity map."""
+    """Ordered layers of the extractor; empty means the identity map.  The
+    output dimension is the last layer's width, else ``input_dim``."""
 
     layers: Tuple[Layer, ...]
     input_dim: int
-    output_dim: int
 
     def __post_init__(self) -> None:
         dim = self.input_dim
@@ -56,16 +56,12 @@ class EmbeddingParams:
                     f"layer expects input {layer.weight.shape[1]}, got {dim}"
                 )
             dim = layer.weight.shape[0]
-        if dim != self.output_dim:
-            raise DimensionMismatchError(
-                f"layers end at dimension {dim}, declared output {self.output_dim}"
-            )
         if self.layers and self.layers[-1].activation != "identity":
             raise ValueError("final activation must be identity")
 
     @property
-    def n_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+    def output_dim(self) -> int:
+        return self.layers[-1].weight.shape[0] if self.layers else self.input_dim
 
 
 def init_embedding(
@@ -90,7 +86,7 @@ def init_embedding(
         weight = rng.uniform(-a, a, size=(d_out, d_in))
         act = "identity" if i == len(dims) - 2 else hidden_activation
         layers.append(Layer(weight, np.zeros(d_out), act))
-    return EmbeddingParams(tuple(layers), dims[0], dims[-1])
+    return EmbeddingParams(tuple(layers), dims[0])
 
 
 def _apply_activation(name: str, x: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ increasing T helps exactly when the two point the same way.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +48,7 @@ from .loss import (
     outer_loss,
     outer_partials,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, StepStats
 from .tasks import Episode
 
 if TYPE_CHECKING:
@@ -63,9 +63,8 @@ class MetaGradients:
     embedding network; it is empty for an identity backbone.  The
     ``outer_loss`` and ``test_accuracy`` fields record the state of the
     task at the adapted weights so callers logging metrics do not have
-    to re-run the adaptation.  ``rhs_evals``, ``rejected_steps`` and
-    ``stiffness`` come from the adaptation solver's ``StepStats``;
-    references that do not integrate leave them at zero.
+    to re-run the adaptation.  ``stats`` is the task's adaptation
+    ``StepStats``; references that do not integrate leave ``StepStats()``.
 
     ``grad_T`` is the one horizon gradient, dL/dT; the trainer, which owns
     the log-T parametrisation, turns it into dL/dlog T = T grad_T.
@@ -78,9 +77,7 @@ class MetaGradients:
     grad_embedding: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     outer_loss: float
     test_accuracy: float
-    rhs_evals: int = 0
-    rejected_steps: int = 0
-    stiffness: float = 0.0
+    stats: StepStats = field(default_factory=StepStats)
 
     def __post_init__(self) -> None:
         arrays = [self.grad_W0, self.grad_phi_train, self.grad_phi_test]
@@ -285,9 +282,7 @@ def _bundle(meta, cfg, W_T, s, X, stats, train, test, tapes):
         grad_embedding=tuple(emb_grads),
         outer_loss=loss,
         test_accuracy=accuracy,
-        rhs_evals=stats.rhs_evals,
-        rejected_steps=stats.rejected_steps,
-        stiffness=stats.stiffness,
+        stats=stats,
     )
 
 

@@ -322,7 +322,7 @@ def _perturbed_params(
         bias = layer.bias.copy()
         bias[coord] += delta
         layers[layer_index] = Layer(layer.weight, bias, layer.activation)
-    return EmbeddingParams(tuple(layers), params.input_dim, params.output_dim)
+    return EmbeddingParams(tuple(layers), params.input_dim)
 
 
 def finite_diff_metagrads(

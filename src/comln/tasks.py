@@ -49,30 +49,32 @@ class TruncatedFileError(EpisodeFileError):
 
 @dataclass(frozen=True)
 class Episode:
-    """One few-shot task: balanced train/test sets over the same classes."""
+    """One few-shot task: balanced train/test sets over the same classes,
+    whose label width is the way and whose rows per class are the shots."""
 
     train: EmbeddedSet
     test: EmbeddedSet
-    way: int
-    shot: int
 
     def __post_init__(self) -> None:
-        if self.train.way != self.way or self.test.way != self.way:
-            raise ValueError("label width disagrees with declared way")
+        if self.train.way != self.test.way:
+            raise ValueError("train/test label widths disagree")
         if self.train.dim != self.test.dim:
             raise ValueError("train/test feature dimensions disagree")
+
+    @property
+    def way(self) -> int:
+        return self.train.way
+
+    @property
+    def shot(self) -> int:
+        return self.train.count // self.way
 
     @property
     def test_shots(self) -> int:
         return self.test.count // self.way
 
     def validate_balance(self) -> None:
-        """Check M = k*N and exact per-class balance on both sets."""
-        if self.train.count != self.way * self.shot:
-            raise ValueError(
-                f"train has {self.train.count} rows, expected way*shot = "
-                f"{self.way * self.shot}"
-            )
+        """Check exact per-class balance on both sets, which implies M = k*N."""
         train_counts = self.train.labels.sum(axis=0)
         if not np.all(train_counts == self.shot):
             raise ValueError("train labels are not balanced at shot per class")
@@ -119,7 +121,7 @@ def sample_episode(cfg: TaskGenConfig, episode_index: int) -> Episode:
     prototypes = rng.normal(size=(cfg.way, cfg.input_dim)) * cfg.class_spread
     train = _scatter(rng, prototypes, cfg.shot, cfg.noise_std)
     test = _scatter(rng, prototypes, cfg.test_shots, cfg.noise_std)
-    return Episode(train, test, cfg.way, cfg.shot)
+    return Episode(train, test)
 
 
 def _scatter(rng, prototypes, per_class, noise_std) -> EmbeddedSet:
@@ -216,7 +218,7 @@ def _read_episodes(fh, offset, count, way, shot, k_test, dim):
         for _ in range(count):
             train, offset = _read_block(fh, offset, way, shot, dim)
             test, offset = _read_block(fh, offset, way, k_test, dim)
-            yield Episode(train, test, way, shot)
+            yield Episode(train, test)
         if fh.read(1):
             raise DimensionInconsistencyError(
                 f"data past the {count} episodes the header declares", offset

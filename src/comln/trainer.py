@@ -201,15 +201,14 @@ def default_meta_params(
     input_dim: int,
     seed: int = 0,
     hidden_dims: Sequence[int] = (),
-    hidden_activation: str = "relu",
 ) -> MetaParams:
     """Zero classifier, freshly initialized network, T = 0.05.
 
     With no hidden dims the network is the identity and the classifier
-    works on raw inputs.
+    works on raw inputs; otherwise relu sits between the layers.
     """
     dims = [input_dim, *hidden_dims]
-    phi = init_embedding(dims, seed=seed, hidden_activation=hidden_activation)
+    phi = init_embedding(dims, seed=seed)
     W0 = np.zeros((way, phi.output_dim))
     return MetaParams(W0, phi, math.log(INITIAL_T))
 
@@ -249,7 +248,7 @@ def _unflat(
             specs, pieces[1:-1:2], pieces[2:-1:2]
         )
     )
-    params = EmbeddingParams(layers, input_dim, dim)
+    params = EmbeddingParams(layers, input_dim)
     return MetaParams(pieces[0].reshape(way, dim), params, theta[-1])
 
 
@@ -353,10 +352,10 @@ def meta_train(
                 grad_norm_embedding=float(np.linalg.norm(grad[n_W0:-1])),
                 grad_norm_logT=abs(float(grad[-1])),
                 alignment=float(np.mean([x.diag_alignment for x in bundles])),
-                rhs_evals=sum(x.rhs_evals for x in bundles),
-                max_rhs_evals=max(x.rhs_evals for x in bundles),
-                rejected_steps=sum(x.rejected_steps for x in bundles),
-                stiffness=max(x.stiffness for x in bundles),
+                rhs_evals=sum(x.stats.rhs_evals for x in bundles),
+                max_rhs_evals=max(x.stats.rhs_evals for x in bundles),
+                rejected_steps=sum(x.stats.rejected_steps for x in bundles),
+                stiffness=max(x.stats.stiffness for x in bundles),
                 wall_time=time.perf_counter() - started,
             )
         )

@@ -574,11 +574,22 @@ class TestMetaBatch:
         meta = meta_at(20.0)
         bundles = [task_metagrads(meta, e, LAM, CFG) for e in episodes]
         out, (row,) = meta_train(one_step(4), episodes, initial=meta)
-        assert row.rhs_evals == sum(b.rhs_evals for b in bundles)
-        assert row.rejected_steps == sum(b.rejected_steps for b in bundles)
-        assert row.stiffness == max(b.stiffness for b in bundles)
+        assert row.rhs_evals == sum(b.stats.rhs_evals for b in bundles)
+        assert row.rejected_steps == sum(b.stats.rejected_steps for b in bundles)
+        assert row.stiffness == max(b.stats.stiffness for b in bundles)
         mean = sum(b.grad_W0 for b in bundles) / 4
         assert_array_equal(out.W0, meta.W0 - 0.1 * mean)
+
+    def test_each_bundle_carries_its_episodes_step_stats(self):
+        episodes = pinned_episodes(count=3)
+        meta = meta_at(5.0)
+        bundles = batch_metagrads(meta, episodes, LAM, CFG)
+        _, _, stats = adapt(
+            meta.W0, *stacked(episodes), LAM, meta.T, CFG, True, episodes=3
+        )
+        assert len(stats.episodes) == 3
+        for bundle, alone in zip(bundles, stats.episodes):
+            assert bundle.stats == alone
 
     def test_train_splits_of_two_sizes_adapt_apart(self):
         one_shot = pinned_episodes(count=2)
@@ -590,12 +601,12 @@ class TestMetaBatch:
             alone = task_metagrads(meta, episode, LAM, CFG)
             assert_array_equal(bundle.grad_W0, alone.grad_W0)
             assert_array_equal(bundle.grad_phi_train, alone.grad_phi_train)
-            assert bundle.rhs_evals == alone.rhs_evals
+            assert bundle.stats.rhs_evals == alone.stats.rhs_evals
 
     def test_budget_failure_names_its_task_alone(self):
         episodes = pinned_episodes()
         meta = meta_at(20.0)
-        counts = [task_metagrads(meta, e, LAM, CFG).rhs_evals for e in episodes]
+        counts = [task_metagrads(meta, e, LAM, CFG).stats.rhs_evals for e in episodes]
         # Put the episode that needs the most evaluations third.
         hardest = int(np.argmax(counts))
         order = [e for e in range(4) if e != hardest]
@@ -622,7 +633,7 @@ class TestMetaBatch:
             Layer(np.ones((4, 16)), np.zeros(4), "relu"),
             Layer(np.ones((3, 4)), np.zeros(3), "identity"),
         )
-        net = EmbeddingParams(layers, 16, 3)
+        net = EmbeddingParams(layers, 16)
         meta = MetaParams(np.zeros((5, 3)), net, math.log(2.0))
         episodes = pinned_episodes(count=3)
         large = getattr(episodes[2], split)
@@ -641,7 +652,7 @@ class TestMetaBatch:
             Layer(np.ones((4, 16)), np.zeros(4), "relu"),
             Layer(np.ones((3, 4)), np.zeros(3), "identity"),
         )
-        meta = MetaParams(np.zeros((5, 3)), EmbeddingParams(layers, 16, 3), 0.0)
+        meta = MetaParams(np.zeros((5, 3)), EmbeddingParams(layers, 16), 0.0)
         episodes = pinned_episodes(count=3)
         for e, split in ((0, "test"), (2, "train")):
             large = getattr(episodes[e], split)

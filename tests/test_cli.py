@@ -457,6 +457,23 @@ def test_bench_memory_rows(tmp_path, monkeypatch):
     assert len(projected) == 4
 
 
+def test_bench_unrolls_once_per_horizon(tmp_path, monkeypatch):
+    # The BPTT row's bytes are the tape bytes it predicts, so only
+    # bptt_metagrads unrolls; the row once ran a second unroll to read them.
+    calls = []
+    real = comln.oracles.unroll_gradient_descent
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(comln.oracles, "unroll_gradient_descent", spy)
+    monkeypatch.setattr(cli, "unroll_gradient_descent", spy, raising=False)
+    argv = ["bench", "--mode", "memory", "--horizons", "steps=10,steps=20"]
+    assert cli.main(argv + ["--out", str(tmp_path / "bench.csv")]) == 0
+    assert calls == [10, 20]
+
+
 def test_bench_integrates_to_the_requested_T(tmp_path, monkeypatch):
     ends = []
     real = comln.dynamics.integrate
@@ -676,3 +693,33 @@ def test_gen_tasks_missing_config_exits_2(tmp_path, capsys):
     code = cli.main(["gen-tasks", "--config", missing, "--out", str(tmp_path / "x.ep")])
     assert code == 2
     assert missing in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# outputs
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["gen-tasks", "--count", "1", "--out", "{dir}"], "{dir}"),
+        (["bench", "--mode", "memory", "--horizons", "steps=10", "--out", "{missing}"],
+         "{missing}"),
+        (["adjoint-demo", "--out", "{missing}"], "{missing}"),
+        (["train", "--iterations", "1", "--out", "{file}"], "{file}"),
+    ],
+    ids=["gen-tasks", "bench", "adjoint-demo", "train"],
+)
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, target):
+    # Each ended in an OSError traceback with exit 1.
+    (tmp_path / "file").write_text("")
+    paths = {
+        "dir": tmp_path,
+        "missing": tmp_path / "missing" / "x.csv",
+        "file": tmp_path / "file",
+    }
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write output: ")
+    assert target.format(**paths) in err and "Traceback" not in err

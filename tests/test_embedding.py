@@ -11,6 +11,7 @@ from comln.embedding import (
     init_embedding,
 )
 from comln.loss import DimensionMismatchError
+from comln.trainer import MetaParams, load_checkpoint, save_checkpoint
 
 
 def forward(params, x):
@@ -55,7 +56,7 @@ def two_layer_tanh(seed=0):
     rng = np.random.default_rng(seed)
     l1 = Layer(rng.normal(size=(4, 3)), rng.normal(size=4), "tanh")
     l2 = Layer(rng.normal(size=(2, 4)), rng.normal(size=2), "identity")
-    return EmbeddingParams((l1, l2), 3, 2)
+    return EmbeddingParams((l1, l2), 3)
 
 
 class TestForward:
@@ -64,11 +65,10 @@ class TestForward:
         x = np.arange(5.0)
         phi, tape = forward(params, x)
         np.testing.assert_array_equal(phi, x)
-        assert params.n_params == 0
 
     def test_single_linear_layer(self):
         W = np.array([[1.0, 2.0], [0.0, -1.0]])
-        params = EmbeddingParams((Layer(W, np.zeros(2), "identity"),), 2, 2)
+        params = EmbeddingParams((Layer(W, np.zeros(2), "identity"),), 2)
         phi, _ = forward(params, np.array([3.0, 4.0]))
         np.testing.assert_array_equal(phi, W @ np.array([3.0, 4.0]))
 
@@ -93,7 +93,7 @@ class TestForward:
             Layer(rng.normal(size=(6, 4)), np.zeros(6), "relu"),
             Layer(rng.normal(size=(3, 6)), np.zeros(3), "identity"),
         )
-        params = EmbeddingParams(layers, 4, 3)
+        params = EmbeddingParams(layers, 4)
         x = rng.normal(size=4)
         phi, _ = forward(params, x)
         for alpha in (0.5, 2.0, 4.0):
@@ -111,7 +111,7 @@ class TestBackward:
 
     def test_single_linear_layer_is_outer_product(self):
         W = np.array([[1.0, 2.0], [0.5, -1.0]])
-        params = EmbeddingParams((Layer(W, np.zeros(2), "identity"),), 2, 2)
+        params = EmbeddingParams((Layer(W, np.zeros(2), "identity"),), 2)
         x = np.array([3.0, -4.0])
         g = np.array([0.7, 0.2])
         _, tape = forward(params, x)
@@ -147,7 +147,7 @@ class TestBackward:
                         layers = list(params.layers)
                         layers[li] = new_layer
                         bumped_params = EmbeddingParams(
-                            tuple(layers), params.input_dim, params.output_dim
+                            tuple(layers), params.input_dim
                         )
                         out, _ = embed_set(bumped_params, x)
                         return float(np.sum(g * out))
@@ -179,7 +179,7 @@ class TestBackward:
                 Layer(l.weight + t * vw, l.bias + t * vb, l.activation)
                 for l, (vw, vb) in zip(params.layers, direction)
             )
-            out, _ = forward(EmbeddingParams(layers, 3, 2), x)
+            out, _ = forward(EmbeddingParams(layers, 3), x)
             return float(g @ out)
 
         fd = (value(eps) - value(-eps)) / (2 * eps)
@@ -222,7 +222,22 @@ class TestInit:
         l1 = Layer(np.zeros((4, 3)), np.zeros(4), "relu")
         l2 = Layer(np.zeros((2, 5)), np.zeros(2), "identity")
         with pytest.raises(DimensionMismatchError):
-            EmbeddingParams((l1, l2), 3, 2)
+            EmbeddingParams((l1, l2), 3)
+
+
+class TestOutputDim:
+    """The output dimension is read from the layers, not stored."""
+
+    @pytest.mark.parametrize("dims", [[16], [16, 64, 32]], ids=["identity", "mlp"])
+    def test_output_dim_is_the_last_width(self, dims, tmp_path):
+        params = init_embedding(dims, seed=0)
+        assert (params.input_dim, params.output_dim) == (dims[0], dims[-1])
+        features, _ = embed_set(params, np.ones((2, dims[0])))
+        assert features.shape == (2, params.output_dim)
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(MetaParams(np.zeros((5, dims[-1])), params, 0.0), path)
+        back = load_checkpoint(path).phi_params
+        assert (back.input_dim, back.output_dim) == (dims[0], dims[-1])
 
 
 class TestHelpers:

@@ -367,11 +367,11 @@ def test_task_bundle_carries_the_adaptation_solver_counts():
         TIGHT,
         track=True,
     )
-    assert (bundle.rhs_evals, bundle.rejected_steps) == (
+    assert (bundle.stats.rhs_evals, bundle.stats.rejected_steps) == (
         stats.rhs_evals,
         stats.rejected_steps,
     )
-    assert bundle.rhs_evals > 0
+    assert bundle.stats.rhs_evals > 0
 
 
 def test_task_bundle_matches_finite_differences():
@@ -508,7 +508,7 @@ def test_default_solver_gradients_match_tight_reference(shot, w0):
 def test_default_solver_gradients_match_tight_reference_at_short_horizon(w0):
     errors, got = _default_solver_gradient_errors(10, 5, w0, 2.0)
     # No trial is rejected, so the first accepted step sets the growth bound.
-    assert got.rejected_steps == 0
+    assert got.stats.rejected_steps == 0
     for error in errors:
         assert error <= SHORT_HORIZON_GRAD_RTOL
 

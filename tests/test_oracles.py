@@ -28,7 +28,7 @@ from comln.oracles import (
     softmax_probs,
     unroll_gradient_descent,
 )
-from comln.solver import SolverConfig
+from comln.solver import SolverConfig, StepStats
 from comln.tasks import TaskGenConfig, sample_episode
 from comln.trainer import MetaParams
 from test_loss import negated_curvature
@@ -247,6 +247,14 @@ def test_finite_diff_error_shrinks_quadratically():
         )
     assert 2.5 <= errors[0] / errors[1] <= 5.5
     assert 2.5 <= errors[1] / errors[2] <= 5.5
+
+
+def test_references_carry_empty_step_stats():
+    episode = small_episode(seed=12, way=2, shot=1, test_shots=2, input_dim=3)
+    meta = identity_meta(12, 2, 3, 0.1)
+    fd = finite_diff_metagrads(meta, episode, LAM0, RTOL6, eps=1e-4)
+    bptt = bptt_metagrads(meta, episode, LAM0, 0.01, 10)
+    assert fd.stats == bptt.stats == StepStats()
 
 
 def test_finite_diff_rejects_bad_eps():

@@ -126,6 +126,30 @@ class TestSampling:
         assert held <= features + 2048 * count
 
 
+FAMILIES = [CFG, TaskGenConfig(way=10, shot=5, test_shots=15, seed=3)]
+
+
+class TestShape:
+    """An episode's way, shot and test_shots are read from its splits."""
+
+    @pytest.mark.parametrize("cfg", FAMILIES, ids=["5w1s", "10w5s"])
+    def test_sampled_and_loaded_episodes_read_their_family(self, cfg, tmp_path):
+        sampled = [sample_episode(cfg, i) for i in range(2)]
+        write_episodes(tmp_path / "e.ep", sampled)
+        for ep in sampled + list(load_episodes(tmp_path / "e.ep")):
+            assert (ep.way, ep.shot, ep.test_shots) == (
+                cfg.way, cfg.shot, cfg.test_shots
+            )
+
+    def test_splits_of_different_label_widths_are_refused(self):
+        feats = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="label widths"):
+            Episode(
+                EmbeddedSet(feats, np.eye(2)[[0, 0, 1, 1]]),
+                EmbeddedSet(feats, np.eye(4)),
+            )
+
+
 class TestFileFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):
         path = tmp_path / "episodes.ep"
@@ -220,7 +244,7 @@ class TestFileFormat:
     def test_writer_rejects_unbalanced_episode(self, tmp_path):
         labels = np.eye(2)[[0, 0, 0, 1]]
         feats = np.random.default_rng(0).normal(size=(4, 3))
-        bad = Episode(EmbeddedSet(feats, labels), EmbeddedSet(feats, labels), 2, 2)
+        bad = Episode(EmbeddedSet(feats, labels), EmbeddedSet(feats, labels))
         with pytest.raises(DimensionInconsistencyError):
             write_episodes(tmp_path / "bad.ep", [bad])
         assert not (tmp_path / "bad.ep").exists()

@@ -280,7 +280,7 @@ def test_metrics_sum_solver_counts_over_the_meta_batch():
     bundles = [task_metagrads(initial, ep, LAM0, cfg.solver) for ep in episodes]
     _, metrics = meta_train(cfg, episodes, initial=initial)
     # Euler at step 0.01 over T = 0.05: five evaluations per task.
-    assert [b.rhs_evals for b in bundles] == [5, 5]
+    assert [b.stats.rhs_evals for b in bundles] == [5, 5]
     assert metrics[0].rhs_evals == 10
     assert metrics[0].rejected_steps == 0
 
@@ -294,7 +294,7 @@ def test_metrics_record_the_largest_task_evaluation_count():
     cfg = flat_train_config(meta_batch_size=3, solver=SolverConfig())
     bundles = [task_metagrads(initial, ep, LAM0, cfg.solver) for ep in episodes]
     _, metrics = meta_train(cfg, episodes, initial=initial)
-    assert [b.rhs_evals for b in bundles] == [67, 55, 55]
+    assert [b.stats.rhs_evals for b in bundles] == [67, 55, 55]
     assert metrics[0].max_rhs_evals == 67
     assert metrics[0].rhs_evals == 177
 
@@ -305,8 +305,8 @@ def test_metrics_record_the_largest_stiffness_of_the_meta_batch():
     cfg = flat_train_config(meta_batch_size=2, solver=SolverConfig())
     bundles = [task_metagrads(initial, ep, LAM0, cfg.solver) for ep in episodes]
     _, metrics = meta_train(cfg, episodes, initial=initial)
-    assert bundles[0].stiffness != bundles[1].stiffness
-    assert metrics[0].stiffness == max(b.stiffness for b in bundles)
+    assert bundles[0].stats.stiffness != bundles[1].stats.stiffness
+    assert metrics[0].stiffness == max(b.stats.stiffness for b in bundles)
 
 
 def test_empty_stream_is_rejected():
@@ -489,7 +489,7 @@ def test_meta_test_breaks_ties_toward_the_lowest_class():
         np.zeros((4, 3)),
         np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
     )
-    episode = Episode(train=train, test=test, way=2, shot=1)
+    episode = Episode(train=train, test=test)
     meta = default_meta_params(2, 3)
     accuracy, loss = meta_test(meta, episode, LAM0, EULER)
     assert accuracy == 0.5
