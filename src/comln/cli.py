@@ -206,6 +206,10 @@ def _cmd_train(args) -> int:
     if train_cfg.checkpoint_path is None:
         checkpoint_path = os.path.join(args.out, "checkpoint.bin")
         train_cfg = dataclasses.replace(train_cfg, checkpoint_path=checkpoint_path)
+    # Refused before training, so that no run is lost to it at the end.
+    folder = os.path.dirname(train_cfg.checkpoint_path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"checkpoint directory {folder} does not exist")
 
     resolved_path = os.path.join(args.out, "resolved_config.json")
     _write_json(
@@ -218,9 +222,11 @@ def _cmd_train(args) -> int:
         print(f"training failed: {exc}", file=sys.stderr)
         return 1
 
-    save_checkpoint(final, train_cfg.checkpoint_path)
+    # The metrics first: a checkpoint that cannot be written still exits 2,
+    # but keeps them.
     metrics_path = os.path.join(args.out, "metrics.csv")
     _write_csv(metrics_path, MetricsRow.FIELDS, [row.as_row() for row in metrics])
+    save_checkpoint(final, train_cfg.checkpoint_path)
 
     print(f"trained {len(metrics)} iterations, final T {final.T:.6g}")
     if metrics:

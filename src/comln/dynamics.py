@@ -155,12 +155,11 @@ class TaskConstants:
         self.row_max = np.empty(P0.shape[:-1] + (1,))
         self.row_sum = np.empty(P0.shape[:-1] + (1,))
 
-    def take(self, index) -> "TaskConstants":
-        """The constants of the tasks at the positions ``index`` of a batch of
-        several, in that order."""
-        taken = object.__new__(TaskConstants)
+    def take(self, e: int) -> "TaskConstants":
+        """The constants of task e alone, of a batch of several."""
+        taken, one = object.__new__(TaskConstants), slice(e, e + 1)
         taken.lam, taken.column = self.lam, self.column
-        taken._hold(self.P0[index], self.target[index], self.gram_lam[index])
+        taken._hold(self.P0[one], self.target[one], self.gram_lam[one])
         return taken
 
 
@@ -391,8 +390,8 @@ def _block(c: TaskConstants, layout: CompactLayout | None) -> TangentBlock:
         neg_A = np.empty((7,) + shape + (n,))
         curvature, rows = list(zip(neg_A, block_diagonals(neg_A))), layout.rows
 
-    def take(index):
-        return _block(c.take(index), layout)
+    def take(e):
+        return _block(c.take(e), layout)
 
     def bind(inputs, derivatives, lo, hi, spare, heads):
         rate, tangent = (_rate_and_curvature if layout else rhs_adapt), tangent_rows

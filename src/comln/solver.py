@@ -24,8 +24,8 @@ dopri5 walks a state in segments: a state that fits one chunk of
 CHUNK_BYTES is one segment, a larger one the head u alone, whose kernels
 write what the rows read, then chunks of whole rows of X.  A step forms
 every stage of a segment, while its rows stay in cache, before the next.
-Each segment has a stage-major matrix (15, active episodes, size), so y,
-y_new, every stage and the error estimate of all episodes are each one
+Each segment has a stage-major matrix (15, episodes, size), so y, y_new,
+every stage and the error estimate of all episodes are each one
 contiguous array.  Every stage input and the error estimate is one product
 over the rows y, k_0..k_6 with per-episode weights, which rounds as np.dot
 on that episode alone.  Every episode keeps its own t, h, error norm,
@@ -33,30 +33,30 @@ accept/reject decision, first-step growth, evaluation budget and
 stiffness, as an ODE solver under jax.vmap does in diffrax (Kidger, 2021),
 not one step for the whole batch: it takes the steps it would take alone,
 bit for bit.  The squared scaled errors of the segments are summed in
-segment order into the whole-vector norm, and the kernels are bound once
-per active set of episodes.
+segment order into the whole-vector norm.  Each batch of episodes is bound
+once: an episode that reaches t1 keeps its place with a zero step, so its
+stage inputs equal its y, while the others step on.
 
 The segment count decides where y lives.  A state of one segment keeps y
 and k_0 of every episode in its matrix.  Dormand-Prince has the
 first-same-as-last property: its seventh stage is the derivative at the
 new state, so an accepted step hands it to the next step as its first,
 and an episode costs one evaluation plus six per step, accepted or
-rejected.  After a step in which an episode reaches t1, the kernels of the
-block's ``take`` of the episodes left are bound.  A state of several
-segments is integrated one episode at a time in two state-sized vectors,
-y and the candidate y_new: each step reads y once and writes y_new once,
-an accepted step swaps them by reference, and every other pass runs over
-one chunk.  Its first stage is evaluated anew at every step, as every step
-after a rejected one must (Hairer, Norsett & Wanner, Solving ODEs I,
-II.5); since the rhs is deterministic, that gives bit for bit the stage
-first-same-as-last would have handed on, and the seventh evaluation of
-each step saves a third state-sized vector.  The chunks of a step are cut
-into one contiguous group per thread, one thread for each CPU this
-process may run on (os.sched_getaffinity) and at most one per chunk: the
-calling thread sweeps the first group, threads started for the step the
-others and end with it, each group in its own chunk matrix and each
-thread with its BLAS held to one thread.  Where numpy's OpenBLAS cannot be
-held so, one thread sweeps them all.
+rejected.  A state of several segments is integrated one episode at a
+time, bound to the block's ``take`` of that episode, in two state-sized
+vectors, y and the candidate y_new: each step reads y once and writes
+y_new once, an accepted step swaps them by reference, and every other
+pass runs over one chunk.  Its first stage is evaluated anew at every
+step, as every step after a rejected one must (Hairer, Norsett & Wanner,
+Solving ODEs I, II.5); since the rhs is deterministic, that gives bit
+for bit the stage first-same-as-last would have handed on, and the
+seventh evaluation of each step saves a third state-sized vector.  The
+chunks of a step are cut into one contiguous group per thread, one
+thread for each CPU this process may run on (os.sched_getaffinity) and
+at most one per chunk: the calling thread sweeps the first group,
+threads started for the step the others and end with it, each group in
+its own chunk matrix and each thread with its BLAS held to one thread.
+Where numpy's OpenBLAS cannot be held so, one thread sweeps them all.
 
 euler and rk4 bind the whole state once per integration and step it in
 place, so every episode takes the same fixed steps.
@@ -196,15 +196,15 @@ class TangentBlock:
     first at each stage.  ``spare`` is a contiguous vector with room for a
     whole bound buffer, every episode's row; no stage reads or writes it
     while a kernel runs, so the kernels may use it as scratch.
-    ``take(index)`` returns the block of the episodes at the positions
-    ``index``, in that order; a block of one episode need not have it.
+    ``take(e)`` returns the block of episode e alone; only a block of
+    several episodes whose state spans several chunks needs it.
     """
 
     head: int
     shape: Tuple[int, int, int]
     bind: Callable[..., List[Callable[[], object]]]
     episodes: int = 1
-    take: Callable[[List[int]], "TangentBlock"] | None = None
+    take: Callable[[int], "TangentBlock"] | None = None
 
 
 # dopri5 forms all seven stages of one chunk of tangent rows before the
@@ -298,12 +298,13 @@ def _failure(error, message: str, t: float, stats: StepStats, episode, episodes)
     return exc
 
 
-def _spend(config: SolverConfig, evals: int, more: int, where) -> int:
+def _spend(config: SolverConfig, evals: int, more: int, where, row: int) -> int:
     """``evals`` + ``more``, the evaluations after a step of ``more``, or
-    the BudgetExceededError of active row 0 if that exceeds the budget."""
+    the BudgetExceededError of ``row``, the first row still running, if that
+    exceeds the budget."""
     if evals + more > config.max_evals:
         message = f"rhs evaluation budget of {config.max_evals} exhausted"
-        raise _failure(BudgetExceededError, message, *where(0))
+        raise _failure(BudgetExceededError, message, *where(row))
     return evals + more
 
 
@@ -332,9 +333,9 @@ def _check_finite(values) -> None:
 def _located(caught, message: str, where, stored):
     """The located error for ``caught``, which stopped a method's steps.
 
-    ``where(row)`` is the time, StepStats, episode and batch size of active
-    row ``row``; ``stored`` holds the method's arrays, active rows along the
-    axis before the last.  A warning while all are finite is raised again."""
+    ``where(row)`` is the time, StepStats, episode and batch size of row
+    ``row``; ``stored`` holds the method's arrays, rows along the axis
+    before the last.  A warning while all are finite is raised again."""
     if isinstance(caught, _Misshapen):
         error = _failure(ValueError, str(caught), *where(0))
     else:
@@ -530,7 +531,7 @@ def _run_fixed(block, states, t0, span, config):
 
     try:
         for i in range(n):
-            stats.rhs_evals = _spend(config, stats.rhs_evals, len(kernels), where)
+            stats.rhs_evals = _spend(config, stats.rhs_evals, len(kernels), where, 0)
             # Final step is shortened to land exactly on the end time.
             h = span - i * step if i == n - 1 else step
             # In place, in the operation order of y + h k for euler, and for
@@ -571,8 +572,8 @@ def _run_dopri5(block, states, t0, span, config):
     # One contiguous group of chunks per thread, in segment order.
     workers = _workers(len(chunks)) if chunks else 0
     bounds = [len(chunks) * g // max(workers, 1) for g in range(workers + 1)]
-    # Stage-major: matrix[r] holds row r of a segment of every active
-    # episode, contiguous.  Rows 0-7 are y and the derivatives k_0..k_6;
+    # Stage-major: matrix[r] holds row r of a segment of every episode of a
+    # batch, contiguous.  Rows 0-7 are y and the derivatives k_0..k_6;
     # rows 8-14 are free, then the inputs of stages 1..6, the last of which
     # is the candidate y_new.  The chunks of a group share one matrix.
     # Zeros, so that a warning meets only values a step wrote.
@@ -591,11 +592,11 @@ def _run_dopri5(block, states, t0, span, config):
             return buffer[:head]
         return buffer[head:].reshape(lanes, rows, width)[:, segment.lo : segment.hi]
 
-    def arrange(active, matrices):
-        # The views, products and kernels over the active rows, made once
-        # per active set.  Product r forms row 8 + r of every episode: the
+    def arrange(active):
+        # The views, products and kernels over the rows of a batch, made
+        # once per batch.  Product r forms row 8 + r of every episode: the
         # error estimate for r = 0, the input of stage r after it.
-        count = matrices[0].shape[1]
+        count = len(order)
         weights = np.zeros((count, 8, 8))
         # The weight of y in each stage input; each row's step scales the
         # others.
@@ -631,7 +632,7 @@ def _run_dopri5(block, states, t0, span, config):
                     ]
                     for r, (w, lo, hi) in enumerate(terms)
                 ]
-            # Each stage's input and derivative rows, (active, size) arrays.
+            # Each stage's input and derivative rows, (episodes, size) arrays.
             # Row 8, the error estimate, is written only after the last
             # stage, so the kernels may use it as scratch.  A chunk of rows
             # reads the stage inputs of the head.
@@ -691,12 +692,15 @@ def _run_dopri5(block, states, t0, span, config):
     before = None if setter is None else setter(1)
     try:
         for order in batches:
-            active = block if len(order) == episodes else block.take(order)
-            # The time of each active row, and its next step, clipped to land
-            # on t1.
+            active = block if len(order) == episodes else block.take(order[0])
+            # The time of each row, and its next step, clipped to land on t1.
             t, h = [0.0] * len(order), [_first_step(span)] * len(order)
-            lead, groups, differences, judged, fsal_rows = arrange(active, matrices)
-            # evals counts the evaluations of every active row: they move in
+            lead, groups, differences, judged, fsal_rows = arrange(active)
+            # The rows still running.  A row that reached t1 stays in place
+            # with h = 0 and its weights scaled by 0, so its stage inputs
+            # equal its y and its result, copied out at t1, cannot change.
+            live = list(range(len(order)))
+            # evals counts the evaluations of every live row: they move in
             # lockstep.  One segment evaluates its first stage, which every
             # budget allows, once: its kernels are lead[0][2].
             if fsal:
@@ -708,7 +712,7 @@ def _run_dopri5(block, states, t0, span, config):
                 y, y_new, evals = out[order[0]], spare, 0
                 y[...] = states[order[0]]
             while True:
-                evals = _spend(config, evals, 6 if fsal else 7, where)
+                evals = _spend(config, evals, 6 if fsal else 7, where, live[0])
                 squares = sweep(lead, y, y_new)
                 if groups:
                     squares += _in_parallel(sweep, groups, y, y_new)
@@ -717,13 +721,13 @@ def _run_dopri5(block, states, t0, span, config):
                 errors = squares if fsal else [_sum_squares(squares)]
                 np.subtract(*differences)
                 accepted, done = [], []
-                for i, (taken, err, (row, scaled, dk, dy)) in enumerate(
-                    zip(h, errors, judged)
-                ):
-                    ok, step = _judge(row, taken, err, size, _squares(dk), _squares(dy))
+                for i in live:
+                    row, scaled, dk, dy = judged[i]
+                    err, dk, dy = errors[i], _squares(dk), _squares(dy)
+                    ok, step = _judge(row, h[i], err, size, dk, dy)
                     if ok:
                         # A step clipped to span - t lands on t1, whatever t + h is.
-                        t[i] = span if taken == span - t[i] else t[i] + taken
+                        t[i] = span if h[i] == span - t[i] else t[i] + h[i]
                         accepted.append(i)
                         if not t[i] < span:
                             done.append(i)
@@ -733,29 +737,22 @@ def _run_dopri5(block, states, t0, span, config):
                 if not fsal:
                     if accepted:
                         y, y_new = y_new, y
-                elif len(accepted) == len(order):
+                elif len(accepted) == len(live):
                     fsal_rows[0][...] = fsal_rows[1]
                 elif accepted:
                     matrices[0][0:2, accepted] = matrices[0][14:0:-7, accepted]
                 if not done:
                     continue
-                # The episodes of the rows that reached t1 are done, and the
-                # rows left form the next active set.
+                # The episodes of the rows that reached t1 are done.
                 for i in done:
                     stats[order[i]].rhs_evals = evals
                     if fsal:
                         out[order[i]] = matrices[0][0, i]
                     elif y is spare:
                         out[order[i]] = y
-                keep = [i for i, now in enumerate(t) if now < span]
-                if not keep:
+                live = [i for i in live if t[i] < span]
+                if not live:
                     break
-                # Kernels for the episodes left alone.  take copies their rows
-                # C-ordered, as bind needs; matrix[:, keep] would leave each
-                # stage row strided.
-                matrices, active = [matrices[0].take(keep, axis=1)], active.take(keep)
-                order, t, h = ([values[i] for i in keep] for values in (order, t, h))
-                lead, groups, differences, judged, fsal_rows = arrange(active, matrices)
     except (_Misshapen, _NonFinite, RuntimeWarning) as caught:
         message = "state became non-finite during a trial step"
         raise _located(caught, message, where, matrices)

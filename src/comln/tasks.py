@@ -50,7 +50,11 @@ class TruncatedFileError(EpisodeFileError):
 @dataclass(frozen=True)
 class Episode:
     """One few-shot task: balanced train/test sets over the same classes,
-    whose label width is the way and whose rows per class are the shots."""
+    whose label width is the way and whose rows per class are the shots.
+
+    Balance is checked at construction: every class holds ``shot`` train
+    rows and as many test rows as every other, so M = k N on both splits.
+    """
 
     train: EmbeddedSet
     test: EmbeddedSet
@@ -60,6 +64,13 @@ class Episode:
             raise ValueError("train/test label widths disagree")
         if self.train.dim != self.test.dim:
             raise ValueError("train/test feature dimensions disagree")
+        # Column sums by np.add.reduce, without ndarray.sum's wrapper: every
+        # sampled episode pays for them.
+        if not (np.add.reduce(self.train.labels, 0) == self.shot).all():
+            raise ValueError("train labels are not balanced at shot per class")
+        test_counts = np.add.reduce(self.test.labels, 0)
+        if not (test_counts == test_counts[0]).all():
+            raise ValueError("test labels are not balanced")
 
     @property
     def way(self) -> int:
@@ -72,15 +83,6 @@ class Episode:
     @property
     def test_shots(self) -> int:
         return self.test.count // self.way
-
-    def validate_balance(self) -> None:
-        """Check exact per-class balance on both sets, which implies M = k*N."""
-        train_counts = self.train.labels.sum(axis=0)
-        if not np.all(train_counts == self.shot):
-            raise ValueError("train labels are not balanced at shot per class")
-        test_counts = self.test.labels.sum(axis=0)
-        if not np.all(test_counts == test_counts[0]):
-            raise ValueError("test labels are not balanced")
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,6 @@ def write_episodes(path, episodes: Iterable[Episode]) -> None:
             raise DimensionInconsistencyError(
                 f"episode {i} dimensions disagree with the first episode", offset
             )
-        try:
-            ep.validate_balance()
-        except ValueError as exc:
-            raise DimensionInconsistencyError(f"episode {i}: {exc}", offset) from exc
         offset += (ep.train.count + ep.test.count) * (8 * shape[3] + 2)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -215,10 +213,15 @@ def load_episodes(path) -> Iterator[Episode]:
 
 def _read_episodes(fh, offset, count, way, shot, k_test, dim):
     try:
-        for _ in range(count):
+        for i in range(count):
+            start = offset
             train, offset = _read_block(fh, offset, way, shot, dim)
             test, offset = _read_block(fh, offset, way, k_test, dim)
-            yield Episode(train, test)
+            try:
+                episode = Episode(train, test)
+            except ValueError as exc:
+                raise DimensionInconsistencyError(f"episode {i}: {exc}", start) from exc
+            yield episode
         if fh.read(1):
             raise DimensionInconsistencyError(
                 f"data past the {count} episodes the header declares", offset
@@ -247,13 +250,6 @@ def _read_block(fh, offset, way, per_class, dim):
     if indices.max(initial=0) >= way:
         raise DimensionInconsistencyError(
             f"label index {indices.max()} outside {way} classes", offset
-        )
-    counts = np.bincount(indices, minlength=way)
-    if not np.all(counts == per_class):
-        raise DimensionInconsistencyError(
-            f"labels are not balanced at {per_class} per class "
-            f"(counts {counts.tolist()}), so k*N does not match the block",
-            offset,
         )
     offset += label_bytes
     labels = np.eye(way)[indices]

@@ -45,8 +45,8 @@ DOPRI5_WHERE = "during a trial step in episode 1 at t=0.262878 after 2"
 def clock_block(episodes, field):
     """A batch of states (c, x), c' = 1 and x' = field(e, c, x) for episode e.
 
-    ``take`` keeps the episode numbers, so a narrowed block evaluates the
-    same fields.
+    ``take(e)`` keeps the episode number, so the block of episode e alone
+    evaluates the same field.
     """
 
     def block(ids):
@@ -59,8 +59,8 @@ def clock_block(episodes, field):
         def bind(inputs, derivatives, *_):
             return [functools.partial(rate, *row) for row in zip(inputs, derivatives)]
 
-        def take(index):
-            return block([ids[i] for i in index])
+        def take(e):
+            return block([ids[e]])
 
         return TangentBlock(2, (0, 0, 0), bind, len(ids), take)
 
@@ -72,14 +72,14 @@ def chunked_clock_block(episodes, rows):
     X' = rows(e, c, X, lo, hi, out) on rows lo:hi for episode e.
 
     Only a block of one episode binds, as a chunked state is integrated
-    one episode at a time; ``take`` keeps the episode numbers.
+    one episode at a time; ``take(e)`` keeps the episode number.
     """
     ids = list(episodes)
     rate = lambda u, out: out.fill(1.0)
     one = _row_block(1, (1, 8, 2), rate, functools.partial(rows, ids[0]))
 
-    def take(index):
-        return chunked_clock_block([ids[i] for i in index], rows)
+    def take(e):
+        return chunked_clock_block([ids[e]], rows)
 
     return dataclasses.replace(one, episodes=len(ids), take=take)
 
@@ -125,6 +125,30 @@ class TestRows:
         second, _ = integrate(clock_block([3, 2], field), start([3, 2]), 0.0, 2.0, CFG)
         assert_array_equal(first.reshape(3, 2)[2], second.reshape(2, 2)[0])
 
+    def test_a_row_that_reached_t1_stays_there_while_its_mates_run_on(self):
+        # Episode 0 reaches t1 first.  Its field turns infinite past t1,
+        # which its own run never reads, so a row that reached t1 must stay
+        # there until the last of its mates is done.
+        t1, ids = 0.5, [0, 1, 2, 3]
+        clocks = []
+
+        def field(e, c, x):
+            if e == 0:
+                clocks.append(c)
+                if c > t1:
+                    return math.inf
+            return -self.RATES[e] * x
+
+        y, stats = integrate(clock_block(ids, field), start(ids), 0.0, t1, CFG)
+        evals = [s.rhs_evals for s in stats.episodes]
+        assert evals[0] < min(evals[1:])
+        # Its kernel kept running after it reached t1.
+        assert len(clocks) > evals[0]
+        for r, e in enumerate(ids):
+            y_e, alone = integrate(clock_block([e], field), start([e]), 0.0, t1, CFG)
+            assert stats.episodes[r] == alone.episodes[0]
+            assert_array_equal(y.reshape(4, 2)[r], y_e)
+
     def test_budget_error_names_the_row_that_ran_out(self):
         # Evaluations are counted per row; the stiff row 2 needs the most.
         field = decay(self.RATES)
@@ -138,16 +162,20 @@ class TestRows:
         assert message in str(info.value)
 
     @pytest.mark.parametrize(
-        "cfg, where, action",
+        "cfg, where, action, mates",
         [
-            (CFG, DOPRI5_WHERE, "ignore"),
-            (CFG, DOPRI5_WHERE, "error"),
-            (EULER, "at step 5 in episode 1 at t=0.4 after 4", "ignore"),
-            (EULER, "at step 5 in episode 1 at t=0.4 after 4", "error"),
+            (CFG, DOPRI5_WHERE, "ignore", 1.0),
+            (CFG, DOPRI5_WHERE, "error", 1.0),
+            (EULER, "at step 5 in episode 1 at t=0.4 after 4", "ignore", 1.0),
+            (EULER, "at step 5 in episode 1 at t=0.4 after 4", "error", 1.0),
             # Stage 2 of the fourth step reads the clock past 0.33 and stage
             # 3 an infinite x, so rk4 sums +inf and -inf.
-            (RK4, "at step 4 in episode 1 at t=0.3 after 3", "ignore"),
-            (RK4, "at step 4 in episode 1 at t=0.3 after 3", "error"),
+            (RK4, "at step 4 in episode 1 at t=0.3 after 3", "ignore", 1.0),
+            (RK4, "at step 4 in episode 1 at t=0.3 after 3", "error", 1.0),
+            # Resting mates have no error, so their second step reaches t1,
+            # before the third step of row 1 turns non-finite.
+            (CFG, DOPRI5_WHERE, "ignore", 0.0),
+            (CFG, DOPRI5_WHERE, "error", 0.0),
         ],
         ids=[
             "ignore",
@@ -156,19 +184,25 @@ class TestRows:
             "euler-error",
             "rk4-ignore",
             "rk4-error",
+            "ignore-after-mates-reached-t1",
+            "error-after-mates-reached-t1",
         ],
     )
     def test_non_finite_row_is_named_whatever_the_warning_filter(
-        self, cfg, where, action
+        self, cfg, where, action, mates
     ):
         # Row 1's x' turns +inf once its clock passes 0.33, and -inf once x
-        # is not finite.  With numpy's warnings made errors, the arithmetic
-        # that combines them raises first; either way the caller gets the
-        # error that names the row.
+        # is not finite; its mates decay at the rate ``mates``.  With numpy's
+        # warnings made errors, the arithmetic that combines them raises
+        # first; either way the caller gets the error that names the row.
+        clocks = []
+
         def field(e, c, x):
             if e == 1 and c >= 0.33:
                 return math.inf if math.isfinite(x) else -math.inf
-            return -x
+            if e != 1:
+                clocks.append(c)
+            return -x if e == 1 else -mates * x
 
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
@@ -178,6 +212,8 @@ class TestRows:
         assert str(info.value) == (
             f"state became non-finite {where} accepted and 0 rejected steps"
         )
+        # Resting mates reached t1 before row 1 failed; decaying ones did not.
+        assert (max(clocks) == pytest.approx(1.0)) == (mates == 0.0)
 
     def test_a_chunked_batch_names_the_episode_that_turned_non_finite(
         self, monkeypatch
@@ -379,15 +415,22 @@ class TestAdapt:
         monkeypatch.setattr(comln.dynamics, "_row_forcing", spy)
         return calls
 
-    def test_kernels_are_bound_once_per_active_set(self, monkeypatch):
+    def test_kernels_are_bound_once_per_batch(self, monkeypatch):
         # The four episodes finish after different numbers of evaluations,
-        # so the rows leave one at a time: active sets of 4, 3, 2 and 1
-        # tasks, each bound once, whose row forcing is built once.
+        # and each that reaches t1 keeps its row: the batch of 4 tasks is
+        # bound once, its row forcing built once, and nothing is taken.
         calls = self.forcing_calls(monkeypatch)
+        taken, real = [], comln.dynamics.TaskConstants.take
+        monkeypatch.setattr(
+            comln.dynamics.TaskConstants,
+            "take",
+            lambda c, e: taken.append(e) or real(c, e),
+        )
         episodes = pinned_episodes()
         _, _, stats = adapt(W0, *stacked(episodes), LAM, 20.0, CFG, True, episodes=4)
         assert [s.rhs_evals for s in stats.episodes] == [151, 199, 169, 157]
-        assert [args[-1] for args in calls] == [4, 3, 2, 1]
+        assert [args[-1] for args in calls] == [4]
+        assert taken == []
 
     def test_chunked_episode_binds_each_chunk_once(self, monkeypatch):
         # A 5w5s state spans the head and several chunks of rows; each

@@ -326,6 +326,35 @@ def test_a_checkpoint_path_that_is_no_path_exits_2(tmp_path, capsys, value):
     assert list(out.iterdir()) == []
 
 
+def test_a_checkpoint_in_a_missing_directory_exits_2_before_training(
+    tmp_path, capsys
+):
+    out = tmp_path / "run"
+    missing = tmp_path / "missing" / "ck.bin"
+    argv = ["train", "--iterations", "1", "--out", str(out)]
+    assert cli.main(argv + ["--set", f"train.checkpoint_path={missing}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"checkpoint directory {missing.parent} does not exist" in captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_a_checkpoint_that_cannot_be_written_exits_2_with_the_metrics_kept(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(meta, path):
+        raise PermissionError(f"cannot open {path}")
+
+    monkeypatch.setattr(cli, "save_checkpoint", refuse)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--iterations", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write output" in captured.err
+    assert len(read_csv(out / "metrics.csv")) == 2
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_a_failing_run_exits_1_after_writing_its_settings(tmp_path, capsys):
     out = tmp_path / "run"
     argv = ["train", "--iterations", "1", "--set", "solver.max_evals=1"]

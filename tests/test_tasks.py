@@ -29,7 +29,6 @@ class TestSampling:
         assert ep.test.features.shape == (75, 16)
         np.testing.assert_array_equal(ep.train.labels.sum(axis=0), np.ones(5))
         np.testing.assert_array_equal(ep.test.labels.sum(axis=0), np.full(5, 15))
-        ep.validate_balance()
 
     def test_determinism(self):
         a = sample_episode(CFG, 3)
@@ -141,6 +140,20 @@ class TestShape:
                 cfg.way, cfg.shot, cfg.test_shots
             )
 
+    @pytest.mark.parametrize(
+        "train, test",
+        [([0, 0, 0, 1], [0, 0, 1, 1]), ([0, 0, 1, 1], [0, 0, 0, 1])],
+        ids=["train", "test"],
+    )
+    def test_unbalanced_splits_are_refused(self, train, test):
+        # Class counts 3 and 1: M = 4 of a 2-way task would read as k = 2.
+        feats = np.random.default_rng(0).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="not balanced"):
+            Episode(
+                EmbeddedSet(feats, np.eye(2)[train]),
+                EmbeddedSet(feats, np.eye(2)[test]),
+            )
+
     def test_splits_of_different_label_widths_are_refused(self):
         feats = np.zeros((4, 3))
         with pytest.raises(ValueError, match="label widths"):
@@ -240,20 +253,6 @@ class TestFileFormat:
         path.write_bytes(b"COMLN-EP 1 1 2 1 1 3\n" + feats + labels)
         with pytest.raises(DimensionInconsistencyError):
             list(load_episodes(path))
-
-    def test_writer_rejects_unbalanced_episode(self, tmp_path):
-        labels = np.eye(2)[[0, 0, 0, 1]]
-        feats = np.random.default_rng(0).normal(size=(4, 3))
-        bad = Episode(EmbeddedSet(feats, labels), EmbeddedSet(feats, labels))
-        with pytest.raises(DimensionInconsistencyError):
-            write_episodes(tmp_path / "bad.ep", [bad])
-        assert not (tmp_path / "bad.ep").exists()
-        kept = tmp_path / "kept.ep"
-        write_episodes(kept, [sample_episode(CFG, 0)])
-        before = kept.read_bytes()
-        with pytest.raises(DimensionInconsistencyError):
-            write_episodes(kept, [sample_episode(CFG, 1), bad])
-        assert kept.read_bytes() == before
 
     def test_writer_rejects_mixed_dimensions(self, tmp_path):
         a = sample_episode(CFG, 0)
